@@ -19,7 +19,7 @@ from .embeddings import (
     vectors_of_norm,
 )
 from .enriques import epsilon, generate_isometry, is_twice_even
-from .errors import NoUnitVector
+from .errors import EnrLatError
 from .fqf import discriminant_form, fqf_isomorphic, milgram_signature, p_part, trivial_form
 from .intmat import det_bareiss, inverse_fraction, mat_mul, transpose
 from .lattice import Lattice, standard_lattice

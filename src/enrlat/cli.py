@@ -72,9 +72,18 @@ def fqf_to_json(f):
     }
 
 
+def _field(obj, key, what):
+    """obj[key] for a JSON object obj, or BadShape naming what lacks it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise BadShape("%s has no %r field" % (what, key))
+    return obj[key]
+
+
 def fqf_from_json(obj):
-    orders = tuple(int(d) for d in obj["invariant_factors"])
-    vals = [[Fraction(int(num), int(den)) for num, den in row] for row in obj["q"]]
+    orders = tuple(int(d) for d in _field(obj, "invariant_factors", "form"))
+    vals = [
+        [Fraction(int(num), int(den)) for num, den in row] for row in _field(obj, "q", "form")
+    ]
     return FiniteQuadraticForm(orders, vals)
 
 
@@ -93,14 +102,14 @@ def datum_to_json(d):
 
 
 def datum_from_json(obj):
-    k = obj["K"]
+    k = _field(obj, "K", "datum")
     return make_datum(
-        obj["H_L"],
-        obj["H_N"],
-        obj["gamma"],
-        k["rank"],
-        tuple(k["signature"]),
-        fqf_from_json(k["fqf"]),
+        _field(obj, "H_L", "datum"),
+        _field(obj, "H_N", "datum"),
+        _field(obj, "gamma", "datum"),
+        _field(k, "rank", "datum K"),
+        tuple(_field(k, "signature", "datum K")),
+        fqf_from_json(_field(k, "fqf", "datum K")),
         delta=obj.get("delta"),
     )
 
@@ -127,8 +136,8 @@ def _int_list(text, what):
     text = text.strip()
     if text.startswith("["):
         obj = _json_arg(text, what)
-        if not isinstance(obj, list):
-            raise BadShape("%s must be a list" % what)
+        if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
+            raise BadShape("%s must be a list of integers" % what)
         return obj
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -207,12 +216,14 @@ def _cmd_verify_embedding(args):
     if path is None:
         raise BadShape("an embedding file is required")
     obj = _load_json_file(path, "embedding file")
-    source = Lattice(obj["source_gram"])
-    inputs = {"source_gram": obj["source_gram"], "images": obj["images"]}
+    source_gram = _field(obj, "source_gram", "embedding file")
+    images = _field(obj, "images", "embedding file")
+    source = Lattice(source_gram)
+    inputs = {"source_gram": source_gram, "images": images}
     verdicts = {"valid": False, "complement_twice_even": None}
     payload = {}
     try:
-        emb = embedding_from_images(source, obj["images"])
+        emb = embedding_from_images(source, images)
     except (BadShape, NotPrimitive, EnrLatError) as exc:
         payload["reason"] = "%s: %s" % (type(exc).__name__, exc)
         return inputs, verdicts, payload
@@ -385,6 +396,8 @@ def _cmd_accept(args):
         "fixtures": args.fixtures,
     }
     if args.criterion is not None:
+        if args.criterion not in acceptance.criterion_numbers():
+            raise BadShape("no acceptance criterion %d" % args.criterion)
         results = [acceptance.run_criterion(args.criterion, fixtures)]
     else:
         results = acceptance.run_suite(suite, fixtures)

@@ -37,10 +37,6 @@ class NotSubgroup(EnrLatError):
     pass
 
 
-class NotSublattice(EnrLatError):
-    pass
-
-
 class NotTwoGroup(EnrLatError):
     pass
 

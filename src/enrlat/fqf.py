@@ -5,12 +5,20 @@ of Z/orders[i], the quadratic value q lives in Q/2Z (kept in [0, 2)) and
 the pairing b lives in Q/Z (kept in [0, 1)). The value matrix holds q on
 the diagonal and b off it. Gauss sums, Jordan splitting, subquotients and
 the isomorphism search all work on this single representation.
+
+Every walk over the elements of a group or subgroup goes through `_walk`,
+which scales the value matrix once to integers over its common denominator
+and updates q in integers from one element to the next. The walks still
+visit whole groups, so the group-order caps stay until local genus symbols
+replace enumeration.
 """
 
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 from .errors import (
     BadCongruence,
@@ -23,7 +31,6 @@ from .errors import (
     Unsupported,
 )
 from .intmat import (
-    det_bareiss,
     hnf_rows,
     inv_mod,
     inverse_fraction,
@@ -52,6 +59,90 @@ def _exact_int_mat(m):
             line.append(int(f))
         out.append(line)
     return out
+
+
+def _denominator(values):
+    """Common denominator m of a value matrix."""
+    m = 1
+    for row in values:
+        for x in row:
+            m = math.lcm(m, x.denominator)
+    return m
+
+
+def _walk(orders, values):
+    """Yield (coords, q * m mod 2m) for every element of (+) Z/orders[i], in
+    itertools.product order, with m = _denominator(values).
+
+    values is the value matrix of the generators, so a subgroup is walked
+    by passing its own generators' orders and values. Along the last
+    generator e, q(x + ce) = q(x) + c^2 q(e) + 2c b(x, e); moving to the
+    next x adds one earlier generator and updates q(x) and every 2b(x, e_j)
+    the same way. All of it in integers.
+    """
+    k = len(orders)
+    if k == 0:
+        yield (), 0
+        return
+    m = _denominator(values)
+    twom = 2 * m
+    qint = [int(values[i][i] * m) % twom for i in range(k)]
+    twob = [[int(2 * values[i][j] * m) % twom for j in range(k)] for i in range(k)]
+    last, qe = orders[-1], qint[-1]
+    coords = [0] * (k - 1)
+    t = [0] * k  # t[j] = 2b(x, e_j) * m at the current x, left unreduced
+    q = 0
+    for _ in range(math.prod(orders[:-1])):
+        head, tl = tuple(coords), t[-1]
+        for c in range(last):
+            yield head + (c,), (q + c * (c * qe + tl)) % twom
+        i = k - 2
+        while i >= 0:
+            q = (q + qint[i] + t[i]) % twom
+            t = list(map(add, t, twob[i]))
+            if coords[i] < orders[i] - 1:
+                coords[i] += 1
+                break
+            coords[i] = 0
+            i -= 1
+
+
+def _q_fingerprint(orders, values):
+    """Sorted (q value, count) pairs over the whole group."""
+    m = _denominator(values)
+    counts = Counter(q for _, q in _walk(orders, values))
+    return tuple(sorted((Fraction(r, m), c) for r, c in counts.items()))
+
+
+def _values_on(f, rows):
+    """Value matrix of the elements rows of f: q on the diagonal, b off it."""
+    return [
+        [f.q_of(x) if i == j else f.b_of(x, y) for j, y in enumerate(rows)]
+        for i, x in enumerate(rows)
+    ]
+
+
+def _lift(f, rows):
+    """Lattice vectors of the elements rows of f, if f carries generators."""
+    if f.gens_in_lattice is None:
+        return None
+    n = len(f.gens_in_lattice[0]) if f.gens_in_lattice else 0
+    return [
+        [sum((c * g[t] for c, g in zip(row, f.gens_in_lattice) if c), Fraction(0))
+         for t in range(n)]
+        for row in rows
+    ]
+
+
+def _two_torsion(f):
+    """Generators (d/2)e_i of the two-torsion, one per even order d, and
+    their value matrix; walking them visits the two-torsion in the order
+    itertools.product visits the coordinates of f."""
+    gens = [
+        [d // 2 if j == i else 0 for j in range(f.num_gens)]
+        for i, d in enumerate(f.orders) if d % 2 == 0
+    ]
+    return gens, _values_on(f, gens)
 
 
 class FiniteQuadraticForm:
@@ -254,17 +345,7 @@ def canonical_with_maps(f):
         [qp[a][b] % (2 if a == b else 1) for b in kept]
         for a in kept
     ]
-    gens = None
-    if f.gens_in_lattice is not None:
-        n = len(f.gens_in_lattice[0]) if f.gens_in_lattice else 0
-        gens = []
-        for j in kept:
-            row = [Fraction(0)] * n
-            for i in range(k):
-                if uinv[i][j]:
-                    for t in range(n):
-                        row[t] += uinv[i][j] * f.gens_in_lattice[i][t]
-            gens.append(row)
+    gens = _lift(f, [[uinv[i][j] for i in range(k)] for j in kept])
     can = FiniteQuadraticForm(orders, vals, gens_in_lattice=gens)
     old_to_new = [
         [u[j][i] % d[j][j] for j in kept] for i in range(k)
@@ -281,10 +362,6 @@ def canonical_form(f):
     return f._canonical
 
 
-def min_generators(f):
-    return len(canonical_form(f).orders)
-
-
 def p_part_with_coords(f, p):
     """Subform on the p-torsion, with its generators in f coordinates."""
     kept = [i for i in range(f.num_gens) if f.orders[i] % p == 0]
@@ -297,23 +374,8 @@ def p_part_with_coords(f, p):
         row[i] = m
         coords.append(row)
         orders.append(p**a)
-    vals = []
-    for a in range(len(kept)):
-        row = []
-        for b in range(len(kept)):
-            if a == b:
-                row.append(f.q_of(coords[a]))
-            else:
-                row.append(f.b_of(coords[a], coords[b]))
-        vals.append(row)
-    gens = None
-    if f.gens_in_lattice is not None:
-        gens = []
-        for a in range(len(kept)):
-            i = kept[a]
-            mult = coords[a][i]
-            gens.append([mult * x for x in f.gens_in_lattice[i]])
-    return FiniteQuadraticForm(orders, vals, gens_in_lattice=gens), coords
+    form = FiniteQuadraticForm(orders, _values_on(f, coords), gens_in_lattice=_lift(f, coords))
+    return form, coords
 
 
 def p_part(f, p):
@@ -331,45 +393,8 @@ def milgram_signature(f, cap=1 << 22):
     n = f.group_order
     if n > cap:
         raise CapExceeded("group order %d exceeds cap %d" % (n, cap))
-    k = f.num_gens
-    if k == 0:
-        return 0
-    m = 1
-    for i in range(k):
-        for j in range(k):
-            m = math.lcm(m, f.values[i][j].denominator)
-    twom = 2 * m
-    qint = [int(f.values[i][i] * m) % twom for i in range(k)]
-    twob = [
-        [int(2 * f.values[i][j] * m) % twom for j in range(k)]
-        for i in range(k)
-    ]
-    counts = {}
-    orders = f.orders
-    coords = [0] * k
-    qcur = 0
-    t = [0] * k
-
-    def add_gen(l):
-        nonlocal qcur
-        qcur = (qcur + qint[l] + t[l]) % twom
-        row = twob[l]
-        for j in range(k):
-            t[j] = (t[j] + row[j]) % twom
-
-    counts[0] = 1
-    for _ in range(n - 1):
-        i = k - 1
-        while coords[i] == orders[i] - 1:
-            coords[i] = 0
-            add_gen(i)
-            i -= 1
-        coords[i] += 1
-        add_gen(i)
-        counts[qcur] = counts.get(qcur, 0) + 1
-    total = sum(counts.values())
-    assert total == n
-    s = sum(c * cmath.exp(1j * math.pi * r / m) for r, c in counts.items())
+    hist = _q_fingerprint(f.orders, f.values)
+    s = sum(c * cmath.exp(1j * math.pi * float(q)) for q, c in hist)
     target = math.sqrt(n)
     for sig in range(8):
         z = target * cmath.exp(1j * math.pi * sig / 4)
@@ -395,10 +420,6 @@ def subgroup_order(f, mat):
     for i in range(len(mat)):
         det *= mat[i][i]
     return f.group_order // abs(det)
-
-
-def subgroup_contains(f, mat, coords):
-    return solve_int(transpose(mat), list(coords)) is not None
 
 
 def subgroup_gens(f, mat):
@@ -447,40 +468,34 @@ def form_on_subgroup(f, gens):
     if k == 0:
         return trivial_form(), []
     bmat = gens if _is_subgroup_matrix(gens, k) else subgroup_matrix(f, gens)
-    binv = inverse_fraction(bmat)
     dmat = [[f.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    c = _exact_int_mat(mat_mul(dmat, binv))
-    assert c is not None
-    d, u, v = snf_with_transforms(c)
+    coords, orders, _, _, _ = _subquotient(f, bmat, dmat)
+    form = FiniteQuadraticForm(orders, _values_on(f, coords), gens_in_lattice=_lift(f, coords))
+    return form, coords
+
+
+def _subquotient(f, tmat, smat):
+    """Generators of T/S for subgroup matrices S inside T.
+
+    Returns (coords, orders, tinv, v, kept): the generators in f
+    coordinates and their orders, plus what QuotientMap needs to map
+    elements of T onto them.
+    """
+    k = f.num_gens
+    tinv = inverse_fraction(tmat)
+    c = _exact_int_mat(mat_mul(smat, tinv))
+    if c is None:
+        raise NotSubgroup("denominator subgroup is not inside the numerator")
+    d, _, v = snf_with_transforms(c)
     vinv = _exact_int_mat(inverse_fraction(v))
     assert vinv is not None
     kept = [i for i in range(k) if d[i][i] > 1]
     coords = []
     for i in kept:
-        w = [sum(vinv[i][t] * bmat[t][j] for t in range(k)) for j in range(k)]
+        w = [sum(vinv[i][t] * tmat[t][j] for t in range(k)) for j in range(k)]
         coords.append(list(f.reduce(w)))
     orders = tuple(d[i][i] for i in kept)
-    vals = []
-    for a in range(len(kept)):
-        row = []
-        for b in range(len(kept)):
-            if a == b:
-                row.append(f.q_of(coords[a]))
-            else:
-                row.append(f.b_of(coords[a], coords[b]))
-        vals.append(row)
-    gens_lat = None
-    if f.gens_in_lattice is not None:
-        n = len(f.gens_in_lattice[0]) if f.gens_in_lattice else 0
-        gens_lat = []
-        for crow in coords:
-            vec = [Fraction(0)] * n
-            for i in range(k):
-                if crow[i]:
-                    for t in range(n):
-                        vec[t] += crow[i] * f.gens_in_lattice[i][t]
-            gens_lat.append(vec)
-    return FiniteQuadraticForm(orders, vals, gens_in_lattice=gens_lat), coords
+    return coords, orders, tinv, v, kept
 
 
 def _is_subgroup_matrix(rows, k):
@@ -528,39 +543,17 @@ def quotient_form(f, tmat, smat):
     Returns (form, QuotientMap).
     """
     k = f.num_gens
-    tinv = inverse_fraction(tmat)
-    c = _exact_int_mat(mat_mul(smat, tinv))
-    if c is None:
-        raise NotSubgroup("denominator subgroup is not inside the numerator")
-    sgens = subgroup_gens(f, smat)
+    coords, orders, tinv, v, kept = _subquotient(f, tmat, smat)
     tgens = subgroup_gens(f, tmat)
-    for s in sgens:
+    for s in subgroup_gens(f, smat):
         if f.q_of(s) % 2 != 0:
             raise NotIsotropic("q does not vanish on the denominator subgroup")
         for t in tgens:
             if f.b_of(t, s) != 0:
                 raise NotIsotropic("denominator pairs nontrivially with numerator")
-    d, u, v = snf_with_transforms(c)
-    vinv = _exact_int_mat(inverse_fraction(v))
-    assert vinv is not None
-    kept = [i for i in range(k) if d[i][i] > 1]
-    coords = []
-    for i in kept:
-        w = [sum(vinv[i][t] * tmat[t][j] for t in range(k)) for j in range(k)]
-        coords.append(list(f.reduce(w)))
-    orders = tuple(d[i][i] for i in kept)
-    vals = []
-    for a in range(len(kept)):
-        row = []
-        for b in range(len(kept)):
-            if a == b:
-                row.append(f.q_of(coords[a]))
-            else:
-                row.append(f.b_of(coords[a], coords[b]))
-        vals.append(row)
     vfrac = [[_frac(v[i][j]) for j in range(k)] for i in range(k)]
     qmap = QuotientMap(f, tmat, tinv, vfrac, orders, kept, coords)
-    return FiniteQuadraticForm(orders, vals), qmap
+    return FiniteQuadraticForm(orders, _values_on(f, coords)), qmap
 
 
 def fqf_coords_of(f, vector):
@@ -595,18 +588,11 @@ def splits_unit_block(f):
 
     Detected through order-2 elements with half-integral q value.
     """
-    idx = [i for i in range(f.num_gens) if f.orders[i] % 2 == 0]
-    if len(idx) > 24:
+    gens, vals = _two_torsion(f)
+    if len(gens) > 24:
         raise CapExceeded("too much 2-torsion to enumerate")
-    for bits in product((0, 1), repeat=len(idx)):
-        if not any(bits):
-            continue
-        coords = [0] * f.num_gens
-        for b, i in zip(bits, idx):
-            coords[i] = b * (f.orders[i] // 2)
-        if f.q_of(coords) in (Fraction(1, 2), Fraction(3, 2)):
-            return True
-    return False
+    m = _denominator(vals)
+    return any(2 * q in (m, 3 * m) for _, q in _walk((2,) * len(gens), vals))
 
 
 def odd_jordan(f, p):
@@ -618,29 +604,24 @@ def odd_jordan(f, p):
     cur = p_part(canonical_form(f), p)
     blocks = []
     while cur.num_gens:
-        top = cur.orders[-1]
-        found = None
-        for coords in cur.elements():
-            if cur.element_order(coords) != top:
-                continue
-            q = cur.q_of(coords)
-            if q != 0 and q.denominator == top:
-                found = coords
-                break
+        found = _top_scale_element(cur)
         if found is None:
             raise Degenerate("no generator of exact top scale; form is degenerate")
-        blocks.append((top, cur.q_of(found)))
-        perp = perp_subgroup(cur, [list(found)])
+        blocks.append((cur.orders[-1], found[1]))
+        perp = perp_subgroup(cur, [list(found[0])])
         cur, _ = form_on_subgroup(cur, perp)
     return blocks
 
 
-def _reference_histogram(form):
-    hist = {}
-    for c in form.elements():
-        q = form.q_of(c)
-        hist[q] = hist.get(q, 0) + 1
-    return hist
+def _top_scale_element(f):
+    """First element, in walk order, of the top order d whose q value has
+    denominator exactly d, with that q value; None if there is none."""
+    top = f.orders[-1]
+    m = _denominator(f.values)
+    for coords, q in _walk(f.orders, f.values):
+        if q and m // math.gcd(q, m) == top and f.element_order(coords) == top:
+            return coords, Fraction(q, m)
+    return None
 
 
 def two_adic_jordan(f):
@@ -654,62 +635,48 @@ def two_adic_jordan(f):
     blocks = []
     while cur.num_gens:
         top = cur.orders[-1]
-        found = None
-        for coords in cur.elements():
-            if cur.element_order(coords) != top:
-                continue
-            q = cur.q_of(coords)
-            if q != 0 and q.denominator == top:
-                found = coords
-                break
+        found = _top_scale_element(cur)
         if found is not None:
-            blocks.append(("q", top, cur.q_of(found)))
-            perp = perp_subgroup(cur, [list(found)])
-            cur, _ = form_on_subgroup(cur, perp)
-            continue
-        tops = [c for c in cur.elements() if cur.element_order(c) == top]
-        pair = None
-        for x in tops:
-            for y in tops:
-                if cur.b_of(x, y).denominator == top:
-                    pair = (x, y)
-                    break
-            if pair:
-                break
-        if pair is None:
-            raise Degenerate("no exact pairing at top scale; form is degenerate")
-        span, _ = form_on_subgroup(cur, [list(pair[0]), list(pair[1])])
-        assert span.orders == (top, top)
-        hist = _reference_histogram(span)
-        ref_u = FiniteQuadraticForm(
-            (top, top),
-            [[Fraction(0), Fraction(1, top)], [Fraction(1, top), Fraction(0)]],
-        )
-        ref_v = FiniteQuadraticForm(
-            (top, top),
-            [[Fraction(2, top), Fraction(1, top)], [Fraction(1, top), Fraction(2, top)]],
-        )
-        hu, hv = _reference_histogram(ref_u), _reference_histogram(ref_v)
-        assert hu != hv
-        if hist == hu:
-            blocks.append(("u", top))
-        elif hist == hv:
-            blocks.append(("v", top))
+            blocks.append(("q", top, found[1]))
+            gens = [list(found[0])]
         else:
-            raise Unsupported("even block matches neither reference histogram")
-        perp = perp_subgroup(cur, [list(pair[0]), list(pair[1])])
-        cur, _ = form_on_subgroup(cur, perp)
+            # an element y pairing with x to denominator top has order top too
+            pair = next(
+                (
+                    (list(x), list(y))
+                    for x, _ in _walk(cur.orders, cur.values)
+                    if cur.element_order(x) == top
+                    for y, _ in _walk(cur.orders, cur.values)
+                    if cur.b_of(x, y).denominator == top
+                ),
+                None,
+            )
+            if pair is None:
+                raise Degenerate("no exact pairing at top scale; form is degenerate")
+            span, _ = form_on_subgroup(cur, pair)
+            assert span.orders == (top, top)
+            hist = _q_fingerprint(span.orders, span.values)
+            a, b = Fraction(1, top), Fraction(2, top)
+            hu = _q_fingerprint((top, top), [[0, a], [a, 0]])
+            hv = _q_fingerprint((top, top), [[b, a], [a, b]])
+            assert hu != hv
+            if hist == hu:
+                blocks.append(("u", top))
+            elif hist == hv:
+                blocks.append(("v", top))
+            else:
+                raise Unsupported("even block matches neither reference histogram")
+            gens = pair
+        cur, _ = form_on_subgroup(cur, perp_subgroup(cur, gens))
     return blocks
 
 
-def _q_fingerprint(f, cap=200000):
-    if f.group_order > cap:
-        return None
-    hist = {}
-    for c in f.elements():
-        q = f.q_of(c)
-        hist[q] = hist.get(q, 0) + 1
-    return tuple(sorted(hist.items()))
+def _fingerprints_differ(f1, f2, cap=200000):
+    """Whether two forms on the same group have different q-value
+    histograms; False, without a walk, for groups over the cap."""
+    return f1.group_order <= cap and (
+        _q_fingerprint(f1.orders, f1.values) != _q_fingerprint(f2.orders, f2.values)
+    )
 
 
 def _is_even_two_elementary(f):
@@ -748,21 +715,20 @@ def _symplectic_pairs(f):
     pairs = []
     half = Fraction(1, 2)
     while basis:
-        m = len(basis)
-        span = []
-        for bits in product((0, 1), repeat=m):
-            if not any(bits):
-                continue
-            vec = [0] * k
-            for t in range(m):
-                if bits[t]:
-                    vec = [(a + b) % 2 for a, b in zip(vec, basis[t])]
-            span.append(vec)
-        x = next((v for v in span if f.q_of(v) % 2 == 0), None)
+        orders, vals = (2,) * len(basis), _values_on(f, basis)
+
+        def vec(bits):
+            return [sum(b * v[j] for b, v in zip(bits, basis)) % 2 for j in range(k)]
+
+        walk = _walk(orders, vals)
+        next(walk)
+        x = next((vec(bits) for bits, q in walk if q == 0), None)
         kind = "u"
         if x is None:
-            x = span[0]
+            # the first nonzero element of the walk
+            x = list(basis[-1])
             kind = "v"
+        span = (vec(bits) for bits, _ in _walk(orders, vals))
         y = next((v for v in span if f.b_of(x, v) == half), None)
         if y is None:
             raise Degenerate("no hyperbolic partner; form is degenerate")
@@ -838,13 +804,19 @@ def _p_group_backtrack(p1, p2, budget):
     k = p1.num_gens
     if k == 0:
         return []
-    cands = {}
+    # candidates keyed by (element order, q * m), m the denominator of p2;
+    # an integral Fraction key hashes like the int the walk yields, and a
+    # key whose q * m is not an integer collects none
+    m = _denominator(p2.values)
+    keys = [(p1.orders[i], p1.values[i][i] * m) for i in range(k)]
+    cands = {key: [] for key in keys}
+    wanted_q = {q for _, q in keys}
+    for c, q in _walk(p2.orders, p2.values):
+        if q in wanted_q:
+            bucket = cands.get((p2.element_order(c), q))
+            if bucket is not None:
+                bucket.append(list(c))
     order_index = list(range(k - 1, -1, -1))
-    needed = {(p1.orders[i], p1.values[i][i]) for i in range(k)}
-    for c in p2.elements():
-        key = (p2.element_order(c), p2.q_of(c))
-        if key in needed:
-            cands.setdefault(key, []).append(list(c))
     chosen = [None] * k
 
     def dfs(pos):
@@ -852,8 +824,7 @@ def _p_group_backtrack(p1, p2, budget):
             mat = subgroup_matrix(p2, [chosen[i] for i in range(k)])
             return subgroup_order(p2, mat) == p2.group_order
         i = order_index[pos]
-        key = (p1.orders[i], p1.values[i][i])
-        for c in cands.get(key, []):
+        for c in cands[keys[i]]:
             budget[0] -= 1
             if budget[0] < 0:
                 raise CapExceeded("isomorphism search budget exhausted")
@@ -881,9 +852,7 @@ def _p_group_iso(p1, p2, budget):
         return None
     if p1.values == p2.values:
         return [list(_unit(p1.num_gens, i)) for i in range(p1.num_gens)]
-    f1 = _q_fingerprint(p1)
-    f2 = _q_fingerprint(p2)
-    if f1 is not None and f2 is not None and f1 != f2:
+    if _fingerprints_differ(p1, p2):
         return None
     if _is_even_two_elementary(p1) and _is_even_two_elementary(p2):
         return _two_elementary_iso(p1, p2)
@@ -908,9 +877,7 @@ def fqf_isomorphic(f1, f2, cap=2_000_000):
     if c1.values == c2.values:
         can_images = [list(_unit(k, i)) for i in range(k)]
     else:
-        g1 = _q_fingerprint(c1)
-        g2 = _q_fingerprint(c2)
-        if g1 is not None and g2 is not None and g1 != g2:
+        if _fingerprints_differ(c1, c2):
             return None
         budget = [cap]
         primes = list(prime_factors(c1.group_order))

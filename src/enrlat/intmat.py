@@ -43,19 +43,6 @@ def mat_vec(m, v):
     return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m))]
 
 
-def vec_mat(v, m):
-    if not m:
-        return []
-    return [sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]))]
-
-
-def is_symmetric(m):
-    n = len(m)
-    if any(len(r) != n for r in m):
-        return False
-    return all(m[i][j] == m[j][i] for i in range(n) for j in range(n))
-
-
 def xgcd(a, b):
     """Return (g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
     x0, y0, x1, y1 = 1, 0, 0, 1
@@ -91,30 +78,6 @@ def det_bareiss(m):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def det_fraction(m):
-    """Determinant of a matrix with Fraction entries (Gauss elimination)."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return det
 
 
 def inverse_fraction(m):

@@ -7,7 +7,6 @@ DegenerateQuadraticModule rather than errors, because orthogonal complements
 inside hyperbolic pieces routinely produce them.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -42,26 +41,6 @@ def _int_entries(m):
             line.append(int(f))
         out.append(line)
     return out
-
-
-@dataclass(frozen=True)
-class SnfResult:
-    d: tuple
-    u: tuple
-    v: tuple
-
-    @property
-    def diagonal(self):
-        n = min(len(self.d), len(self.d[0]) if self.d else 0)
-        return tuple(self.d[i][i] for i in range(n))
-
-
-def snf(matrix):
-    """Public Smith form wrapper: u * m * v = d with the deterministic pivot."""
-    _check_int_matrix(matrix)
-    d, u, v = snf_with_transforms([list(r) for r in matrix])
-    freeze = lambda m: tuple(tuple(r) for r in m)
-    return SnfResult(freeze(d), freeze(u), freeze(v))
 
 
 def _check_int_matrix(m):
@@ -202,10 +181,6 @@ class Lattice:
 
     def __repr__(self):
         return "Lattice(rank=%d, det=%d, sig=%s)" % (self.rank, self.det, self.signature)
-
-
-def lattice_from_gram(rows):
-    return Lattice(rows)
 
 
 def direct_sum(a, b):

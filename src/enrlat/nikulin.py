@@ -19,6 +19,9 @@ from .errors import (
 )
 from .fqf import (
     FiniteQuadraticForm,
+    _denominator,
+    _two_torsion,
+    _walk,
     canonical_form,
     direct_sum_fqf,
     discriminant_form,
@@ -31,7 +34,6 @@ from .fqf import (
     perp_subgroup,
     quotient_form,
     splits_unit_block,
-    subgroup_gens,
     subgroup_matrix,
     subgroup_order,
     trivial_form,
@@ -41,6 +43,7 @@ from .fqf import (
 from .intmat import (
     crt_pair,
     inverse_fraction,
+    is_prime,
     legendre,
     prime_factors,
     sqrt_exact,
@@ -226,16 +229,8 @@ def find_embedding_datum(lat, nlat=None, cap=200000):
     want_sig = (nlat.signature[0] - sig_l[0], nlat.signature[1] - sig_l[1])
     if want_rank < 0 or want_sig[0] < 0 or want_sig[1] < 0:
         raise NotFound("the source does not fit the ambient signature")
-    two_l = [
-        list(el)
-        for el in fl.elements()
-        if any(el) and all((2 * x) % d == 0 for x, d in zip(el, fl.invariant_factors))
-    ]
-    two_n = [
-        list(el)
-        for el in fn.elements()
-        if any(el) and all((2 * x) % d == 0 for x, d in zip(el, fn.invariant_factors))
-    ]
+    two_l = _order_two_elements(fl)
+    two_n = _order_two_elements(fn)
     budget = [cap]
 
     def attempt(hl, gamma):
@@ -264,13 +259,12 @@ def find_embedding_datum(lat, nlat=None, cap=200000):
                 raise NotFound("search budget exhausted")
             if len(hl) == k:
                 return attempt(hl, gamma)
-            for a in two_l:
+            for a, qa in two_l:
                 ta = tuple(a)
                 if ta in span_l:
                     continue
-                qa = fl.q_of(a)
-                for b in two_n:
-                    if fn.q_of(b) != qa:
+                for b, qb in two_n:
+                    if qb != qa:
                         continue
                     if any(
                         fn.b_of(b, gamma[i]) != fl.b_of(a, hl[i])
@@ -297,6 +291,18 @@ def find_embedding_datum(lat, nlat=None, cap=200000):
         if got is not None:
             return got
     raise NotFound("no gluing datum within the search bound")
+
+
+def _order_two_elements(form):
+    """Nonzero elements of order two with their q values, in the order
+    itertools.product visits the coordinates."""
+    gens, vals = _two_torsion(form)
+    m = _denominator(vals)
+    return [
+        ([sum(col) for col in zip(*[g for b, g in zip(bits, gens) if b])], Fraction(q, m))
+        for bits, q in _walk((2,) * len(gens), vals)
+        if any(bits)
+    ]
 
 
 @dataclass(frozen=True)
@@ -329,7 +335,7 @@ def condition_star(parent, child):
 
 def index_p_sublattice(lat, p):
     """Index-p sublattice for odd p, keeping the basis order."""
-    if p == 2 or not _is_odd_prime(p):
+    if p == 2 or not is_prime(p):
         raise BadPrime("an odd prime is required")
     g = lat.gram
     n = lat.rank
@@ -372,17 +378,6 @@ def index_p_sublattice(lat, p):
         for a in range(n)
     ]
     return Lattice(new), rows
-
-
-def _is_odd_prime(p):
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def _two_part_projector(form):

@@ -52,6 +52,17 @@ def sigma3(k):
     return sum(d ** 3 for d in range(1, k + 1) if k % d == 0)
 
 
+def brute_q_values(orders, qvals):
+    """(coords, q(x) in [0, 2)) for every element x, in Fraction arithmetic."""
+    for coords in product(*[range(d) for d in orders]):
+        q = Fraction(0)
+        for i, ci in enumerate(coords):
+            q += qvals[i][i] * ci * ci
+            for j in range(i + 1, len(coords)):
+                q += 2 * qvals[i][j] * ci * coords[j]
+        yield coords, q % 2
+
+
 def brute_gauss_signature(orders, qvals):
     """Signature mod 8 of a finite quadratic form by direct complex
     summation of exp(pi i q(x)) over the whole group."""
@@ -59,13 +70,8 @@ def brute_gauss_signature(orders, qvals):
     size = 1
     for d in orders:
         size *= d
-    for coords in product(*[range(d) for d in orders]):
-        q = Fraction(0)
-        for i, ci in enumerate(coords):
-            q += qvals[i][i] * ci * ci
-            for j in range(i + 1, len(coords)):
-                q += 2 * qvals[i][j] * ci * coords[j]
-        total += cmath.exp(1j * pi * float(q % 2))
+    for _, q in brute_q_values(orders, qvals):
+        total += cmath.exp(1j * pi * float(q))
     if abs(total) < 1e-9:
         return None
     angle = cmath.phase(total / sqrt(size)) / (pi / 4)

@@ -6,7 +6,9 @@ verbose run reads as a checklist; the assertion carries the detail text.
 
 import pytest
 
+from enrlat import acceptance
 from enrlat.acceptance import SUITES, criterion_numbers, format_result, load_fixtures, run_criterion
+from enrlat.errors import NotFound
 
 
 FIXTURES = load_fixtures()
@@ -72,3 +74,13 @@ def test_suites_cover_all_criteria_once():
     for numbers in SUITES.values():
         seen.extend(numbers)
     assert sorted(seen) == list(criterion_numbers())
+
+
+def test_domain_error_reports_fail(monkeypatch):
+    def raises(fixtures):
+        raise NotFound("nothing here")
+
+    monkeypatch.setitem(acceptance._CRITERIA, 3, ("raises NotFound", raises, 1.0))
+    result = run_criterion(3, FIXTURES)
+    assert result.ok is False
+    assert result.detail == "NotFound: nothing here"

@@ -2,10 +2,12 @@ import contextlib
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from enrlat.cli import (
+    canonical_json,
     datum_from_json,
     datum_to_json,
     fqf_from_json,
@@ -61,11 +63,26 @@ def test_exit_codes_cover_pass_fail_error():
     assert code == 2
 
 
-def test_error_envelope_names_the_error():
-    code, out = run_cli(["--json", "sublattice", "--gram", "[[4]]", "--prime", "2"])
-    assert code == 2
-    env = json.loads(out)
-    assert env["error"]["type"] == "BadPrime"
+def test_error_envelope_names_the_error(tmp_path):
+    no_gram = tmp_path / "no_gram.json"
+    no_gram.write_text('{"images": []}')
+    no_k = tmp_path / "no_k.json"
+    no_k.write_text('{"H_L": [], "H_N": [], "gamma": []}')
+    no_q = tmp_path / "no_q.json"
+    no_q.write_text('{"invariant_factors": [2]}')
+    cases = [
+        (["sublattice", "--gram", "[[4]]", "--prime", "2"], "BadPrime"),
+        (["epsilon", "--vector", '["a","b",0,0,0,0,0,0,0,0,0,0]'], "BadShape"),
+        (["verify-embedding", str(no_gram)], "BadShape"),
+        (["verify-datum", "--gram", "[[4]]", "--datum-file", str(no_k)], "BadShape"),
+        (["nikulin-exists", "--signature", "[1,0]", "--fqf-file", str(no_q)], "BadShape"),
+        (["accept", "--criterion", "99"], "BadShape"),
+    ]
+    for argv, kind in cases:
+        code, out = run_cli(["--json"] + argv)
+        assert code == 2, argv
+        env = json.loads(out)
+        assert env["error"]["type"] == kind, argv
 
 
 def test_roots_verdict_and_payload():
@@ -304,3 +321,45 @@ def test_seed_flag_only_tags_the_digest():
     assert tagged == trailing
     assert json.loads(plain)["payload"] == json.loads(tagged)["payload"]
     assert json.loads(plain)["inputs_digest"] != json.loads(tagged)["inputs_digest"]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_envelopes(tmp_path):
+    """The --json stdout of each golden command, keyed by golden file stem.
+
+    The transfer chain starts from golden/datum_4_4.json and feeds each
+    step's datum to the next, so one changed byte shows up downstream too.
+    """
+    parent, child, basis = "[[4,0],[0,4]]", "[[36,0],[0,4]]", "[[3,0],[0,1]]"
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps(
+        {"invariant_factors": [9, 3], "q": [[[2, 9], [1, 3]], [[1, 3], [4, 3]]]}
+    ))
+    out = {}
+    out["nikulin_exists_true"] = run_cli(
+        ["--json", "nikulin-exists", "--signature", "[2,0]", "--gram", parent])[1]
+    out["nikulin_exists_false"] = run_cli(
+        ["--json", "nikulin-exists", "--signature", "[0,2]", "--fqf-file", str(form)])[1]
+    out["condition_star"] = run_cli(
+        ["--json", "condition-star", "--parent-gram", parent, "--child-gram", child])[1]
+    out["sublattice_p3"] = run_cli(["--json", "sublattice", "--p", "3", "--gram", parent])[1]
+    transfer = ["--json", "transfer", "--parent-gram", parent, "--child-gram", child,
+                "--child-basis", basis, "--datum-file"]
+    out["transfer_down"] = run_cli(
+        transfer + [str(GOLDEN / "datum_4_4.json"), "--direction", "down"])[1]
+    child_datum = tmp_path / "child.json"
+    child_datum.write_text(json.dumps(json.loads(out["transfer_down"])["payload"]["datum"]))
+    out["transfer_up"] = run_cli(transfer + [str(child_datum), "--direction", "up"])[1]
+    out["verify_datum"] = run_cli(
+        ["--json", "verify-datum", "--gram", child, "--datum-file", str(child_datum)])[1]
+    return out
+
+
+def test_golden_envelopes_are_byte_identical(tmp_path):
+    datum = find_embedding_datum(Lattice([[4, 0], [0, 4]]))
+    want = (GOLDEN / "datum_4_4.json").read_text()
+    assert canonical_json(datum_to_json(datum)) + "\n" == want
+    for stem, text in golden_envelopes(tmp_path).items():
+        assert text == (GOLDEN / (stem + ".json")).read_text(), stem

@@ -1,11 +1,16 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from enrlat.errors import Degenerate
 from enrlat.fqf import (
     FiniteQuadraticForm,
+    _denominator,
+    _q_fingerprint,
+    _walk,
     canonical_form,
     direct_sum_fqf,
     discriminant_form,
@@ -26,7 +31,7 @@ from enrlat.fqf import (
 from enrlat.intmat import prime_factors
 from enrlat.lattice import Lattice, direct_sum, standard_lattice
 
-from _oracles import brute_gauss_signature
+from _oracles import brute_gauss_signature, brute_q_values
 
 
 def random_even_lattice(rng, max_rank=5, bound=8, det_cap=3000):
@@ -43,6 +48,35 @@ def random_even_lattice(rng, max_rank=5, bound=8, det_cap=3000):
             continue
         if abs(lat.det) <= det_cap:
             return lat
+
+
+def test_walk_kernel_against_product_q_of_and_brute_histogram():
+    rng = random.Random(101)
+    for _ in range(12):
+        form = discriminant_form(random_even_lattice(rng, max_rank=3, det_cap=80))
+        if form.is_trivial:
+            continue
+        # the whole group, then the subgroup spanned by two random elements
+        gens = [list(form.reduce([rng.randint(1, 7) for _ in form.orders])) for _ in range(2)]
+        gens = [g for g in gens if any(g)]
+        sub_values = [
+            [form.q_of(x) if i == j else form.b_of(x, y) for j, y in enumerate(gens)]
+            for i, x in enumerate(gens)
+        ]
+        units = [[int(i == j) for j in range(form.num_gens)] for i in range(form.num_gens)]
+        for orders, values, basis in (
+            (form.orders, form.values, units),
+            (tuple(form.element_order(g) for g in gens), sub_values, gens),
+        ):
+            walk = list(_walk(orders, values))
+            m = _denominator(values)
+            assert [c for c, _ in walk] == list(product(*[range(d) for d in orders]))
+            for coords, qnum in walk:
+                x = [sum(c * g[j] for c, g in zip(coords, basis))
+                     for j in range(form.num_gens)]
+                assert Fraction(qnum, m) == form.q_of(x)
+            brute = Counter(q for _, q in brute_q_values(orders, values))
+            assert _q_fingerprint(orders, values) == tuple(sorted(brute.items()))
 
 
 def test_discriminant_form_of_unimodular_is_trivial():
