@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import ceil, sqrt
+from math import floor, isqrt, sqrt
 
 from .classgroups import class_group, is_fundamental, ray_class2_order, cm_report
 from .embeddings import (
@@ -181,20 +181,41 @@ def _criterion_6(fixtures):
     return "50 random discriminant forms match the signature mod 8"
 
 
-def _naive_vectors(gram, value):
+def naive_vectors(gram, value):
+    """All nonzero integer vectors of the given norm, by box enumeration.
+
+    The box radius per coordinate is ceil(sqrt(|value| * (G^-1)_ii)) + 1.
+    Every point of the box is visited; the norm is built up one coordinate
+    at a time, adding t * (g_ii * t + 2 * sum_{j<i} g_ij x_j) for x_i = t.
+    Shares no code with vectors_of_norm; only sensible for definite gram of
+    rank at most 4.
+    """
     n = len(gram)
     inv = inverse_fraction([list(r) for r in gram])
     bounds = []
     for i in range(n):
         radius = Fraction(abs(value)) * abs(inv[i][i])
-        bounds.append(int(ceil(sqrt(float(radius)))) + 1)
+        root = isqrt(floor(radius))
+        bounds.append(root + (root * root < radius) + 1)
     out = set()
-    for x in iproduct(*[range(-b, b + 1) for b in bounds]):
-        if not any(x):
-            continue
-        norm = sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))
-        if norm == value:
-            out.add(x)
+    x = [0] * n
+
+    def walk(i, norm):
+        lin = 2 * sum(gram[i][j] * x[j] for j in range(i))
+        gii = gram[i][i]
+        box = range(-bounds[i], bounds[i] + 1)
+        if i < n - 1:
+            for t in box:
+                x[i] = t
+                walk(i + 1, norm + t * (gii * t + lin))
+            return
+        for t in box:
+            if norm + t * (gii * t + lin) == value:
+                x[i] = t
+                if any(x):
+                    out.add(tuple(x))
+
+    walk(0, 0)
     return out
 
 
@@ -214,7 +235,7 @@ def _criterion_7(fixtures):
         lat = Lattice(g)
         for value in norms:
             fast = {tuple(v) for v in vectors_of_norm(lat, value)}
-            assert fast == _naive_vectors(g, value), (g, value)
+            assert fast == naive_vectors(g, value), (g, value)
     e8 = standard_lattice("E8")
     factor = fixtures["minimal_vector_counts"]["e8_factor"]
     for k in (1, 2, 3, 4):

@@ -8,7 +8,6 @@ in full validation, so a table can only produce correct embeddings.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .enriques import ambient, epsilon
 from .errors import (
@@ -36,85 +35,70 @@ from .intmat import rational_rank, snf_diagonal
 def vectors_of_norm(lat, value, cap=200000):
     """All lattice vectors of the given self-pairing, definite lattices only.
 
-    Exact rational Cholesky enumeration; both a vector and its negative are
-    listed. Sorted by coordinate-sum size, then coordinates.
+    Integer Fincke-Pohst enumeration over a fraction-free LDL^T (Bareiss
+    elimination of the gram, negated if negative definite): with leading
+    minors D_0 = 1, D_1, ..., D_k and the elimination rows B_i,
+    q(x) = sum_i (D_{i+1} x_i + c_i)^2 / (D_i D_{i+1}) with
+    c_i = sum_{j>i} B_i[j] x_j. Scaled by M = lcm(D_i D_{i+1}), every term
+    has an integer weight, so each coordinate's range is an exact integer
+    square root. Both a vector and its negative are listed. Sorted
+    by coordinate-sum size, then coordinates in descending order.
     """
     if lat.rank == 0:
         return []
     pos, neg = lat.signature
     if pos and neg:
         raise NotDefinite("enumeration requires a definite lattice")
-    if value == 0:
-        return []
-    if neg == 0:
-        if value < 0:
-            return []
-        p = [[Fraction(x) for x in row] for row in lat.gram]
-        m = Fraction(value)
-    else:
-        if value > 0:
-            return []
-        p = [[Fraction(-x) for x in row] for row in lat.gram]
-        m = Fraction(-value)
+    if value == 0 or (value < 0) == (neg == 0):
+        return []  # zero, or the sign the lattice never takes
+    sign = 1 if neg == 0 else -1
     k = lat.rank
-    d = [Fraction(0)] * k
-    l = [[Fraction(0)] * k for _ in range(k)]
+    a = [[sign * x for x in row] for row in lat.gram]
+    minors = [1]
+    rows = []
     for i in range(k):
-        d[i] = p[i][i]
-        assert d[i] > 0
-        for j in range(i + 1, k):
-            l[i][j] = p[i][j] / d[i]
+        piv, prev = a[i][i], minors[-1]
+        assert piv > 0
+        minors.append(piv)
+        rows.append(a[i][:])
         for r in range(i + 1, k):
             for s in range(i + 1, k):
-                p[r][s] -= p[r][i] * p[i][s] / p[i][i]
+                a[r][s] = (a[r][s] * piv - a[r][i] * a[i][s]) // prev
+    big_m = math.lcm(*(minors[i] * minors[i + 1] for i in range(k)))
+    weights = [big_m // (minors[i] * minors[i + 1]) for i in range(k)]
     out = []
     x = [0] * k
 
-    def bound_hi(center, limit):
-        # floor of -center + sqrt(limit); one-sided test so an interval
-        # containing no integer cannot trap the adjustment loop
-        def ok(t):
-            return t <= 0 or t * t <= limit
-
-        g = int(math.floor(-float(center) + math.sqrt(max(float(limit), 0.0))))
-        while ok(g + 1 + center):
-            g += 1
-        while not ok(g + center):
-            g -= 1
-        return g
-
-    def bound_lo(center, limit):
-        # ceiling of -center - sqrt(limit)
-        def ok(t):
-            return t >= 0 or t * t <= limit
-
-        g = int(math.ceil(-float(center) - math.sqrt(max(float(limit), 0.0))))
-        while ok(g - 1 + center):
-            g -= 1
-        while not ok(g + center):
-            g += 1
-        return g
-
-    def rec(i, rem):
-        if i < 0:
-            if rem == 0:
-                out.append(tuple(x))
-                if len(out) > cap:
-                    raise CapExceeded("more than %d vectors" % cap)
+    def rec(i, rem, c):
+        # x[i+1:] is fixed, c = c_i, rem = M |value| - sum_{j>i} w_j y_j^2;
+        # w y^2 <= rem holds exactly when |y| <= isqrt(rem // w), y = d x_i + c
+        d, w = minors[i + 1], weights[i]
+        if i == 0:
+            if rem % w:
+                return
+            s = math.isqrt(rem // w)
+            if s * s * w != rem:
+                return
+            for y in ((s, -s) if s else (0,)):
+                if (y - c) % d == 0:
+                    x[0] = (y - c) // d
+                    out.append(x[:])
+                    if len(out) > cap:
+                        raise CapExceeded("more than %d vectors" % cap)
             return
-        center = sum(l[i][j] * x[j] for j in range(i + 1, k))
-        limit = rem / d[i]
-        lo = bound_lo(center, limit)
-        hi = bound_hi(center, limit)
-        for t in range(lo, hi + 1):
+        s = math.isqrt(rem // w)
+        row = rows[i - 1]
+        base = sum(row[j] * x[j] for j in range(i + 1, k))
+        for t in range(-((s + c) // d), (s - c) // d + 1):
             x[i] = t
-            rec(i - 1, rem - d[i] * (t + center) ** 2)
-        x[i] = 0
+            y = d * t + c
+            rec(i - 1, rem - w * y * y, base + row[i] * t)
 
-    rec(k - 1, m)
-    out = [v for v in out if any(v)]
-    out.sort(key=lambda v: (sum(abs(t) for t in v), tuple(-t for t in v)))
-    return [list(v) for v in out]
+    rec(k - 1, big_m * sign * value, 0)
+    # descending coordinates, then a stable sort on the L1 norm
+    out.sort(reverse=True)
+    out.sort(key=lambda v: sum(map(abs, v)))
+    return out
 
 
 def has_minus_two_vector(lat, cap=200000):

@@ -7,30 +7,7 @@ imports from the package under test beyond plain data.
 import cmath
 from fractions import Fraction
 from itertools import product
-from math import ceil, gcd, isqrt, pi, sqrt
-
-
-def naive_vectors(gram, value):
-    """All nonzero integer vectors of the given norm, by box enumeration.
-
-    The box radius per coordinate comes from the diagonal of the inverse
-    Gram matrix; only sensible for definite gram of rank at most 4.
-    """
-    n = len(gram)
-    fg = [[Fraction(x) for x in row] for row in gram]
-    inv = _fraction_inverse(fg)
-    bounds = []
-    for i in range(n):
-        radius = Fraction(abs(value)) * abs(inv[i][i])
-        bounds.append(int(ceil(sqrt(float(radius)))) + 1)
-    hits = set()
-    for x in product(*[range(-b, b + 1) for b in bounds]):
-        if not any(x):
-            continue
-        norm = sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))
-        if norm == value:
-            hits.add(x)
-    return hits
+from math import gcd, isqrt, pi, sqrt
 
 
 def _fraction_inverse(m):

@@ -354,6 +354,29 @@ def golden_envelopes(tmp_path):
     out["transfer_up"] = run_cli(transfer + [str(child_datum), "--direction", "up"])[1]
     out["verify_datum"] = run_cli(
         ["--json", "verify-datum", "--gram", child, "--datum-file", str(child_datum)])[1]
+    e8 = json.dumps(standard_lattice("E8").gram, separators=(",", ":"))
+    e82 = json.dumps(standard_lattice("E82").gram, separators=(",", ":"))
+    roots = {
+        "roots_e8_m2": [e8, "--norm", "-2"],
+        "roots_e82_m4": [e82, "--norm", "-4"],
+        "roots_a2_2": ["[[2,1],[1,2]]", "--norm", "2"],
+        "roots_e8_cap": [e8, "--norm", "-4", "--cap", "100"],
+    }
+    for stem, args in roots.items():
+        out[stem] = run_cli(["--json", "roots", "--gram"] + args)[1]
+    # rho 17-19 draw their E8(2) vectors from vectors_of_norm, so these pin
+    # the order the tuple search consumes
+    theorem_a = {
+        "theorem_a_20": ("20", "[2,1,3]", "[1,1]"),
+        "theorem_a_19": ("19", "[-2,9,-5,-3,9,-1]", "[1,0,0]"),
+        "theorem_a_18": ("18", "[-2,9,-3]", "[1,1,1,1]"),
+        "theorem_a_17_m1": ("17", "[1]", "[1,0,0,0,0]"),
+        "theorem_a_17_m2": ("17", "[2]", "[1,1,0,0,1]"),
+        "theorem_a_17_m3": ("17", "[3]", "[1,1,1,1,1]"),
+    }
+    for stem, (rho, params, label) in theorem_a.items():
+        out[stem] = run_cli(
+            ["--json", "theorem-a", "--rho", rho, "--params", params, "--label", label])[1]
     return out
 
 

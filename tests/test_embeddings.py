@@ -2,7 +2,9 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from enrlat.acceptance import naive_vectors
 from enrlat.embeddings import (
     character_upper_bound,
     embedding_complement,
@@ -19,6 +21,7 @@ from enrlat.embeddings import (
 from enrlat.enriques import is_twice_even
 from enrlat.errors import (
     BadParams,
+    CapExceeded,
     GramMismatch,
     NotFound,
     NotPrimitive,
@@ -26,7 +29,7 @@ from enrlat.errors import (
 )
 from enrlat.lattice import Lattice, gram_of_rows, standard_lattice
 
-from _oracles import naive_vectors, sigma3
+from _oracles import sigma3
 
 
 def test_enumeration_matches_box_oracle():
@@ -47,6 +50,75 @@ def test_enumeration_matches_box_oracle():
         for value in (-2, -4, -6):
             got = {tuple(v) for v in vectors_of_norm(lat, value)}
             assert got == naive_vectors(g, value)
+
+
+@st.composite
+def definite_grams(draw):
+    """A definite even gram of rank <= 4 in a possibly non-reduced basis.
+
+    A diagonally dominant gram (even diagonal, off-diagonal entries of either
+    parity) is conjugated by a few elementary unimodular steps, then given a
+    random sign.
+    """
+    n = draw(st.integers(1, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    for i in range(n):
+        spread = sum(abs(g[i][j]) for j in range(n) if j != i)
+        g[i][i] = 2 * draw(st.integers(spread // 2 + 1, spread // 2 + 2))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            s = draw(st.sampled_from((-1, 1)))
+            u[i] = [a + s * b for a, b in zip(u[i], u[j])]
+    sign = draw(st.sampled_from((-1, 1)))
+    return [
+        [sign * sum(u[i][r] * g[r][c] * u[j][c] for r in range(n) for c in range(n))
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(definite_grams(), st.integers(1, 6))
+def test_enumeration_property_against_box_oracle(g, half):
+    lat = Lattice(g)
+    value = 2 * half if g[0][0] > 0 else -2 * half
+    got = vectors_of_norm(lat, value)
+    assert {tuple(v) for v in got} == naive_vectors(g, value)
+    assert got == sorted(got, key=lambda t: (sum(abs(x) for x in t), tuple(-x for x in t)))
+    assert vectors_of_norm(lat, -value) == []
+
+
+def test_cap_boundary_is_exact():
+    e8 = standard_lattice("E8")
+    assert len(vectors_of_norm(e8, -2, cap=240)) == 240
+    with pytest.raises(CapExceeded):
+        vectors_of_norm(e8, -2, cap=239)
+
+
+def test_rebased_e8_keeps_theta_counts():
+    rng = random.Random(411)
+    for tag, scale in (("E8", 1), ("E82", 2)):
+        lat = standard_lattice(tag)
+        want = {k: {tuple(v) for v in vectors_of_norm(lat, -2 * scale * k)} for k in (1, 2)}
+        for _ in range(3):
+            u = [[int(i == j) for j in range(8)] for i in range(8)]
+            for _ in range(6):
+                i, j = rng.sample(range(8), 2)
+                s = rng.choice((-1, 1))
+                u[i] = [a + s * b for a, b in zip(u[i], u[j])]
+            rebased = Lattice([[int(x) for x in row] for row in gram_of_rows(u, lat.gram)])
+            for k in (1, 2):
+                got = vectors_of_norm(rebased, -2 * scale * k)
+                assert len(got) == 240 * sigma3(k)
+                # x in the rebased basis is the vector x U of the original one
+                mapped = {tuple(sum(x[r] * u[r][c] for r in range(8)) for c in range(8))
+                          for x in got}
+                assert mapped == want[k]
 
 
 def test_e8_counts_follow_divisor_sums():
