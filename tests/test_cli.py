@@ -374,9 +374,27 @@ def golden_envelopes(tmp_path):
         "theorem_a_17_m2": ("17", "[2]", "[1,1,0,0,1]"),
         "theorem_a_17_m3": ("17", "[3]", "[1,1,1,1,1]"),
     }
+    theorem_a["theorem_a_20_01"] = ("20", "[2,1,3]", "[0,1]")
     for stem, (rho, params, label) in theorem_a.items():
         out[stem] = run_cli(
             ["--json", "theorem-a", "--rho", rho, "--params", params, "--label", label])[1]
+    embeddings = {
+        "verify_embedding_valid": (
+            [[4, 0], [0, 4]], [[1, 2] + [0] * 10, [1, -2, 1, 2] + [0] * 8]),
+        "verify_embedding_not_primitive": ([[16]], [[2, 4] + [0] * 10]),
+    }
+    for stem, (gram, images) in embeddings.items():
+        path = tmp_path / (stem + ".json")
+        path.write_text(json.dumps({"source_gram": gram, "images": images}))
+        out[stem] = run_cli(["--json", "verify-embedding", str(path)])[1]
+    out["brauer_image_20"] = run_cli(
+        ["--json", "brauer-image", "--rho", "20", "--params", "[2,1,3]"])[1]
+    out["brauer_image_18"] = run_cli(
+        ["--json", "brauer-image", "--rho", "18", "--params", "[-2,9,-3]"])[1]
+    out["im_phi_bound"] = run_cli(["--json", "im-phi-bound", "--gram", "[[2,1],[1,4]]"])[1]
+    out["standard_lattice_n"] = run_cli(["--json", "standard-lattice", "--tag", "N"])[1]
+    out["class_group"] = run_cli(["--json", "class-group", "--disc", "-56"])[1]
+    out["theorem_c"] = run_cli(["--json", "theorem-c", "--gram", "[[2,1],[1,10]]"])[1]
     return out
 
 
