@@ -23,6 +23,7 @@ from .errors import (
 )
 from .lattice import (
     Lattice,
+    _check_int_matrix,
     gram_of_rows,
     orthogonal_complement,
     primitive_closure,
@@ -287,9 +288,10 @@ def embedding_from_images(source, images):
     for r in rows:
         if len(r) != nlat.rank:
             raise BadShape("images must have length %d" % nlat.rank)
+    _check_int_matrix(rows)
     if rational_rank(rows) != len(rows):
         raise DependentVectors("images are dependent")
-    got = [[int(x) for x in row] for row in gram_of_rows(rows, nlat.gram)]
+    got = gram_of_rows(rows, nlat.gram)
     want = [list(r) for r in source.gram]
     if got != want:
         raise GramMismatch("images have pairings %s, expected %s" % (got, want))
@@ -351,7 +353,7 @@ def _params_from_gram(rho, g):
             g[0][0] // 4, g[0][1] // 2, g[0][2] // 2,
             g[1][1] // 4, g[1][2] // 2, g[2][2] // 4,
         )
-    if rho == 18:
+    if rho in (18, 20):
         return (g[0][0] // 4, g[0][1] // 2, g[1][1] // 4)
     if rho == 17:
         return (-g[4][4] // 4,)
@@ -365,14 +367,6 @@ def _b20_10(p):
     yield [
         _nvec(e=1, f=2 * a),
         _nvec(f=2 * b, h=1, k=c),
-    ]
-
-
-def _b20_01(p):
-    a, b, c = p
-    yield [
-        _nvec(f=2 * b, h=1, k=a),
-        _nvec(e=1, f=2 * c),
     ]
 
 
@@ -659,7 +653,6 @@ def _b17_10101(p):
 _TABLES = {
     20: {
         (1, 0): _b20_10,
-        (0, 1): _b20_01,
         (1, 1): _b20_11,
     },
     19: {
@@ -695,7 +688,7 @@ _TABLES = {
 
 def _label_perms(rho):
     if rho == 20:
-        return [tuple(range(2))]
+        return [(0, 1), (1, 0)]
     if rho == 19:
         from itertools import permutations
 
@@ -765,10 +758,7 @@ def embedding_for_label(rho, params, label, attempt_cap=200):
         if key not in tables:
             continue
         gp = [[g[sigma[i]][sigma[j]] for j in range(len(label))] for i in range(len(label))]
-        if rho == 20:
-            params_p = params
-        else:
-            params_p = _params_from_gram(rho, gp)
+        params_p = _params_from_gram(rho, gp)
         attempts = 0
         for rows in tables[key](params_p):
             attempts += 1
@@ -897,13 +887,7 @@ def _conjugated_params(base, rng):
             c = rng.choice([-1, 1])
             for col in range(n):
                 p[i][col] += c * p[j][col]
-        new = [
-            [
-                sum(p[i][s] * g[s][t] * p[j][t] for s in range(n) for t in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+        new = gram_of_rows(p, g)
         if all(abs(x) <= 40 for row in new for x in row):
             return _params_from_gram(19, new)
     return _params_from_gram(19, g)

@@ -10,7 +10,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import BadLength, GramMismatch
-from .lattice import Lattice, standard_lattice, sqrt_exact
+from .intmat import mat_mul
+from .lattice import Lattice, gram_of_rows, standard_lattice, sqrt_exact
 
 
 def ambient():
@@ -65,14 +66,7 @@ def involution_eigenlattices():
     iota[20][20] = iota[21][21] = -1
     g = [list(r) for r in lam.gram]
     # involution must preserve the form
-    lhs = [
-        [
-            sum(iota[i][a] * g[a][b] * iota[j][b] for a in range(n) for b in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    assert lhs == g
+    assert gram_of_rows(iota, g) == g
 
     def row(*pairs):
         r = [0] * n
@@ -85,22 +79,10 @@ def involution_eigenlattices():
     minus_rows = [row((20, 1)), row((21, 1)),
                   row((16, 1), (18, -1)), row((17, 1), (19, -1))]
     minus_rows += [row((i, 1), (8 + i, -1)) for i in range(8)]
-    for r in plus_rows:
-        img = [sum(r[a] * iota[a][j] for a in range(n)) for j in range(n)]
-        assert img == r
-    for r in minus_rows:
-        img = [sum(r[a] * iota[a][j] for a in range(n)) for j in range(n)]
-        assert img == [-x for x in r]
-
-    def gram_of(rows):
-        return [
-            [sum(rows[a][i] * g[i][j] * rows[b][j] for i in range(n) for j in range(n))
-             for b in range(len(rows))]
-            for a in range(len(rows))
-        ]
-
-    plus = Lattice(gram_of(plus_rows))
-    minus = Lattice(gram_of(minus_rows))
+    assert mat_mul(plus_rows, iota) == plus_rows
+    assert mat_mul(minus_rows, iota) == [[-x for x in r] for r in minus_rows]
+    plus = Lattice(gram_of_rows(plus_rows, g))
+    minus = Lattice(gram_of_rows(minus_rows, g))
     if plus.gram != standard_lattice("M").gram:
         raise GramMismatch("fixed part is not the standard rank-10 lattice")
     if minus.gram != standard_lattice("N").gram:
@@ -115,30 +97,6 @@ def involution_eigenlattices():
         minus,
         index,
     )
-
-
-def _apply(matrix, vector):
-    n = len(vector)
-    return [sum(vector[a] * matrix[a][j] for a in range(n)) for j in range(n)]
-
-
-def _compose(first, second):
-    n = len(first)
-    return [
-        [sum(first[i][a] * second[a][j] for a in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _is_isometry(nlat, mat):
-    n = nlat.rank
-    g = nlat.gram
-    for i in range(n):
-        for j in range(n):
-            s = sum(mat[i][a] * g[a][b] * mat[j][b] for a in range(n) for b in range(n))
-            if s != g[i][j]:
-                return False
-    return True
 
 
 def _reflection(nlat, v):
@@ -180,8 +138,9 @@ def generate_isometry(seed, length):
             for idx in range(2, n):
                 a[idx] = rng.randint(-2, 2)
             step = _eichler(nlat, u, a)
-        cur = _compose(cur, step)
-    assert _is_isometry(nlat, cur)
+        cur = mat_mul(cur, step)
+    g = [list(r) for r in nlat.gram]
+    assert gram_of_rows(cur, g) == g
     return tuple(tuple(r) for r in cur)
 
 

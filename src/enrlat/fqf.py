@@ -34,6 +34,7 @@ from .intmat import (
     hnf_rows,
     inv_mod,
     inverse_fraction,
+    inverse_unimodular,
     mat_mul,
     prime_factors,
     right_kernel_int,
@@ -42,6 +43,7 @@ from .intmat import (
     transpose,
     val_p,
 )
+from .lattice import gram_of_rows
 
 
 def _frac(x):
@@ -271,18 +273,13 @@ def discriminant_form(lat):
     gens = []
     for i in kept:
         gens.append([Fraction(u[i][j], d[i][i]) for j in range(n)])
-    g = lat.gram
-    vals = []
-    for a in range(len(kept)):
-        row = []
-        for b in range(len(kept)):
-            s = Fraction(0)
-            for i in range(n):
-                for j in range(n):
-                    s += gens[a][i] * g[i][j] * gens[b][j]
-            row.append(s % 2 if a == b else s % 1)
-        vals.append(row)
+    # generator a is u[a] / d_a, so its pairings are W / (d_a d_b)
+    w = gram_of_rows([u[i] for i in kept], lat.gram)
     orders = tuple(d[i][i] for i in kept)
+    vals = [
+        [Fraction(w[a][b], da * db) % (2 if a == b else 1) for b, db in enumerate(orders)]
+        for a, da in enumerate(orders)
+    ]
     return FiniteQuadraticForm(orders, vals, gens_in_lattice=gens)
 
 
@@ -320,8 +317,7 @@ def canonical_with_maps(f):
         return f, [], []
     dmat = [[f.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
     d, u, v = snf_with_transforms(dmat)
-    uinv = _exact_int_mat(inverse_fraction(u))
-    assert uinv is not None
+    uinv = inverse_unimodular(u)
     kept = [j for j in range(k) if d[j][j] > 1]
     qp = []
     for a in range(k):
@@ -487,8 +483,7 @@ def _subquotient(f, tmat, smat):
     if c is None:
         raise NotSubgroup("denominator subgroup is not inside the numerator")
     d, _, v = snf_with_transforms(c)
-    vinv = _exact_int_mat(inverse_fraction(v))
-    assert vinv is not None
+    vinv = inverse_unimodular(v)
     kept = [i for i in range(k) if d[i][i] > 1]
     coords = []
     for i in kept:
@@ -679,127 +674,6 @@ def _fingerprints_differ(f1, f2, cap=200000):
     )
 
 
-def _is_even_two_elementary(f):
-    return all(d == 2 for d in f.orders) and all(
-        v.denominator == 1 for row in f.values for v in row
-    )
-
-
-def _inv_mod2(mat):
-    k = len(mat)
-    a = []
-    for i in range(k):
-        a.append([mat[i][j] % 2 for j in range(k)] + [1 if j == i else 0 for j in range(k)])
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, k) if a[r][col]), None)
-        if piv is None:
-            return None
-        a[row], a[piv] = a[piv], a[row]
-        for r in range(k):
-            if r != row and a[r][col]:
-                a[r] = [(x + y) % 2 for x, y in zip(a[r], a[row])]
-        row += 1
-    return [r[k:] for r in a]
-
-
-def _symplectic_pairs(f):
-    """Hyperbolic splitting of an even two-elementary form.
-
-    Returns a list of ((x, y), kind) with kind 'u' or 'v'; pairs of the
-    first kind are always extracted while any nonzero q = 0 element exists,
-    so the kind sequence is canonical.
-    """
-    k = f.num_gens
-    basis = [list(_unit(k, j)) for j in range(k)]
-    pairs = []
-    half = Fraction(1, 2)
-    while basis:
-        orders, vals = (2,) * len(basis), _values_on(f, basis)
-
-        def vec(bits):
-            return [sum(b * v[j] for b, v in zip(bits, basis)) % 2 for j in range(k)]
-
-        walk = _walk(orders, vals)
-        next(walk)
-        x = next((vec(bits) for bits, q in walk if q == 0), None)
-        kind = "u"
-        if x is None:
-            # the first nonzero element of the walk
-            x = list(basis[-1])
-            kind = "v"
-        span = (vec(bits) for bits, _ in _walk(orders, vals))
-        y = next((v for v in span if f.b_of(x, v) == half), None)
-        if y is None:
-            raise Degenerate("no hyperbolic partner; form is degenerate")
-        if kind == "u" and f.q_of(y) % 2 != 0:
-            y = [(a + b) % 2 for a, b in zip(x, y)]
-        pairs.append(((list(x), list(y)), kind))
-        new_basis = []
-        for v in basis:
-            w = list(v)
-            if f.b_of(w, y) == half:
-                w = [(a + b) % 2 for a, b in zip(w, x)]
-            if f.b_of(w, x) == half:
-                w = [(a + b) % 2 for a, b in zip(w, y)]
-            if any(w):
-                new_basis.append(w)
-        # the adjusted vectors may have become dependent; thin to a basis mod 2
-        thin = []
-        seen = []
-        for w in new_basis:
-            cand = seen + [w]
-            if _rank_mod2(cand) == len(cand):
-                seen = cand
-                thin.append(w)
-        basis = thin
-    return pairs
-
-
-def _rank_mod2(rows):
-    a = [list(r) for r in rows]
-    rank = 0
-    cols = len(a[0]) if a else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col] % 2), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for r in range(len(a)):
-            if r != rank and a[r][col] % 2:
-                a[r] = [(x + y) % 2 for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
-
-
-def _two_elementary_iso(p1, p2):
-    s1 = _symplectic_pairs(p1)
-    s2 = _symplectic_pairs(p2)
-    kinds1 = [kind for _, kind in s1]
-    kinds2 = [kind for _, kind in s2]
-    if kinds1 != kinds2:
-        return None
-    b1 = []
-    b2 = []
-    for (x, y), _ in s1:
-        b1 += [x, y]
-    for (x, y), _ in s2:
-        b2 += [x, y]
-    inv = _inv_mod2(transpose(b1))
-    if inv is None:
-        raise Degenerate("splitting vectors are dependent")
-    k = p1.num_gens
-    images = []
-    for i in range(k):
-        coeffs = [inv[t][i] % 2 for t in range(k)]
-        img = [0] * p2.num_gens
-        for t in range(k):
-            if coeffs[t]:
-                img = [(a + b) % 2 for a, b in zip(img, b2[t])]
-        images.append(img)
-    return images
-
-
 def _p_group_backtrack(p1, p2, budget):
     k = p1.num_gens
     if k == 0:
@@ -854,8 +728,6 @@ def _p_group_iso(p1, p2, budget):
         return [list(_unit(p1.num_gens, i)) for i in range(p1.num_gens)]
     if _fingerprints_differ(p1, p2):
         return None
-    if _is_even_two_elementary(p1) and _is_even_two_elementary(p2):
-        return _two_elementary_iso(p1, p2)
     return _p_group_backtrack(p1, p2, budget)
 
 

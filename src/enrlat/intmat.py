@@ -1,11 +1,16 @@
 """Exact matrix and number-theory helpers.
 
-Matrices are lists of row lists over int or Fraction. Nothing here knows
-about lattices; this layer is pure linear algebra and elementary arithmetic.
+Matrices are lists of row lists of int. Elimination is fraction free
+(Bareiss) or unimodular (Smith and Hermite forms), so an integer input
+never meets a Fraction. Only `inverse_fraction` and `frac_rows_span_basis`
+return Fractions, for inverses and spans that really are rational;
+`mat_mul` multiplies rational matrices as well. Nothing here knows about
+lattices; this layer is pure linear algebra and elementary arithmetic.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 
 
 def identity(n):
@@ -25,18 +30,8 @@ def transpose(m):
 def mat_mul(a, b):
     if not a or not b:
         return []
-    n, k, c = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(c):
-            s = 0
-            for t in range(k):
-                s += ai[t] * b[t][j]
-            row.append(s)
-        out.append(row)
-    return out
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(m, v):
@@ -100,26 +95,43 @@ def inverse_fraction(m):
 
 
 def rational_rank(m):
-    if not m:
-        return 0
-    a = [[Fraction(x) for x in row] for row in m]
-    rows, cols = len(a), len(a[0])
-    rank = 0
+    """Rank over Q of an integer matrix, by fraction-free row echelon.
+
+    After each pivot every remaining entry is a minor of m, so the
+    division by the previous pivot is exact, as in det_bareiss.
+    """
+    a = copy_mat(m)
+    rows, cols = len(a), len(a[0]) if a else 0
+    rank, prev = 0, 1
     for c in range(cols):
-        piv = next((i for i in range(rank, rows) if a[i][c] != 0), None)
+        piv = next((i for i in range(rank, rows) if a[i][c]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][c]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        top = a[rank]
+        p = top[c]
+        for i in range(rank + 1, rows):
+            f = a[i][c]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
         rank += 1
         if rank == rows:
             break
     return rank
+
+
+def inverse_unimodular(m):
+    """Integer inverse of a square integer matrix of determinant +-1.
+
+    The row span of [I | m] holds (row i of m^-1, e_i) for every i, and
+    those rows are exactly its Hermite basis, so the I half of hnf_rows
+    is the inverse. Raises ValueError when m is not unimodular.
+    """
+    n = len(m)
+    h = hnf_rows([e + list(r) for e, r in zip(identity(n), m)], 2 * n)
+    if [r[n:] for r in h] != identity(n):
+        raise ValueError("matrix is not unimodular")
+    return [r[:n] for r in h]
 
 
 def snf_with_transforms(m):

@@ -22,12 +22,13 @@ from .errors import (
 from .intmat import (
     det_bareiss,
     frac_rows_span_basis,
-    inverse_fraction,
+    inverse_unimodular,
     mat_mul,
     rational_rank,
     right_kernel_int,
     snf_with_transforms,
     sqrt_exact,
+    transpose,
 )
 
 
@@ -202,17 +203,9 @@ def rescale(lat, s):
 
 
 def gram_of_rows(rows, gram):
-    """Gram matrix of the given (possibly rational) row vectors."""
-    k = len(rows)
-    n = len(gram)
-    out = []
-    for i in range(k):
-        line = []
-        gi = [sum(Fraction(rows[i][t]) * gram[t][j] for t in range(n)) for j in range(n)]
-        for j in range(k):
-            line.append(sum(gi[t] * Fraction(rows[j][t]) for t in range(n)))
-        out.append(line)
-    return out
+    """Gram matrix rows * gram * rows^T: int for integer rows, exact
+    Fraction for rational ones."""
+    return mat_mul(mat_mul(rows, gram), transpose(rows))
 
 
 def sublattice_from_gram_change(lat, rows):
@@ -222,7 +215,7 @@ def sublattice_from_gram_change(lat, rows):
         raise BadShape("row length must equal the ambient rank")
     if rational_rank(rows) != len(rows):
         raise DependentVectors("rows are dependent")
-    g = _int_entries(gram_of_rows(rows, lat.gram))
+    g = gram_of_rows(rows, lat.gram)
     pos, neg, zero = rational_signature(g)
     if zero:
         return DegenerateQuadraticModule(g, zero)
@@ -243,9 +236,8 @@ def primitive_closure(lat, rows):
     k = len(rows)
     if rational_rank(rows) != k:
         raise DependentVectors("rows are dependent")
-    d, u, v = snf_with_transforms([list(r) for r in rows])
-    vinv = [[int(x) for x in row] for row in inverse_fraction(v)]
-    basis = [vinv[i] for i in range(k)]
+    d, _, v = snf_with_transforms([list(r) for r in rows])
+    basis = inverse_unimodular(v)[:k]
     index = 1
     for i in range(k):
         index *= d[i][i]
@@ -267,7 +259,7 @@ def orthogonal_complement(lat, rows):
         [1 if i == j else 0 for i in range(n)] for j in range(n)
     ]
     basis = [list(c) for c in cols]
-    g = _int_entries(gram_of_rows(basis, lat.gram))
+    g = gram_of_rows(basis, lat.gram)
     pos, neg, zero = rational_signature(g)
     if zero:
         return basis, DegenerateQuadraticModule(g, zero)
@@ -294,14 +286,12 @@ def overlattice_from_isotropic(lat, form, gens):
                 row[j] += ci * grow[j]
         lifts.append(row)
     # isotropy: q vanishes mod 2Z and pairings vanish mod Z on the subgroup
-    for i, r in enumerate(lifts):
-        qv = sum(r[a] * lat.gram[a][b] * r[b] for a in range(lat.rank) for b in range(lat.rank))
-        if qv % 2 != 0:
+    w = gram_of_rows(lifts, lat.gram)
+    for i in range(len(lifts)):
+        if w[i][i] % 2 != 0:
             raise NotIsotropic("generator %d has odd norm" % i)
         for j in range(i):
-            bv = sum(lifts[j][a] * lat.gram[a][b] * r[b]
-                     for a in range(lat.rank) for b in range(lat.rank))
-            if bv.denominator != 1:
+            if w[j][i].denominator != 1:
                 raise NotIsotropic("generators %d,%d pair fractionally" % (j, i))
     basis = frac_rows_span_basis(lifts, lat.rank)
     g = _int_entries(gram_of_rows(basis, lat.gram))

@@ -49,7 +49,7 @@ from .intmat import (
     sqrt_exact,
     val_p,
 )
-from .lattice import Lattice
+from .lattice import Lattice, gram_of_rows
 
 
 def exists_even_lattice(signature, form):
@@ -370,14 +370,7 @@ def index_p_sublattice(lat, p):
             row[i] = 1
             row[t] = -((r[i] * inv_rt) % p)
         rows.append(row)
-    new = [
-        [
-            sum(rows[a][i] * g[i][j] * rows[b][j] for i in range(n) for j in range(n))
-            for b in range(n)
-        ]
-        for a in range(n)
-    ]
-    return Lattice(new), rows
+    return Lattice(gram_of_rows(rows, g)), rows
 
 
 def _two_part_projector(form):

@@ -21,6 +21,7 @@ from enrlat.embeddings import (
 from enrlat.enriques import is_twice_even
 from enrlat.errors import (
     BadParams,
+    BadShape,
     CapExceeded,
     GramMismatch,
     NotFound,
@@ -164,6 +165,14 @@ def test_embedding_from_images_checks_gram():
     source = Lattice([[4]])
     with pytest.raises(GramMismatch):
         embedding_from_images(source, [[0, 1] + [0] * 10])
+
+
+def test_embedding_from_images_rejects_non_integer_entries():
+    # images arrive from embedding files; the integer checks come first
+    source = Lattice([[4]])
+    for bad in ("a", 0.5, True):
+        with pytest.raises(BadShape):
+            embedding_from_images(source, [[1, bad] + [0] * 10])
 
 
 def test_embedding_from_images_detects_imprimitive():

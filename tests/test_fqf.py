@@ -234,6 +234,16 @@ def test_isomorphism_distinguishes_same_group_different_form():
     assert fqf_isomorphic(u2, d4) is None
 
 
+def test_degenerate_two_elementary_forms_get_a_verified_map():
+    # integral values but a zero pairing: the backtracking search swaps
+    # the two generators, there being no symplectic splitting to find
+    a = FiniteQuadraticForm((2, 2), [[0, 0], [0, 1]])
+    b = FiniteQuadraticForm((2, 2), [[1, 0], [0, 0]])
+    iso = fqf_isomorphic(a, b)
+    assert iso == [[0, 1], [1, 0]]
+    assert verify_fqf_iso(a, b, iso)
+
+
 def test_odd_index_sublattice_keeps_two_part():
     rng = random.Random(97)
     checked = 0

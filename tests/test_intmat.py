@@ -2,17 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enrlat.intmat import (
     crt_pair,
     det_bareiss,
     frac_rows_span_basis,
     hnf_rows,
+    identity,
     inv_mod,
     inverse_fraction,
+    inverse_unimodular,
     legendre,
     mat_mul,
     prime_factors,
+    rational_rank,
     right_kernel_int,
     snf_diagonal,
     snf_with_transforms,
@@ -20,6 +24,7 @@ from enrlat.intmat import (
     val_p,
     xgcd,
 )
+from enrlat.lattice import gram_of_rows
 
 from _oracles import _fraction_inverse, snf_diagonal_by_minor_gcds
 
@@ -175,3 +180,106 @@ def test_frac_rows_span_basis_halves():
 def test_transpose_roundtrip():
     m = [[1, 2, 3], [4, 5, 6]]
     assert transpose(transpose(m)) == m
+
+
+# ---------------------------------------------- sympy as a second oracle
+
+ORACLE = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@st.composite
+def int_matrices(draw):
+    """Small integer matrices, often rank deficient: a row may be an
+    integer combination of the first row and the row before it."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    m = [[draw(st.integers(-9, 9)) for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        if draw(st.booleans()):
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            m[i] = [a * x + b * y for x, y in zip(m[i - 1], m[0])]
+    return m
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of elementary integer matrices: row negations and row
+    additions."""
+    n = draw(st.integers(1, 6))
+    u = identity(n)
+    for _ in range(draw(st.integers(0, 15))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            u[i] = [-x for x in u[i]]
+        else:
+            c = draw(st.integers(-4, 4))
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+@ORACLE
+@given(int_matrices())
+def test_rational_rank_against_sympy(sympy, m):
+    assert rational_rank(m) == sympy.Matrix(m).rank()
+
+
+@ORACLE
+@given(unimodular_matrices(), st.integers(0, 5), st.sampled_from((0, 2, -3)))
+def test_inverse_unimodular_against_sympy(sympy, u, row, scale):
+    inv = inverse_unimodular(u)
+    assert sympy.Matrix(inv) == sympy.Matrix(u).inv()
+    assert mat_mul(u, inv) == identity(len(u))
+    # one row scaled by 0, 2 or -3: singular, or determinant +-2 or +-3
+    bad = [list(r) for r in u]
+    bad[row % len(u)] = [scale * x for x in bad[row % len(u)]]
+    with pytest.raises(ValueError):
+        inverse_unimodular(bad)
+
+
+@ORACLE
+@given(int_matrices())
+def test_snf_diagonal_against_sympy_invariant_factors(sympy, m):
+    from sympy.matrices.normalforms import invariant_factors
+
+    want = [int(x) for x in invariant_factors(sympy.Matrix(m), domain=sympy.ZZ) if x]
+    assert [x for x in snf_diagonal(m) if x] == want
+
+
+@st.composite
+def rows_and_grams(draw):
+    n = draw(st.integers(1, 5))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            g[i][j] = g[j][i] = draw(st.integers(-6, 6))
+    k = draw(st.integers(0, 4))
+    ints = [[draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(k)]
+    fracs = [
+        [Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 6))) for _ in range(n)]
+        for _ in range(k)
+    ]
+    return g, ints, fracs
+
+
+@ORACLE
+@given(rows_and_grams())
+def test_gram_of_rows_against_fraction_triple_sum(data):
+    g, ints, fracs = data
+    n = len(g)
+
+    def direct(rows):
+        return [
+            [sum((Fraction(x[s]) * g[s][t] * Fraction(y[t]) for s in range(n) for t in range(n)),
+                 Fraction(0))
+             for y in rows]
+            for x in rows
+        ]
+
+    got = gram_of_rows(ints, g)
+    assert got == direct(ints)
+    assert all(type(x) is int for row in got for x in row)
+    assert gram_of_rows(fracs, g) == direct(fracs)
