@@ -342,6 +342,30 @@ def golden_envelopes(tmp_path):
         ["--json", "nikulin-exists", "--signature", "[2,0]", "--gram", parent])[1]
     out["nikulin_exists_false"] = run_cli(
         ["--json", "nikulin-exists", "--signature", "[0,2]", "--fqf-file", str(form)])[1]
+    # one envelope per block type the existence test meets: a 'u', two 'v'
+    # (one gram, one form file), two 'q' with no scale-2 unit block, and an
+    # odd-p Jordan splitting
+    d4_4 = "[[2,-1,0,0,0],[-1,2,-1,-1,0],[0,-1,2,0,0],[0,-1,0,2,0],[0,0,0,0,4]]"
+    forms = {
+        "v_q34": {"invariant_factors": [2, 2, 4],
+                  "q": [[[1, 1], [1, 2], [0, 1]], [[1, 2], [1, 1], [0, 1]],
+                        [[0, 1], [0, 1], [3, 4]]]},
+        "q14_q54": {"invariant_factors": [4, 4],
+                    "q": [[[1, 4], [0, 1]], [[0, 1], [5, 4]]]},
+    }
+    for name, obj in forms.items():
+        (tmp_path / (name + ".json")).write_text(json.dumps(obj))
+    exists = {
+        "nikulin_exists_u": ("--gram", "[[0,2],[2,0]]", "[1,1]"),
+        "nikulin_exists_v": ("--gram", d4_4, "[0,3]"),
+        "nikulin_exists_v_file": ("--fqf-file", str(tmp_path / "v_q34.json"), "[1,2]"),
+        "nikulin_exists_q": ("--gram", "[[4]]", "[1,0]"),
+        "nikulin_exists_q_false": ("--fqf-file", str(tmp_path / "q14_q54.json"), "[0,2]"),
+        "nikulin_exists_odd": ("--gram", "[[6,0],[0,6]]", "[2,0]"),
+    }
+    for stem, (flag, value, sig) in exists.items():
+        out[stem] = run_cli(["--json", "nikulin-exists", "--signature", sig, flag, value])[1]
+    out["epsilon"] = run_cli(["--json", "epsilon", "--vector", "[1,1,0,0,0,0,0,0,0,0,0,0]"])[1]
     out["condition_star"] = run_cli(
         ["--json", "condition-star", "--parent-gram", parent, "--child-gram", child])[1]
     out["sublattice_p3"] = run_cli(["--json", "sublattice", "--p", "3", "--gram", parent])[1]
@@ -398,9 +422,19 @@ def golden_envelopes(tmp_path):
     return out
 
 
+# find_embedding_datum on the chain's start and on one det-12 and one det-28
+# class of the gluing benchmark
+GOLDEN_DATA = {
+    "datum_4_4": [[4, 0], [0, 4]],
+    "datum_4_2_4": [[4, 2], [2, 4]],
+    "datum_4_2_8": [[4, 2], [2, 8]],
+}
+
+
 def test_golden_envelopes_are_byte_identical(tmp_path):
-    datum = find_embedding_datum(Lattice([[4, 0], [0, 4]]))
-    want = (GOLDEN / "datum_4_4.json").read_text()
-    assert canonical_json(datum_to_json(datum)) + "\n" == want
+    for stem, gram in GOLDEN_DATA.items():
+        datum = find_embedding_datum(Lattice(gram))
+        want = (GOLDEN / (stem + ".json")).read_text()
+        assert canonical_json(datum_to_json(datum)) + "\n" == want, stem
     for stem, text in golden_envelopes(tmp_path).items():
         assert text == (GOLDEN / (stem + ".json")).read_text(), stem
