@@ -1,15 +1,25 @@
-"""Finite quadratic forms on finite abelian groups, with exact values.
+"""Finite quadratic forms on finite abelian groups, in integers.
 
-A form is stored by a generator presentation: the group is the direct sum
-of Z/orders[i], the quadratic value q lives in Q/2Z (kept in [0, 2)) and
-the pairing b lives in Q/Z (kept in [0, 1)). The value matrix holds q on
-the diagonal and b off it. Gauss sums, Jordan splitting, subquotients and
-the isomorphism search all work on this single representation.
+A form lives on A = (+) Z/orders[i] and is stored as one integer matrix Q
+(`qmat`) over one denominator m (`den`): for coordinate rows x and y,
 
-Every walk over the elements of a group or subgroup goes through `_walk`,
-which scales the value matrix once to integers over its common denominator
-and updates q in integers from one element to the next. The walks still
-visit whole groups, so the group-order caps stay until local genus symbols
+    q(x) = x^T Q x / m  mod 2,        b(x, y) = x^T Q y / m  mod 1.
+
+The diagonal of Q is kept in [0, 2m) and the rest in [0, m), and m is the
+least common denominator of the values, so equal forms have equal (Q, m).
+Everything in this module computes on Q and m with `int`s: direct sums
+and negation work on blocks of Q, forms on subgroups and quotients take
+x^T Q y of their generators through `gram_of_rows`, membership in a
+subgroup is a back-substitution on its lower-triangular Hermite matrix,
+and the Jordan splittings are linear algebra mod p^k on the generators, so
+their cost grows with the number of generators, not with the group order.
+
+`Fraction` stays at the edges: `q_of` and `b_of` return one, `values` is
+the `Fraction` view of Q / m that the JSON boundary reads, and the lattice
+lifts of generators (`_lift`) are rational vectors. Every walk over the
+elements of a group goes through `_walk`, which updates q in integers from
+one element to the next; the Gauss sum and the isomorphism search still
+walk whole groups, so their group-order caps stay until local invariants
 replace enumeration.
 """
 
@@ -18,7 +28,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from operator import add
+from operator import add, mul
 
 from .errors import (
     BadCongruence,
@@ -33,9 +43,9 @@ from .errors import (
 from .intmat import (
     hnf_rows,
     inv_mod,
-    inverse_fraction,
     inverse_unimodular,
     mat_mul,
+    mat_vec,
     prime_factors,
     right_kernel_int,
     snf_with_transforms,
@@ -50,49 +60,24 @@ def _frac(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _exact_int_mat(m):
-    out = []
-    for row in m:
-        line = []
-        for x in row:
-            f = _frac(x)
-            if f.denominator != 1:
-                return None
-            line.append(int(f))
-        out.append(line)
-    return out
+def _walk(f):
+    """Yield (coords, q(x) * f.den mod 2 f.den) for every element x of f,
+    in itertools.product order.
 
-
-def _denominator(values):
-    """Common denominator m of a value matrix."""
-    m = 1
-    for row in values:
-        for x in row:
-            m = math.lcm(m, x.denominator)
-    return m
-
-
-def _walk(orders, values):
-    """Yield (coords, q * m mod 2m) for every element of (+) Z/orders[i], in
-    itertools.product order, with m = _denominator(values).
-
-    values is the value matrix of the generators, so a subgroup is walked
-    by passing its own generators' orders and values. Along the last
-    generator e, q(x + ce) = q(x) + c^2 q(e) + 2c b(x, e); moving to the
-    next x adds one earlier generator and updates q(x) and every 2b(x, e_j)
-    the same way. All of it in integers.
+    Along the last generator e, q(x + ce) = q(x) + c^2 q(e) + 2c b(x, e);
+    moving to the next x adds one earlier generator and updates q(x) and
+    every 2b(x, e_j) the same way. All of it in integers.
     """
-    k = len(orders)
+    orders, k = f.orders, f.num_gens
     if k == 0:
         yield (), 0
         return
-    m = _denominator(values)
-    twom = 2 * m
-    qint = [int(values[i][i] * m) % twom for i in range(k)]
-    twob = [[int(2 * values[i][j] * m) % twom for j in range(k)] for i in range(k)]
+    twom = 2 * f.den
+    qint = [f.qmat[i][i] for i in range(k)]
+    twob = [[2 * x for x in row] for row in f.qmat]
     last, qe = orders[-1], qint[-1]
     coords = [0] * (k - 1)
-    t = [0] * k  # t[j] = 2b(x, e_j) * m at the current x, left unreduced
+    t = [0] * k  # t[j] = 2b(x, e_j) * den at the current x, left unreduced
     q = 0
     for _ in range(math.prod(orders[:-1])):
         head, tl = tuple(coords), t[-1]
@@ -109,19 +94,9 @@ def _walk(orders, values):
             i -= 1
 
 
-def _q_fingerprint(orders, values):
-    """Sorted (q value, count) pairs over the whole group."""
-    m = _denominator(values)
-    counts = Counter(q for _, q in _walk(orders, values))
-    return tuple(sorted((Fraction(r, m), c) for r, c in counts.items()))
-
-
-def _values_on(f, rows):
-    """Value matrix of the elements rows of f: q on the diagonal, b off it."""
-    return [
-        [f.q_of(x) if i == j else f.b_of(x, y) for j, y in enumerate(rows)]
-        for i, x in enumerate(rows)
-    ]
+def _q_fingerprint(f):
+    """Sorted (q * f.den, count) pairs over the whole group."""
+    return tuple(sorted(Counter(q for _, q in _walk(f)).items()))
 
 
 def _lift(f, rows):
@@ -136,47 +111,72 @@ def _lift(f, rows):
     ]
 
 
+def _form_on(f, rows, orders, lift=True):
+    """The form f induces on the elements rows, given their orders."""
+    gens = _lift(f, rows) if lift else None
+    return FiniteQuadraticForm.over(orders, gram_of_rows(rows, f.qmat), f.den, gens)
+
+
 def _two_torsion(f):
     """Generators (d/2)e_i of the two-torsion, one per even order d, and
-    their value matrix; walking them visits the two-torsion in the order
+    the form on them; walking it visits the two-torsion in the order
     itertools.product visits the coordinates of f."""
     gens = [
         [d // 2 if j == i else 0 for j in range(f.num_gens)]
         for i, d in enumerate(f.orders) if d % 2 == 0
     ]
-    return gens, _values_on(f, gens)
+    return gens, _form_on(f, gens, (2,) * len(gens), lift=False)
+
+
+def _scaled(row, den):
+    """The integers den * x for the rationals x of row (den a multiple of
+    their denominators)."""
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 class FiniteQuadraticForm:
-    """Quadratic form q: A -> Q/2Z on A = (+) Z/orders[i]."""
+    """Quadratic form q: A -> Q/2Z on A = (+) Z/orders[i], with
+    q(x) = x^T qmat x / den mod 2.
+
+    The constructor takes the value matrix as rationals (q on the diagonal,
+    b off it); `over` takes it as integers over a denominator.
+    """
 
     def __init__(self, orders, values, gens_in_lattice=None):
+        vals = [[_frac(x) for x in row] for row in values]
+        den = math.lcm(1, *(x.denominator for row in vals for x in row))
+        self._set(orders, [_scaled(row, den) for row in vals], den, gens_in_lattice)
+
+    @classmethod
+    def over(cls, orders, qmat, den, gens_in_lattice=None):
+        """The form whose value matrix is the integer matrix qmat over den."""
+        form = cls.__new__(cls)
+        form._set(orders, qmat, den, gens_in_lattice)
+        return form
+
+    def _set(self, orders, qmat, den, gens_in_lattice):
         orders = tuple(int(d) for d in orders)
         if any(d < 2 for d in orders):
             raise BadShape("generator orders must be at least 2")
         k = len(orders)
-        if len(values) != k or any(len(r) != k for r in values):
+        if len(qmat) != k or any(len(r) != k for r in qmat):
             raise BadShape("value matrix must be %d x %d" % (k, k))
-        vals = [[_frac(values[i][j]) for j in range(k)] for i in range(k)]
-        for i in range(k):
+        twom = 2 * den
+        mat = [[x % (twom if i == j else den) for j, x in enumerate(r)] for i, r in enumerate(qmat)]
+        if any(mat[i][j] != mat[j][i] for i in range(k) for j in range(i)):
+            raise BadShape("value matrix must be symmetric")
+        for i, d in enumerate(orders):
+            q = mat[i][i]
+            if (d * q) % den or (d * d * q) % twom:
+                raise BadShape(
+                    "q value %s invalid for a generator of order %d" % (Fraction(q, den), d))
             for j in range(k):
-                if i == j:
-                    vals[i][j] %= 2
-                else:
-                    vals[i][j] %= 1
-        for i in range(k):
-            for j in range(i):
-                if vals[i][j] != vals[j][i]:
-                    raise BadShape("value matrix must be symmetric")
-        for i in range(k):
-            d, q = orders[i], vals[i][i]
-            if (d * q).denominator != 1 or (d * d * q) % 2 != 0:
-                raise BadShape("q value %s invalid for a generator of order %d" % (q, d))
-            for j in range(k):
-                if i != j and (d * vals[i][j]).denominator != 1:
-                    raise BadShape("pairing %s invalid for order %d" % (vals[i][j], d))
+                if i != j and (d * mat[i][j]) % den:
+                    raise BadShape("pairing %s invalid for order %d" % (Fraction(mat[i][j], den), d))
+        g = math.gcd(den, *(x for r in mat for x in r))
         self.orders = orders
-        self.values = tuple(tuple(r) for r in vals)
+        self.den = den // g
+        self.qmat = tuple(tuple(x // g for x in r) for r in mat)
         if gens_in_lattice is not None:
             gens_in_lattice = tuple(
                 tuple(_frac(x) for x in row) for row in gens_in_lattice
@@ -184,7 +184,16 @@ class FiniteQuadraticForm:
             if len(gens_in_lattice) != k:
                 raise BadShape("one lattice vector per generator required")
         self.gens_in_lattice = gens_in_lattice
+        self._values = None
         self._canonical = None
+
+    @property
+    def values(self):
+        """The value matrix as Fractions: q on the diagonal in [0, 2), b off
+        it in [0, 1)."""
+        if self._values is None:
+            self._values = tuple(tuple(Fraction(x, self.den) for x in r) for r in self.qmat)
+        return self._values
 
     @property
     def num_gens(self):
@@ -192,10 +201,7 @@ class FiniteQuadraticForm:
 
     @property
     def group_order(self):
-        n = 1
-        for d in self.orders:
-            n *= d
-        return n
+        return math.prod(self.orders)
 
     @property
     def is_trivial(self):
@@ -205,28 +211,21 @@ class FiniteQuadraticForm:
     def invariant_factors(self):
         return canonical_form(self).orders
 
+    def q_num(self, coords):
+        """q(coords) * den, in [0, 2 den)."""
+        return sum(
+            c * sum(map(mul, row, coords)) for c, row in zip(coords, self.qmat) if c
+        ) % (2 * self.den)
+
+    def b_num(self, x, y):
+        """b(x, y) * den, in [0, den)."""
+        return sum(c * sum(map(mul, row, y)) for c, row in zip(x, self.qmat) if c) % self.den
+
     def q_of(self, coords):
-        v = self.values
-        s = Fraction(0)
-        k = self.num_gens
-        for i in range(k):
-            ci = coords[i]
-            if ci:
-                s += ci * ci * v[i][i]
-                for j in range(i + 1, k):
-                    if coords[j]:
-                        s += 2 * ci * coords[j] * v[i][j]
-        return s % 2
+        return Fraction(self.q_num(coords), self.den)
 
     def b_of(self, x, y):
-        v = self.values
-        s = Fraction(0)
-        for i in range(self.num_gens):
-            if x[i]:
-                for j in range(self.num_gens):
-                    if y[j]:
-                        s += x[i] * y[j] * v[i][j]
-        return s % 1
+        return Fraction(self.b_num(x, y), self.den)
 
     def element_order(self, coords):
         out = 1
@@ -245,11 +244,12 @@ class FiniteQuadraticForm:
         return (
             isinstance(other, FiniteQuadraticForm)
             and self.orders == other.orders
-            and self.values == other.values
+            and self.den == other.den
+            and self.qmat == other.qmat
         )
 
     def __hash__(self):
-        return hash((self.orders, self.values))
+        return hash((self.orders, self.den, self.qmat))
 
     def __repr__(self):
         return "FiniteQuadraticForm(orders=%s)" % (self.orders,)
@@ -270,38 +270,30 @@ def discriminant_form(lat):
         return trivial_form()
     d, u, v = snf_with_transforms([list(r) for r in lat.gram])
     kept = [i for i in range(n) if d[i][i] > 1]
-    gens = []
-    for i in kept:
-        gens.append([Fraction(u[i][j], d[i][i]) for j in range(n)])
-    # generator a is u[a] / d_a, so its pairings are W / (d_a d_b)
+    gens = [[Fraction(x, d[i][i]) for x in u[i]] for i in kept]
+    # generator a is u[a] / d_a, so its pairings are W / (d_a d_b), which
+    # is W (e / d_a) (e / d_b) over e^2 for e the exponent of the group
     w = gram_of_rows([u[i] for i in kept], lat.gram)
     orders = tuple(d[i][i] for i in kept)
-    vals = [
-        [Fraction(w[a][b], da * db) % (2 if a == b else 1) for b, db in enumerate(orders)]
-        for a, da in enumerate(orders)
-    ]
-    return FiniteQuadraticForm(orders, vals, gens_in_lattice=gens)
+    e = math.lcm(*orders)
+    mat = [[w[a][b] * (e // da) * (e // db) for b, db in enumerate(orders)]
+           for a, da in enumerate(orders)]
+    return FiniteQuadraticForm.over(orders, mat, e * e, gens_in_lattice=gens)
 
 
 def direct_sum_fqf(f1, f2):
+    m = math.lcm(f1.den, f2.den)
+    s1, s2 = m // f1.den, m // f2.den
     k1, k2 = f1.num_gens, f2.num_gens
-    vals = [[Fraction(0)] * (k1 + k2) for _ in range(k1 + k2)]
-    for i in range(k1):
-        for j in range(k1):
-            vals[i][j] = f1.values[i][j]
-    for i in range(k2):
-        for j in range(k2):
-            vals[k1 + i][k1 + j] = f2.values[i][j]
-    return FiniteQuadraticForm(f1.orders + f2.orders, vals)
+    mat = [[x * s1 for x in r] + [0] * k2 for r in f1.qmat]
+    mat += [[0] * k1 + [x * s2 for x in r] for r in f2.qmat]
+    return FiniteQuadraticForm.over(f1.orders + f2.orders, mat, m)
 
 
 def negate_fqf(f):
-    k = f.num_gens
-    vals = [
-        [(-f.values[i][j]) % (2 if i == j else 1) for j in range(k)]
-        for i in range(k)
-    ]
-    return FiniteQuadraticForm(f.orders, vals, gens_in_lattice=f.gens_in_lattice)
+    return FiniteQuadraticForm.over(
+        f.orders, [[-x for x in r] for r in f.qmat], f.den, gens_in_lattice=f.gens_in_lattice
+    )
 
 
 def canonical_with_maps(f):
@@ -317,38 +309,23 @@ def canonical_with_maps(f):
         return f, [], []
     dmat = [[f.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
     d, u, v = snf_with_transforms(dmat)
-    uinv = inverse_unimodular(u)
+    # row j of uinv^T is canonical generator j in the original coordinates
+    cols = transpose(inverse_unimodular(u))
     kept = [j for j in range(k) if d[j][j] > 1]
-    qp = []
-    for a in range(k):
-        row = []
-        for b in range(k):
-            s = Fraction(0)
-            for i in range(k):
-                ci = uinv[i][a]
-                if ci:
-                    for j in range(k):
-                        if uinv[j][b]:
-                            s += ci * uinv[j][b] * f.values[i][j]
-            row.append(s)
-        qp.append(row)
+    qp = gram_of_rows(cols, f.qmat)
     for j in range(k):
         if j not in kept:
-            assert qp[j][j] % 2 == 0
-            assert all(qp[j][t] % 1 == 0 for t in range(k) if t != j)
+            assert qp[j][j] % (2 * f.den) == 0
+            assert all(qp[j][t] % f.den == 0 for t in range(k) if t != j)
     orders = tuple(d[j][j] for j in kept)
-    vals = [
-        [qp[a][b] % (2 if a == b else 1) for b in kept]
-        for a in kept
-    ]
-    gens = _lift(f, [[uinv[i][j] for i in range(k)] for j in kept])
-    can = FiniteQuadraticForm(orders, vals, gens_in_lattice=gens)
+    can = FiniteQuadraticForm.over(
+        orders, [[qp[a][b] for b in kept] for a in kept], f.den,
+        gens_in_lattice=_lift(f, [cols[j] for j in kept]),
+    )
     old_to_new = [
         [u[j][i] % d[j][j] for j in kept] for i in range(k)
     ]
-    new_to_old = [
-        [uinv[i][j] % f.orders[i] for i in range(k)] for j in kept
-    ]
+    new_to_old = [list(f.reduce(cols[j])) for j in kept]
     return can, old_to_new, new_to_old
 
 
@@ -370,8 +347,7 @@ def p_part_with_coords(f, p):
         row[i] = m
         coords.append(row)
         orders.append(p**a)
-    form = FiniteQuadraticForm(orders, _values_on(f, coords), gens_in_lattice=_lift(f, coords))
-    return form, coords
+    return _form_on(f, coords, orders), coords
 
 
 def p_part(f, p):
@@ -382,15 +358,15 @@ def milgram_signature(f, cap=1 << 22):
     """Signature mod 8 read off the Gauss sum of the form.
 
     The q values over the whole group are tallied exactly as integers over
-    a common denominator; only the final phase recognition is numeric, with
-    a certified margin. Raises NonWitt when the sum does not land on any of
-    the eight admissible phases.
+    the form's denominator; only the final phase recognition is numeric,
+    with a certified margin. Raises NonWitt when the sum does not land on
+    any of the eight admissible phases.
     """
     n = f.group_order
     if n > cap:
         raise CapExceeded("group order %d exceeds cap %d" % (n, cap))
-    hist = _q_fingerprint(f.orders, f.values)
-    s = sum(c * cmath.exp(1j * math.pi * float(q)) for q, c in hist)
+    m = f.den
+    s = sum(c * cmath.exp(1j * math.pi * (q / m)) for q, c in _q_fingerprint(f))
     target = math.sqrt(n)
     for sig in range(8):
         z = target * cmath.exp(1j * math.pi * sig / 4)
@@ -430,26 +406,15 @@ def subgroup_gens(f, mat):
 def perp_subgroup(f, gens):
     """Canonical matrix of everything pairing integrally with the gens."""
     k = f.num_gens
-    cons = []
-    mods = []
-    for a in gens:
-        beta = [f.b_of(_unit(k, j), a) for j in range(k)]
-        ma = 1
-        for x in beta:
-            ma = math.lcm(ma, x.denominator)
-        cons.append([int(x * ma) for x in beta])
-        mods.append(ma)
-    if not cons:
+    if not gens:
         return subgroup_matrix(f, [list(_unit(k, j)) for j in range(k)])
-    kk = len(cons)
-    amat = []
-    for r in range(kk):
-        row = cons[r] + [0] * kk
-        row[k + r] = mods[r]
-        amat.append(row)
-    sols = right_kernel_int(amat)
-    xs = [s[:k] for s in sols]
-    return subgroup_matrix(f, xs)
+    # x pairs integrally with a when x . (Q a) = 0 mod den
+    m = f.den
+    amat = [
+        [x % m for x in mat_vec(f.qmat, a)] + [m if s == r else 0 for s in range(len(gens))]
+        for r, a in enumerate(gens)
+    ]
+    return subgroup_matrix(f, [s[:k] for s in right_kernel_int(amat)])
 
 
 def _unit(k, j):
@@ -459,77 +424,62 @@ def _unit(k, j):
 
 
 def form_on_subgroup(f, gens):
-    """Form restricted to a subgroup; returns (form, generator coords)."""
+    """Form restricted to the subgroup the gens generate; returns (form,
+    generator coords)."""
     k = f.num_gens
     if k == 0:
         return trivial_form(), []
-    bmat = gens if _is_subgroup_matrix(gens, k) else subgroup_matrix(f, gens)
     dmat = [[f.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    coords, orders, _, _, _ = _subquotient(f, bmat, dmat)
-    form = FiniteQuadraticForm(orders, _values_on(f, coords), gens_in_lattice=_lift(f, coords))
-    return form, coords
+    coords, orders, _, _ = _subquotient(f, subgroup_matrix(f, gens), dmat)
+    return _form_on(f, coords, orders), coords
+
+
+def _solve_lower(t, s):
+    """The integer row c with c t = s, for a lower-triangular t with a
+    positive diagonal, by back-substitution; None when c is not integral."""
+    k = len(t)
+    c = [0] * k
+    for j in range(k - 1, -1, -1):
+        c[j], rem = divmod(s[j] - sum(c[i] * t[i][j] for i in range(j + 1, k)), t[j][j])
+        if rem:
+            return None
+    return c
 
 
 def _subquotient(f, tmat, smat):
     """Generators of T/S for subgroup matrices S inside T.
 
-    Returns (coords, orders, tinv, v, kept): the generators in f
-    coordinates and their orders, plus what QuotientMap needs to map
-    elements of T onto them.
+    Returns (coords, orders, v, kept): the generators in f coordinates and
+    their orders, plus what QuotientMap needs to map elements of T onto
+    them.
     """
-    k = f.num_gens
-    tinv = inverse_fraction(tmat)
-    c = _exact_int_mat(mat_mul(smat, tinv))
-    if c is None:
+    c = [_solve_lower(tmat, s) for s in smat]
+    if None in c:
         raise NotSubgroup("denominator subgroup is not inside the numerator")
     d, _, v = snf_with_transforms(c)
     vinv = inverse_unimodular(v)
-    kept = [i for i in range(k) if d[i][i] > 1]
-    coords = []
-    for i in kept:
-        w = [sum(vinv[i][t] * tmat[t][j] for t in range(k)) for j in range(k)]
-        coords.append(list(f.reduce(w)))
-    orders = tuple(d[i][i] for i in kept)
-    return coords, orders, tinv, v, kept
-
-
-def _is_subgroup_matrix(rows, k):
-    if len(rows) != k:
-        return False
-    for i, r in enumerate(rows):
-        if len(r) != k or r[i] <= 0:
-            return False
-        if any(r[j] != 0 for j in range(i + 1, k)):
-            return False
-    return True
+    kept = [i for i in range(f.num_gens) if d[i][i] > 1]
+    coords = [list(f.reduce(w)) for w in mat_mul([vinv[i] for i in kept], tmat)]
+    return coords, tuple(d[i][i] for i in kept), v, kept
 
 
 class QuotientMap:
     """Coordinates for a quotient T/S of subgroups of a form."""
 
-    def __init__(self, f, tmat, tinv, v, orders, kept, gens_in_ambient):
+    def __init__(self, f, tmat, v, orders, kept, gens_in_ambient):
         self.ambient = f
         self.tmat = tmat
-        self._tinv = tinv
         self._v = v
         self.orders = orders
         self._kept = kept
         self.gens_in_ambient = gens_in_ambient
 
     def to_coords(self, coords):
-        k = self.ambient.num_gens
-        w = [sum(_frac(coords[t]) * self._tinv[t][j] for t in range(k)) for j in range(k)]
-        y = [sum(w[t] * self._v[t][j] for t in range(k)) for j in range(k)]
-        out = []
-        for pos, j in enumerate(self._kept):
-            val = y[j]
-            if val.denominator != 1:
-                raise NotSubgroup("element is not in the numerator subgroup")
-            out.append(int(val) % self.orders[pos])
-        for j in range(k):
-            if j not in self._kept and y[j].denominator != 1:
-                raise NotSubgroup("element is not in the numerator subgroup")
-        return tuple(out)
+        w = _solve_lower(self.tmat, coords)
+        if w is None:
+            raise NotSubgroup("element is not in the numerator subgroup")
+        y = mat_mul([w], self._v)[0]
+        return tuple(y[j] % d for j, d in zip(self._kept, self.orders))
 
 
 def quotient_form(f, tmat, smat):
@@ -537,140 +487,122 @@ def quotient_form(f, tmat, smat):
 
     Returns (form, QuotientMap).
     """
-    k = f.num_gens
-    coords, orders, tinv, v, kept = _subquotient(f, tmat, smat)
+    coords, orders, v, kept = _subquotient(f, tmat, smat)
     tgens = subgroup_gens(f, tmat)
     for s in subgroup_gens(f, smat):
-        if f.q_of(s) % 2 != 0:
+        if f.q_num(s):
             raise NotIsotropic("q does not vanish on the denominator subgroup")
-        for t in tgens:
-            if f.b_of(t, s) != 0:
-                raise NotIsotropic("denominator pairs nontrivially with numerator")
-    vfrac = [[_frac(v[i][j]) for j in range(k)] for i in range(k)]
-    qmap = QuotientMap(f, tmat, tinv, vfrac, orders, kept, coords)
-    return FiniteQuadraticForm(orders, _values_on(f, coords)), qmap
+        if any(f.b_num(t, s) for t in tgens):
+            raise NotIsotropic("denominator pairs nontrivially with numerator")
+    qmap = QuotientMap(f, tmat, v, orders, kept, coords)
+    return _form_on(f, coords, orders, lift=False), qmap
 
 
 def fqf_coords_of(f, vector):
     """Coordinates in f of a rational vector lying in the dual lattice."""
     if f.gens_in_lattice is None:
         raise Unsupported("form carries no lattice generators")
-    k = f.num_gens
     n = len(vector)
     vec = [_frac(x) for x in vector]
-    den = 1
-    for row in f.gens_in_lattice:
-        for x in row:
-            den = math.lcm(den, x.denominator)
-    for x in vec:
-        den = math.lcm(den, x.denominator)
-    rows = []
-    for grow in f.gens_in_lattice:
-        rows.append([int(x * den) for x in grow])
-    for i in range(n):
-        r = [0] * n
-        r[i] = den
-        rows.append(r)
-    target = [int(x * den) for x in vec]
-    sol = solve_int(transpose(rows), target)
+    den = math.lcm(*(x.denominator for row in f.gens_in_lattice + (vec,) for x in row))
+    rows = [_scaled(grow, den) for grow in f.gens_in_lattice]
+    rows += [[den if j == i else 0 for j in range(n)] for i in range(n)]
+    sol = solve_int(transpose(rows), _scaled(vec, den))
     if sol is None:
         raise BadCongruence("vector is not in the dual lattice")
-    return tuple(sol[i] % f.orders[i] for i in range(k))
+    return tuple(sol[i] % d for i, d in enumerate(f.orders))
 
 
 def splits_unit_block(f):
-    """Whether the scale-2 part contains a one-generator unit summand.
+    """Whether the scale-2 part contains a one-generator unit summand, that
+    is an element of order two with half-integral q value.
 
-    Detected through order-2 elements with half-integral q value.
+    On the two-torsion x -> 2q(x) mod 2 is additive, since 2b(x, y) is an
+    integer there, so the generators (d/2)e_i decide it: 2q = d^2 Q_ii /
+    (2 den) must be odd.
     """
-    gens, vals = _two_torsion(f)
-    if len(gens) > 24:
-        raise CapExceeded("too much 2-torsion to enumerate")
-    m = _denominator(vals)
-    return any(2 * q in (m, 3 * m) for _, q in _walk((2,) * len(gens), vals))
+    twom = 2 * f.den
+    return any(
+        d % 2 == 0 and (d * d // 2 * f.qmat[i][i]) % twom == f.den
+        for i, d in enumerate(f.orders)
+    )
+
+
+def _jordan_split(f, p):
+    """Jordan splitting of the p-part of f by linear algebra mod p^k.
+
+    Returns (kind, scale, value) blocks, largest scale first. At the top
+    order d = p^k, t(x, y) = d b(x, y) is an integer mod d. A generator x
+    with t(x, x) a unit mod p is a block ('q', d, q(x)). For odd p, a pair
+    with t(x, y) a unit gives one through x + y. For p = 2 a pair x, y with
+    t(x, y) odd and t(x, x), t(y, y) even is a block ('u', d) or ('v', d),
+    told apart by the Arf invariant (d q(x) / 2)(d q(y) / 2) mod 2. The
+    other generators y are moved onto the block's orthogonal complement by
+    y - sum_a c_a x_a with c = t(y, x_a)_a T^-1 mod d, T the block's t
+    matrix, which keeps their orders.
+    """
+    pf = p_part(f, p)
+    m = pf.den
+    rows = [list(_unit(pf.num_gens, i)) for i in range(pf.num_gens)]
+    orders = list(pf.orders)
+    blocks = []
+    while rows:
+        top = max(orders)
+        gram = gram_of_rows(rows, pf.qmat)
+        t = [[top * x // m for x in r] for r in gram]
+        idx = [i for i, d in enumerate(orders) if d == top]
+        pick = next(([i] for i in idx if t[i][i] % p), None)
+        if pick is None:
+            pick = next(([i, j] for i in idx for j in idx if i < j and t[i][j] % p), None)
+            if pick is None:
+                raise Degenerate("no exact pairing at top scale; form is degenerate")
+            if p != 2:
+                i, j = pick
+                rows[i] = [(a + b) % d for a, b, d in zip(rows[i], rows[j], pf.orders)]
+                continue
+        if len(pick) == 1:
+            (i,) = pick
+            blocks.append(("q", top, Fraction(gram[i][i] % (2 * m), m)))
+            tinv = [[inv_mod(t[i][i], top)]]
+        else:
+            i, j = pick
+            a, b, c = t[i][i], t[i][j], t[j][j]
+            blocks.append(("v" if (a // 2) % 2 and (c // 2) % 2 else "u", top))
+            e = inv_mod(a * c - b * b, top)
+            tinv = [[c * e, -b * e], [-b * e, a * e]]
+        rest = [y for y in range(len(rows)) if y not in pick]
+        coef = mat_mul([[t[y][a] for a in pick] for y in rest], tinv)
+        moved = mat_mul(coef, [rows[a] for a in pick])
+        rows = [
+            [(x - z) % d for x, z, d in zip(rows[y], mv, pf.orders)] for y, mv in zip(rest, moved)
+        ]
+        orders = [orders[y] for y in rest]
+    return blocks
 
 
 def odd_jordan(f, p):
-    """Greedy one-generator splitting of the p-part, p odd.
+    """Jordan splitting of the p-part, p odd, into one-generator blocks.
 
     Returns blocks as (scale, q value) pairs with scale a power of p,
     largest scale first.
     """
-    cur = p_part(canonical_form(f), p)
-    blocks = []
-    while cur.num_gens:
-        found = _top_scale_element(cur)
-        if found is None:
-            raise Degenerate("no generator of exact top scale; form is degenerate")
-        blocks.append((cur.orders[-1], found[1]))
-        perp = perp_subgroup(cur, [list(found[0])])
-        cur, _ = form_on_subgroup(cur, perp)
-    return blocks
-
-
-def _top_scale_element(f):
-    """First element, in walk order, of the top order d whose q value has
-    denominator exactly d, with that q value; None if there is none."""
-    top = f.orders[-1]
-    m = _denominator(f.values)
-    for coords, q in _walk(f.orders, f.values):
-        if q and m // math.gcd(q, m) == top and f.element_order(coords) == top:
-            return coords, Fraction(q, m)
-    return None
+    return [(scale, value) for _, scale, value in _jordan_split(f, p)]
 
 
 def two_adic_jordan(f):
-    """Greedy splitting of the 2-part into one-generator and even blocks.
+    """Jordan splitting of the 2-part into one-generator and even blocks.
 
     Blocks are ('q', scale, value) for one-generator pieces and ('u', scale)
-    or ('v', scale) for the two even types, recognized by their exact
-    q-value histograms.
+    or ('v', scale) for the two even types, largest scale first.
     """
-    cur = p_part(canonical_form(f), 2)
-    blocks = []
-    while cur.num_gens:
-        top = cur.orders[-1]
-        found = _top_scale_element(cur)
-        if found is not None:
-            blocks.append(("q", top, found[1]))
-            gens = [list(found[0])]
-        else:
-            # an element y pairing with x to denominator top has order top too
-            pair = next(
-                (
-                    (list(x), list(y))
-                    for x, _ in _walk(cur.orders, cur.values)
-                    if cur.element_order(x) == top
-                    for y, _ in _walk(cur.orders, cur.values)
-                    if cur.b_of(x, y).denominator == top
-                ),
-                None,
-            )
-            if pair is None:
-                raise Degenerate("no exact pairing at top scale; form is degenerate")
-            span, _ = form_on_subgroup(cur, pair)
-            assert span.orders == (top, top)
-            hist = _q_fingerprint(span.orders, span.values)
-            a, b = Fraction(1, top), Fraction(2, top)
-            hu = _q_fingerprint((top, top), [[0, a], [a, 0]])
-            hv = _q_fingerprint((top, top), [[b, a], [a, b]])
-            assert hu != hv
-            if hist == hu:
-                blocks.append(("u", top))
-            elif hist == hv:
-                blocks.append(("v", top))
-            else:
-                raise Unsupported("even block matches neither reference histogram")
-            gens = pair
-        cur, _ = form_on_subgroup(cur, perp_subgroup(cur, gens))
-    return blocks
+    return _jordan_split(f, 2)
 
 
 def _fingerprints_differ(f1, f2, cap=200000):
-    """Whether two forms on the same group have different q-value
-    histograms; False, without a walk, for groups over the cap."""
-    return f1.group_order <= cap and (
-        _q_fingerprint(f1.orders, f1.values) != _q_fingerprint(f2.orders, f2.values)
+    """Whether two forms on the same group differ in their denominator or,
+    for groups up to the cap, in their q-value histograms."""
+    return f1.den != f2.den or (
+        f1.group_order <= cap and _q_fingerprint(f1) != _q_fingerprint(f2)
     )
 
 
@@ -678,14 +610,16 @@ def _p_group_backtrack(p1, p2, budget):
     k = p1.num_gens
     if k == 0:
         return []
-    # candidates keyed by (element order, q * m), m the denominator of p2;
-    # an integral Fraction key hashes like the int the walk yields, and a
-    # key whose q * m is not an integer collects none
-    m = _denominator(p2.values)
-    keys = [(p1.orders[i], p1.values[i][i] * m) for i in range(k)]
+    m1, m2 = p1.den, p2.den
+    # candidates keyed by (element order, q * m2); a generator whose q * m2
+    # is not an integer gets the key None and collects none
+    keys = []
+    for i in range(k):
+        num, rem = divmod(p1.qmat[i][i] * m2, m1)
+        keys.append((p1.orders[i], None if rem else num))
     cands = {key: [] for key in keys}
     wanted_q = {q for _, q in keys}
-    for c, q in _walk(p2.orders, p2.values):
+    for c, q in _walk(p2):
         if q in wanted_q:
             bucket = cands.get((p2.element_order(c), q))
             if bucket is not None:
@@ -705,7 +639,7 @@ def _p_group_backtrack(p1, p2, budget):
             ok = True
             for pos2 in range(pos):
                 j = order_index[pos2]
-                if p2.b_of(c, chosen[j]) != p1.values[i][j]:
+                if p2.b_num(c, chosen[j]) * m1 != p1.qmat[i][j] * m2:
                     ok = False
                     break
             if not ok:
@@ -724,7 +658,7 @@ def _p_group_backtrack(p1, p2, budget):
 def _p_group_iso(p1, p2, budget):
     if p1.orders != p2.orders:
         return None
-    if p1.values == p2.values:
+    if p1 == p2:
         return [list(_unit(p1.num_gens, i)) for i in range(p1.num_gens)]
     if _fingerprints_differ(p1, p2):
         return None
@@ -746,7 +680,7 @@ def fqf_isomorphic(f1, f2, cap=2_000_000):
         images = [[0] * f2.num_gens for _ in range(f1.num_gens)]
         assert verify_fqf_iso(f1, f2, images)
         return images
-    if c1.values == c2.values:
+    if c1 == c2:
         can_images = [list(_unit(k, i)) for i in range(k)]
     else:
         if _fingerprints_differ(c1, c2):
@@ -808,16 +742,17 @@ def verify_fqf_iso(f1, f2, images):
         return False
     if len(images) != f1.num_gens:
         return False
+    m1, m2 = f1.den, f2.den
     for i in range(f1.num_gens):
         img = images[i]
         if len(img) != f2.num_gens:
             return False
         if f1.orders[i] % f2.element_order(img) != 0:
             return False
-        if f2.q_of(img) != f1.values[i][i]:
+        if f2.q_num(img) * m1 != f1.qmat[i][i] * m2:
             return False
         for j in range(i):
-            if f2.b_of(img, images[j]) != f1.values[i][j]:
+            if f2.b_num(img, images[j]) * m1 != f1.qmat[i][j] * m2:
                 return False
     if f1.num_gens == 0:
         return True

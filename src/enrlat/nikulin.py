@@ -19,7 +19,7 @@ from .errors import (
 )
 from .fqf import (
     FiniteQuadraticForm,
-    _denominator,
+    _lift,
     _two_torsion,
     _walk,
     canonical_form,
@@ -45,6 +45,7 @@ from .intmat import (
     inverse_fraction,
     is_prime,
     legendre,
+    mat_mul,
     prime_factors,
     sqrt_exact,
     val_p,
@@ -267,7 +268,7 @@ def find_embedding_datum(lat, nlat=None, cap=200000):
                     if qb != qa:
                         continue
                     if any(
-                        fn.b_of(b, gamma[i]) != fl.b_of(a, hl[i])
+                        fn.b_num(b, gamma[i]) * fl.den != fl.b_num(a, hl[i]) * fn.den
                         for i in range(len(hl))
                     ):
                         continue
@@ -294,13 +295,12 @@ def find_embedding_datum(lat, nlat=None, cap=200000):
 
 
 def _order_two_elements(form):
-    """Nonzero elements of order two with their q values, in the order
+    """Nonzero elements of order two with 2q in 0..3, in the order
     itertools.product visits the coordinates."""
-    gens, vals = _two_torsion(form)
-    m = _denominator(vals)
+    gens, two = _two_torsion(form)
     return [
-        ([sum(col) for col in zip(*[g for b, g in zip(bits, gens) if b])], Fraction(q, m))
-        for bits, q in _walk((2,) * len(gens), vals)
+        ([sum(col) for col in zip(*[g for b, g in zip(bits, gens) if b])], 2 * q // two.den)
+        for bits, q in _walk(two)
         if any(bits)
     ]
 
@@ -391,20 +391,11 @@ def _convert_gens(src_form, dst_form, gens, basis_change):
     """Carry subgroup generators along rational points, projecting onto the
     two-primary part on the far side."""
     mu = _two_part_projector(dst_form)
-    out = []
-    ncols = len(basis_change[0]) if basis_change else 0
-    inv = inverse_fraction([list(r) for r in basis_change]) if basis_change else None
-    for c in gens:
-        point = [Fraction(0)] * ncols
-        for i, coeff in enumerate(c):
-            for j in range(ncols):
-                point[j] += coeff * src_form.gens_in_lattice[i][j]
-        moved = [
-            sum(point[i] * inv[i][j] for i in range(ncols)) for j in range(ncols)
-        ]
-        coords = fqf_coords_of(dst_form, [mu * x for x in moved])
-        out.append(coords)
-    return out
+    if not gens:
+        return []
+    inv = inverse_fraction([list(r) for r in basis_change])
+    moved = mat_mul(_lift(src_form, gens), inv)
+    return [fqf_coords_of(dst_form, [mu * x for x in point]) for point in moved]
 
 
 def transfer_datum_down(parent, child, datum, child_basis):
@@ -436,18 +427,8 @@ def transfer_datum_up(parent, child, datum, child_basis):
     fl = discriminant_form(parent)
     fc = discriminant_form(child)
     mu = _two_part_projector(fl)
-    new_hl = []
-    for c in [list(r) for r in datum.h_l]:
-        point = [Fraction(0)] * parent.rank
-        for i, coeff in enumerate(c):
-            row = fc.gens_in_lattice[i]
-            moved = [
-                sum(row[s] * child_basis[s][j] for s in range(len(row)))
-                for j in range(parent.rank)
-            ]
-            for j in range(parent.rank):
-                point[j] += coeff * moved[j]
-        new_hl.append(fqf_coords_of(fl, [mu * x for x in point]))
+    points = mat_mul(_lift(fc, [list(r) for r in datum.h_l]), child_basis)
+    new_hl = [fqf_coords_of(fl, [mu * x for x in point]) for point in points]
     fn = discriminant_form(ambient())
     _, quot, _ = _graph_quotient(fl, fn, new_hl, [list(r) for r in datum.gamma])
     new_kf = canonical_form(negate_fqf(quot))

@@ -8,7 +8,6 @@ import pytest
 from enrlat.errors import Degenerate
 from enrlat.fqf import (
     FiniteQuadraticForm,
-    _denominator,
     _q_fingerprint,
     _walk,
     canonical_form,
@@ -68,15 +67,17 @@ def test_walk_kernel_against_product_q_of_and_brute_histogram():
             (form.orders, form.values, units),
             (tuple(form.element_order(g) for g in gens), sub_values, gens),
         ):
-            walk = list(_walk(orders, values))
-            m = _denominator(values)
+            walked = FiniteQuadraticForm(orders, values)
+            walk = list(_walk(walked))
+            m = walked.den
             assert [c for c, _ in walk] == list(product(*[range(d) for d in orders]))
             for coords, qnum in walk:
                 x = [sum(c * g[j] for c, g in zip(coords, basis))
                      for j in range(form.num_gens)]
                 assert Fraction(qnum, m) == form.q_of(x)
             brute = Counter(q for _, q in brute_q_values(orders, values))
-            assert _q_fingerprint(orders, values) == tuple(sorted(brute.items()))
+            hist = tuple((Fraction(q, m), c) for q, c in _q_fingerprint(walked))
+            assert hist == tuple(sorted(brute.items()))
 
 
 def test_discriminant_form_of_unimodular_is_trivial():
