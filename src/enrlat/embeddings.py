@@ -233,11 +233,13 @@ def iter_tuples_in_e82(gram, primitive=True, node_cap=500000):
     if any(abs(gram[i][i]) > _ENUM_NORM_BOUND for i in range(t)):
         return
 
+    # every prefix of a basis of a primitive sublattice spans a primitive
+    # sublattice, so a primitive search descends only into primitive prefixes
     def dfs(chosen):
         pos = len(chosen)
         if pos == t:
             rows = tuple(tuple(r) for r in chosen)
-            if rows not in seen and keep(rows):
+            if rows not in seen:
                 yield rows
             return
         for cand in _e82_vectors(gram[pos][pos]):
@@ -246,7 +248,7 @@ def iter_tuples_in_e82(gram, primitive=True, node_cap=500000):
                 raise CapExceeded("tuple search budget exhausted")
             if all(
                 e82.bilinear(cand, chosen[i]) == gram[pos][i] for i in range(pos)
-            ):
+            ) and keep(chosen + [cand]):
                 yield from dfs(chosen + [cand])
 
     yield from dfs([])

@@ -7,6 +7,7 @@ DegenerateQuadraticModule rather than errors, because orthogonal complements
 inside hyperbolic pieces routinely produce them.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -63,56 +64,42 @@ def _check_int_matrix(m):
 def rational_signature(gram):
     """(positive, negative, zero) inertia of a symmetric rational matrix.
 
-    Symmetric elimination over Q. A nonzero diagonal entry contributes its
-    sign and is projected out; failing that, a nonzero off-diagonal pair
-    spans a hyperbolic plane contributing (1,1), and both indices are
-    projected out together.
+    Fraction-free symmetric elimination over int, scaled to integers
+    first. With diagonal pivots every remaining entry is a minor of the
+    matrix, so the division by the previous pivot is exact, as in
+    rational_rank, and pivot k is the leading principal minor D_k: its
+    Schur pivot D_k / D_(k-1) contributes its sign. When every remaining
+    diagonal entry is zero but a_ij is not, e_i + e_j has norm 2 a_ij and
+    takes the place of e_i, a unimodular change of basis.
     """
-    n = len(gram)
-    g = {}
-    live = list(range(n))
-    for i in range(n):
-        for j in range(n):
-            g[(i, j)] = Fraction(gram[i][j])
+    den = math.lcm(1, *(x.denominator for r in gram for x in r))
+    a = [[int(x * den) for x in r] for r in gram]
+    live = list(range(len(a)))
     pos = neg = 0
+    prev = 1
     while live:
-        piv = next((i for i in live if g[(i, i)] != 0), None)
-        if piv is not None:
-            p = g[(piv, piv)]
-            if p > 0:
-                pos += 1
-            else:
-                neg += 1
-            rest = [i for i in live if i != piv]
-            col = {i: g[(i, piv)] for i in rest}
-            for u in rest:
-                cu = col[u]
-                if cu:
-                    for w in rest:
-                        g[(u, w)] -= cu * col[w] / p
-            live = rest
-            continue
-        pair = None
-        for a_idx in range(len(live)):
-            for b_idx in range(a_idx + 1, len(live)):
-                if g[(live[a_idx], live[b_idx])] != 0:
-                    pair = (live[a_idx], live[b_idx])
-                    break
-            if pair:
-                break
-        if pair is None:
-            break  # remaining block is zero: the radical
-        i, j = pair
-        b = g[(i, j)]
-        pos += 1
-        neg += 1
-        rest = [t for t in live if t not in (i, j)]
-        ci = {u: g[(u, i)] for u in rest}
-        cj = {u: g[(u, j)] for u in rest}
-        for u in rest:
-            for w in rest:
-                g[(u, w)] -= (ci[u] * cj[w] + cj[u] * ci[w]) / b
-        live = rest
+        piv = next((i for i in live if a[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in live for j in live if i < j and a[i][j]), None)
+            if pair is None:
+                break  # remaining block is zero: the radical
+            piv, j = pair
+            for t in live:
+                a[piv][t] += a[j][t]
+            for t in live:
+                a[t][piv] += a[t][j]
+        p = a[piv][piv]
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        live.remove(piv)
+        col = a[piv]
+        for u in live:
+            row, cu = a[u], col[u]
+            for w in live:
+                row[w] = (p * row[w] - cu * col[w]) // prev
+        prev = p
     return pos, neg, len(live)
 
 

@@ -29,15 +29,28 @@ def sigma3(k):
     return sum(d ** 3 for d in range(1, k + 1) if k % d == 0)
 
 
+def brute_q(qvals, x):
+    """q(x) in [0, 2) from the value matrix, in Fraction arithmetic."""
+    q = Fraction(0)
+    for i, ci in enumerate(x):
+        q += qvals[i][i] * ci * ci
+        for j in range(i + 1, len(x)):
+            q += 2 * qvals[i][j] * ci * x[j]
+    return q % 2
+
+
+def brute_b(qvals, x, y):
+    """b(x, y) in [0, 1) from the value matrix, in Fraction arithmetic."""
+    return sum(
+        (qvals[i][j] * xi * yj for i, xi in enumerate(x) for j, yj in enumerate(y)),
+        Fraction(0),
+    ) % 1
+
+
 def brute_q_values(orders, qvals):
     """(coords, q(x) in [0, 2)) for every element x, in Fraction arithmetic."""
     for coords in product(*[range(d) for d in orders]):
-        q = Fraction(0)
-        for i, ci in enumerate(coords):
-            q += qvals[i][i] * ci * ci
-            for j in range(i + 1, len(coords)):
-                q += 2 * qvals[i][j] * ci * coords[j]
-        yield coords, q % 2
+        yield coords, brute_q(qvals, coords)
 
 
 def brute_gauss_signature(orders, qvals):
@@ -128,3 +141,92 @@ def reduced_forms_by_direct_scan(disc):
             if gcd(gcd(a, abs(b)), c) == 1:
                 forms.append((a, b, c))
     return sorted(forms)
+
+
+def _element_order(orders, x):
+    out = 1
+    for d, c in zip(orders, x):
+        g = d // gcd(d, c % d)
+        out = out * g // gcd(out, g)
+    return out
+
+
+def _p_power(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def walk_jordan(orders, qvals, p):
+    """Jordan blocks of the p-part by walking the group, as the package
+    split them before it did linear algebra: take the first element of the
+    top order whose q value has exactly that denominator (a block ('q',
+    scale, value)), or else the first pair pairing to exactly that
+    denominator (a block ('u', scale) or ('v', scale), told apart by the
+    q-value histogram of their span), and keep what is orthogonal to it."""
+    cur = [x for x in product(*[range(d) for d in orders])
+           if _p_power(_element_order(orders, x), p)]
+    blocks = []
+    while len(cur) > 1:
+        top = max(_element_order(orders, x) for x in cur)
+        tops = [x for x in cur if _element_order(orders, x) == top]
+        x = next((x for x in tops if brute_q(qvals, x).denominator == top), None)
+        if x is not None:
+            blocks.append(("q", top, brute_q(qvals, x)))
+            span = [x]
+        else:
+            x, y = next((x, y) for x in tops for y in tops
+                        if brute_b(qvals, x, y).denominator == top)
+            pairs = list(product(range(top), repeat=2))
+            hist = sorted(brute_q(qvals, [a * s + b * t for s, t in zip(x, y)]) for a, b in pairs)
+            hu = sorted(Fraction(2 * a * b, top) % 2 for a, b in pairs)
+            hv = sorted(Fraction(2 * (a * a + a * b + b * b), top) % 2 for a, b in pairs)
+            assert hist in (hu, hv)
+            blocks.append(("u" if hist == hu else "v", top))
+            span = [x, y]
+        cur = [z for z in cur if all(brute_b(qvals, z, s) == 0 for s in span)]
+    return blocks
+
+
+def reference_exists_even_lattice(signature, orders, qvals):
+    """Nikulin's existence test as the package runs it (Gauss signature,
+    length, and the p-adic conditions on the Jordan blocks), with the
+    Gauss sum and the Jordan blocks taken by walking the whole group."""
+    tpos, tneg = signature
+    if tpos < 0 or tneg < 0:
+        return False
+    order = 1
+    for d in orders:
+        order *= d
+    if (tpos - tneg) % 8 != brute_gauss_signature(orders, qvals):
+        return False
+    if tpos + tneg < len(orders):
+        return False
+    if tpos + tneg == 0:
+        return not orders
+    primes = [p for p in range(2, order + 1) if order % p == 0
+              and all(p % r for r in range(2, isqrt(p) + 1))]
+    for p in primes:
+        if tpos + tneg > sum(1 for d in orders if d % p == 0):
+            continue
+        p_order = 1
+        while order % (p_order * p) == 0:
+            p_order *= p
+        rest = order // p_order
+        if p == 2:
+            if any(q in (Fraction(1, 2), Fraction(3, 2))
+                   for x, q in brute_q_values(orders, qvals)
+                   if _element_order(orders, x) == 2):
+                continue
+            unit = rest
+            for blk in walk_jordan(orders, qvals, 2):
+                unit *= blk[2].numerator if blk[0] == "q" else 7 if blk[0] == "u" else 3
+            if unit % 8 not in (1, 7):
+                return False
+        else:
+            value = (-1) ** tneg * rest
+            for _, _, q in walk_jordan(orders, qvals, p):
+                value *= q.numerator
+            if pow(value % p, (p - 1) // 2, p) != 1:
+                return False
+    return True

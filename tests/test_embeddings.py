@@ -18,7 +18,7 @@ from enrlat.embeddings import (
     t_gram,
     vectors_of_norm,
 )
-from enrlat.enriques import is_twice_even
+from enrlat.enriques import ambient, is_twice_even
 from enrlat.errors import (
     BadParams,
     BadShape,
@@ -30,7 +30,7 @@ from enrlat.errors import (
 )
 from enrlat.lattice import Lattice, gram_of_rows, standard_lattice
 
-from _oracles import sigma3
+from _oracles import sigma3, snf_diagonal_by_minor_gcds
 
 
 def test_enumeration_matches_box_oracle():
@@ -221,6 +221,18 @@ def test_u2_block_labels_spot_check():
     for label in ((1, 0, 0, 0), (0, 0, 1, 0), (1, 1, 1, 1)):
         emb = embedding_for_label(18, params, label)
         assert emb.label == label
+
+
+@pytest.mark.parametrize("params", [(-4, 6, -2), (-4, 7, -3), (-4, 9, -4), (-4, 8, -3)])
+def test_rho_18_label_0001_on_parameters_that_exhausted_the_tuple_search(params):
+    # the primitive tuple search once spent its node budget under norm -16
+    # vectors that are twice vectors of E8(2); it now prunes imprimitive
+    # prefixes and finds a primitive tuple at once
+    emb = embedding_for_label(18, params, (0, 0, 0, 1))
+    images = [list(r) for r in emb.images]
+    assert emb.label == (0, 0, 0, 1)
+    assert gram_of_rows(images, ambient().gram) == [list(r) for r in t_gram(18, params)]
+    assert snf_diagonal_by_minor_gcds(images) == [1, 1, 1, 1]
 
 
 def test_rank_five_label_sweep_is_complete():

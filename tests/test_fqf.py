@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from enrlat.errors import Degenerate
+from enrlat.errors import Degenerate, NotSubgroup
 from enrlat.fqf import (
     FiniteQuadraticForm,
     _q_fingerprint,
@@ -13,6 +13,7 @@ from enrlat.fqf import (
     canonical_form,
     direct_sum_fqf,
     discriminant_form,
+    form_on_subgroup,
     fqf_isomorphic,
     milgram_signature,
     negate_fqf,
@@ -28,9 +29,17 @@ from enrlat.fqf import (
     verify_fqf_iso,
 )
 from enrlat.intmat import prime_factors
+from enrlat.nikulin import exists_even_lattice
 from enrlat.lattice import Lattice, direct_sum, standard_lattice
 
-from _oracles import brute_gauss_signature, brute_q_values
+from _oracles import (
+    brute_b,
+    brute_gauss_signature,
+    brute_q,
+    brute_q_values,
+    reference_exists_even_lattice,
+    walk_jordan,
+)
 
 
 def random_even_lattice(rng, max_rank=5, bound=8, det_cap=3000):
@@ -215,6 +224,18 @@ def test_quotient_by_isotropic_divides_order_by_square():
     assert not any(qmap.to_coords([2, 2]))
 
 
+def test_subgroup_solves_reject_what_lies_outside():
+    form = discriminant_form(Lattice([[4, 0], [0, 4]]))
+    smat = subgroup_matrix(form, [[2, 2]])
+    tmat = perp_subgroup(form, [[2, 2]])
+    _, qmap = quotient_form(form, tmat, smat)
+    # (1, 0) pairs to 1/2 with (2, 2), so it is not in the numerator
+    with pytest.raises(NotSubgroup):
+        qmap.to_coords([1, 0])
+    with pytest.raises(NotSubgroup):
+        quotient_form(form, smat, tmat)
+
+
 def test_isomorphism_search_and_verification():
     a = discriminant_form(Lattice([[4, 0], [0, 4]]))
     b = discriminant_form(Lattice([[4, 0], [0, 4]]))
@@ -259,3 +280,97 @@ def test_odd_index_sublattice_keeps_two_part():
         two_b = p_part(discriminant_form(sub), 2)
         assert fqf_isomorphic(two_a, two_b) is not None
         checked += 1
+
+
+def test_form_on_subgroup_takes_any_generators_of_the_subgroup():
+    # [[4]] generates the same order-3 subgroup of Z/6 as [[2]]; a list of
+    # generators is never mistaken for a subgroup matrix
+    form = FiniteQuadraticForm((6,), [[Fraction(1, 6)]])
+    two, coords2 = form_on_subgroup(form, [[2]])
+    four, coords4 = form_on_subgroup(form, [[4]])
+    assert two == four and coords2 == coords4
+    assert two.orders == (3,) and two.values == ((Fraction(2, 3),),)
+
+
+def _small_forms(rng, count, max_order):
+    """Discriminant forms of seeded even lattices, some orthogonal sums of
+    two of them and some subquotients, on groups of order <= max_order."""
+    out = []
+    while len(out) < count:
+        lat = random_even_lattice(rng, max_rank=4, det_cap=max_order)
+        if lat.rank <= 2 and abs(lat.det) * 4 ** lat.rank <= max_order and rng.random() < 0.5:
+            # twice an even lattice: even 2-adic blocks of scale >= 2
+            lat = Lattice([[2 * x for x in row] for row in lat.gram])
+        form = discriminant_form(lat)
+        if form.is_trivial:
+            continue
+        out.append(form)
+        if len(out) > 1 and form.group_order * out[-2].group_order <= max_order:
+            out.append(direct_sum_fqf(form, out[-2]))
+        iso = next((x for x in form.elements() if any(x) and form.q_of(x) == 0), None)
+        if iso is not None:
+            smat = subgroup_matrix(form, [list(iso)])
+            quo, _ = quotient_form(form, perp_subgroup(form, [list(iso)]), smat)
+            if not quo.is_trivial:
+                out.append(quo)
+    return out
+
+
+def test_integer_q_and_b_against_fraction_sums():
+    rng = random.Random(131)
+    for form in _small_forms(rng, 40, 4096):
+        elems = list(form.elements())
+        for _ in range(30):
+            x, y = rng.choice(elems), rng.choice(elems)
+            assert form.q_of(x) == brute_q(form.values, x)
+            assert form.b_of(x, y) == brute_b(form.values, x, y)
+            # the integer matrix over the denominator is the same form
+            assert form.q_num(x) == form.q_of(x) * form.den
+            assert form.b_num(x, y) == form.b_of(x, y) * form.den
+
+
+def _block_form(block):
+    if block[0] == "q":
+        return FiniteQuadraticForm((block[1],), [[block[2]]])
+    s = block[1]
+    diag = Fraction(0) if block[0] == "u" else Fraction(2, s)
+    return FiniteQuadraticForm((s, s), [[diag, Fraction(1, s)], [Fraction(1, s), diag]])
+
+
+def test_jordan_blocks_sum_to_the_form():
+    rng = random.Random(137)
+    kinds = Counter()
+    for form in _small_forms(rng, 60, 4096):
+        total = trivial_form()
+        for p in prime_factors(form.group_order):
+            if p == 2:
+                blocks = two_adic_jordan(form)
+            else:
+                blocks = [("q", scale, value) for scale, value in odd_jordan(form, p)]
+            for blk in blocks:
+                kinds[blk[0]] += 1
+                total = direct_sum_fqf(total, _block_form(blk))
+        iso = fqf_isomorphic(total, form)
+        assert iso is not None and verify_fqf_iso(total, form, iso)
+    assert kinds["q"] and kinds["u"] and kinds["v"]
+
+
+def test_exists_even_lattice_against_whole_group_walk():
+    rng = random.Random(139)
+    d4_4 = [[2, -1, 0, 0, 0], [-1, 2, -1, -1, 0], [0, -1, 2, 0, 0], [0, -1, 0, 2, 0],
+            [0, 0, 0, 0, 4]]
+    fixed = [discriminant_form(Lattice(g)) for g in ([[4, 2], [2, 4]], [[4, 2], [2, 8]], d4_4)]
+    forms = _small_forms(rng, 45, 256) + fixed + [direct_sum_fqf(fixed[0], fixed[2])]
+    checked = Counter()
+    for form in forms:
+        for p in prime_factors(form.group_order):
+            checked[p == 2] += 1
+            walked = walk_jordan(form.orders, form.values, p)
+            got = two_adic_jordan(form) if p == 2 else odd_jordan(form, p)
+            assert [b[1] for b in walked] == [b[1] if p == 2 else b[0] for b in got]
+        for rank in range(form.num_gens, form.num_gens + 3):
+            for tpos in range(rank + 1):
+                sig = (tpos, rank - tpos)
+                want = reference_exists_even_lattice(sig, form.orders, form.values)
+                assert exists_even_lattice(sig, form) == want
+    assert checked[True] and checked[False]

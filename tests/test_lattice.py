@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enrlat.errors import (
     BadShape,
@@ -198,3 +199,42 @@ def test_rational_signature_handles_zero_diagonal():
     assert rational_signature([[0, 1], [1, 0]]) == (1, 1, 0)
     assert rational_signature([[0, 0], [0, 0]]) == (0, 0, 2)
     assert rational_signature([[2, 0], [0, -2]]) == (1, 1, 0)
+
+
+@st.composite
+def symmetric_int_matrices(draw):
+    """Symmetric integer matrices of size 0..6, often with a zero diagonal
+    and often singular: the last row may be a multiple of the first."""
+    n = draw(st.integers(0, 6))
+    zero_diag = draw(st.booleans())
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 0 if zero_diag else draw(st.integers(-6, 6))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-5, 5))
+    if n > 1 and draw(st.booleans()):
+        a = draw(st.integers(-2, 2))
+        g[-1] = [a * x for x in g[0]]
+        for i in range(n):
+            g[i][-1] = g[-1][i]
+        g[-1][-1] = a * a * g[0][0]
+    return g
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(symmetric_int_matrices())
+def test_rational_signature_against_sympy_inertia(g):
+    sympy = pytest.importorskip("sympy")
+    # a real symmetric matrix has only real eigenvalues, so Descartes' rule
+    # of signs on its characteristic polynomial counts them exactly
+    x = sympy.Symbol("x")
+    poly = sympy.Matrix(g).charpoly(x) if g else sympy.Poly(1, x)
+    coeffs = poly.all_coeffs()
+    zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
+    flipped = [c * (-1) ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs)]
+    assert rational_signature(g) == (_sign_changes(coeffs), _sign_changes(flipped), zero)
