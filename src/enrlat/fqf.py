@@ -531,15 +531,16 @@ def splits_unit_block(f):
 def _jordan_split(f, p):
     """Jordan splitting of the p-part of f by linear algebra mod p^k.
 
-    Returns (kind, scale, value) blocks, largest scale first. At the top
-    order d = p^k, t(x, y) = d b(x, y) is an integer mod d. A generator x
-    with t(x, x) a unit mod p is a block ('q', d, q(x)). For odd p, a pair
-    with t(x, y) a unit gives one through x + y. For p = 2 a pair x, y with
-    t(x, y) odd and t(x, x), t(y, y) even is a block ('u', d) or ('v', d),
-    told apart by the Arf invariant (d q(x) / 2)(d q(y) / 2) mod 2. The
-    other generators y are moved onto the block's orthogonal complement by
-    y - sum_a c_a x_a with c = t(y, x_a)_a T^-1 mod d, T the block's t
-    matrix, which keeps their orders.
+    Returns blocks largest scale first. At the top order d = p^k of the
+    current generators, t(x, y) = d b(x, y) is an integer mod d. A
+    generator x with t(x, x) a unit mod p is a block ('q', d, q(x)); for
+    odd p a pair x, y with t(x, y) a unit gives one through x + y. For
+    p = 2 a pair with t(x, y) odd and t(x, x), t(y, y) even is a block
+    ('u', d) or ('v', d), told apart by the Arf invariant
+    (t(x, x) / 2)(t(y, y) / 2) mod 2. Every other generator y moves onto
+    the block's orthogonal complement as y - sum_a c_a x_a, with c the row
+    (t(y, x_a))_a times the inverse mod d of the block's t matrix; that
+    keeps its order, so the generators stay a basis of what is left.
     """
     pf = p_part(f, p)
     m = pf.den

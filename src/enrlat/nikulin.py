@@ -193,11 +193,11 @@ def verify_embedding_datum(lat, datum, nlat=None):
         reasons.append("identification is not injective")
         return False, reasons
     for i in range(len(hl)):
-        if fl.q_of(hl[i]) != fn.q_of(gamma[i]):
+        if fl.q_num(hl[i]) * fn.den != fn.q_num(gamma[i]) * fl.den:
             reasons.append("identification does not preserve the quadratic value")
             return False, reasons
         for j in range(i):
-            if fl.b_of(hl[i], hl[j]) != fn.b_of(gamma[i], gamma[j]):
+            if fl.b_num(hl[i], hl[j]) * fn.den != fn.b_num(gamma[i], gamma[j]) * fl.den:
                 reasons.append("identification does not preserve the pairing")
                 return False, reasons
     diff, quot, _ = _graph_quotient(fl, fn, hl, gamma)
