@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import floor, isqrt, sqrt
+from math import floor, isqrt
 
 from .classgroups import class_group, is_fundamental, ray_class2_order, cm_report
 from .embeddings import (
@@ -21,7 +21,7 @@ from .embeddings import (
 from .enriques import epsilon, generate_isometry, is_twice_even
 from .errors import EnrLatError
 from .fqf import discriminant_form, fqf_isomorphic, milgram_signature, p_part, trivial_form
-from .intmat import det_bareiss, inverse_fraction, mat_mul, transpose
+from .intmat import det_bareiss, inverse_fraction, is_prime, mat_mul, transpose
 from .lattice import Lattice, standard_lattice
 from .nikulin import (
     condition_star,
@@ -277,7 +277,7 @@ def _criterion_9(fixtures):
             if (2 * det) % p:
                 primes.append(p)
             p += 2
-            while any(p % q == 0 for q in range(2, int(sqrt(p)) + 1)):
+            while not is_prime(p):
                 p += 2
         discs = [det]
         cur = lat

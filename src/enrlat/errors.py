@@ -110,7 +110,8 @@ class EvenIndex(EnrLatError):
 
 
 class NonWitt(EnrLatError):
-    """Gauss sum failed to land on any of the eight admissible phases."""
+    """The form is degenerate, so its Gauss sum has none of the eight
+    admissible phases."""
 
 
 class NotFundamental(EnrLatError):

@@ -20,8 +20,7 @@ from .errors import (
 from .fqf import (
     FiniteQuadraticForm,
     _lift,
-    _two_torsion,
-    _walk,
+    _order_two_elements,
     canonical_form,
     direct_sum_fqf,
     discriminant_form,
@@ -60,39 +59,52 @@ def exists_even_lattice(signature, form):
     if tpos < 0 or tneg < 0:
         return False
     order = form.group_order
-    sig8 = milgram_signature(form)
-    if (tpos - tneg) % 8 != sig8:
+    if (tpos - tneg) % 8 != milgram_signature(form):
         return False
     length = form.num_gens
     if tpos + tneg < length:
         return False
     if tpos + tneg == 0:
         return form.is_trivial
-    for p in prime_factors(order):
-        pf = p_part(form, p)
-        if tpos + tneg > pf.num_gens:
+    for p, e in prime_factors(order).items():
+        if tpos + tneg > sum(1 for d in form.orders if d % p == 0):
             continue
+        rest = order // p**e
         if p == 2:
             if splits_unit_block(form):
                 continue
             unit = 1
-            for block in two_adic_jordan(pf):
+            for block in two_adic_jordan(form):
                 if block[0] == "q":
                     unit = (unit * block[2].numerator) % 8
                 elif block[0] == "u":
                     unit = (unit * 7) % 8
                 else:
                     unit = (unit * 3) % 8
-            odd_rest = order // pf.group_order
-            if (unit * odd_rest) % 8 not in (1, 7):
+            if (unit * rest) % 8 not in (1, 7):
                 return False
         else:
-            value = (-1) ** tneg * (order // pf.group_order)
-            for _, qval in odd_jordan(pf, p):
+            value = (-1) ** tneg * rest
+            for _, qval in odd_jordan(form, p):
                 value *= qval.numerator
             if legendre(value % p, p) != 1:
                 return False
     return True
+
+
+_AMBIENT = None
+
+
+def _ambient_and_form(nlat):
+    """The ambient lattice, nlat or else N, and its discriminant form; the
+    one for N is built once and kept."""
+    global _AMBIENT
+    if nlat is not None:
+        return nlat, discriminant_form(nlat)
+    if _AMBIENT is None:
+        lat = ambient()
+        _AMBIENT = (lat, discriminant_form(lat))
+    return _AMBIENT
 
 
 @dataclass(frozen=True)
@@ -143,10 +155,9 @@ def _graph_quotient(fl, fn, h_l_gens, gamma_rows):
 def verify_embedding_datum(lat, datum, nlat=None):
     """Check a gluing datum against the source lattice. Returns a verdict
     and the list of reasons for failure."""
-    nlat = ambient() if nlat is None else nlat
+    nlat, fn = _ambient_and_form(nlat)
     reasons = []
     fl = discriminant_form(lat)
-    fn = discriminant_form(nlat)
     want_rank = nlat.rank - lat.rank
     sig_l = lat.signature
     sig_n = nlat.signature
@@ -222,9 +233,8 @@ def verify_embedding_datum(lat, datum, nlat=None):
 
 def find_embedding_datum(lat, nlat=None, cap=200000):
     """Bounded search for a gluing datum, smallest subgroup first."""
-    nlat = ambient() if nlat is None else nlat
+    nlat, fn = _ambient_and_form(nlat)
     fl = discriminant_form(lat)
-    fn = discriminant_form(nlat)
     want_rank = nlat.rank - lat.rank
     sig_l = lat.signature
     want_sig = (nlat.signature[0] - sig_l[0], nlat.signature[1] - sig_l[1])
@@ -292,17 +302,6 @@ def find_embedding_datum(lat, nlat=None, cap=200000):
         if got is not None:
             return got
     raise NotFound("no gluing datum within the search bound")
-
-
-def _order_two_elements(form):
-    """Nonzero elements of order two with 2q in 0..3, in the order
-    itertools.product visits the coordinates."""
-    gens, two = _two_torsion(form)
-    return [
-        ([sum(col) for col in zip(*[g for b, g in zip(bits, gens) if b])], 2 * q // two.den)
-        for bits, q in _walk(two)
-        if any(bits)
-    ]
 
 
 @dataclass(frozen=True)
@@ -429,7 +428,7 @@ def transfer_datum_up(parent, child, datum, child_basis):
     mu = _two_part_projector(fl)
     points = mat_mul(_lift(fc, [list(r) for r in datum.h_l]), child_basis)
     new_hl = [fqf_coords_of(fl, [mu * x for x in point]) for point in points]
-    fn = discriminant_form(ambient())
+    _, fn = _ambient_and_form(None)
     _, quot, _ = _graph_quotient(fl, fn, new_hl, [list(r) for r in datum.gamma])
     new_kf = canonical_form(negate_fqf(quot))
     if not exists_even_lattice(datum.k_signature, new_kf):

@@ -70,6 +70,14 @@ def brute_gauss_signature(orders, qvals):
     return s
 
 
+def brute_radical(orders, qvals):
+    """(x, q(x)) for every x with b(x, y) = 0 for all y, in Fraction
+    arithmetic; checking y on the generators suffices."""
+    units = [[int(i == j) for j in range(len(orders))] for i in range(len(orders))]
+    return [(x, q) for x, q in brute_q_values(orders, qvals)
+            if all(brute_b(qvals, x, e) == 0 for e in units)]
+
+
 def snf_diagonal_by_minor_gcds(m):
     """Smith diagonal d1..dr with d_k = gcd(k-minors)/gcd((k-1)-minors)."""
     rows, cols = len(m), len(m[0]) if m else 0

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,7 +6,8 @@ from itertools import product
 
 import pytest
 
-from enrlat.errors import Degenerate, NotSubgroup
+from enrlat.cli import main
+from enrlat.errors import Degenerate, NonWitt, NotSubgroup
 from enrlat.fqf import (
     FiniteQuadraticForm,
     _q_fingerprint,
@@ -37,6 +39,7 @@ from _oracles import (
     brute_gauss_signature,
     brute_q,
     brute_q_values,
+    brute_radical,
     reference_exists_even_lattice,
     walk_jordan,
 )
@@ -77,10 +80,11 @@ def test_walk_kernel_against_product_q_of_and_brute_histogram():
             (tuple(form.element_order(g) for g in gens), sub_values, gens),
         ):
             walked = FiniteQuadraticForm(orders, values)
-            walk = list(_walk(walked))
+            qnums = list(_walk(walked))
             m = walked.den
-            assert [c for c, _ in walk] == list(product(*[range(d) for d in orders]))
-            for coords, qnum in walk:
+            assert len(qnums) == walked.group_order
+            assert list(walked.elements()) == list(product(*[range(d) for d in orders]))
+            for coords, qnum in zip(walked.elements(), qnums):
                 x = [sum(c * g[j] for c, g in zip(coords, basis))
                      for j in range(form.num_gens)]
                 assert Fraction(qnum, m) == form.q_of(x)
@@ -374,3 +378,96 @@ def test_exists_even_lattice_against_whole_group_walk():
                 want = reference_exists_even_lattice(sig, form.orders, form.values)
                 assert exists_even_lattice(sig, form) == want
     assert checked[True] and checked[False]
+
+
+def _brute_histogram(form):
+    hist = Counter(q for _, q in brute_q_values(form.orders, form.values))
+    return tuple(sorted(hist.items()))
+
+
+def test_milgram_on_every_block_type_against_brute_sum():
+    forms = []
+    # odd p = 1 and 3 mod 4, q = 2t / p^k with t a square and a non-square
+    for p, square, nonsquare in ((5, 1, 2), (13, 1, 2), (3, 1, 2), (7, 2, 3)):
+        for k in range(1, 4 if p < 13 else 3):
+            for t in (square, nonsquare):
+                forms.append(("q", FiniteQuadraticForm((p**k,), [[Fraction(2 * t, p**k)]])))
+    for k in range(1, 5):
+        for u in (1, 3, 5, 7):
+            forms.append(("q", FiniteQuadraticForm((2**k,), [[Fraction(u, 2**k)]])))
+    for k in range(1, 4):
+        for kind in ("u", "v"):
+            forms.append((kind, _block_form((kind, 2**k))))
+    for kind, form in forms:
+        (p,) = prime_factors(form.group_order)
+        blocks = two_adic_jordan(form) if p == 2 else [("q",) + b for b in odd_jordan(form, p)]
+        assert [b[0] for b in blocks] == [kind]
+        assert milgram_signature(form) == brute_gauss_signature(form.orders, form.values), form
+
+
+def test_degenerate_forms_raise_nonwitt():
+    u2 = discriminant_form(standard_lattice("U2"))
+    d4 = discriminant_form(Lattice([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
+                                    [0, -1, 0, 2]]))
+    three = FiniteQuadraticForm((3,), [[Fraction(2, 3)]])
+    q_nonzero = [
+        FiniteQuadraticForm((2,), [[Fraction(1)]]),
+        FiniteQuadraticForm((4,), [[Fraction(1)]]),
+        form_on_subgroup(d4, [[1, 0]])[0],
+        direct_sum_fqf(three, FiniteQuadraticForm((2,), [[Fraction(1)]])),
+    ]
+    isotropic = next(x for x in u2.elements() if any(x) and u2.q_of(x) == 0)
+    q_zero = [
+        FiniteQuadraticForm((2,), [[Fraction(0)]]),
+        FiniteQuadraticForm((3,), [[Fraction(0)]]),
+        FiniteQuadraticForm((4,), [[Fraction(1, 2)]]),
+        FiniteQuadraticForm((9,), [[Fraction(6, 9)]]),
+        form_on_subgroup(u2, [list(isotropic)])[0],
+        direct_sum_fqf(u2, FiniteQuadraticForm((5,), [[Fraction(0)]])),
+    ]
+    for zero, forms in ((False, q_nonzero), (True, q_zero)):
+        for form in forms:
+            radical = brute_radical(form.orders, form.values)
+            assert len(radical) > 1
+            assert all(q == 0 for _, q in radical) == zero
+            if not zero:
+                # the Gauss sum vanishes
+                assert brute_gauss_signature(form.orders, form.values) is None
+            with pytest.raises(NonWitt):
+                milgram_signature(form)
+            with pytest.raises(NonWitt):
+                exists_even_lattice((form.num_gens, 0), form)
+
+
+def test_q_fingerprint_on_multi_prime_and_degenerate_forms():
+    rng = random.Random(149)
+    forms = [
+        FiniteQuadraticForm((12, 6, 5), [[Fraction(1, 12), Fraction(1, 6), 0],
+                                         [Fraction(1, 6), Fraction(1, 3), 0],
+                                         [0, 0, Fraction(4, 5)]]),
+        direct_sum_fqf(discriminant_form(Lattice([[4, 2], [2, 8]])),
+                       discriminant_form(Lattice([[6, 3], [3, 10]]))),
+        FiniteQuadraticForm((6,), [[Fraction(3)]]),
+        FiniteQuadraticForm((10, 3), [[Fraction(1, 5), 0], [0, Fraction(0)]]),
+    ]
+    degenerate = 0
+    for form in _small_forms(rng, 30, 2000):
+        forms.append(form)
+        gens = [[rng.randrange(d) for d in form.orders]]
+        sub = form_on_subgroup(form, gens)[0]
+        if not sub.is_trivial:
+            forms.append(sub)
+            degenerate += len(brute_radical(sub.orders, sub.values)) > 1
+    assert degenerate
+    for form in forms:
+        hist = tuple((Fraction(q, form.den), c) for q, c in _q_fingerprint(form))
+        assert hist == _brute_histogram(form)
+    assert sum(len(prime_factors(f.group_order)) > 1 for f in forms) > 5
+
+
+def test_cli_exists_on_degenerate_form_is_a_nonwitt_envelope(tmp_path, capsys):
+    path = tmp_path / "degenerate.json"
+    path.write_text('{"invariant_factors": [2, 3], "q": [[[1, 1], [0, 1]], [[0, 1], [0, 1]]]}')
+    code = main(["--json", "nikulin-exists", "--signature", "[2,0]", "--fqf-file", str(path)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "NonWitt"
