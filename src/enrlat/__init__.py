@@ -21,10 +21,8 @@ from .embeddings import (
     embedding_complement,
     embedding_for_label,
     embedding_from_images,
-    find_tuple_in_e82,
     has_minus_two_vector,
     iter_tuples_in_e82,
-    pullback_epsilon,
     realized_characters,
     suggest_params,
     t_gram,

@@ -82,7 +82,11 @@ def _criterion_2(fixtures):
     for rho, seed in ((19, 202), (18, 203)):
         want = fixtures["label_counts"][str(rho)]
         size = {19: 3, 18: 4}[rho]
-        for params in suggest_params(rho, seed, count=3):
+        param_sets = suggest_params(rho, seed, count=3)
+        if rho == 18:
+            # (a, -b, c): the same lattice with the first basis vector negated
+            param_sets += [(a, -b, c) for a, b, c in param_sets]
+        for params in param_sets:
             got = set()
             for label in iproduct((0, 1), repeat=size):
                 if not any(label):

@@ -1,13 +1,27 @@
 """Primitive embeddings into the rank-12 ambient lattice, by explicit tables.
 
-Each table row sends the basis of a small lattice with prescribed parity
-label to vectors of the ambient lattice, drawing auxiliary vectors from the
-definite scaled piece via exact norm enumeration. Construction always ends
-in full validation, so a table can only produce correct embeddings.
-"""
+The tables are data, read by one interpreter (`_candidates`). There is one
+family per rank invariant rho = 17..20. A family names its parameters and
+gives the source gram, the check on the parameters (the signature wanted of
+the leading block of the gram), the basis permutations the label search
+tries in turn, and one template per tabulated parity label; every other
+nonzero label is reached through a permutation.
 
+A template is (tuple gram, image rows[, sign rule]). The tuple gram asks
+`iter_tuples_in_e82` for vectors t0, t1, ... of the definite scaled piece
+E8(2) with those pairings, drawn by exact norm enumeration. An image row
+"e f h k [ti]" gives the coefficients of the first four ambient basis
+vectors and, when present, ti as the last eight coordinates. Every entry is
+a linear form in the parameters, such as "2b-2a", parsed once at import. A
+sign rule (p, r) covers p < 0: the template is built for the gram with
+basis vector r negated, where p is positive, and image r is negated back;
+-v has the parity of v, so the label is kept. Construction always ends in
+full validation, so a table can only produce correct embeddings.
+"""
 import math
+import re
 from dataclasses import dataclass
+from operator import mul
 
 from .enriques import ambient, epsilon
 from .errors import (
@@ -254,19 +268,6 @@ def iter_tuples_in_e82(gram, primitive=True, node_cap=500000):
     yield from dfs([])
 
 
-_TUPLE_CACHE = {}
-
-
-def find_tuple_in_e82(gram, primitive=True):
-    key = (tuple(tuple(r) for r in gram), primitive)
-    if key not in _TUPLE_CACHE:
-        found = next(iter_tuples_in_e82(gram, primitive=primitive), None)
-        if found is None:
-            raise NotFound("no vector tuple with the requested pairings")
-        _TUPLE_CACHE[key] = found
-    return _TUPLE_CACHE[key]
-
-
 @dataclass(frozen=True)
 class PrimitiveEmbedding:
     source: Lattice
@@ -303,472 +304,203 @@ def embedding_from_images(source, images):
     return PrimitiveEmbedding(source, tuple(tuple(r) for r in rows), nlat)
 
 
-def pullback_epsilon(emb):
-    return emb.label
-
-
 def embedding_complement(emb):
     return orthogonal_complement(emb.ambient, [list(r) for r in emb.images])
 
 
-def _nvec(e=0, f=0, h=0, k=0, eps=None):
-    row = [e, f, h, k] + ([0] * 8 if eps is None else list(eps))
-    assert len(row) == 12
-    return row
+# A linear form in the parameters, such as "2b-2a", "-4m" or "0", is stored
+# as its integer coefficients: the constant, then one per parameter.
+_TERM = re.compile(r"([+-]?)(\d*)([a-z]?)")
+
+
+def _form(text, names):
+    coeffs = [0] * (len(names) + 1)
+    terms = [t for t in _TERM.findall(text) if t[1] or t[2]]
+    assert "".join(map("".join, terms)) == text, text
+    for sign, num, name in terms:
+        coeffs[names.index(name) + 1 if name else 0] += int(sign + (num or "1"))
+    return tuple(coeffs)
+
+
+def _value(form, params):
+    return form[0] + sum(map(mul, form[1:], params))
+
+
+class _Family:
+    """The table family of one rank invariant, parsed once from its spec."""
+
+    def __init__(self, names, gram, check, perms, templates):
+        self.names = names.split()
+        self.gram_forms = self._matrix(gram)
+        self.block, self.signature, self.message = check
+        self.perms = [tuple(map(int, p)) for p in perms.split()]
+        self.templates = {
+            tuple(map(int, key)): self._template(*spec) for key, spec in templates.items()
+        }
+        # each parameter is read off the first entry of the gram that is a
+        # multiple of that parameter alone
+        self.read = [
+            next((i, j, f[k + 1]) for i, row in enumerate(self.gram_forms)
+                 for j, f in enumerate(row) if f.count(0) == len(f) - 1 and f[k + 1])
+            for k in range(len(self.names))
+        ]
+
+    def _matrix(self, rows):
+        return [[_form(x, self.names) for x in row.split()] for row in rows]
+
+    def _template(self, tgram, rows, sign=None):
+        images = []
+        for row in rows:
+            head = row.split()
+            slot = int(head[4][1:]) if len(head) > 4 else None
+            images.append(([_form(x, self.names) for x in head[:4]], slot))
+        if sign is not None:
+            sign = (self.names.index(sign[0]), sign[1])
+        return self._matrix(tgram), images, sign
+
+    def gram(self, params):
+        return [[_value(f, params) for f in row] for row in self.gram_forms]
+
+    def params(self, gram):
+        return tuple(gram[i][j] // k for i, j, k in self.read)
+
+
+# The tables; the module docstring describes the format.
+_FAMILIES = {
+    20: _Family(
+        "a b c", ["4a 2b", "2b 4c"],
+        (2, (2, 0, 0), "the rank-two block must be positive definite"),
+        "01 10",
+        {
+            "10": ([], ["1 2a 0 0", "0 2b 1 c"]),
+            "11": ([], ["1 2a 0 0", "1 2b-2a 1 c-b+a"]),
+        },
+    ),
+    19: _Family(
+        "a d l b m c", ["4a 2d 2l", "2d 4b 2m", "2l 2m 4c"],
+        (3, (2, 1, 0), "parameters must give signature (2, 1)"),
+        "012 021 102 120 201 210",
+        {
+            "100": (["4c"], ["1 2a 0 0", "0 2d 1 b", "0 2l 0 m t0"]),
+            "110": (["4c"], ["1 2a 0 0", "1 2d-2a 1 b-d+a", "0 2l 0 m-l t0"]),
+            "111": (["4b-4m 0", "0 4c"], ["1 0 a 1", "1 2m d-m 0 t0", "1 0 l 0 t1"], ("m", 2)),
+        },
+    ),
+    18: _Family(
+        "a b c", ["4a 2b 0 0", "2b 4c 0 0", "0 0 0 2", "0 0 2 0"],
+        (2, (1, 1, 0), "the rank-two block must be indefinite"),
+        "0123 1023 0132 1032",
+        {
+            "1000": (["4c"], ["1 2a 0 0", "0 2b 0 0 t0", "0 0 1 0", "0 0 0 1"]),
+            "1100": (["4a-4b+4c"], ["1 2a 0 0", "1 2b-2a 0 0 t0", "0 0 1 0", "0 0 0 1"],
+                     ("b", 0)),
+            "1010": (["4c"], ["1 2a 0 -a", "0 2b 0 -b t0", "1 0 1 0", "0 0 0 1"]),
+            "0010": (["4a 0 0", "0 4c 0", "0 0 -8"],
+                     ["0 0 1 0 t0", "0 0 0 b t1", "1 0 0 0", "2 2 0 0 t2"]),
+            "0011": (["4a 0 0", "0 4c 0", "0 0 -4"],
+                     ["0 0 1 0 t0", "0 0 0 b t1", "1 0 0 0", "1 2 0 0 t2"]),
+            "1110": (["4a-4b+4c"], ["1 2a 0 -a", "1 2b-2a 0 a-b t0", "1 0 1 0", "0 0 0 1"],
+                     ("b", 0)),
+            "1011": (["4c 0", "0 -4"],
+                     ["1 2a 0 -a", "0 2b 0 -b t0", "1 0 1 0", "1 0 1 1 t1"]),
+            "1111": (["4a-4b+4c 0", "0 -4"],
+                     ["1 2a 0 -a", "1 2b-2a 0 a-b t0", "1 0 1 0", "1 0 1 1 t1"], ("b", 0)),
+        },
+    ),
+    17: _Family(
+        "m", ["0 2 0 0 0", "2 0 0 0 0", "0 0 0 2 0", "0 0 2 0 0", "0 0 0 0 -4m"],
+        (5, (2, 3, 0), "the last parameter must be a positive multiple of four over four"),
+        "01234 01324 10234 10324 23014 23104 32014 32104",
+        {
+            "10000": (["-8 0", "0 -4m"],
+                      ["1 0 0 0", "2 2 0 0 t0", "0 0 1 0", "0 0 0 1", "0 0 0 0 t1"]),
+            "11000": (["-4 0", "0 -4m"],
+                      ["1 0 0 0", "1 2 0 0 t0", "0 0 1 0", "0 0 0 1", "0 0 0 0 t1"]),
+            "10001": (["-8 -2", "-2 -4m"],
+                      ["1 0 0 0", "2 2 0 0 t0", "0 0 1 0", "0 0 0 1", "1 0 0 0 t1"]),
+            "11001": (["-4 -2", "-2 -4m"],
+                      ["1 0 0 0", "1 2 0 0 t0", "0 0 1 0", "0 0 0 1", "1 0 0 0 t1"]),
+            "00001": (["-8 -6 -2", "-6 -8 -2", "-2 -2 -4m"],
+                      ["2 2 0 0 t0", "2 2 0 0 t1", "0 0 1 0", "0 0 0 1", "1 0 0 0 t2"]),
+            "11110": (["-4 0 0", "0 -4 0", "0 0 -4m"],
+                      ["1 0 0 0", "1 2 0 1 t0", "1 0 -1 0", "1 0 -1 -1 t1", "0 0 0 0 t2"]),
+            "11111": (["-4 0 -2", "0 -4 0", "-2 0 -4m"],
+                      ["1 0 0 0", "1 2 0 1 t0", "1 0 -1 0", "1 0 -1 -1 t1", "1 0 0 0 t2"]),
+            "10100": (["-8 0", "0 -4m"],
+                      ["1 0 0 0", "2 2 0 1 t0", "1 0 -1 0", "0 0 0 -1", "0 0 0 0 t1"]),
+            "11100": (["-4 0", "0 -4m"],
+                      ["1 0 0 0", "1 2 0 1 t0", "1 0 -1 0", "0 0 0 -1", "0 0 0 0 t1"]),
+            "11101": (["-4 -2", "-2 -4m"],
+                      ["1 0 0 0", "1 2 0 1 t0", "1 0 -1 0", "0 0 0 -1", "1 0 0 0 t1"]),
+            "10101": (["-8 -2", "-2 -4m"],
+                      ["1 0 0 0", "2 2 0 1 t0", "1 0 -1 0", "0 0 0 -1", "1 0 0 0 t1"]),
+        },
+    ),
+}
+
+
+def _family(rho):
+    if rho not in _FAMILIES:
+        raise BadParams("no table family for rank invariant %s" % (rho,))
+    return _FAMILIES[rho]
 
 
 def t_gram(rho, params):
     """Gram matrix of the small lattice attached to each table family."""
-    if rho == 20:
-        a, b, c = params
-        return [[4 * a, 2 * b], [2 * b, 4 * c]]
-    if rho == 19:
-        a, d, l, b, m, c = params
-        return [
-            [4 * a, 2 * d, 2 * l],
-            [2 * d, 4 * b, 2 * m],
-            [2 * l, 2 * m, 4 * c],
-        ]
-    if rho == 18:
-        a, b, c = params
-        return [
-            [4 * a, 2 * b, 0, 0],
-            [2 * b, 4 * c, 0, 0],
-            [0, 0, 0, 2],
-            [0, 0, 2, 0],
-        ]
-    if rho == 17:
-        (m,) = params
-        return [
-            [0, 2, 0, 0, 0],
-            [2, 0, 0, 0, 0],
-            [0, 0, 0, 2, 0],
-            [0, 0, 2, 0, 0],
-            [0, 0, 0, 0, -4 * m],
-        ]
-    raise BadParams("no table family for rank invariant %s" % (rho,))
+    fam = _family(rho)
+    if len(params) != len(fam.names):
+        raise BadParams("rank invariant %s takes %d parameters" % (rho, len(fam.names)))
+    return fam.gram(params)
 
 
-def _params_from_gram(rho, g):
-    if rho == 19:
-        return (
-            g[0][0] // 4, g[0][1] // 2, g[0][2] // 2,
-            g[1][1] // 4, g[1][2] // 2, g[2][2] // 4,
-        )
-    if rho in (18, 20):
-        return (g[0][0] // 4, g[0][1] // 2, g[1][1] // 4)
-    if rho == 17:
-        return (-g[4][4] // 4,)
-    raise BadParams("no parameter reading for %s" % (rho,))
-
-
-# ---------------------------------------------------------------- rho = 20
-
-def _b20_10(p):
-    a, b, c = p
-    yield [
-        _nvec(e=1, f=2 * a),
-        _nvec(f=2 * b, h=1, k=c),
-    ]
-
-
-def _b20_11(p):
-    a, b, c = p
-    yield [
-        _nvec(e=1, f=2 * a),
-        _nvec(e=1, f=2 * b - 2 * a, h=1, k=c - b + a),
-    ]
-
-
-# ---------------------------------------------------------------- rho = 19
-
-def _b19_100(p):
-    a, d, l, b, m, c = p
-    for (w,) in iter_tuples_in_e82([[4 * c]]):
-        yield [
-            _nvec(e=1, f=2 * a),
-            _nvec(f=2 * d, h=1, k=b),
-            _nvec(f=2 * l, k=m, eps=w),
-        ]
-
-
-def _b19_110(p):
-    a, d, l, b, m, c = p
-    for (w,) in iter_tuples_in_e82([[4 * c]]):
-        yield [
-            _nvec(e=1, f=2 * a),
-            _nvec(e=1, f=2 * d - 2 * a, h=1, k=b - d + a),
-            _nvec(f=2 * l, k=m - l, eps=w),
-        ]
-
-
-def _b19_111(p):
-    a, d, l, b, m, c = p
-    if m < 0:
-        for rows in _b19_111((a, d, -l, b, -m, c)):
-            yield [rows[0], rows[1], [-x for x in rows[2]]]
-        return
-    for wp, w in iter_tuples_in_e82(
-        [[4 * b - 4 * m, 0], [0, 4 * c]]
-    ):
-        yield [
-            _nvec(e=1, h=a, k=1),
-            _nvec(e=1, f=2 * m, h=d - m, eps=wp),
-            _nvec(e=1, h=l, eps=w),
-        ]
-
-
-# ---------------------------------------------------------------- rho = 18
-
-def _b18_1000(p):
-    a, b, c = p
-    for (w,) in iter_tuples_in_e82([[4 * c]]):
-        yield [
-            _nvec(e=1, f=2 * a),
-            _nvec(f=2 * b, eps=w),
-            _nvec(h=1),
-            _nvec(k=1),
-        ]
-
-
-def _b18_1100(p):
-    a, b, c = p
-    for (u,) in iter_tuples_in_e82([[4 * (a - b + c)]]):
-        yield [
-            _nvec(e=1, f=2 * a),
-            _nvec(e=1, f=2 * b - 2 * a, eps=u),
-            _nvec(h=1),
-            _nvec(k=1),
-        ]
-
-
-def _b18_1010(p):
-    a, b, c = p
-    for (w,) in iter_tuples_in_e82([[4 * c]]):
-        yield [
-            _nvec(e=1, f=2 * a, k=-a),
-            _nvec(f=2 * b, k=-b, eps=w),
-            _nvec(e=1, h=1),
-            _nvec(k=1),
-        ]
-
-
-def _b18_0010(p):
-    a, b, c = p
-    for w1, w2, w3 in iter_tuples_in_e82(
-        [[4 * a, 0, 0], [0, 4 * c, 0], [0, 0, -8]]
-    ):
-        yield [
-            _nvec(h=1, eps=w1),
-            _nvec(k=b, eps=w2),
-            _nvec(e=1),
-            _nvec(e=2, f=2, eps=w3),
-        ]
-
-
-def _b18_0011(p):
-    a, b, c = p
-    for w1, w2, w3 in iter_tuples_in_e82(
-        [[4 * a, 0, 0], [0, 4 * c, 0], [0, 0, -4]]
-    ):
-        yield [
-            _nvec(h=1, eps=w1),
-            _nvec(k=b, eps=w2),
-            _nvec(e=1),
-            _nvec(e=1, f=2, eps=w3),
-        ]
-
-
-def _b18_1110(p):
-    a, b, c = p
-    for (u,) in iter_tuples_in_e82([[4 * (a - b + c)]]):
-        yield [
-            _nvec(e=1, f=2 * a, k=-a),
-            _nvec(e=1, f=2 * b - 2 * a, k=a - b, eps=u),
-            _nvec(e=1, h=1),
-            _nvec(k=1),
-        ]
-
-
-def _b18_1011(p):
-    a, b, c = p
-    for w, wp in iter_tuples_in_e82([[4 * c, 0], [0, -4]]):
-        yield [
-            _nvec(e=1, f=2 * a, k=-a),
-            _nvec(f=2 * b, k=-b, eps=w),
-            _nvec(e=1, h=1),
-            _nvec(e=1, h=1, k=1, eps=wp),
-        ]
-
-
-def _b18_1111(p):
-    a, b, c = p
-    for u, wp in iter_tuples_in_e82([[4 * (a - b + c), 0], [0, -4]]):
-        yield [
-            _nvec(e=1, f=2 * a, k=-a),
-            _nvec(e=1, f=2 * b - 2 * a, k=a - b, eps=u),
-            _nvec(e=1, h=1),
-            _nvec(e=1, h=1, k=1, eps=wp),
-        ]
-
-
-# ---------------------------------------------------------------- rho = 17
-
-def _b17_10000(p):
-    (m,) = p
-    for u1, v1 in iter_tuples_in_e82([[-8, 0], [0, -4 * m]]):
-        yield [
-            _nvec(e=1),
-            _nvec(e=2, f=2, eps=u1),
-            _nvec(h=1),
-            _nvec(k=1),
-            _nvec(eps=v1),
-        ]
-
-
-def _b17_11000(p):
-    (m,) = p
-    for u2, v2 in iter_tuples_in_e82([[-4, 0], [0, -4 * m]]):
-        yield [
-            _nvec(e=1),
-            _nvec(e=1, f=2, eps=u2),
-            _nvec(h=1),
-            _nvec(k=1),
-            _nvec(eps=v2),
-        ]
-
-
-def _b17_10001(p):
-    (m,) = p
-    for u3, v3 in iter_tuples_in_e82([[-8, -2], [-2, -4 * m]]):
-        yield [
-            _nvec(e=1),
-            _nvec(e=2, f=2, eps=u3),
-            _nvec(h=1),
-            _nvec(k=1),
-            _nvec(e=1, eps=v3),
-        ]
-
-
-def _b17_11001(p):
-    (m,) = p
-    for u4, v4 in iter_tuples_in_e82([[-4, -2], [-2, -4 * m]]):
-        yield [
-            _nvec(e=1),
-            _nvec(e=1, f=2, eps=u4),
-            _nvec(h=1),
-            _nvec(k=1),
-            _nvec(e=1, eps=v4),
-        ]
-
-
-def _b17_00001(p):
-    (m,) = p
-    for w0, w1, w2 in iter_tuples_in_e82(
-        [[-8, -6, -2], [-6, -8, -2], [-2, -2, -4 * m]]
-    ):
-        yield [
-            _nvec(e=2, f=2, eps=w0),
-            _nvec(e=2, f=2, eps=w1),
-            _nvec(h=1),
-            _nvec(k=1),
-            _nvec(e=1, eps=w2),
-        ]
-
-
-def _b17_11110(p):
-    (m,) = p
-    for w0, w1, w2 in iter_tuples_in_e82(
-        [[-4, 0, 0], [0, -4, 0], [0, 0, -4 * m]]
-    ):
-        yield [
-            _nvec(e=1),
-            _nvec(e=1, f=2, k=1, eps=w0),
-            _nvec(e=1, h=-1),
-            _nvec(e=1, h=-1, k=-1, eps=w1),
-            _nvec(eps=w2),
-        ]
-
-
-def _b17_11111(p):
-    (m,) = p
-    for w0, w1, w2 in iter_tuples_in_e82(
-        [[-4, 0, -2], [0, -4, 0], [-2, 0, -4 * m]]
-    ):
-        yield [
-            _nvec(e=1),
-            _nvec(e=1, f=2, k=1, eps=w0),
-            _nvec(e=1, h=-1),
-            _nvec(e=1, h=-1, k=-1, eps=w1),
-            _nvec(e=1, eps=w2),
-        ]
-
-
-def _b17_10100(p):
-    (m,) = p
-    for u3, w in iter_tuples_in_e82([[-8, 0], [0, -4 * m]]):
-        yield [
-            _nvec(e=1),
-            _nvec(e=2, f=2, k=1, eps=u3),
-            _nvec(e=1, h=-1),
-            _nvec(k=-1),
-            _nvec(eps=w),
-        ]
-
-
-def _b17_11100(p):
-    (m,) = p
-    for u2, v2 in iter_tuples_in_e82([[-4, 0], [0, -4 * m]]):
-        yield [
-            _nvec(e=1),
-            _nvec(e=1, f=2, k=1, eps=u2),
-            _nvec(e=1, h=-1),
-            _nvec(k=-1),
-            _nvec(eps=v2),
-        ]
-
-
-def _b17_11101(p):
-    (m,) = p
-    for u4, v4 in iter_tuples_in_e82([[-4, -2], [-2, -4 * m]]):
-        yield [
-            _nvec(e=1),
-            _nvec(e=1, f=2, k=1, eps=u4),
-            _nvec(e=1, h=-1),
-            _nvec(k=-1),
-            _nvec(e=1, eps=v4),
-        ]
-
-
-def _b17_10101(p):
-    (m,) = p
-    for u3, v3 in iter_tuples_in_e82([[-8, -2], [-2, -4 * m]]):
-        yield [
-            _nvec(e=1),
-            _nvec(e=2, f=2, k=1, eps=u3),
-            _nvec(e=1, h=-1),
-            _nvec(k=-1),
-            _nvec(e=1, eps=v3),
-        ]
-
-
-_TABLES = {
-    20: {
-        (1, 0): _b20_10,
-        (1, 1): _b20_11,
-    },
-    19: {
-        (1, 0, 0): _b19_100,
-        (1, 1, 0): _b19_110,
-        (1, 1, 1): _b19_111,
-    },
-    18: {
-        (1, 0, 0, 0): _b18_1000,
-        (1, 1, 0, 0): _b18_1100,
-        (1, 0, 1, 0): _b18_1010,
-        (0, 0, 1, 0): _b18_0010,
-        (0, 0, 1, 1): _b18_0011,
-        (1, 1, 1, 0): _b18_1110,
-        (1, 0, 1, 1): _b18_1011,
-        (1, 1, 1, 1): _b18_1111,
-    },
-    17: {
-        (1, 0, 0, 0, 0): _b17_10000,
-        (1, 1, 0, 0, 0): _b17_11000,
-        (1, 0, 0, 0, 1): _b17_10001,
-        (1, 1, 0, 0, 1): _b17_11001,
-        (0, 0, 0, 0, 1): _b17_00001,
-        (1, 1, 1, 1, 0): _b17_11110,
-        (1, 1, 1, 1, 1): _b17_11111,
-        (1, 0, 1, 0, 0): _b17_10100,
-        (1, 1, 1, 0, 0): _b17_11100,
-        (1, 1, 1, 0, 1): _b17_11101,
-        (1, 0, 1, 0, 1): _b17_10101,
-    },
-}
-
-
-def _label_perms(rho):
-    if rho == 20:
-        return [(0, 1), (1, 0)]
-    if rho == 19:
-        from itertools import permutations
-
-        return [tuple(p) for p in permutations(range(3))]
-    if rho == 18:
-        return [
-            (0, 1, 2, 3),
-            (1, 0, 2, 3),
-            (0, 1, 3, 2),
-            (1, 0, 3, 2),
-        ]
-    if rho == 17:
-        base = {(0, 1, 2, 3, 4)}
-        gens = [
-            (1, 0, 2, 3, 4),
-            (0, 1, 3, 2, 4),
-            (2, 3, 0, 1, 4),
-        ]
-        changed = True
-        while changed:
-            changed = False
-            for s in list(base):
-                for g in gens:
-                    comp = tuple(s[g[i]] for i in range(5))
-                    if comp not in base:
-                        base.add(comp)
-                        changed = True
-        return sorted(base)
-    raise BadParams("no table family for rank invariant %s" % (rho,))
-
-
-def _validate_params(rho, params):
-    params = tuple(int(x) for x in params)
-    g = t_gram(rho, params)
-    if rho == 20:
-        if rational_signature(g) != (2, 0, 0):
-            raise BadParams("the rank-two block must be positive definite")
-    elif rho == 19:
-        if rational_signature(g) != (2, 1, 0):
-            raise BadParams("parameters must give signature (2, 1)")
-    elif rho == 18:
-        top = [[g[0][0], g[0][1]], [g[1][0], g[1][1]]]
-        if rational_signature(top) != (1, 1, 0):
-            raise BadParams("the rank-two block must be indefinite")
-    elif rho == 17:
-        if params[0] < 1:
-            raise BadParams("the last parameter must be a positive multiple of four over four")
-    else:
-        raise BadParams("no table family for rank invariant %s" % (rho,))
-    return params
+def _candidates(fam, template, params):
+    """Image rows of one template at these parameters, one list per tuple
+    of the definite scaled piece, lazily."""
+    tgram, rows, sign = template
+    flip = sign is not None and params[sign[0]] < 0
+    if flip:
+        r = sign[1]
+        g = fam.gram(params)
+        params = fam.params([[-x if (i == r) != (j == r) else x for j, x in enumerate(row)]
+                             for i, row in enumerate(g)])
+    heads = [([_value(f, params) for f in coeffs], slot) for coeffs, slot in rows]
+    tuples = [()]
+    if tgram:
+        tuples = iter_tuples_in_e82([[_value(f, params) for f in row] for row in tgram])
+    for tup in tuples:
+        images = [head + (list(tup[slot]) if slot is not None else [0] * 8)
+                  for head, slot in heads]
+        if flip:
+            images[r] = [-x for x in images[r]]
+        yield images
 
 
 def embedding_for_label(rho, params, label, attempt_cap=200):
     """Primitive embedding with prescribed parity label from the tables."""
-    params = _validate_params(rho, params)
+    fam = _family(rho)
+    params = tuple(int(x) for x in params)
+    g = t_gram(rho, params)
+    if rational_signature([row[:fam.block] for row in g[:fam.block]]) != fam.signature:
+        raise BadParams(fam.message)
     label = tuple(int(x) % 2 for x in label)
-    want_len = {20: 2, 19: 3, 18: 4, 17: 5}[rho]
-    if len(label) != want_len:
-        raise BadShape("label must have length %d" % want_len)
+    if len(label) != len(g):
+        raise BadShape("label must have length %d" % len(g))
     if not any(label):
         raise NotFound("the tables cover nonzero labels only")
-    g = t_gram(rho, params)
     source = Lattice(g)
-    tables = _TABLES[rho]
-    for sigma in _label_perms(rho):
-        key = tuple(label[sigma[i]] for i in range(len(label)))
-        if key not in tables:
+    for sigma in fam.perms:
+        template = fam.templates.get(tuple(label[s] for s in sigma))
+        if template is None:
             continue
-        gp = [[g[sigma[i]][sigma[j]] for j in range(len(label))] for i in range(len(label))]
-        params_p = _params_from_gram(rho, gp)
+        gp = [[g[s][t] for t in sigma] for s in sigma]
         attempts = 0
-        for rows in tables[key](params_p):
+        for rows in _candidates(fam, template, fam.params(gp)):
             attempts += 1
             if attempts > attempt_cap:
                 break
             images = [None] * len(label)
-            for i in range(len(label)):
-                images[sigma[i]] = rows[i]
+            for i, s in enumerate(sigma):
+                images[s] = rows[i]
             try:
                 emb = embedding_from_images(source, images)
             except NotPrimitive:
@@ -806,11 +538,11 @@ def realized_characters(rho, params):
     The zero character is always included; each nonzero label is kept when
     its table construction succeeds and validates.
     """
-    want_len = {20: 2, 19: 3, 18: 4, 17: 5}[rho]
+    width = len(_family(rho).gram_forms)
     from itertools import product as iproduct
 
-    out = [(0,) * want_len]
-    for label in iproduct((0, 1), repeat=want_len):
+    out = [(0,) * width]
+    for label in iproduct((0, 1), repeat=width):
         if not any(label):
             continue
         try:
@@ -891,5 +623,5 @@ def _conjugated_params(base, rng):
                 p[i][col] += c * p[j][col]
         new = gram_of_rows(p, g)
         if all(abs(x) <= 40 for row in new for x in row):
-            return _params_from_gram(19, new)
-    return _params_from_gram(19, g)
+            return _FAMILIES[19].params(new)
+    return _FAMILIES[19].params(g)

@@ -678,14 +678,6 @@ def two_adic_jordan(f):
     return list(_jordan_split(f, 2))
 
 
-def _fingerprints_differ(f1, f2, cap=200000):
-    """Whether two forms on the same group differ in their denominator or,
-    for groups up to the cap, in their q-value histograms."""
-    return f1.den != f2.den or (
-        f1.group_order <= cap and _q_fingerprint(f1) != _q_fingerprint(f2)
-    )
-
-
 def _p_group_backtrack(p1, p2, budget):
     k = p1.num_gens
     if k == 0:
@@ -740,8 +732,6 @@ def _p_group_iso(p1, p2, budget):
         return None
     if p1 == p2:
         return [list(_unit(p1.num_gens, i)) for i in range(p1.num_gens)]
-    if _fingerprints_differ(p1, p2):
-        return None
     return _p_group_backtrack(p1, p2, budget)
 
 
@@ -763,7 +753,9 @@ def fqf_isomorphic(f1, f2, cap=2_000_000):
     if c1 == c2:
         can_images = [list(_unit(k, i)) for i in range(k)]
     else:
-        if _fingerprints_differ(c1, c2):
+        # the whole q histogram is the convolution of the p-parts' ones and
+        # determines them, so no p-part is compared again
+        if c1.den != c2.den or _q_fingerprint(c1) != _q_fingerprint(c2):
             return None
         budget = [cap]
         primes = list(prime_factors(c1.group_order))

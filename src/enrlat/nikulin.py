@@ -61,13 +61,15 @@ def exists_even_lattice(signature, form):
     order = form.group_order
     if (tpos - tneg) % 8 != milgram_signature(form):
         return False
-    length = form.num_gens
-    if tpos + tneg < length:
+    primes = prime_factors(order)
+    # the length of the group is its largest p-rank, whatever the presentation
+    ranks = {p: sum(1 for d in form.orders if d % p == 0) for p in primes}
+    if tpos + tneg < max(ranks.values(), default=0):
         return False
     if tpos + tneg == 0:
         return form.is_trivial
-    for p, e in prime_factors(order).items():
-        if tpos + tneg > sum(1 for d in form.orders if d % p == 0):
+    for p, e in primes.items():
+        if tpos + tneg > ranks[p]:
             continue
         rest = order // p**e
         if p == 2:

@@ -111,6 +111,17 @@ def test_theorem_a_negative_label_exits_one():
     assert code in (1, 2)
 
 
+def test_nikulin_exists_on_a_non_cyclic_presentation(tmp_path):
+    # invariant factors [2, 3] present Z/6, the discriminant group of [[-6]]
+    path = tmp_path / "z2_z3.json"
+    path.write_text(json.dumps(
+        {"invariant_factors": [2, 3], "q": [[[1, 2], [0, 1]], [[0, 1], [4, 3]]]}))
+    code, out = run_cli(
+        ["--json", "nikulin-exists", "--signature", "[0,1]", "--fqf-file", str(path)])
+    assert code == 0
+    assert json.loads(out)["verdicts"]["exists"] is True
+
+
 def test_fqf_json_round_trip():
     form = discriminant_form(Lattice([[4, 0], [0, -6]]))
     blob = fqf_to_json(form)

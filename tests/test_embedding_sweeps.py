@@ -11,8 +11,10 @@ from itertools import product
 
 import pytest
 
-from enrlat.embeddings import embedding_for_label, suggest_params
+from enrlat.embeddings import embedding_for_label, suggest_params, t_gram
+from enrlat.enriques import ambient
 from enrlat.errors import EnrLatError
+from enrlat.lattice import gram_of_rows
 
 
 def _sweep_params(rho):
@@ -57,3 +59,18 @@ def test_sweep_hash_is_unchanged(rho):
     digest, realized, total = _sweep(rho)
     assert (realized, total) == (SWEEPS[rho][1], SWEEPS[rho][1])
     assert digest == SWEEPS[rho][0]
+
+
+def test_rho_18_realizes_every_label_for_negative_b():
+    # (a, -b, c) is (a, b, c) with the first basis vector negated, which
+    # keeps every parity; the (1, 1, *, *) templates build at |b|
+    params = [(a, b, c) for a in range(-3, 0) for b in range(-9, 0) for c in range(-3, 0)
+              if b * b > 4 * a * c]
+    assert len(params) == 51
+    for p in params:
+        g = t_gram(18, p)
+        for label in product((0, 1), repeat=4):
+            if any(label):
+                emb = embedding_for_label(18, p, label)
+                assert emb.label == label
+                assert gram_of_rows([list(r) for r in emb.images], ambient().gram) == g

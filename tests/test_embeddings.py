@@ -10,9 +10,8 @@ from enrlat.embeddings import (
     embedding_complement,
     embedding_for_label,
     embedding_from_images,
-    find_tuple_in_e82,
     has_minus_two_vector,
-    pullback_epsilon,
+    iter_tuples_in_e82,
     realized_characters,
     suggest_params,
     t_gram,
@@ -150,13 +149,13 @@ def test_positive_norm_request_is_empty_in_negative_definite():
 
 
 def test_find_tuple_frozen_single_vector():
-    assert find_tuple_in_e82([[-4]]) == ((1, 0, 0, 0, 0, 0, 0, 0),)
+    assert next(iter_tuples_in_e82([[-4]])) == ((1, 0, 0, 0, 0, 0, 0, 0),)
 
 
 def test_find_tuple_respects_requested_gram():
     e82 = standard_lattice("E82")
     gram = [[-8, 0], [0, -12]]
-    rows = find_tuple_in_e82(gram)
+    rows = next(iter_tuples_in_e82(gram))
     got = gram_of_rows([list(r) for r in rows], [list(r) for r in e82.gram])
     assert [[int(x) for x in row] for row in got] == gram
 
@@ -191,7 +190,6 @@ def test_rank_two_table_all_labels():
         for label in ((1, 0), (0, 1), (1, 1)):
             emb = embedding_for_label(20, params, label)
             assert emb.label == label
-            assert pullback_epsilon(emb) == label
             _, comp = embedding_complement(emb)
             assert is_twice_even(comp.gram)
             assert comp.rank == 10
@@ -200,6 +198,15 @@ def test_rank_two_table_all_labels():
 def test_rank_two_table_rejects_indefinite_params():
     with pytest.raises(BadParams):
         embedding_for_label(20, (1, 3, 1), (1, 0))
+
+
+def test_wrong_parameter_count_is_refused():
+    with pytest.raises(BadParams):
+        embedding_for_label(20, (1, 0), (1, 0))
+    with pytest.raises(BadParams):
+        t_gram(17, (1, 2))
+    with pytest.raises(BadParams):
+        realized_characters(21, (1,))
 
 
 def test_zero_label_is_refused():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,8 @@ from enrlat.errors import (
     StarViolated,
 )
 from enrlat.fqf import (
+    FiniteQuadraticForm,
+    canonical_form,
     discriminant_form,
     fqf_isomorphic,
     milgram_signature,
@@ -70,6 +73,16 @@ def test_exists_self_realization_sweep():
         pos, neg = lat.signature
         assert exists_even_lattice((pos, neg), discriminant_form(lat))
         assert not exists_even_lattice((pos + 1, neg), discriminant_form(lat))
+
+
+def test_exists_does_not_depend_on_the_presentation():
+    # Z/2 + Z/3 is cyclic of length one, presented on two generators
+    form = FiniteQuadraticForm((2, 3), [[Fraction(1, 2), 0], [0, Fraction(4, 3)]])
+    lat_form = discriminant_form(Lattice([[-6]]))
+    assert fqf_isomorphic(form, lat_form) is not None
+    for f in (form, canonical_form(form), lat_form):
+        assert exists_even_lattice((0, 1), f)
+        assert not exists_even_lattice((0, 0), f)
 
 
 def test_exists_rejects_negative_signature_entries():
