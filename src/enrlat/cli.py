@@ -108,7 +108,7 @@ def datum_from_json(obj):
         _field(obj, "H_N", "datum"),
         _field(obj, "gamma", "datum"),
         _field(k, "rank", "datum K"),
-        tuple(_field(k, "signature", "datum K")),
+        _field(k, "signature", "datum K"),
         fqf_from_json(_field(k, "fqf", "datum K")),
         delta=obj.get("delta"),
     )

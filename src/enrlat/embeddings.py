@@ -116,14 +116,20 @@ def vectors_of_norm(lat, value, cap=200000):
     return out
 
 
-def has_minus_two_vector(lat, cap=200000):
-    return bool(vectors_of_norm(lat, -2, cap=cap))
+def has_minus_two_vector(lat):
+    return bool(vectors_of_norm(lat, -2))
 
 
 _E82_CACHE = {}
 
 # enumeration is skipped for norms past this; the frame path covers them
 _ENUM_NORM_BOUND = 24
+
+# the most squares one frame coordinate is split into, the most frame tuples
+# tried, and the most search nodes iter_tuples_in_e82 visits
+_MAX_SQUARES = 8
+_FRAME_TUPLE_LIMIT = 200
+TUPLE_NODE_CAP = 500_000
 
 
 def _e82_vectors(norm):
@@ -159,7 +165,7 @@ def _orthogonal_frame():
     return _FRAME
 
 
-def _square_decomps(n, max_terms=8):
+def _square_decomps(n):
     # nonincreasing tuples of positive squares summing to n; up to eight
     # terms so a primitive tuple always exists (n-1 as four squares plus 1)
     out = []
@@ -169,11 +175,11 @@ def _square_decomps(n, max_terms=8):
             if acc:
                 out.append(tuple(acc))
             return
-        if len(acc) >= max_terms:
+        if len(acc) >= _MAX_SQUARES:
             return
         top = min(bound, int(math.isqrt(rem)))
         for k in range(top, 0, -1):
-            if rem - k * k > (max_terms - len(acc) - 1) * k * k:
+            if rem - k * k > (_MAX_SQUARES - len(acc) - 1) * k * k:
                 continue
             rec(rem - k * k, k, acc + [k])
 
@@ -182,7 +188,7 @@ def _square_decomps(n, max_terms=8):
     return out
 
 
-def _frame_tuples(gram, limit=200):
+def _frame_tuples(gram):
     """Constructive tuples on the orthogonal frame: diagonal gram with all
     entries divisible by four."""
     t = len(gram)
@@ -194,7 +200,7 @@ def _frame_tuples(gram, limit=200):
             return
         needs.append(-gram[i][i] // 4)
     frame = _orthogonal_frame()
-    from itertools import islice, product as iproduct
+    from itertools import product as iproduct
 
     reprs = [_square_decomps(n)[:6] for n in needs]
     if any(not r for r in reprs):
@@ -221,23 +227,20 @@ def _frame_tuples(gram, limit=200):
                 continue
             yield tuple(rows)
             count += 1
-            if count >= limit:
+            if count >= _FRAME_TUPLE_LIMIT:
                 return
 
 
-def iter_tuples_in_e82(gram, primitive=True, node_cap=500000):
+def iter_tuples_in_e82(gram):
     """Yield tuples of vectors of the definite scaled piece with the given
-    mutual pairings, deterministically ordered."""
+    mutual pairings that span a primitive sublattice, deterministically
+    ordered."""
     e82 = standard_lattice("E82")
     t = len(gram)
     nodes = [0]
 
     def keep(rows):
-        if primitive:
-            diag = snf_diagonal([list(r) for r in rows])
-            if any(x != 1 for x in diag):
-                return False
-        return True
+        return all(x == 1 for x in snf_diagonal([list(r) for r in rows]))
 
     seen = set()
     for rows in _frame_tuples(gram):
@@ -248,7 +251,7 @@ def iter_tuples_in_e82(gram, primitive=True, node_cap=500000):
         return
 
     # every prefix of a basis of a primitive sublattice spans a primitive
-    # sublattice, so a primitive search descends only into primitive prefixes
+    # sublattice, so the search descends only into primitive prefixes
     def dfs(chosen):
         pos = len(chosen)
         if pos == t:
@@ -258,8 +261,9 @@ def iter_tuples_in_e82(gram, primitive=True, node_cap=500000):
             return
         for cand in _e82_vectors(gram[pos][pos]):
             nodes[0] += 1
-            if nodes[0] > node_cap:
-                raise CapExceeded("tuple search budget exhausted")
+            if nodes[0] > TUPLE_NODE_CAP:
+                raise CapExceeded("tuple search spent %d nodes, over its cap of %d"
+                                  % (nodes[0], TUPLE_NODE_CAP))
             if all(
                 e82.bilinear(cand, chosen[i]) == gram[pos][i] for i in range(pos)
             ) and keep(chosen + [cand]):
@@ -475,7 +479,11 @@ def _candidates(fam, template, params):
         yield images
 
 
-def embedding_for_label(rho, params, label, attempt_cap=200):
+# candidate tuples embedding_for_label tries per label permutation
+ATTEMPT_CAP = 200
+
+
+def embedding_for_label(rho, params, label):
     """Primitive embedding with prescribed parity label from the tables."""
     fam = _family(rho)
     params = tuple(int(x) for x in params)
@@ -496,7 +504,7 @@ def embedding_for_label(rho, params, label, attempt_cap=200):
         attempts = 0
         for rows in _candidates(fam, template, fam.params(gp)):
             attempts += 1
-            if attempts > attempt_cap:
+            if attempts > ATTEMPT_CAP:
                 break
             images = [None] * len(label)
             for i, s in enumerate(sigma):

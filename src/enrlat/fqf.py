@@ -14,16 +14,21 @@ subgroup is a back-substitution on its lower-triangular Hermite matrix,
 and the Jordan splittings are linear algebra mod p^k on the generators, so
 their cost grows with the number of generators, not with the group order.
 
+Every form is worked on in its own presentation: its p-part is spanned by
+the multiples (d / p^a) e_i of its generators, and only the JSON boundary
+asks for invariant factors (`canonical_form`).
+
 `Fraction` stays at the edges: `q_of` and `b_of` return one, `values` is
-the `Fraction` view of Q / m that the JSON boundary reads, and the lattice
-lifts of generators (`_lift`) are rational vectors. No float enters any
-decision: the Gauss signature is a sum of closed-form phases of Jordan
-blocks (Legendre symbols, residues mod 8 and parities of exponents).
-Every walk over the elements of a group goes through `_walk`, which
-updates q in integers from one element to the next. The q-value histogram
-walks each p-part on its own and convolves; the isomorphism search still
-walks p-groups, so its caps stay until a complete set of local invariants
-replaces enumeration.
+the `Fraction` view of Q / m that the JSON boundary reads, and a
+discriminant form (and its negation) carries the lattice lifts of its
+generators (`_lift`) as rational vectors; no derived form does. No float
+enters any decision: the Gauss signature is a sum of closed-form phases of
+Jordan blocks (Legendre symbols, residues mod 8 and parities of
+exponents). Every walk over the elements of a group goes through `_walk`,
+which updates q in integers from one element to the next. The q-value
+histogram walks each p-part on its own and convolves; the isomorphism
+search still walks p-groups, so its cap stays until a complete set of
+local invariants replaces enumeration.
 """
 
 import math
@@ -108,7 +113,7 @@ def _q_fingerprint(f):
     twom = 2 * f.den
     hist = {0: 1}
     for p in prime_factors(f.group_order):
-        pf = _p_form(f, p)
+        pf = p_part(f, p)
         scale = f.den // pf.den
         part = Counter(_walk(pf))
         conv = Counter()
@@ -131,10 +136,9 @@ def _lift(f, rows):
     ]
 
 
-def _form_on(f, rows, orders, lift=True):
+def _form_on(f, rows, orders):
     """The form f induces on the elements rows, given their orders."""
-    gens = _lift(f, rows) if lift else None
-    return FiniteQuadraticForm.over(orders, gram_of_rows(rows, f.qmat), f.den, gens)
+    return FiniteQuadraticForm.over(orders, gram_of_rows(rows, f.qmat), f.den)
 
 
 def _two_torsion(f):
@@ -145,7 +149,7 @@ def _two_torsion(f):
         [d // 2 if j == i else 0 for j in range(f.num_gens)]
         for i, d in enumerate(f.orders) if d % 2 == 0
     ]
-    return gens, _form_on(f, gens, (2,) * len(gens), lift=False)
+    return gens, _form_on(f, gens, (2,) * len(gens))
 
 
 def _order_two_elements(f):
@@ -175,10 +179,10 @@ class FiniteQuadraticForm:
     b off it); `over` takes it as integers over a denominator.
     """
 
-    def __init__(self, orders, values, gens_in_lattice=None):
+    def __init__(self, orders, values):
         vals = [[_frac(x) for x in row] for row in values]
         den = math.lcm(1, *(x.denominator for row in vals for x in row))
-        self._set(orders, [_scaled(row, den) for row in vals], den, gens_in_lattice)
+        self._set(orders, [_scaled(row, den) for row in vals], den, None)
 
     @classmethod
     def over(cls, orders, qmat, den, gens_in_lattice=None):
@@ -331,42 +335,19 @@ def negate_fqf(f):
     )
 
 
-def canonical_with_maps(f):
-    """Invariant-factor presentation plus coordinate dictionaries.
-
-    Returns (canonical, old_to_new, new_to_old): old_to_new[i] gives the
-    coordinates of original generator i in the canonical generators, and
-    new_to_old[j] the coordinates of canonical generator j in the original
-    ones.
-    """
-    k = f.num_gens
-    if k == 0:
-        return f, [], []
-    dmat = [[f.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    d, u, v = snf_with_transforms(dmat)
-    # row j of uinv^T is canonical generator j in the original coordinates
-    cols = transpose(inverse_unimodular(u))
-    kept = [j for j in range(k) if d[j][j] > 1]
-    qp = gram_of_rows(cols, f.qmat)
-    for j in range(k):
-        if j not in kept:
-            assert qp[j][j] % (2 * f.den) == 0
-            assert all(qp[j][t] % f.den == 0 for t in range(k) if t != j)
-    orders = tuple(d[j][j] for j in kept)
-    can = FiniteQuadraticForm.over(
-        orders, [[qp[a][b] for b in kept] for a in kept], f.den,
-        gens_in_lattice=_lift(f, [cols[j] for j in kept]),
-    )
-    old_to_new = [
-        [u[j][i] % d[j][j] for j in kept] for i in range(k)
-    ]
-    new_to_old = [list(f.reduce(cols[j])) for j in kept]
-    return can, old_to_new, new_to_old
-
-
 def canonical_form(f):
+    """The same form on invariant-factor generators, kept on f."""
     if f._canonical is None:
-        f._canonical = canonical_with_maps(f)[0]
+        k = f.num_gens
+        if k == 0:
+            f._canonical = f
+        else:
+            dmat = [[f.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
+            d, u, _ = snf_with_transforms(dmat)
+            # row j of uinv^T is invariant-factor generator j in f coordinates
+            cols = transpose(inverse_unimodular(u))
+            kept = [j for j in range(k) if d[j][j] > 1]
+            f._canonical = _form_on(f, [cols[j] for j in kept], tuple(d[j][j] for j in kept))
     return f._canonical
 
 
@@ -382,19 +363,9 @@ def _p_coords(f, p):
     return coords, orders
 
 
-def _p_form(f, p):
-    """The p-part of f without lattice lifts."""
-    return _form_on(f, *_p_coords(f, p), lift=False)
-
-
-def p_part_with_coords(f, p):
-    """Subform on the p-torsion, with its generators in f coordinates."""
-    coords, orders = _p_coords(f, p)
-    return _form_on(f, coords, orders), coords
-
-
 def p_part(f, p):
-    return p_part_with_coords(f, p)[0]
+    """The form on the p-torsion, on the generators `_p_coords` names."""
+    return _form_on(f, *_p_coords(f, p))
 
 
 def _block_phase(p, block):
@@ -421,7 +392,11 @@ def _block_phase(p, block):
     return (0 if p % 4 == 1 else 2) + (0 if legendre(u // 2, p) == 1 else 4)
 
 
-def milgram_signature(f, cap=1 << 22):
+# the group-order cap of `milgram_signature`
+SIGNATURE_CAP = 1 << 22
+
+
+def milgram_signature(f):
     """Signature mod 8 of the form: sig with Gauss sum
     sum_x exp(pi i q(x)) = sqrt(|A|) exp(pi i sig / 4) (Milgram).
 
@@ -437,11 +412,10 @@ def milgram_signature(f, cap=1 << 22):
     expected failure; lifting it changes that workload's correctness
     rule, so it goes in the change that updates the benchmark.
     """
-    n = f.group_order
-    if n > cap:
-        raise CapExceeded("group order %d exceeds cap %d" % (n, cap))
+    if f.group_order > SIGNATURE_CAP:
+        raise CapExceeded("group order %d exceeds cap %d" % (f.group_order, SIGNATURE_CAP))
     sig = 0
-    for p in prime_factors(n):
+    for p in prime_factors(f.group_order):
         try:
             blocks = _jordan_split(f, p)
         except Degenerate as exc:
@@ -505,7 +479,7 @@ def form_on_subgroup(f, gens):
     if k == 0:
         return trivial_form(), []
     dmat = [[f.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    coords, orders, _, _ = _subquotient(f, subgroup_matrix(f, gens), dmat)
+    coords, orders = _subquotient(f, subgroup_matrix(f, gens), dmat)
     return _form_on(f, coords, orders), coords
 
 
@@ -522,12 +496,8 @@ def _solve_lower(t, s):
 
 
 def _subquotient(f, tmat, smat):
-    """Generators of T/S for subgroup matrices S inside T.
-
-    Returns (coords, orders, v, kept): the generators in f coordinates and
-    their orders, plus what QuotientMap needs to map elements of T onto
-    them.
-    """
+    """Generators of T/S for subgroup matrices S inside T: (coords,
+    orders), the generators in f coordinates and their orders."""
     c = [_solve_lower(tmat, s) for s in smat]
     if None in c:
         raise NotSubgroup("denominator subgroup is not inside the numerator")
@@ -535,42 +505,19 @@ def _subquotient(f, tmat, smat):
     vinv = inverse_unimodular(v)
     kept = [i for i in range(f.num_gens) if d[i][i] > 1]
     coords = [list(f.reduce(w)) for w in mat_mul([vinv[i] for i in kept], tmat)]
-    return coords, tuple(d[i][i] for i in kept), v, kept
-
-
-class QuotientMap:
-    """Coordinates for a quotient T/S of subgroups of a form."""
-
-    def __init__(self, f, tmat, v, orders, kept, gens_in_ambient):
-        self.ambient = f
-        self.tmat = tmat
-        self._v = v
-        self.orders = orders
-        self._kept = kept
-        self.gens_in_ambient = gens_in_ambient
-
-    def to_coords(self, coords):
-        w = _solve_lower(self.tmat, coords)
-        if w is None:
-            raise NotSubgroup("element is not in the numerator subgroup")
-        y = mat_mul([w], self._v)[0]
-        return tuple(y[j] % d for j, d in zip(self._kept, self.orders))
+    return coords, tuple(d[i][i] for i in kept)
 
 
 def quotient_form(f, tmat, smat):
-    """Form induced on T/S; S must be isotropic and pair trivially with T.
-
-    Returns (form, QuotientMap).
-    """
-    coords, orders, v, kept = _subquotient(f, tmat, smat)
+    """Form induced on T/S; S must be isotropic and pair trivially with T."""
+    coords, orders = _subquotient(f, tmat, smat)
     tgens = subgroup_gens(f, tmat)
     for s in subgroup_gens(f, smat):
         if f.q_num(s):
             raise NotIsotropic("q does not vanish on the denominator subgroup")
         if any(f.b_num(t, s) for t in tgens):
             raise NotIsotropic("denominator pairs nontrivially with numerator")
-    qmap = QuotientMap(f, tmat, v, orders, kept, coords)
-    return _form_on(f, coords, orders, lift=False), qmap
+    return _form_on(f, coords, orders)
 
 
 def fqf_coords_of(f, vector):
@@ -620,7 +567,7 @@ def _jordan_split(f, p):
     """
     if p in f._jordan:
         return f._jordan[p]
-    pf = _p_form(f, p)
+    pf = p_part(f, p)
     m = pf.den
     rows = [list(_unit(pf.num_gens, i)) for i in range(pf.num_gens)]
     orders = list(pf.orders)
@@ -678,7 +625,13 @@ def two_adic_jordan(f):
     return list(_jordan_split(f, 2))
 
 
-def _p_group_backtrack(p1, p2, budget):
+# candidate images `fqf_isomorphic` tries, over all p-parts, before it gives up
+ISO_CAP = 2_000_000
+
+
+def _p_group_backtrack(p1, p2, spent):
+    """Generator images of an isomorphism from the p-group form p1 onto p2,
+    or None; spent[0] counts the candidates tried against ISO_CAP."""
     k = p1.num_gens
     if k == 0:
         return []
@@ -705,9 +658,11 @@ def _p_group_backtrack(p1, p2, budget):
             return subgroup_order(p2, mat) == p2.group_order
         i = order_index[pos]
         for c in cands[keys[i]]:
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise CapExceeded("isomorphism search budget exhausted")
+            spent[0] += 1
+            if spent[0] > ISO_CAP:
+                raise CapExceeded(
+                    "isomorphism search spent %d candidates, over its cap of %d"
+                    % (spent[0], ISO_CAP))
             ok = True
             for pos2 in range(pos):
                 j = order_index[pos2]
@@ -727,83 +682,49 @@ def _p_group_backtrack(p1, p2, budget):
     return None
 
 
-def _p_group_iso(p1, p2, budget):
-    if p1.orders != p2.orders:
-        return None
-    if p1 == p2:
-        return [list(_unit(p1.num_gens, i)) for i in range(p1.num_gens)]
-    return _p_group_backtrack(p1, p2, budget)
-
-
-def fqf_isomorphic(f1, f2, cap=2_000_000):
+def fqf_isomorphic(f1, f2):
     """Explicit isomorphism between two forms, or None.
 
     The result maps generator i of f1 to the coordinate vector result[i]
-    in f2. Splits into p-parts, solves each one, and recombines.
+    in f2. Both forms stay in their own presentations. The p-part of f1,
+    on its generators (d / p^a) e_i, is matched into the p-part of f2 (the
+    identity when the two are equal). Since the sum over p of
+    inv(d / p^a mod p^a) d / p^a is 1 mod d, generator i goes to the sum
+    over p of that multiple of the image of its p-component.
     """
-    c1, old_to_new1, _ = canonical_with_maps(f1)
-    c2, _, new_to_old2 = canonical_with_maps(f2)
-    if c1.orders != c2.orders:
+    if f1.den != f2.den or f1.group_order != f2.group_order:
         return None
-    k = len(c1.orders)
-    if k == 0:
-        images = [[0] * f2.num_gens for _ in range(f1.num_gens)]
-        assert verify_fqf_iso(f1, f2, images)
-        return images
-    if c1 == c2:
-        can_images = [list(_unit(k, i)) for i in range(k)]
-    else:
-        # the whole q histogram is the convolution of the p-parts' ones and
-        # determines them, so no p-part is compared again
-        if c1.den != c2.den or _q_fingerprint(c1) != _q_fingerprint(c2):
+    parts = []
+    for p in prime_factors(f1.group_order):
+        (c1, o1), (c2, o2) = _p_coords(f1, p), _p_coords(f2, p)
+        # each p-part is (+) Z/p^a over the generators, so these sorted
+        # orders are its elementary divisors
+        if sorted(o1) != sorted(o2):
             return None
-        budget = [cap]
-        primes = list(prime_factors(c1.group_order))
-        parts = {}
-        for p in primes:
-            p1, coords1 = p_part_with_coords(c1, p)
-            p2, coords2 = p_part_with_coords(c2, p)
-            phi = _p_group_iso(p1, p2, budget)
+        parts.append((p, _form_on(f1, c1, o1), _form_on(f2, c2, o2), c2))
+    # the whole q histogram is the convolution of the p-parts' ones and
+    # determines them, so no p-part is compared again
+    if any(p1 != p2 for _, p1, p2, _ in parts) and _q_fingerprint(f1) != _q_fingerprint(f2):
+        return None
+    spent = [0]
+    images = [[0] * f2.num_gens for _ in range(f1.num_gens)]
+    for p, p1, p2, coords2 in parts:
+        if p1 == p2:
+            rows = coords2
+        else:
+            phi = _p_group_backtrack(p1, p2, spent)
             if phi is None:
                 return None
-            parts[p] = (coords1, coords2, phi)
-        can_images = []
-        for i in range(k):
-            d = c1.orders[i]
-            img = [0] * k
-            for p in primes:
-                a = val_p(d, p)
-                if a == 0:
-                    continue
-                coords1, coords2, phi = parts[p]
-                pos = next(
-                    t for t, row in enumerate(coords1)
-                    if row[i] != 0 and all(row[s] == 0 for s in range(k) if s != i)
-                )
-                lam = inv_mod(d // p**a, p**a)
-                image_p = phi[pos]
-                for t, mult in enumerate(image_p):
-                    if mult:
-                        for s in range(k):
-                            img[s] += lam * mult * coords2[t][s]
-            can_images.append([x % c2.orders[s] for s, x in enumerate(img)])
-    # canonical images back to the original generators of both forms
-    orig_can = []
-    for j in range(k):
-        vec = [0] * f2.num_gens
-        for t, mult in enumerate(can_images[j]):
-            if mult:
-                for s in range(f2.num_gens):
-                    vec[s] += mult * new_to_old2[t][s]
-        orig_can.append([x % f2.orders[s] for s, x in enumerate(vec)])
-    images = []
-    for i0 in range(f1.num_gens):
-        vec = [0] * f2.num_gens
-        for j, mult in enumerate(old_to_new1[i0]):
-            if mult:
-                for s in range(f2.num_gens):
-                    vec[s] += mult * orig_can[j][s]
-        images.append([x % f2.orders[s] for s, x in enumerate(vec)])
+            rows = mat_mul(phi, coords2)
+        # row t of rows is the image, in f2 coordinates, of the p-part
+        # generator of the t-th generator of f1 whose order p divides
+        gens = [i for i, d in enumerate(f1.orders) if d % p == 0]
+        for i, row in zip(gens, rows):
+            d = f1.orders[i]
+            pa = p ** val_p(d, p)
+            lam = inv_mod(d // pa, pa)
+            images[i] = [x + lam * y for x, y in zip(images[i], row)]
+    images = [list(f2.reduce(img)) for img in images]
     assert verify_fqf_iso(f1, f2, images)
     return images
 

@@ -265,7 +265,7 @@ def overlattice_from_isotropic(lat, form, gens):
     """
     lifts = []
     for c in gens:
-        if len(c) != len(form.invariant_factors):
+        if len(c) != form.num_gens:
             raise BadShape("coordinate length mismatch")
         row = [Fraction(0)] * lat.rank
         for ci, grow in zip(c, form.gens_in_lattice):

@@ -3,12 +3,14 @@ primitive embeddings of the rank-12 ambient lattice, and odd-index descent."""
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add
 
 from .enriques import ambient
 from .errors import (
     BadPrime,
     BadShape,
+    CapExceeded,
     DependentVectors,
     EvenIndex,
     ExistenceFails,
@@ -96,13 +98,14 @@ def exists_even_lattice(signature, form):
 
 _AMBIENT = None
 
+# search nodes `find_embedding_datum` visits before it gives up
+DATUM_NODE_CAP = 200_000
 
-def _ambient_and_form(nlat):
-    """The ambient lattice, nlat or else N, and its discriminant form; the
-    one for N is built once and kept."""
+
+def _ambient_and_form():
+    """The ambient lattice N and its discriminant form, built once and
+    kept."""
     global _AMBIENT
-    if nlat is not None:
-        return nlat, discriminant_form(nlat)
     if _AMBIENT is None:
         lat = ambient()
         _AMBIENT = (lat, discriminant_form(lat))
@@ -123,43 +126,61 @@ class EmbeddingDatum:
     delta: tuple = None
 
 
-def _as_rows(rows):
-    return tuple(tuple(int(x) for x in r) for r in rows)
+def _int(x, what):
+    # bool is an int subclass, but a JSON true is no coordinate
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise BadShape("%s: %r is not an integer" % (what, x))
+    return x
+
+
+def _as_rows(rows, what):
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise BadShape("%s must be a list of rows" % what)
+    return tuple(tuple(_int(x, what) for x in r) for r in rows)
 
 
 def make_datum(h_l, h_n, gamma, k_rank, k_signature, k_fqf, delta=None):
+    if not isinstance(k_signature, (list, tuple)) or len(k_signature) != 2:
+        raise BadShape("K.signature must have two entries")
     return EmbeddingDatum(
-        _as_rows(h_l),
-        _as_rows(h_n),
-        _as_rows(gamma),
-        int(k_rank),
-        (int(k_signature[0]), int(k_signature[1])),
+        _as_rows(h_l, "H_L"),
+        _as_rows(h_n, "H_N"),
+        _as_rows(gamma, "gamma"),
+        _int(k_rank, "K.rank"),
+        tuple(_int(x, "K.signature") for x in k_signature),
         k_fqf,
-        None if delta is None else _as_rows(delta),
+        None if delta is None else _as_rows(delta, "delta"),
     )
+
+
+def _check_datum_shape(datum, fl, fn):
+    """BadShape unless there is one gamma row per H_L row, every H_L row
+    has one entry per generator of fl and every H_N and gamma row one per
+    generator of fn."""
+    if len(datum.gamma) != len(datum.h_l):
+        raise BadShape("one image row per subgroup generator required")
+    for name, rows, form in (("H_L", datum.h_l, fl), ("H_N", datum.h_n, fn),
+                             ("gamma", datum.gamma, fn)):
+        if any(len(r) != form.num_gens for r in rows):
+            raise BadShape("%s rows must have %d entries" % (name, form.num_gens))
 
 
 def _graph_quotient(fl, fn, h_l_gens, gamma_rows):
     """The subquotient carried by the graph of the identification inside
     the difference form."""
     diff = direct_sum_fqf(fl, negate_fqf(fn))
-    graph = [
-        list(h_l_gens[i]) + list(gamma_rows[i]) for i in range(len(h_l_gens))
-    ]
-    if not graph:
-        graph = []
+    graph = [list(h) + list(g) for h, g in zip(h_l_gens, gamma_rows)]
     perp = perp_subgroup(diff, graph)
-    smat = subgroup_matrix(diff, graph)
-    quot, qmap = quotient_form(diff, perp, smat)
-    return diff, quot, qmap
+    return quotient_form(diff, perp, subgroup_matrix(diff, graph))
 
 
-def verify_embedding_datum(lat, datum, nlat=None):
+def verify_embedding_datum(lat, datum):
     """Check a gluing datum against the source lattice. Returns a verdict
     and the list of reasons for failure."""
-    nlat, fn = _ambient_and_form(nlat)
-    reasons = []
+    nlat, fn = _ambient_and_form()
     fl = discriminant_form(lat)
+    _check_datum_shape(datum, fl, fn)
+    reasons = []
     want_rank = nlat.rank - lat.rank
     sig_l = lat.signature
     sig_n = nlat.signature
@@ -178,17 +199,10 @@ def verify_embedding_datum(lat, datum, nlat=None):
     hl = [list(r) for r in datum.h_l]
     hn = [list(r) for r in datum.h_n]
     gamma = [list(r) for r in datum.gamma]
-    if len(gamma) != len(hl):
-        raise BadShape("one image row per subgroup generator required")
-    for g in hl:
-        if any((2 * x) % d for x, d in zip(g, fl.invariant_factors)):
-            raise NotTwoGroup("subgroup generators must have order dividing two")
-    for g in hn:
-        if any((2 * x) % d for x, d in zip(g, fn.invariant_factors)):
-            raise NotTwoGroup("subgroup generators must have order dividing two")
-    for g in gamma:
-        if any((2 * x) % d for x, d in zip(g, fn.invariant_factors)):
-            raise NotTwoGroup("image rows must have order dividing two")
+    for rows, form, what in ((hl, fl, "subgroup generators"), (hn, fn, "subgroup generators"),
+                             (gamma, fn, "image rows")):
+        if any((2 * x) % d for g in rows for x, d in zip(g, form.orders)):
+            raise NotTwoGroup("%s must have order dividing two" % what)
     hl_mat = subgroup_matrix(fl, hl)
     hn_mat = subgroup_matrix(fn, hn)
     order_l = subgroup_order(fl, hl_mat)
@@ -213,7 +227,7 @@ def verify_embedding_datum(lat, datum, nlat=None):
             if fl.b_num(hl[i], hl[j]) * fn.den != fn.b_num(gamma[i], gamma[j]) * fl.den:
                 reasons.append("identification does not preserve the pairing")
                 return False, reasons
-    diff, quot, _ = _graph_quotient(fl, fn, hl, gamma)
+    quot = _graph_quotient(fl, fn, hl, gamma)
     expected = (fl.group_order * fn.group_order) // (order_l * order_l)
     assert quot.group_order == expected
     target = negate_fqf(datum.k_fqf)
@@ -233,9 +247,9 @@ def verify_embedding_datum(lat, datum, nlat=None):
     return True, reasons
 
 
-def find_embedding_datum(lat, nlat=None, cap=200000):
+def find_embedding_datum(lat):
     """Bounded search for a gluing datum, smallest subgroup first."""
-    nlat, fn = _ambient_and_form(nlat)
+    nlat, fn = _ambient_and_form()
     fl = discriminant_form(lat)
     want_rank = nlat.rank - lat.rank
     sig_l = lat.signature
@@ -244,10 +258,10 @@ def find_embedding_datum(lat, nlat=None, cap=200000):
         raise NotFound("the source does not fit the ambient signature")
     two_l = _order_two_elements(fl)
     two_n = _order_two_elements(fn)
-    budget = [cap]
+    nodes = [0]
 
     def attempt(hl, gamma):
-        _, quot, _ = _graph_quotient(fl, fn, hl, gamma)
+        quot = _graph_quotient(fl, fn, hl, gamma)
         if quot.num_gens > want_rank:
             return None
         kf = canonical_form(negate_fqf(quot))
@@ -267,9 +281,11 @@ def find_embedding_datum(lat, nlat=None, cap=200000):
             continue
 
         def extend(hl, gamma, span_l):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise NotFound("search budget exhausted")
+            nodes[0] += 1
+            if nodes[0] > DATUM_NODE_CAP:
+                raise CapExceeded(
+                    "gluing-datum search spent %d nodes, over its cap of %d"
+                    % (nodes[0], DATUM_NODE_CAP))
             if len(hl) == k:
                 return attempt(hl, gamma)
             for a, qa in two_l:
@@ -284,15 +300,7 @@ def find_embedding_datum(lat, nlat=None, cap=200000):
                         for i in range(len(hl))
                     ):
                         continue
-                    new_span = set()
-                    for s in span_l:
-                        new_span.add(s)
-                        new_span.add(
-                            tuple(
-                                (s[j] + ta[j]) % fl.invariant_factors[j]
-                                for j in range(len(ta))
-                            )
-                        )
+                    new_span = span_l | {fl.reduce(map(add, s, ta)) for s in span_l}
                     if len(new_span) != 2 * len(span_l):
                         continue
                     got = extend(hl + [a], gamma + [b], new_span)
@@ -376,9 +384,7 @@ def index_p_sublattice(lat, p):
 
 def _two_part_projector(form):
     """Multiplier sending every element to its two-primary component."""
-    expo = 1
-    for d in form.invariant_factors:
-        expo = expo * d // gcd(expo, d)
+    expo = lcm(*form.orders)
     a = val_p(expo, 2)
     odd = expo >> a if a else expo
     if odd == 1:
@@ -402,10 +408,11 @@ def _convert_gens(src_form, dst_form, gens, basis_change):
 def transfer_datum_down(parent, child, datum, child_basis):
     """Carry a gluing datum to an odd-index sublattice satisfying the
     descent condition."""
+    fl = discriminant_form(parent)
+    _check_datum_shape(datum, fl, _ambient_and_form()[1])
     star = condition_star(parent, child)
     if not star.verdict:
         raise StarViolated("descent condition fails: %s" % (star,))
-    fl = discriminant_form(parent)
     fc = discriminant_form(child)
     new_hl = _convert_gens(fl, fc, [list(r) for r in datum.h_l], child_basis)
     extra = trivial_form()
@@ -427,11 +434,12 @@ def transfer_datum_up(parent, child, datum, child_basis):
         raise EvenIndex("the sublattice index must be odd")
     fl = discriminant_form(parent)
     fc = discriminant_form(child)
+    _, fn = _ambient_and_form()
+    _check_datum_shape(datum, fc, fn)
     mu = _two_part_projector(fl)
     points = mat_mul(_lift(fc, [list(r) for r in datum.h_l]), child_basis)
     new_hl = [fqf_coords_of(fl, [mu * x for x in point]) for point in points]
-    _, fn = _ambient_and_form(None)
-    _, quot, _ = _graph_quotient(fl, fn, new_hl, [list(r) for r in datum.gamma])
+    quot = _graph_quotient(fl, fn, new_hl, [list(r) for r in datum.gamma])
     new_kf = canonical_form(negate_fqf(quot))
     if not exists_even_lattice(datum.k_signature, new_kf):
         raise ExistenceFails("lifted complement invariants are unrealizable")

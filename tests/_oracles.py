@@ -159,6 +159,38 @@ def _element_order(orders, x):
     return out
 
 
+def brute_isomorphic(orders1, qvals1, orders2, qvals2):
+    """Whether two forms are isomorphic, for groups of at most 32 elements
+    on at most three generators, by trying every assignment of generator
+    images. An assignment is an isomorphism when each image has an order
+    dividing its generator's and its q value, the images pair as the
+    generators do, and the elements of the first group have distinct
+    images."""
+    size1, size2 = 1, 1
+    for d in orders1:
+        size1 *= d
+    for d in orders2:
+        size2 *= d
+    assert size1 <= 32 and len(orders1) <= 3
+    if size1 != size2:
+        return False
+    elems2 = list(product(*[range(d) for d in orders2]))
+    # the images each generator may have on its own
+    cands = [[y for y in elems2 if d % _element_order(orders2, y) == 0
+              and brute_q(qvals2, y) == qvals1[i][i] % 2]
+             for i, d in enumerate(orders1)]
+    elems1 = list(product(*[range(d) for d in orders1]))
+    for images in product(*cands):
+        if any(brute_b(qvals2, images[i], images[j]) != qvals1[i][j] % 1
+               for i in range(len(images)) for j in range(i)):
+            continue
+        hit = {tuple(sum(c * y[t] for c, y in zip(x, images)) % d for t, d in enumerate(orders2))
+               for x in elems1}
+        if len(hit) == size2:
+            return True
+    return False
+
+
 def _p_power(n, p):
     while n % p == 0:
         n //= p

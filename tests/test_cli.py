@@ -78,6 +78,30 @@ def test_error_envelope_names_the_error(tmp_path):
         (["nikulin-exists", "--signature", "[1,0]", "--fqf-file", str(no_q)], "BadShape"),
         (["accept", "--criterion", "99"], "BadShape"),
     ]
+    # gluing data for [[4,0],[0,4]] whose rows or K do not fit: H_L rows
+    # have one entry per generator of its discriminant group, H_N and gamma
+    # rows one per generator of N's
+    good = json.loads((GOLDEN / "datum_4_4.json").read_text())
+    hn = good["H_N"][0]
+    bad_data = {
+        "hn_long": {"H_N": [hn + [0]]},
+        "hl_long": {"H_L": [[0, 2, 0]]},
+        "hl_short": {"H_L": [[2]]},
+        "gamma_short": {"gamma": [hn[:-1]]},
+        "float_entry": {"H_L": [[0, 2.5]]},
+        "string_entry": {"gamma": [hn[:-1] + ["1"]]},
+        "one_signature": {"K": dict(good["K"], signature=[10])},
+    }
+    parent = ["--parent-gram", "[[4,0],[0,4]]", "--child-gram", "[[36,0],[0,4]]",
+              "--child-basis", "[[3,0],[0,1]]"]
+    for stem, change in bad_data.items():
+        path = tmp_path / (stem + ".json")
+        path.write_text(json.dumps(dict(good, **change)))
+        cases.append((["verify-datum", "--gram", "[[4,0],[0,4]]", "--datum-file", str(path)],
+                      "BadShape"))
+        for direction in ("down", "up"):
+            cases.append((["transfer", "--direction", direction] + parent
+                          + ["--datum-file", str(path)], "BadShape"))
     for argv, kind in cases:
         code, out = run_cli(["--json"] + argv)
         assert code == 2, argv

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,6 +12,7 @@ from enrlat.errors import Degenerate, NonWitt, NotSubgroup
 from enrlat.fqf import (
     FiniteQuadraticForm,
     _q_fingerprint,
+    _subquotient,
     _walk,
     canonical_form,
     direct_sum_fqf,
@@ -37,6 +39,7 @@ from enrlat.lattice import Lattice, direct_sum, standard_lattice
 from _oracles import (
     brute_b,
     brute_gauss_signature,
+    brute_isomorphic,
     brute_q,
     brute_q_values,
     brute_radical,
@@ -219,23 +222,20 @@ def test_quotient_by_isotropic_divides_order_by_square():
     smat = subgroup_matrix(form, [[2, 2]])
     tmat = perp_subgroup(form, [[2, 2]])
     assert subgroup_order(form, tmat) == 8
-    quo, qmap = quotient_form(form, tmat, smat)
+    quo = quotient_form(form, tmat, smat)
     assert quo.group_order == 8 // 2
-    for i, amb in enumerate(qmap.gens_in_ambient):
+    coords, orders = _subquotient(form, tmat, smat)
+    assert orders == quo.orders
+    for i, amb in enumerate(coords):
         unit = [0] * quo.num_gens
         unit[i] = 1
         assert quo.q_of(unit) == form.q_of(amb) % 2
-    assert not any(qmap.to_coords([2, 2]))
 
 
 def test_subgroup_solves_reject_what_lies_outside():
     form = discriminant_form(Lattice([[4, 0], [0, 4]]))
     smat = subgroup_matrix(form, [[2, 2]])
     tmat = perp_subgroup(form, [[2, 2]])
-    _, qmap = quotient_form(form, tmat, smat)
-    # (1, 0) pairs to 1/2 with (2, 2), so it is not in the numerator
-    with pytest.raises(NotSubgroup):
-        qmap.to_coords([1, 0])
     with pytest.raises(NotSubgroup):
         quotient_form(form, smat, tmat)
 
@@ -268,6 +268,80 @@ def test_degenerate_two_elementary_forms_get_a_verified_map():
     iso = fqf_isomorphic(a, b)
     assert iso == [[0, 1], [1, 0]]
     assert verify_fqf_iso(a, b, iso)
+
+
+def _presented(form, rows, orders):
+    """The form on the elements rows of form, taken as generators of the
+    given orders, with its values read off by the oracle."""
+    return FiniteQuadraticForm(orders, [
+        [brute_q(form.values, x) if i == j else brute_b(form.values, x, y)
+         for j, y in enumerate(rows)]
+        for i, x in enumerate(rows)
+    ])
+
+
+def _presentations(form, rng):
+    """form under other presentations of its group: generators reversed,
+    cyclic factors split into prime powers (Z/6 as Z/2 + Z/3) or coprime
+    ones merged (Z/2 + Z/3 as Z/6), and a random basis of the same orders."""
+    k = form.num_gens
+    units = [[int(i == j) for j in range(k)] for i in range(k)]
+    out = [_presented(form, units[::-1], form.orders[::-1])]
+    split = [(i, d // p**a, p**a) for i, d in enumerate(form.orders)
+             for p, a in prime_factors(d).items()]
+    out.append(_presented(form, [[c * u for u in units[i]] for i, c, _ in split],
+                          [q for _, _, q in split]))
+    pair = next(((i, j) for j in range(k) for i in range(j)
+                 if math.gcd(form.orders[i], form.orders[j]) == 1), None)
+    if pair is not None:
+        i, j = pair
+        rest = [t for t in range(k) if t not in pair]
+        out.append(_presented(form, [[a + b for a, b in zip(units[i], units[j])]]
+                              + [units[t] for t in rest],
+                              [form.orders[i] * form.orders[j]] + [form.orders[t] for t in rest]))
+    elems = list(form.elements())
+    for _ in range(20):
+        rows = [rng.choice([x for x in elems if form.element_order(x) == d]) for d in form.orders]
+        if subgroup_order(form, subgroup_matrix(form, rows)) == form.group_order:
+            out.append(_presented(form, rows, form.orders))
+            break
+    return out
+
+
+def test_isomorphism_against_brute_force_across_presentations():
+    rng = random.Random(151)
+    grams = [[[6]], [[4, 0], [0, 2]], [[2, 1], [1, 2]], [[4, 2], [2, 4]], [[8, 0], [0, 4]],
+             [[2, 0, 0], [0, 2, 0], [0, 0, 6]], [[-2, 0], [0, 10]], [[4, 0], [0, 6]]]
+    while len(grams) < 16:
+        grams.append([list(r) for r in random_even_lattice(rng, max_rank=3, det_cap=32).gram])
+    base = []
+    for gram in grams:
+        form = discriminant_form(Lattice(gram))
+        if form.is_trivial or form.num_gens > 3:
+            continue
+        base += [form, negate_fqf(form)]
+        if len(base) > 2 and form.group_order * base[-3].group_order <= 32:
+            base.append(direct_sum_fqf(form, base[-3]))
+        iso = next((x for x in form.elements() if any(x) and form.q_of(x) == 0), None)
+        if iso is not None:
+            quo = quotient_form(form, perp_subgroup(form, [list(iso)]), subgroup_matrix(form, [list(iso)]))
+            if not quo.is_trivial:
+                base.append(quo)
+    pool = [g for form in base for g in [form] + _presentations(form, rng) if g.num_gens <= 3]
+    verdicts = Counter()
+    for a in pool:
+        for b in pool:
+            if a.group_order != b.group_order:
+                continue
+            iso = fqf_isomorphic(a, b)
+            want = brute_isomorphic(a.orders, a.values, b.orders, b.values)
+            assert (iso is not None) == want, (a.orders, a.values, b.orders, b.values)
+            if iso is not None:
+                assert verify_fqf_iso(a, b, iso)
+            verdicts[want, a.orders == b.orders] += 1
+    # isomorphic pairs in different presentations, and same-group pairs that
+    # are not isomorphic
+    assert verdicts[True, False] and verdicts[False, True], verdicts
 
 
 def test_odd_index_sublattice_keeps_two_part():
@@ -314,7 +388,7 @@ def _small_forms(rng, count, max_order):
         iso = next((x for x in form.elements() if any(x) and form.q_of(x) == 0), None)
         if iso is not None:
             smat = subgroup_matrix(form, [list(iso)])
-            quo, _ = quotient_form(form, perp_subgroup(form, [list(iso)]), smat)
+            quo = quotient_form(form, perp_subgroup(form, [list(iso)]), smat)
             if not quo.is_trivial:
                 out.append(quo)
     return out

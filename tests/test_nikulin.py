@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from enrlat import nikulin
 from enrlat.errors import (
     BadPrime,
+    CapExceeded,
     EvenIndex,
     NotTwoGroup,
     StarViolated,
@@ -118,6 +120,13 @@ def test_find_and_verify_datum_for_four_four():
     assert len(datum.h_l) == 1
     ok, reasons = verify_embedding_datum(lat, datum)
     assert ok, reasons
+
+
+def test_spent_datum_search_budget_raises_cap_exceeded(monkeypatch):
+    # [[4,0],[0,4]] needs two search nodes
+    monkeypatch.setattr(nikulin, "DATUM_NODE_CAP", 1)
+    with pytest.raises(CapExceeded, match="spent 2 nodes, over its cap of 1"):
+        find_embedding_datum(Lattice([[4, 0], [0, 4]]))
 
 
 def test_verify_rejects_wrong_complement_rank():
