@@ -79,12 +79,27 @@ def _field(obj, key, what):
     return obj[key]
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _q_entry(entry):
+    """A [num, den] pair of integers with den != 0, as a Fraction."""
+    if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_int, entry))):
+        raise BadShape("form q entries must be [num, den] pairs of integers, got %r" % (entry,))
+    if entry[1] == 0:
+        raise BadShape("form q entry %r has a zero denominator" % (entry,))
+    return Fraction(*entry)
+
+
 def fqf_from_json(obj):
-    orders = tuple(int(d) for d in _field(obj, "invariant_factors", "form"))
-    vals = [
-        [Fraction(int(num), int(den)) for num, den in row] for row in _field(obj, "q", "form")
-    ]
-    return FiniteQuadraticForm(orders, vals)
+    orders = _field(obj, "invariant_factors", "form")
+    if not isinstance(orders, list) or not all(map(_is_int, orders)):
+        raise BadShape("form invariant_factors must be a list of integers")
+    rows = _field(obj, "q", "form")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise BadShape("form q must be a list of rows")
+    return FiniteQuadraticForm(tuple(orders), [[_q_entry(e) for e in row] for row in rows])
 
 
 def datum_to_json(d):

@@ -40,7 +40,6 @@ from .lattice import (
     _check_int_matrix,
     gram_of_rows,
     orthogonal_complement,
-    primitive_closure,
     rational_signature,
     standard_lattice,
 )
@@ -133,8 +132,15 @@ TUPLE_NODE_CAP = 500_000
 
 
 def _e82_vectors(norm):
+    # Tuples, not lists: a tuple of ints leaves the cyclic collector's
+    # tracked set after one pass, so the ~9,100 cached vectors are not
+    # walked again by every full collection. Each list is replaced in
+    # place, so the lists and the tuples are never all alive at once.
     if norm not in _E82_CACHE:
-        _E82_CACHE[norm] = vectors_of_norm(standard_lattice("E82"), norm)
+        vecs = vectors_of_norm(standard_lattice("E82"), norm)
+        for i, v in enumerate(vecs):
+            vecs[i] = tuple(v)
+        _E82_CACHE[norm] = tuple(vecs)
     return _E82_CACHE[norm]
 
 
@@ -302,7 +308,7 @@ def embedding_from_images(source, images):
     want = [list(r) for r in source.gram]
     if got != want:
         raise GramMismatch("images have pairings %s, expected %s" % (got, want))
-    _, index = primitive_closure(nlat, rows)
+    index = math.prod(snf_diagonal(rows))
     if index != 1:
         raise NotPrimitive(index)
     return PrimitiveEmbedding(source, tuple(tuple(r) for r in rows), nlat)

@@ -345,8 +345,17 @@ _register(
 )
 
 
+_BUILT = {}
+
+
 def standard_lattice(tag):
-    """Fixed lattices by tag: U, U2, E8, E82, M, N, Lambda."""
+    """Fixed lattices by tag: U, U2, E8, E82, M, N, Lambda.
+
+    Each tag's Lattice is built on first use and that one instance is
+    returned after; it is shared by every caller and must not be mutated.
+    """
     if tag not in _TAGS:
         raise UnknownTag("unknown lattice tag %r" % (tag,))
-    return Lattice(_TAGS[tag])
+    if tag not in _BUILT:
+        _BUILT[tag] = Lattice(_TAGS[tag])
+    return _BUILT[tag]

@@ -14,6 +14,7 @@ from .errors import (
     DependentVectors,
     EvenIndex,
     ExistenceFails,
+    GramMismatch,
     NoUnitVector,
     NotFound,
     NotTwoGroup,
@@ -51,7 +52,7 @@ from .intmat import (
     sqrt_exact,
     val_p,
 )
-from .lattice import Lattice, gram_of_rows
+from .lattice import Lattice, _check_int_matrix, gram_of_rows
 
 
 def exists_even_lattice(signature, form):
@@ -405,9 +406,26 @@ def _convert_gens(src_form, dst_form, gens, basis_change):
     return [fqf_coords_of(dst_form, [mu * x for x in point]) for point in moved]
 
 
+def _check_child_basis(parent, child, child_basis):
+    """BadShape unless the child has the parent's rank (it is a sublattice
+    of finite index) and child_basis has child.rank integer rows of length
+    parent.rank; GramMismatch unless they carry the parent gram to the
+    child gram."""
+    if child.rank != parent.rank:
+        raise BadShape("the child must have the parent's rank %d" % parent.rank)
+    _check_int_matrix(child_basis)
+    if len(child_basis) != child.rank or any(len(r) != parent.rank for r in child_basis):
+        raise BadShape("child basis must have %d rows of length %d" % (child.rank, parent.rank))
+    got = gram_of_rows(child_basis, parent.gram)
+    want = [list(r) for r in child.gram]
+    if got != want:
+        raise GramMismatch("child basis gives gram %s, expected %s" % (got, want))
+
+
 def transfer_datum_down(parent, child, datum, child_basis):
     """Carry a gluing datum to an odd-index sublattice satisfying the
     descent condition."""
+    _check_child_basis(parent, child, child_basis)
     fl = discriminant_form(parent)
     _check_datum_shape(datum, fl, _ambient_and_form()[1])
     star = condition_star(parent, child)
@@ -428,6 +446,7 @@ def transfer_datum_down(parent, child, datum, child_basis):
 
 def transfer_datum_up(parent, child, datum, child_basis):
     """Carry a gluing datum from an odd-index sublattice back up."""
+    _check_child_basis(parent, child, child_basis)
     ratio = Fraction(child.det, parent.det)
     index = sqrt_exact(int(ratio))
     if index % 2 == 0:

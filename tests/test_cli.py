@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,16 @@ def test_envelope_shape():
     assert env["command"] == "standard-lattice"
     assert env["runtime_ms"] == 0
     assert env["payload"]["gram"] == [[0, 1], [1, 0]]
+
+
+def test_python_dash_m_matches_main():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["--json", "standard-lattice", "--tag", "U"]
+    proc = subprocess.run([sys.executable, "-m", "enrlat"] + argv, env=env,
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(argv)[1].encode()
 
 
 def test_json_output_is_byte_stable():
@@ -92,6 +104,36 @@ def test_error_envelope_names_the_error(tmp_path):
         "string_entry": {"gamma": [hn[:-1] + ["1"]]},
         "one_signature": {"K": dict(good["K"], signature=[10])},
     }
+    # K's form with a malformed q entry or invariant factor, in a datum
+    # and on its own
+    fqf = good["K"]["fqf"]
+    q = fqf["q"]
+    bad_forms = {
+        "short_q": dict(fqf, q=[[[1]] + q[0][1:]] + q[1:]),
+        "zero_den": dict(fqf, q=[[[1, 0]] + q[0][1:]] + q[1:]),
+        "string_q": dict(fqf, q=[[["0", 1]] + q[0][1:]] + q[1:]),
+        "q_not_rows": dict(fqf, q=[1, 2]),
+        "float_factor": dict(fqf, invariant_factors=[2.0] + fqf["invariant_factors"][1:]),
+        "factors_not_list": dict(fqf, invariant_factors=4),
+    }
+    for stem, form in bad_forms.items():
+        path = tmp_path / (stem + "_form.json")
+        path.write_text(json.dumps(form))
+        cases.append((["nikulin-exists", "--signature", "[0,10]", "--fqf-file", str(path)],
+                      "BadShape"))
+        bad_data[stem] = {"K": dict(good["K"], fqf=form)}
+    # [[3,0],[0,2]] gives the gram [[36,0],[0,16]], not the child's; one
+    # row cannot be a basis of a rank-2 child; [[1,3]] gives [[40]], but a
+    # rank-1 child is not of finite index
+    for child, basis, kind in (("[[36,0],[0,4]]", "[[3,0],[0,2]]", "GramMismatch"),
+                               ("[[36,0],[0,4]]", "[[3,0]]", "BadShape"),
+                               ("[[36,0],[0,4]]", "[[3,0,0],[0,1,0]]", "BadShape"),
+                               ("[[36,0],[0,4]]", "[[3,0],[0,1.0]]", "BadShape"),
+                               ("[[40]]", "[[1,3]]", "BadShape")):
+        for direction in ("down", "up"):
+            cases.append((["transfer", "--direction", direction, "--parent-gram", "[[4,0],[0,4]]",
+                           "--child-gram", child, "--child-basis", basis,
+                           "--datum-file", str(GOLDEN / "datum_4_4.json")], kind))
     parent = ["--parent-gram", "[[4,0],[0,4]]", "--child-gram", "[[36,0],[0,4]]",
               "--child-basis", "[[3,0],[0,1]]"]
     for stem, change in bad_data.items():

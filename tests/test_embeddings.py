@@ -1,9 +1,12 @@
+import gc
+import math
 import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from enrlat import embeddings
 from enrlat.acceptance import naive_vectors
 from enrlat.embeddings import (
     character_upper_bound,
@@ -183,6 +186,35 @@ def test_embedding_from_images_detects_imprimitive():
     with pytest.raises(NotPrimitive) as info:
         embedding_from_images(source, images)
     assert info.value.index == 2
+    # v, w span a primitive sublattice with gram [[4,0],[0,4]]; images
+    # c * (v, w) (2v and 3v + w, ...) have index |det c|, the product of
+    # their Smith diagonal
+    v = [1, 2] + [0] * 10
+    w = [1, -2, 1, 2] + [0] * 8
+    for c in ([[2, 0], [3, 1]], [[2, 0], [0, 1]], [[3, 1], [0, 4]], [[1, 0], [0, 6]]):
+        rows = [[a * x + b * y for x, y in zip(v, w)] for a, b in c]
+        with pytest.raises(NotPrimitive) as info:
+            embedding_from_images(Lattice(gram_of_rows(rows, ambient().gram)), rows)
+        assert info.value.index == math.prod(snf_diagonal_by_minor_gcds(rows))
+        assert info.value.index == abs(c[0][0] * c[1][1] - c[0][1] * c[1][0])
+
+
+def test_rho_17_sweep_leaves_no_tracked_objects(monkeypatch):
+    # the E8(2) vector cache holds thousands of vectors; stored as tuples of
+    # ints they leave the cyclic collector's tracked set, so a full
+    # collection does not walk them again. An empty cache makes the sweep
+    # fill it whatever ran before.
+    monkeypatch.setattr(embeddings, "_E82_CACHE", {})
+    gc.collect()
+    before = len(gc.get_objects())
+    for m in (1, 2, 3):
+        for label in product((0, 1), repeat=5):
+            if any(label):
+                embedding_for_label(17, (m,), label)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert grown < 100
+    assert embeddings._E82_CACHE
 
 
 def test_rank_two_table_all_labels():

@@ -14,6 +14,7 @@ from enrlat.errors import (
 from enrlat.fqf import discriminant_form
 from enrlat.lattice import (
     Lattice,
+    _TAGS,
     direct_sum,
     gram_of_rows,
     orthogonal_complement,
@@ -75,6 +76,14 @@ def test_standard_tag_invariants():
     assert lam.rank == 22 and lam.signature == (3, 19) and abs(lam.det) == 1
     with pytest.raises(UnknownTag):
         standard_lattice("nope")
+
+
+def test_standard_lattice_is_built_once_per_tag():
+    for tag, gram in _TAGS.items():
+        lat = standard_lattice(tag)
+        assert standard_lattice(tag) is lat
+        fresh = Lattice(gram)
+        assert (lat.gram, lat.det, lat.signature) == (fresh.gram, fresh.det, fresh.signature)
 
 
 def test_constructor_rejects_bad_grams():
