@@ -21,7 +21,6 @@ from .embeddings import (
     embedding_complement,
     embedding_for_label,
     embedding_from_images,
-    has_minus_two_vector,
     iter_tuples_in_e82,
     realized_characters,
     suggest_params,

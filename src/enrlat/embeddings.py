@@ -21,7 +21,7 @@ full validation, so a table can only produce correct embeddings.
 import math
 import re
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, neg
 
 from .enriques import ambient, epsilon
 from .errors import (
@@ -55,68 +55,118 @@ def vectors_of_norm(lat, value, cap=200000):
     q(x) = sum_i (D_{i+1} x_i + c_i)^2 / (D_i D_{i+1}) with
     c_i = sum_{j>i} B_i[j] x_j. Scaled by M = lcm(D_i D_{i+1}), every term
     has an integer weight, so each coordinate's range is an exact integer
-    square root. Both a vector and its negative are listed. Sorted
-    by coordinate-sum size, then coordinates in descending order.
+    square root. Definiteness is read off the same elimination (Sylvester):
+    the sign is that of g_00, and a pivot that is not positive raises
+    NotDefinite.
+
+    The descent fixes x_{k-1} first and walks only half the tree: while
+    every coordinate fixed so far is 0 the centre is 0 and the range
+    symmetric, so it keeps t >= 0, and each vector found, whose last
+    nonzero coordinate is positive, is listed with its negative. The last
+    two levels run in one loop: for each x_1, x_0 is solved in place by an
+    exact-square test. CapExceeded is raised inside that loop as soon as
+    the pairs found hold more than `cap` vectors.
+
+    The order is pinned: by L1 norm, then coordinates in descending order.
+    Each pair goes into a bucket of its L1 norm; the buckets are sorted and
+    concatenated by ascending norm. The `roots` goldens pin this order, and
+    so does the E8(2) vector cache, whose order the tuple search follows.
     """
-    if lat.rank == 0:
-        return []
-    pos, neg = lat.signature
-    if pos and neg:
-        raise NotDefinite("enumeration requires a definite lattice")
-    if value == 0 or (value < 0) == (neg == 0):
-        return []  # zero, or the sign the lattice never takes
-    sign = 1 if neg == 0 else -1
     k = lat.rank
+    if k == 0:
+        return []
+    sign = 1 if lat.gram[0][0] > 0 else -1
     a = [[sign * x for x in row] for row in lat.gram]
     minors = [1]
     rows = []
     for i in range(k):
         piv, prev = a[i][i], minors[-1]
-        assert piv > 0
+        if piv <= 0:
+            raise NotDefinite("enumeration requires a definite lattice")
         minors.append(piv)
         rows.append(a[i][:])
         for r in range(i + 1, k):
             for s in range(i + 1, k):
                 a[r][s] = (a[r][s] * piv - a[r][i] * a[i][s]) // prev
+    if value == 0 or (value < 0) == (sign > 0):
+        return []  # zero, or the sign the lattice never takes
     big_m = math.lcm(*(minors[i] * minors[i + 1] for i in range(k)))
     weights = [big_m // (minors[i] * minors[i + 1]) for i in range(k)]
-    out = []
+    rem = big_m * sign * value
+    if k == 1:
+        # M = D_1 and w_0 = 1, so rem = (D_1 x_0)^2: one pair at most
+        s = math.isqrt(rem)
+        if s * s != rem or s % minors[1]:
+            return []
+        if cap < 2:
+            raise CapExceeded("more than %d vectors" % cap)
+        return [[s // minors[1]], [-s // minors[1]]]
+    half = []
     x = [0] * k
+    d0, w0, d1, w1 = minors[1], weights[0], minors[2], weights[1]
+    row0 = rows[0]
 
-    def rec(i, rem, c):
+    def last_two(i, rem, c, free):
+        # i = 1, x[2:] is fixed, c = c_1; for each x_1 the remainder must
+        # be w_0 y_0^2 exactly, with y_0 = d_0 x_0 + c_0
+        s = math.isqrt(rem // w1)
+        base = sum(map(mul, row0[2:], x[2:]))
+        b1 = row0[1]
+        for t in range(-((s + c) // d1) if free else 0, (s - c) // d1 + 1):
+            y = d1 * t + c
+            r = rem - w1 * y * y
+            if r % w0:
+                continue
+            r //= w0
+            s0 = math.isqrt(r)
+            if s0 * s0 != r:
+                continue
+            c0 = base + b1 * t
+            for y0 in (s0, -s0) if s0 and (free or t) else (s0,):
+                if (y0 - c0) % d0 == 0:
+                    x[0], x[1] = (y0 - c0) // d0, t
+                    half.append(x[:])
+            if 2 * len(half) > cap:
+                raise CapExceeded("more than %d vectors" % cap)
+
+    def rec(i, rem, c, free):
         # x[i+1:] is fixed, c = c_i, rem = M |value| - sum_{j>i} w_j y_j^2;
-        # w y^2 <= rem holds exactly when |y| <= isqrt(rem // w), y = d x_i + c
+        # w y^2 <= rem holds exactly when |y| <= isqrt(rem // w), y = d x_i + c.
+        # Until some fixed coordinate is nonzero, c = 0 and t >= 0.
         d, w = minors[i + 1], weights[i]
-        if i == 0:
-            if rem % w:
-                return
-            s = math.isqrt(rem // w)
-            if s * s * w != rem:
-                return
-            for y in ((s, -s) if s else (0,)):
-                if (y - c) % d == 0:
-                    x[0] = (y - c) // d
-                    out.append(x[:])
-                    if len(out) > cap:
-                        raise CapExceeded("more than %d vectors" % cap)
-            return
         s = math.isqrt(rem // w)
         row = rows[i - 1]
-        base = sum(row[j] * x[j] for j in range(i + 1, k))
-        for t in range(-((s + c) // d), (s - c) // d + 1):
+        base = sum(map(mul, row[i + 1:], x[i + 1:]))
+        down, b = last_two if i == 2 else rec, row[i]
+        for t in range(-((s + c) // d) if free else 0, (s - c) // d + 1):
             x[i] = t
             y = d * t + c
-            rec(i - 1, rem - w * y * y, base + row[i] * t)
+            down(i - 1, rem - w * y * y, base + b * t, free or t != 0)
 
-    rec(k - 1, big_m * sign * value, 0)
-    # descending coordinates, then a stable sort on the L1 norm
-    out.sort(reverse=True)
-    out.sort(key=lambda v: sum(map(abs, v)))
+    (last_two if k == 2 else rec)(k - 1, rem, 0, False)
+    out = _with_negatives(half)
+    # rec refers to itself, so this frame's cells, half among them, live on
+    # until a cyclic collection; emptying half frees its lists with `out`
+    half.clear()
     return out
 
 
-def has_minus_two_vector(lat):
-    return bool(vectors_of_norm(lat, -2))
+def _with_negatives(half):
+    # each v with -v, bucketed by L1 norm; every bucket in descending order
+    buckets = {}
+    for v in half:
+        n = sum(map(abs, v))
+        bucket = buckets.get(n)
+        if bucket is None:
+            buckets[n] = bucket = []
+        bucket.append(v)
+        bucket.append(list(map(neg, v)))
+    out = []
+    for n in sorted(buckets):
+        bucket = buckets[n]
+        bucket.sort(reverse=True)
+        out += bucket
+    return out
 
 
 _E82_CACHE = {}

@@ -9,6 +9,7 @@ inside hyperbolic pieces routinely produce them.
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     BadShape,
@@ -155,8 +156,8 @@ class Lattice:
         return self._signature
 
     def bilinear(self, x, y):
-        g = self.gram
-        return sum(x[i] * g[i][j] * y[j] for i in range(self.rank) for j in range(self.rank))
+        # x . (G y), one pass over the rows of G
+        return sum(map(mul, x, [sum(map(mul, row, y)) for row in self.gram]))
 
     def norm(self, x):
         return self.bilinear(x, x)

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import time
 from itertools import product
 
 import pytest
@@ -13,7 +14,6 @@ from enrlat.embeddings import (
     embedding_complement,
     embedding_for_label,
     embedding_from_images,
-    has_minus_two_vector,
     iter_tuples_in_e82,
     realized_characters,
     suggest_params,
@@ -26,6 +26,7 @@ from enrlat.errors import (
     BadShape,
     CapExceeded,
     GramMismatch,
+    NotDefinite,
     NotFound,
     NotPrimitive,
     RankTooLarge,
@@ -91,16 +92,45 @@ def test_enumeration_property_against_box_oracle(g, half):
     lat = Lattice(g)
     value = 2 * half if g[0][0] > 0 else -2 * half
     got = vectors_of_norm(lat, value)
-    assert {tuple(v) for v in got} == naive_vectors(g, value)
+    found = {tuple(v) for v in got}
+    assert found == naive_vectors(g, value)
+    assert len(found) == len(got)
+    assert {tuple(-x for x in v) for v in found} == found
     assert got == sorted(got, key=lambda t: (sum(abs(x) for x in t), tuple(-x for x in t)))
     assert vectors_of_norm(lat, -value) == []
 
 
 def test_cap_boundary_is_exact():
     e8 = standard_lattice("E8")
+    assert len(vectors_of_norm(e8, -2, cap=241)) == 240
     assert len(vectors_of_norm(e8, -2, cap=240)) == 240
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="more than 239 vectors"):
         vectors_of_norm(e8, -2, cap=239)
+
+
+def test_cap_stops_the_search_early():
+    # E8 at -40 has 240 * sigma3(20) = 2,207,520 vectors; the cap ends the
+    # walk after about a thousand of them
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="more than 1000 vectors"):
+        vectors_of_norm(standard_lattice("E8"), -40, cap=1000)
+    assert time.perf_counter() - start < 5
+
+
+def test_rank_one_enumeration():
+    assert vectors_of_norm(Lattice([[-8]]), -8) == [[1], [-1]]
+    assert vectors_of_norm(Lattice([[-8]]), -2) == []
+    assert vectors_of_norm(Lattice([[2]]), 8) == [[2], [-2]]
+    assert vectors_of_norm(Lattice([[-8]]), -8, cap=2) == [[1], [-1]]
+    with pytest.raises(CapExceeded):
+        vectors_of_norm(Lattice([[-8]]), -8, cap=1)
+
+
+@pytest.mark.parametrize("gram", [[[0, 1], [1, 0]], [[2, 3], [3, 2]], [[-2, 3], [3, -2]]])
+@pytest.mark.parametrize("value", [0, 2, -2])
+def test_indefinite_lattice_is_refused(gram, value):
+    with pytest.raises(NotDefinite):
+        vectors_of_norm(Lattice(gram), value)
 
 
 def test_rebased_e8_keeps_theta_counts():
@@ -134,8 +164,6 @@ def test_scaled_e8_has_no_roots():
     e82 = standard_lattice("E82")
     assert vectors_of_norm(e82, -2) == []
     assert len(vectors_of_norm(e82, -4)) == 240
-    assert has_minus_two_vector(standard_lattice("E8"))
-    assert not has_minus_two_vector(e82)
 
 
 def test_enumeration_output_is_sorted_and_without_zero():
