@@ -11,7 +11,6 @@ from .classgroups import (
     fundamental_split,
     is_fundamental,
     prime2_splitting,
-    prime_discriminant_factors,
     ray_class2_order,
     reduce_form,
 )
@@ -54,8 +53,6 @@ from .lattice import (
     Lattice,
     direct_sum,
     orthogonal_complement,
-    overlattice_from_isotropic,
-    primitive_closure,
     rescale,
     standard_lattice,
 )

@@ -2,7 +2,7 @@
 endomorphism report for definite rank-2 even lattices."""
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import (
     BadCongruence,
@@ -146,28 +146,6 @@ def class_number_nonmaximal(d0, conductor):
     e = _unit_halved(d0)
     assert num % e == 0
     return num // e
-
-
-def prime_discriminant_factors(disc):
-    """Factor a fundamental discriminant into prime ones."""
-    if not is_fundamental(disc):
-        raise NotFundamental("%d is not fundamental" % disc)
-    factors = []
-    rest = disc
-    for p in prime_factors(-disc):
-        if p == 2:
-            continue
-        star = p if p % 4 == 1 else -p
-        factors.append(star)
-        rest //= star
-    if rest != 1:
-        assert rest in (-4, 8, -8), rest
-        factors.append(rest)
-    prod = 1
-    for x in factors:
-        prod *= x
-    assert prod == disc
-    return tuple(sorted(factors, key=lambda x: (abs(x), x)))
 
 
 @dataclass(frozen=True)

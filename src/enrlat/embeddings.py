@@ -37,6 +37,7 @@ from .errors import (
 )
 from .lattice import (
     Lattice,
+    _check_gram,
     _check_int_matrix,
     gram_of_rows,
     orthogonal_complement,
@@ -345,13 +346,13 @@ def embedding_from_images(source, images):
     nlat = ambient()
     if not isinstance(source, Lattice):
         source = Lattice(source)
+    _check_int_matrix(images)
     if len(images) != source.rank:
         raise BadShape("one image per basis vector required")
     rows = [list(r) for r in images]
     for r in rows:
         if len(r) != nlat.rank:
             raise BadShape("images must have length %d" % nlat.rank)
-    _check_int_matrix(rows)
     if rational_rank(rows) != len(rows):
         raise DependentVectors("images are dependent")
     got = gram_of_rows(rows, nlat.gram)
@@ -577,6 +578,7 @@ def embedding_for_label(rho, params, label):
 def character_upper_bound(gram):
     """Characters of the mod-2 reduction vanishing on every residue class
     whose self-pairing is 2 mod 4."""
+    _check_gram(gram)
     n = len(gram)
     if n > 20:
         raise RankTooLarge("rank %d exceeds the enumeration bound" % n)

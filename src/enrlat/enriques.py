@@ -10,8 +10,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import BadLength, GramMismatch
-from .intmat import mat_mul
-from .lattice import Lattice, gram_of_rows, standard_lattice, sqrt_exact
+from .intmat import mat_mul, mat_vec, sqrt_exact
+from .lattice import Lattice, gram_of_rows, standard_lattice
 
 
 def ambient():
@@ -100,16 +100,11 @@ def involution_eigenlattices():
 
 
 def _reflection(nlat, v):
-    # v must have self-pairing -2; x -> x + (x.v) v
+    # v must have self-pairing -2; x -> x + (x.v) v, and e_i.v = (G v)_i,
+    # so the matrix is I + (G v) v^T
     assert nlat.norm(v) == -2
-    n = nlat.rank
-    out = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        c = nlat.bilinear(e, v)
-        out.append([e[j] + c * v[j] for j in range(n)])
-    return out
+    gv = mat_vec(nlat.gram, v)
+    return [[int(i == j) + c * x for j, x in enumerate(v)] for i, c in enumerate(gv)]
 
 
 def generate_isometry(seed, length):
@@ -146,20 +141,13 @@ def generate_isometry(seed, length):
 
 def _eichler(nlat, u, a):
     # u isotropic, a orthogonal to u, self-pairing of a divisible by 4
-    n = nlat.rank
     assert nlat.norm(u) == 0 and nlat.bilinear(u, a) == 0
     asq = nlat.norm(a)
     assert asq % 4 == 0
-    out = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        xu = nlat.bilinear(e, u)
-        xa = nlat.bilinear(e, a)
-        out.append(
-            [
-                e[j] + xu * a[j] - xa * u[j] - (asq // 2) * xu * u[j]
-                for j in range(n)
-            ]
-        )
-    return out
+    # row i is e_i + (G u)_i a - (G a)_i u - (a.a / 2) (G u)_i u
+    gu, ga = mat_vec(nlat.gram, u), mat_vec(nlat.gram, a)
+    half = asq // 2
+    return [
+        [int(i == j) + cu * y - ca * x - half * cu * x for j, (x, y) in enumerate(zip(u, a))]
+        for i, (cu, ca) in enumerate(zip(gu, ga))
+    ]

@@ -18,10 +18,10 @@ Every form is worked on in its own presentation: its p-part is spanned by
 the multiples (d / p^a) e_i of its generators, and only the JSON boundary
 asks for invariant factors (`canonical_form`).
 
-`Fraction` stays at the edges: `q_of` and `b_of` return one, `values` is
-the `Fraction` view of Q / m that the JSON boundary reads, and a
-discriminant form (and its negation) carries the lattice lifts of its
-generators (`_lift`) as rational vectors; no derived form does. No float
+`Fraction` stays at the edges: `q_of` returns one, `values` is the
+`Fraction` view of Q / m that the JSON boundary reads, and a discriminant
+form (and its negation) carries the lattice lifts of its generators
+(`_lift`) as rational vectors; no derived form does. No float
 enters any decision: the Gauss signature is a sum of closed-form phases of
 Jordan blocks (Legendre symbols, residues mod 8 and parities of
 exponents). Every walk over the elements of a group goes through `_walk`,
@@ -263,9 +263,6 @@ class FiniteQuadraticForm:
     def q_of(self, coords):
         return Fraction(self.q_num(coords), self.den)
 
-    def b_of(self, x, y):
-        return Fraction(self.b_num(x, y), self.den)
-
     def element_order(self, coords):
         out = 1
         for d, c in zip(self.orders, coords):
@@ -302,7 +299,7 @@ def discriminant_form(lat):
     """Dual quotient of an even lattice with its induced form.
 
     Generators come with rational lifts (rows in the coordinates of lat),
-    which overlattice and coordinate routines rely on.
+    which `_lift` and `fqf_coords_of` rely on.
     """
     n = lat.rank
     if n == 0:
@@ -472,17 +469,6 @@ def _unit(k, j):
     return tuple(row)
 
 
-def form_on_subgroup(f, gens):
-    """Form restricted to the subgroup the gens generate; returns (form,
-    generator coords)."""
-    k = f.num_gens
-    if k == 0:
-        return trivial_form(), []
-    dmat = [[f.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-    coords, orders = _subquotient(f, subgroup_matrix(f, gens), dmat)
-    return _form_on(f, coords, orders), coords
-
-
 def _solve_lower(t, s):
     """The integer row c with c t = s, for a lower-triangular t with a
     positive diagonal, by back-substitution; None when c is not integral."""
@@ -605,24 +591,6 @@ def _jordan_split(f, p):
         orders = [orders[y] for y in rest]
     f._jordan[p] = blocks = tuple(blocks)
     return blocks
-
-
-def odd_jordan(f, p):
-    """Jordan splitting of the p-part, p odd, into one-generator blocks.
-
-    Returns blocks as (scale, q value) pairs with scale a power of p,
-    largest scale first.
-    """
-    return [(scale, value) for _, scale, value in _jordan_split(f, p)]
-
-
-def two_adic_jordan(f):
-    """Jordan splitting of the 2-part into one-generator and even blocks.
-
-    Blocks are ('q', scale, value) for one-generator pieces and ('u', scale)
-    or ('v', scale) for the two even types, largest scale first.
-    """
-    return list(_jordan_split(f, 2))
 
 
 # candidate images `fqf_isomorphic` tries, over all p-parts, before it gives up

@@ -2,14 +2,14 @@
 
 Matrices are lists of row lists of int. Elimination is fraction free
 (Bareiss) or unimodular (Smith and Hermite forms), so an integer input
-never meets a Fraction. Only `inverse_fraction` and `frac_rows_span_basis`
-return Fractions, for inverses and spans that really are rational;
-`mat_mul` multiplies rational matrices as well. Nothing here knows about
-lattices; this layer is pure linear algebra and elementary arithmetic.
+never meets a Fraction. Only `inverse_fraction` returns Fractions, for
+inverses that really are rational; `mat_mul` multiplies rational matrices
+as well. Nothing here knows about lattices; this layer is pure linear
+algebra and elementary arithmetic.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from operator import mul
 
 
@@ -319,24 +319,6 @@ def hnf_rows(rows, ncols=None):
                 q = out[jdx][p] // out[idx][p]
                 out[jdx] = [x - q * y for x, y in zip(out[jdx], out[idx])]
     return out
-
-
-def frac_rows_span_basis(rows, ncols):
-    """Z-basis of the group generated by rational rows plus Z^ncols.
-
-    Returns rows with Fraction entries.
-    """
-    dens = [1]
-    for r in rows:
-        for x in r:
-            dens.append(Fraction(x).denominator)
-    d = 1
-    for q in dens:
-        d = d * q // gcd(d, q)
-    scaled = [[int(Fraction(x) * d) for x in r] for r in rows]
-    scaled += [[d if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    basis = hnf_rows(scaled, ncols)
-    return [[Fraction(x, d) for x in r] for r in basis]
 
 
 def prime_factors(n):

@@ -8,14 +8,12 @@ inside hyperbolic pieces routinely produce them.
 """
 
 import math
-from fractions import Fraction
 from operator import mul
 
 from .errors import (
     BadShape,
     Degenerate,
     DependentVectors,
-    NotIsotropic,
     NotSymmetric,
     NotEvenGram,
     UnknownTag,
@@ -23,27 +21,11 @@ from .errors import (
 )
 from .intmat import (
     det_bareiss,
-    frac_rows_span_basis,
-    inverse_unimodular,
     mat_mul,
     rational_rank,
     right_kernel_int,
-    snf_with_transforms,
-    sqrt_exact,
     transpose,
 )
-
-
-def _int_entries(m):
-    out = []
-    for row in m:
-        line = []
-        for x in row:
-            f = Fraction(x)
-            assert f.denominator == 1
-            line.append(int(f))
-        out.append(line)
-    return out
 
 
 def _check_int_matrix(m):
@@ -60,6 +42,17 @@ def _check_int_matrix(m):
         for x in r:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise BadShape("entries must be integers")
+
+
+def _check_gram(m):
+    """BadShape unless m is a square integer matrix; NotSymmetric unless it
+    is symmetric."""
+    _check_int_matrix(m)
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise BadShape("gram must be square")
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+        raise NotSymmetric("gram must be symmetric")
 
 
 def rational_signature(gram):
@@ -126,13 +119,9 @@ class Lattice:
     """Even nondegenerate integral lattice given by its Gram matrix."""
 
     def __init__(self, gram):
-        _check_int_matrix(gram)
+        _check_gram(gram)
         g = [list(r) for r in gram]
         n = len(g)
-        if any(len(r) != n for r in g):
-            raise BadShape("gram must be square")
-        if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
-            raise NotSymmetric("gram must be symmetric")
         if any(g[i][i] % 2 for i in range(n)):
             raise NotEvenGram("diagonal must be even")
         det = det_bareiss(g)
@@ -142,10 +131,6 @@ class Lattice:
         self.rank = n
         self.det = det
         self._signature = None
-
-    @property
-    def discriminant_group_order(self):
-        return abs(self.det)
 
     @property
     def signature(self):
@@ -210,28 +195,6 @@ def sublattice_from_gram_change(lat, rows):
     return Lattice(g)
 
 
-def primitive_closure(lat, rows):
-    """Saturation of the span of integer rows inside the lattice.
-
-    Returns (basis_rows, index) where index is the index of the span inside
-    its saturation.
-    """
-    _check_int_matrix(rows)
-    if not rows:
-        return [], 1
-    if len(rows[0]) != lat.rank:
-        raise BadShape("row length must equal the ambient rank")
-    k = len(rows)
-    if rational_rank(rows) != k:
-        raise DependentVectors("rows are dependent")
-    d, _, v = snf_with_transforms([list(r) for r in rows])
-    basis = inverse_unimodular(v)[:k]
-    index = 1
-    for i in range(k):
-        index *= d[i][i]
-    return basis, index
-
-
 def orthogonal_complement(lat, rows):
     """(basis_rows, module) of everything orthogonal to the given rows.
 
@@ -254,41 +217,6 @@ def orthogonal_complement(lat, rows):
     if not basis:
         return basis, Lattice([])
     return basis, Lattice(g)
-
-
-def overlattice_from_isotropic(lat, form, gens):
-    """Overlattice attached to an isotropic subgroup of the discriminant form.
-
-    gens are coordinate vectors with respect to form's generators, where form
-    must be the discriminant form of lat (it carries the rational lifts).
-    Returns (overlattice, index, basis_rows) with basis rows rational in the
-    coordinates of lat.
-    """
-    lifts = []
-    for c in gens:
-        if len(c) != form.num_gens:
-            raise BadShape("coordinate length mismatch")
-        row = [Fraction(0)] * lat.rank
-        for ci, grow in zip(c, form.gens_in_lattice):
-            for j in range(lat.rank):
-                row[j] += ci * grow[j]
-        lifts.append(row)
-    # isotropy: q vanishes mod 2Z and pairings vanish mod Z on the subgroup
-    w = gram_of_rows(lifts, lat.gram)
-    for i in range(len(lifts)):
-        if w[i][i] % 2 != 0:
-            raise NotIsotropic("generator %d has odd norm" % i)
-        for j in range(i):
-            if w[j][i].denominator != 1:
-                raise NotIsotropic("generators %d,%d pair fractionally" % (j, i))
-    basis = frac_rows_span_basis(lifts, lat.rank)
-    g = _int_entries(gram_of_rows(basis, lat.gram))
-    over = Lattice(g)
-    ratio = Fraction(abs(lat.det), abs(over.det))
-    assert ratio.denominator == 1
-    index = sqrt_exact(int(ratio))
-    assert index is not None
-    return over, index, basis
 
 
 _U = [[0, 1], [1, 0]]

@@ -2,7 +2,6 @@
 primitive embeddings of the rank-12 ambient lattice, and odd-index descent."""
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
@@ -11,6 +10,7 @@ from .errors import (
     BadPrime,
     BadShape,
     CapExceeded,
+    Degenerate,
     DependentVectors,
     EvenIndex,
     ExistenceFails,
@@ -22,6 +22,7 @@ from .errors import (
 )
 from .fqf import (
     FiniteQuadraticForm,
+    _jordan_split,
     _lift,
     _order_two_elements,
     canonical_form,
@@ -31,7 +32,6 @@ from .fqf import (
     fqf_isomorphic,
     milgram_signature,
     negate_fqf,
-    odd_jordan,
     p_part,
     perp_subgroup,
     quotient_form,
@@ -39,7 +39,6 @@ from .fqf import (
     subgroup_matrix,
     subgroup_order,
     trivial_form,
-    two_adic_jordan,
     verify_fqf_iso,
 )
 from .intmat import (
@@ -58,6 +57,8 @@ from .lattice import Lattice, _check_int_matrix, gram_of_rows
 def exists_even_lattice(signature, form):
     """Whether an even lattice with this signature and discriminant form
     exists."""
+    if len(signature) != 2:
+        raise BadShape("the signature must have two entries")
     tpos, tneg = int(signature[0]), int(signature[1])
     if tpos < 0 or tneg < 0:
         return False
@@ -79,7 +80,7 @@ def exists_even_lattice(signature, form):
             if splits_unit_block(form):
                 continue
             unit = 1
-            for block in two_adic_jordan(form):
+            for block in _jordan_split(form, 2):
                 if block[0] == "q":
                     unit = (unit * block[2].numerator) % 8
                 elif block[0] == "u":
@@ -90,7 +91,7 @@ def exists_even_lattice(signature, form):
                 return False
         else:
             value = (-1) ** tneg * rest
-            for _, qval in odd_jordan(form, p):
+            for _, _, qval in _jordan_split(form, p):
                 value *= qval.numerator
             if legendre(value % p, p) != 1:
                 return False
@@ -324,11 +325,31 @@ class StarReport:
     verdict: bool
 
 
+def _check_child_rank(parent, child):
+    """Degenerate unless the child is a Lattice; BadShape unless it has the
+    parent's rank, as a sublattice of finite index does."""
+    if not isinstance(child, Lattice):
+        raise Degenerate("the child must be a nondegenerate lattice")
+    if child.rank != parent.rank:
+        raise BadShape("the child must have the parent's rank %d" % parent.rank)
+
+
+def _descent_index(parent, child):
+    """The index of the child in the parent, whose square is child.det /
+    parent.det; GramMismatch when that ratio is not the square of an
+    integer."""
+    _check_child_rank(parent, child)
+    ratio, rem = divmod(child.det, parent.det)
+    index = None if rem else sqrt_exact(ratio)
+    if index is None:
+        raise GramMismatch("child det %d over parent det %d is not a square"
+                           % (child.det, parent.det))
+    return index
+
+
 def condition_star(parent, child):
     """Coprimality and length bounds controlling odd-index descent."""
-    ratio = Fraction(child.det, parent.det)
-    assert ratio.denominator == 1
-    index = sqrt_exact(int(ratio))
+    index = _descent_index(parent, child)
     fl = discriminant_form(parent)
     fc = discriminant_form(child)
     gcd_ok = gcd(2 * fl.group_order, index) == 1
@@ -395,24 +416,22 @@ def _two_part_projector(form):
     return crt_pair(1, 1 << a, 0, odd)[0]
 
 
-def _convert_gens(src_form, dst_form, gens, basis_change):
-    """Carry subgroup generators along rational points, projecting onto the
-    two-primary part on the far side."""
+def _convert_gens(src_form, dst_form, gens, change):
+    """Carry subgroup generators along rational points, multiplying their
+    lattice lifts by the matrix change and projecting onto the two-primary
+    part on the far side."""
     mu = _two_part_projector(dst_form)
     if not gens:
         return []
-    inv = inverse_fraction([list(r) for r in basis_change])
-    moved = mat_mul(_lift(src_form, gens), inv)
+    moved = mat_mul(_lift(src_form, gens), change)
     return [fqf_coords_of(dst_form, [mu * x for x in point]) for point in moved]
 
 
 def _check_child_basis(parent, child, child_basis):
-    """BadShape unless the child has the parent's rank (it is a sublattice
-    of finite index) and child_basis has child.rank integer rows of length
-    parent.rank; GramMismatch unless they carry the parent gram to the
-    child gram."""
-    if child.rank != parent.rank:
-        raise BadShape("the child must have the parent's rank %d" % parent.rank)
+    """The checks of `_check_child_rank`, then BadShape unless child_basis
+    has child.rank integer rows of length parent.rank and GramMismatch
+    unless they carry the parent gram to the child gram."""
+    _check_child_rank(parent, child)
     _check_int_matrix(child_basis)
     if len(child_basis) != child.rank or any(len(r) != parent.rank for r in child_basis):
         raise BadShape("child basis must have %d rows of length %d" % (child.rank, parent.rank))
@@ -432,7 +451,8 @@ def transfer_datum_down(parent, child, datum, child_basis):
     if not star.verdict:
         raise StarViolated("descent condition fails: %s" % (star,))
     fc = discriminant_form(child)
-    new_hl = _convert_gens(fl, fc, [list(r) for r in datum.h_l], child_basis)
+    inv = inverse_fraction([list(r) for r in child_basis])
+    new_hl = _convert_gens(fl, fc, [list(r) for r in datum.h_l], inv)
     extra = trivial_form()
     for p in prime_factors(star.index):
         extra = direct_sum_fqf(extra, p_part(fc, p))
@@ -447,17 +467,13 @@ def transfer_datum_down(parent, child, datum, child_basis):
 def transfer_datum_up(parent, child, datum, child_basis):
     """Carry a gluing datum from an odd-index sublattice back up."""
     _check_child_basis(parent, child, child_basis)
-    ratio = Fraction(child.det, parent.det)
-    index = sqrt_exact(int(ratio))
-    if index % 2 == 0:
+    if _descent_index(parent, child) % 2 == 0:
         raise EvenIndex("the sublattice index must be odd")
     fl = discriminant_form(parent)
     fc = discriminant_form(child)
     _, fn = _ambient_and_form()
     _check_datum_shape(datum, fc, fn)
-    mu = _two_part_projector(fl)
-    points = mat_mul(_lift(fc, [list(r) for r in datum.h_l]), child_basis)
-    new_hl = [fqf_coords_of(fl, [mu * x for x in point]) for point in points]
+    new_hl = _convert_gens(fc, fl, [list(r) for r in datum.h_l], child_basis)
     quot = _graph_quotient(fl, fn, new_hl, [list(r) for r in datum.gamma])
     new_kf = canonical_form(negate_fqf(quot))
     if not exists_even_lattice(datum.k_signature, new_kf):

@@ -95,6 +95,14 @@ def snf_diagonal_by_minor_gcds(m):
     return out
 
 
+def maximal_minor_gcd(m):
+    """Product of the Smith diagonal of a matrix of full row rank: the gcd
+    of its maximal minors, without the smaller minors that
+    snf_diagonal_by_minor_gcds also walks."""
+    rows = range(len(m))
+    return gcd(*(_minor(m, rows, cs) for cs in _combos(len(m[0]), len(m))))
+
+
 def _combos(n, k):
     def rec(start, acc):
         if len(acc) == k:

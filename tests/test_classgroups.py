@@ -7,11 +7,11 @@ from enrlat.classgroups import (
     fundamental_split,
     is_fundamental,
     prime2_splitting,
-    prime_discriminant_factors,
     ray_class2_order,
     reduce_form,
 )
 from enrlat.errors import BadCongruence, NotFundamental, NotImaginary
+from enrlat.intmat import prime_factors
 
 from _oracles import reduced_forms_by_direct_scan
 
@@ -67,21 +67,10 @@ def test_reduce_form_lands_on_listed_form():
 
 def test_ambiguous_count_is_two_power_genus_count():
     # number of ambiguous classes is 2^(t-1) with t the number of prime
-    # discriminant factors
+    # discriminant factors, one per prime dividing the discriminant
     for disc in (-15, -20, -24, -84, -120, -420):
-        t = len(prime_discriminant_factors(disc))
+        t = len(prime_factors(disc))
         assert class_group(disc).ambiguous_count == 2 ** (t - 1), disc
-
-
-def test_prime_discriminant_factors_multiply_back():
-    for disc in (-4, -8, -15, -20, -84, -120, -163, -420):
-        if not is_fundamental(disc):
-            continue
-        factors = prime_discriminant_factors(disc)
-        prod = 1
-        for f in factors:
-            prod *= f
-        assert prod == disc, disc
 
 
 def test_fundamental_split_frozen():

@@ -89,7 +89,22 @@ def test_error_envelope_names_the_error(tmp_path):
         (["verify-datum", "--gram", "[[4]]", "--datum-file", str(no_k)], "BadShape"),
         (["nikulin-exists", "--signature", "[1,0]", "--fqf-file", str(no_q)], "BadShape"),
         (["accept", "--criterion", "99"], "BadShape"),
+        (["im-phi-bound", "--gram", "[[1,2],[3]]"], "BadShape"),
+        (["im-phi-bound", "--gram", "[[2,1],[0,2]]"], "NotSymmetric"),
+        (["nikulin-exists", "--signature", "1"], "BadShape"),
+        (["nikulin-exists", "--signature", "1,2,3"], "BadShape"),
     ]
+    # a child whose det ratio to the parent is not a square, a child that
+    # is degenerate and one of smaller rank
+    for parent_gram, child_gram, kind in (("[[4,0],[0,4]]", "[[2,1],[1,2]]", "GramMismatch"),
+                                          ("[[4,0],[0,4]]", "[[4,0],[0,8]]", "GramMismatch")):
+        cases.append((["condition-star", "--parent-gram", parent_gram, "--child-gram", child_gram],
+                      kind))
+    rows = tmp_path / "rows.json"
+    rows.write_text("[[1,0]]")
+    for parent_gram, kind in (("[[0,1],[1,0]]", "Degenerate"), ("[[2,1],[1,2]]", "BadShape")):
+        cases.append((["condition-star", "--parent-gram", parent_gram, "--sublattice", str(rows)],
+                      kind))
     # gluing data for [[4,0],[0,4]] whose rows or K do not fit: H_L rows
     # have one entry per generator of its discriminant group, H_N and gamma
     # rows one per generator of N's
@@ -263,11 +278,14 @@ def test_verify_embedding_file_flow(tmp_path):
     assert env["verdicts"]["complement_twice_even"]
     assert env["payload"]["label"] == [1, 1]
 
-    bad = dict(good, images=[good["images"][0], [0, 0, 2, 4, 0, 0, 0, 0, 0, 0, 0, 0]])
-    path.write_text(json.dumps(bad))
-    code, out = run_cli(["--json", "verify-embedding", "--file", str(path)])
-    assert code == 1
-    assert not json.loads(out)["verdicts"]["valid"]
+    wrong_pairing = [good["images"][0], [0, 0, 2, 4, 0, 0, 0, 0, 0, 0, 0, 0]]
+    for images, reason in ((wrong_pairing, "GramMismatch"), (5, "BadShape")):
+        path.write_text(json.dumps(dict(good, images=images)))
+        code, out = run_cli(["--json", "verify-embedding", "--file", str(path)])
+        assert code == 1
+        env = json.loads(out)
+        assert not env["verdicts"]["valid"]
+        assert env["payload"]["reason"].startswith(reason + ":")
 
 
 def test_condition_star_command():

@@ -11,17 +11,16 @@ from enrlat.cli import main
 from enrlat.errors import Degenerate, NonWitt, NotSubgroup
 from enrlat.fqf import (
     FiniteQuadraticForm,
+    _jordan_split,
     _q_fingerprint,
     _subquotient,
     _walk,
     canonical_form,
     direct_sum_fqf,
     discriminant_form,
-    form_on_subgroup,
     fqf_isomorphic,
     milgram_signature,
     negate_fqf,
-    odd_jordan,
     p_part,
     perp_subgroup,
     subgroup_order,
@@ -29,12 +28,11 @@ from enrlat.fqf import (
     splits_unit_block,
     subgroup_matrix,
     trivial_form,
-    two_adic_jordan,
     verify_fqf_iso,
 )
 from enrlat.intmat import prime_factors
 from enrlat.nikulin import exists_even_lattice
-from enrlat.lattice import Lattice, direct_sum, standard_lattice
+from enrlat.lattice import Lattice, standard_lattice
 
 from _oracles import (
     brute_b,
@@ -74,7 +72,8 @@ def test_walk_kernel_against_product_q_of_and_brute_histogram():
         gens = [list(form.reduce([rng.randint(1, 7) for _ in form.orders])) for _ in range(2)]
         gens = [g for g in gens if any(g)]
         sub_values = [
-            [form.q_of(x) if i == j else form.b_of(x, y) for j, y in enumerate(gens)]
+            [form.q_of(x) if i == j else Fraction(form.b_num(x, y), form.den)
+             for j, y in enumerate(gens)]
             for i, x in enumerate(gens)
         ]
         units = [[int(i == j) for j in range(form.num_gens)] for i in range(form.num_gens)]
@@ -187,9 +186,9 @@ def test_odd_jordan_blocks_multiply_to_group_order():
         for p in prime_factors(form.group_order):
             if p == 2:
                 continue
-            blocks = odd_jordan(form, p)
+            blocks = _jordan_split(form, p)
             total = 1
-            for scale, _ in blocks:
+            for _, scale, _ in blocks:
                 total *= scale
             assert total == p_part(form, p).group_order
 
@@ -198,7 +197,7 @@ def test_two_adic_jordan_covers_group():
     rng = random.Random(89)
     for _ in range(10):
         form = discriminant_form(random_even_lattice(rng))
-        blocks = two_adic_jordan(form)
+        blocks = _jordan_split(form, 2)
         total = 1
         for blk in blocks:
             if blk[0] == "q":
@@ -360,13 +359,17 @@ def test_odd_index_sublattice_keeps_two_part():
         checked += 1
 
 
+def _form_on_subgroup(f, gens):
+    """The form f restricts to on the subgroup the gens generate: its
+    quotient by the trivial subgroup."""
+    return quotient_form(f, subgroup_matrix(f, gens), subgroup_matrix(f, []))
+
+
 def test_form_on_subgroup_takes_any_generators_of_the_subgroup():
-    # [[4]] generates the same order-3 subgroup of Z/6 as [[2]]; a list of
-    # generators is never mistaken for a subgroup matrix
+    # [[4]] generates the same order-3 subgroup of Z/6 as [[2]]
     form = FiniteQuadraticForm((6,), [[Fraction(1, 6)]])
-    two, coords2 = form_on_subgroup(form, [[2]])
-    four, coords4 = form_on_subgroup(form, [[4]])
-    assert two == four and coords2 == coords4
+    two = _form_on_subgroup(form, [[2]])
+    assert two == _form_on_subgroup(form, [[4]])
     assert two.orders == (3,) and two.values == ((Fraction(2, 3),),)
 
 
@@ -401,10 +404,9 @@ def test_integer_q_and_b_against_fraction_sums():
         for _ in range(30):
             x, y = rng.choice(elems), rng.choice(elems)
             assert form.q_of(x) == brute_q(form.values, x)
-            assert form.b_of(x, y) == brute_b(form.values, x, y)
+            assert Fraction(form.b_num(x, y), form.den) == brute_b(form.values, x, y)
             # the integer matrix over the denominator is the same form
             assert form.q_num(x) == form.q_of(x) * form.den
-            assert form.b_num(x, y) == form.b_of(x, y) * form.den
 
 
 def _block_form(block):
@@ -421,11 +423,7 @@ def test_jordan_blocks_sum_to_the_form():
     for form in _small_forms(rng, 60, 4096):
         total = trivial_form()
         for p in prime_factors(form.group_order):
-            if p == 2:
-                blocks = two_adic_jordan(form)
-            else:
-                blocks = [("q", scale, value) for scale, value in odd_jordan(form, p)]
-            for blk in blocks:
+            for blk in _jordan_split(form, p):
                 kinds[blk[0]] += 1
                 total = direct_sum_fqf(total, _block_form(blk))
         iso = fqf_isomorphic(total, form)
@@ -444,8 +442,8 @@ def test_exists_even_lattice_against_whole_group_walk():
         for p in prime_factors(form.group_order):
             checked[p == 2] += 1
             walked = walk_jordan(form.orders, form.values, p)
-            got = two_adic_jordan(form) if p == 2 else odd_jordan(form, p)
-            assert [b[1] for b in walked] == [b[1] if p == 2 else b[0] for b in got]
+            got = _jordan_split(form, p)
+            assert [b[1] for b in walked] == [b[1] for b in got]
         for rank in range(form.num_gens, form.num_gens + 3):
             for tpos in range(rank + 1):
                 sig = (tpos, rank - tpos)
@@ -474,8 +472,7 @@ def test_milgram_on_every_block_type_against_brute_sum():
             forms.append((kind, _block_form((kind, 2**k))))
     for kind, form in forms:
         (p,) = prime_factors(form.group_order)
-        blocks = two_adic_jordan(form) if p == 2 else [("q",) + b for b in odd_jordan(form, p)]
-        assert [b[0] for b in blocks] == [kind]
+        assert [b[0] for b in _jordan_split(form, p)] == [kind]
         assert milgram_signature(form) == brute_gauss_signature(form.orders, form.values), form
 
 
@@ -487,7 +484,7 @@ def test_degenerate_forms_raise_nonwitt():
     q_nonzero = [
         FiniteQuadraticForm((2,), [[Fraction(1)]]),
         FiniteQuadraticForm((4,), [[Fraction(1)]]),
-        form_on_subgroup(d4, [[1, 0]])[0],
+        _form_on_subgroup(d4, [[1, 0]]),
         direct_sum_fqf(three, FiniteQuadraticForm((2,), [[Fraction(1)]])),
     ]
     isotropic = next(x for x in u2.elements() if any(x) and u2.q_of(x) == 0)
@@ -496,7 +493,7 @@ def test_degenerate_forms_raise_nonwitt():
         FiniteQuadraticForm((3,), [[Fraction(0)]]),
         FiniteQuadraticForm((4,), [[Fraction(1, 2)]]),
         FiniteQuadraticForm((9,), [[Fraction(6, 9)]]),
-        form_on_subgroup(u2, [list(isotropic)])[0],
+        _form_on_subgroup(u2, [list(isotropic)]),
         direct_sum_fqf(u2, FiniteQuadraticForm((5,), [[Fraction(0)]])),
     ]
     for zero, forms in ((False, q_nonzero), (True, q_zero)):
@@ -528,7 +525,7 @@ def test_q_fingerprint_on_multi_prime_and_degenerate_forms():
     for form in _small_forms(rng, 30, 2000):
         forms.append(form)
         gens = [[rng.randrange(d) for d in form.orders]]
-        sub = form_on_subgroup(form, gens)[0]
+        sub = _form_on_subgroup(form, gens)
         if not sub.is_trivial:
             forms.append(sub)
             degenerate += len(brute_radical(sub.orders, sub.values)) > 1

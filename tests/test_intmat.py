@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from enrlat.intmat import (
     crt_pair,
     det_bareiss,
-    frac_rows_span_basis,
     hnf_rows,
     identity,
     inv_mod,
@@ -163,18 +162,6 @@ def test_inv_mod():
     for p in (3, 5, 7, 11):
         for a in range(1, p):
             assert a * inv_mod(a, p) % p == 1
-
-
-def test_frac_rows_span_basis_halves():
-    # group generated by Z^2 and (1/2, 0) is (1/2)Z x Z
-    rows = [[Fraction(1, 2), Fraction(0)], [Fraction(1, 2), Fraction(1)]]
-    basis = frac_rows_span_basis(rows, 2)
-    dens = sorted(x.denominator for r in basis for x in r if x)
-    assert len(basis) == 2
-    assert dens == [1, 2]
-    # index of Z^2 in the bigger group is 2: determinant of the basis is 1/2
-    det = basis[0][0] * basis[1][1] - basis[0][1] * basis[1][0]
-    assert abs(det) == Fraction(1, 2)
 
 
 def test_transpose_roundtrip():

@@ -1,5 +1,5 @@
+import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from enrlat.errors import (
     BadShape,
     Degenerate,
-    DependentVectors,
     NotEvenGram,
     UnknownTag,
 )
@@ -16,15 +15,15 @@ from enrlat.lattice import (
     Lattice,
     _TAGS,
     direct_sum,
-    gram_of_rows,
     orthogonal_complement,
-    overlattice_from_isotropic,
-    primitive_closure,
     rational_signature,
     rescale,
     standard_lattice,
     sublattice_from_gram_change,
 )
+from enrlat.intmat import snf_diagonal
+
+from _oracles import maximal_minor_gcd, snf_diagonal_by_minor_gcds
 
 
 def random_even_lattice(rng, max_rank=5, bound=8, det_cap=40000):
@@ -122,34 +121,12 @@ def test_signature_of_direct_sum_adds():
     assert both.det == u.det * e8.det
 
 
-def test_primitive_closure_idempotent():
-    rng = random.Random(47)
-    for _ in range(20):
-        lat = random_even_lattice(rng, max_rank=4)
-        n = lat.rank
-        k = rng.randint(1, n)
-        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
-        rows = [r for r in rows if any(r)]
-        if not rows:
-            continue
-        try:
-            closed, index = primitive_closure(lat, rows)
-        except DependentVectors:
-            continue
-        again, index2 = primitive_closure(lat, [list(r) for r in closed])
-        assert index >= 1
-        assert index2 == 1
-        span1 = sorted(tuple(r) for r in closed)
-        span2 = sorted(tuple(r) for r in again)
-        assert span1 == span2
-
-
 def test_scaled_rows_close_to_unit_index():
-    lat = standard_lattice("E8")
+    # the span of the rows has index 6 in its saturation: the product of
+    # their Smith diagonal
     rows = [[2, 0, 0, 0, 0, 0, 0, 0], [0, 3, 0, 0, 0, 0, 0, 0]]
-    closed, index = primitive_closure(lat, rows)
-    assert index == 6
-    assert len(closed) == 2
+    assert math.prod(snf_diagonal(rows)) == 6
+    assert math.prod(snf_diagonal_by_minor_gcds(rows)) == 6
 
 
 def test_complement_is_saturated():
@@ -162,8 +139,7 @@ def test_complement_is_saturated():
         rows, module = orthogonal_complement(n_amb, [v])
         for r in rows:
             assert n_amb.bilinear(r, v) == 0
-        _, index = primitive_closure(n_amb, [list(x) for x in rows])
-        assert index == 1
+        assert maximal_minor_gcd(rows) == 1
 
 
 def test_complement_of_unimodular_summand():
@@ -182,26 +158,6 @@ def test_sublattice_from_gram_change():
     rows = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
     sub = sublattice_from_gram_change(e8, rows)
     assert sub.det == e8.det * 2 ** 16
-
-
-def test_overlattice_recovers_dual_quotient():
-    # index f overlattice divides the discriminant order by f^2
-    lat = Lattice([[4, 0], [0, 4]])
-    form = discriminant_form(lat)
-    iso = None
-    for coords in form.elements():
-        if not any(coords):
-            continue
-        if form.q_of(coords) % 2 == 0 and form.element_order(coords) == 2:
-            iso = coords
-            break
-    assert iso is not None
-    over, index, rows = overlattice_from_isotropic(lat, form, [list(iso)])
-    assert index == 2
-    assert abs(over.det) * index * index == abs(lat.det)
-    for r in rows:
-        norm = gram_of_rows([r], [list(x) for x in lat.gram])[0][0]
-        assert Fraction(norm) % 2 == 0
 
 
 def test_rational_signature_handles_zero_diagonal():

@@ -1,0 +1,90 @@
+"""No public name that nothing uses.
+
+Walks the syntax tree of every module of `src/enrlat` and collects each
+public module-level function and class and each public method and
+property of those classes. Each one must be read somewhere in
+`src/enrlat` (not counting the re-exports of `__init__.py`) or in
+`demos/`, as a name or an attribute, outside its own definition. An
+import alone is not a use, and neither is a test: code kept alive only by
+its own tests is dead code.
+"""
+
+import ast
+from pathlib import Path
+
+import enrlat
+
+PACKAGE = Path(enrlat.__file__).parent
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def public_definitions(path, tree):
+    """(label, name, node) for each public module-level function and class
+    and each public method or property of those classes."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        out.append(("%s.%s" % (path.stem, node.name), node.name, node))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    out.append(("%s.%s.%s" % (path.stem, node.name, item.name), item.name, item))
+    return out
+
+
+def _reads(tree):
+    """(name, node id) of every ast.Name and ast.Attribute in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, id(node)
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, id(node)
+
+
+def dead_names(package, demos):
+    """Labels of the public definitions in package that nothing reads."""
+    modules = {p: _parse(p) for p in sorted(package.glob("*.py"))}
+    users = [tree for p, tree in modules.items() if p.name != "__init__.py"]
+    users += [_parse(p) for p in sorted(demos.glob("*.py"))]
+    reads = {}
+    for tree in users:
+        for name, node_id in _reads(tree):
+            reads.setdefault(name, set()).add(node_id)
+    dead = []
+    for path, tree in modules.items():
+        for label, name, node in public_definitions(path, tree):
+            inside = {id(n) for n in ast.walk(node)}
+            if not reads.get(name, set()) - inside:
+                dead.append(label)
+    return dead
+
+
+def test_every_public_name_has_a_user():
+    assert (PACKAGE / "fqf.py").exists() and any(DEMOS.glob("*.py"))
+    assert dead_names(PACKAGE, DEMOS) == []
+
+
+def test_guard_catches_each_pattern(tmp_path):
+    package, demos = tmp_path / "pkg", tmp_path / "demos"
+    package.mkdir()
+    demos.mkdir()
+    (package / "__init__.py").write_text("from .mod import exported, used\n")
+    (package / "mod.py").write_text(
+        "def used():\n    return 1\n\n"
+        "def exported():\n    return 2\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n"
+        "def _private():\n    return 3\n\n"
+        "class Box:\n"
+        "    @property\n    def size(self):\n        return 1\n\n"
+        "    def shown(self):\n        return self.size\n\n"
+        "    def unread(self):\n        return 0\n"
+    )
+    (demos / "demo.py").write_text(
+        "from pkg.mod import Box, imported_only\nprint(Box().shown())\n"
+    )
+    assert dead_names(package, demos) == ["mod.exported", "mod.recursive", "mod.Box.unread"]
