@@ -5,9 +5,8 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
-from math import floor, isqrt
+from math import isqrt
 
 from .classgroups import class_group, is_fundamental, ray_class2_order, cm_report
 from .embeddings import (
@@ -21,7 +20,7 @@ from .embeddings import (
 from .enriques import epsilon, generate_isometry, is_twice_even
 from .errors import EnrLatError
 from .fqf import discriminant_form, fqf_isomorphic, milgram_signature, p_part, trivial_form
-from .intmat import det_bareiss, inverse_fraction, is_prime, mat_mul, transpose
+from .intmat import det_bareiss, is_prime, mat_mul, transpose
 from .lattice import Lattice, standard_lattice
 from .nikulin import (
     condition_star,
@@ -188,19 +187,22 @@ def _criterion_6(fixtures):
 def naive_vectors(gram, value):
     """All nonzero integer vectors of the given norm, by box enumeration.
 
-    The box radius per coordinate is ceil(sqrt(|value| * (G^-1)_ii)) + 1.
+    The box radius per coordinate is ceil(sqrt(|value| * (G^-1)_ii)) + 1,
+    with (G^-1)_ii = det(G without row and column i) / det G.
     Every point of the box is visited; the norm is built up one coordinate
     at a time, adding t * (g_ii * t + 2 * sum_{j<i} g_ij x_j) for x_i = t.
     Shares no code with vectors_of_norm; only sensible for definite gram of
     rank at most 4.
     """
     n = len(gram)
-    inv = inverse_fraction([list(r) for r in gram])
+    det = abs(det_bareiss([list(r) for r in gram]))
     bounds = []
     for i in range(n):
-        radius = Fraction(abs(value)) * abs(inv[i][i])
-        root = isqrt(floor(radius))
-        bounds.append(root + (root * root < radius) + 1)
+        minor = abs(det_bareiss([[x for j, x in enumerate(r) if j != i]
+                                 for k, r in enumerate(gram) if k != i]))
+        top = abs(value) * minor
+        root = isqrt(top // det)
+        bounds.append(root + (root * root * det < top) + 1)
     out = set()
     x = [0] * n
 

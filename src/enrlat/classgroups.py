@@ -13,6 +13,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .intmat import legendre, prime_factors
+from .lattice import _check_gram
 
 
 def _check_disc(disc):
@@ -166,10 +167,9 @@ class CmReport:
 def cm_report(gram):
     """Endomorphism data of a positive definite even rank-2 lattice and
     whether the index-3 conclusion applies."""
-    if len(gram) != 2 or any(len(r) != 2 for r in gram):
+    _check_gram(gram)
+    if len(gram) != 2:
         raise BadShape("a two-by-two matrix is required")
-    if gram[0][1] != gram[1][0]:
-        raise BadShape("the matrix must be symmetric")
     if gram[0][0] % 2 or gram[1][1] % 2:
         raise NotEvenGram("diagonal entries must be even")
     a, b, c = gram[0][0] // 2, gram[0][1], gram[1][1] // 2

@@ -151,7 +151,7 @@ def _int_list(text, what):
     text = text.strip()
     if text.startswith("["):
         obj = _json_arg(text, what)
-        if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
+        if not isinstance(obj, list) or not all(map(_is_int, obj)):
             raise BadShape("%s must be a list of integers" % what)
         return obj
     try:

@@ -44,7 +44,7 @@ from .lattice import (
     rational_signature,
     standard_lattice,
 )
-from .intmat import rational_rank, snf_diagonal
+from .intmat import snf_diagonal
 
 
 def vectors_of_norm(lat, value, cap=200000):
@@ -353,13 +353,14 @@ def embedding_from_images(source, images):
     for r in rows:
         if len(r) != nlat.rank:
             raise BadShape("images must have length %d" % nlat.rank)
-    if rational_rank(rows) != len(rows):
+    diag = snf_diagonal(rows)
+    if len(diag) < len(rows) or 0 in diag:
         raise DependentVectors("images are dependent")
     got = gram_of_rows(rows, nlat.gram)
     want = [list(r) for r in source.gram]
     if got != want:
         raise GramMismatch("images have pairings %s, expected %s" % (got, want))
-    index = math.prod(snf_diagonal(rows))
+    index = math.prod(diag)
     if index != 1:
         raise NotPrimitive(index)
     return PrimitiveEmbedding(source, tuple(tuple(r) for r in rows), nlat)

@@ -85,10 +85,6 @@ class RankTooLarge(EnrLatError):
     pass
 
 
-class Unsupported(EnrLatError):
-    pass
-
-
 class BadPrime(EnrLatError):
     pass
 

@@ -18,17 +18,18 @@ Every form is worked on in its own presentation: its p-part is spanned by
 the multiples (d / p^a) e_i of its generators, and only the JSON boundary
 asks for invariant factors (`canonical_form`).
 
-`Fraction` stays at the edges: `q_of` returns one, `values` is the
-`Fraction` view of Q / m that the JSON boundary reads, and a discriminant
-form (and its negation) carries the lattice lifts of its generators
-(`_lift`) as rational vectors; no derived form does. No float
-enters any decision: the Gauss signature is a sum of closed-form phases of
-Jordan blocks (Legendre symbols, residues mod 8 and parities of
-exponents). Every walk over the elements of a group goes through `_walk`,
-which updates q in integers from one element to the next. The q-value
-histogram walks each p-part on its own and convolves; the isomorphism
-search still walks p-groups, so its cap stays until a complete set of
-local invariants replaces enumeration.
+`Fraction` stays at the edges: `q_of` returns one and `values` is the
+`Fraction` view of Q / m that the JSON boundary reads. The integer Smith
+form of a gram names the generators of its discriminant form and gives
+the coordinates of a dual vector from its integer pairings with the
+lattice basis (`_dual_basis`). No float enters any decision: the Gauss
+signature is a sum of closed-form phases of Jordan blocks (Legendre
+symbols, residues mod 8 and parities of exponents). Every walk over the
+elements of a group goes through `_walk`, which updates q in integers
+from one element to the next. The q-value histogram walks each p-part on
+its own and convolves; the isomorphism search still walks p-groups, so
+its cap stays until a complete set of local invariants replaces
+enumeration.
 """
 
 import math
@@ -38,14 +39,12 @@ from itertools import product
 from operator import add, mul
 
 from .errors import (
-    BadCongruence,
     BadShape,
     CapExceeded,
     Degenerate,
     NonWitt,
     NotIsotropic,
     NotSubgroup,
-    Unsupported,
 )
 from .intmat import (
     hnf_rows,
@@ -57,7 +56,6 @@ from .intmat import (
     prime_factors,
     right_kernel_int,
     snf_with_transforms,
-    solve_int,
     transpose,
     val_p,
 )
@@ -124,18 +122,6 @@ def _q_fingerprint(f):
     return tuple(sorted(hist.items()))
 
 
-def _lift(f, rows):
-    """Lattice vectors of the elements rows of f, if f carries generators."""
-    if f.gens_in_lattice is None:
-        return None
-    n = len(f.gens_in_lattice[0]) if f.gens_in_lattice else 0
-    return [
-        [sum((c * g[t] for c, g in zip(row, f.gens_in_lattice) if c), Fraction(0))
-         for t in range(n)]
-        for row in rows
-    ]
-
-
 def _form_on(f, rows, orders):
     """The form f induces on the elements rows, given their orders."""
     return FiniteQuadraticForm.over(orders, gram_of_rows(rows, f.qmat), f.den)
@@ -182,16 +168,16 @@ class FiniteQuadraticForm:
     def __init__(self, orders, values):
         vals = [[_frac(x) for x in row] for row in values]
         den = math.lcm(1, *(x.denominator for row in vals for x in row))
-        self._set(orders, [_scaled(row, den) for row in vals], den, None)
+        self._set(orders, [_scaled(row, den) for row in vals], den)
 
     @classmethod
-    def over(cls, orders, qmat, den, gens_in_lattice=None):
+    def over(cls, orders, qmat, den):
         """The form whose value matrix is the integer matrix qmat over den."""
         form = cls.__new__(cls)
-        form._set(orders, qmat, den, gens_in_lattice)
+        form._set(orders, qmat, den)
         return form
 
-    def _set(self, orders, qmat, den, gens_in_lattice):
+    def _set(self, orders, qmat, den):
         orders = tuple(int(d) for d in orders)
         if any(d < 2 for d in orders):
             raise BadShape("generator orders must be at least 2")
@@ -214,13 +200,6 @@ class FiniteQuadraticForm:
         self.orders = orders
         self.den = den // g
         self.qmat = tuple(tuple(x // g for x in r) for r in mat)
-        if gens_in_lattice is not None:
-            gens_in_lattice = tuple(
-                tuple(_frac(x) for x in row) for row in gens_in_lattice
-            )
-            if len(gens_in_lattice) != k:
-                raise BadShape("one lattice vector per generator required")
-        self.gens_in_lattice = gens_in_lattice
         self._values = None
         self._canonical = None
         self._jordan = {}
@@ -295,26 +274,32 @@ def trivial_form():
     return FiniteQuadraticForm((), ())
 
 
-def discriminant_form(lat):
-    """Dual quotient of an even lattice with its induced form.
+def _dual_basis(lat):
+    """The Smith form u G v = d of the gram G of lat, kept where d_i > 1:
+    the orders d_i, the rows u_i and the columns v_i.
 
-    Generators come with rational lifts (rows in the coordinates of lat),
-    which `_lift` and `fqf_coords_of` rely on.
+    Generator i of the dual quotient is u_i / d_i, since u_i G / d_i is
+    row i of v^-1. A dual vector whose pairings with the basis of lat are
+    the integer row y is y v^-1 in those generators, so its coordinates
+    are y v_i mod d_i.
     """
-    n = lat.rank
-    if n == 0:
-        return trivial_form()
     d, u, v = snf_with_transforms([list(r) for r in lat.gram])
-    kept = [i for i in range(n) if d[i][i] > 1]
-    gens = [[Fraction(x, d[i][i]) for x in u[i]] for i in kept]
-    # generator a is u[a] / d_a, so its pairings are W / (d_a d_b), which
+    kept = [i for i in range(lat.rank) if d[i][i] > 1]
+    return (tuple(d[i][i] for i in kept), [u[i] for i in kept],
+            [[row[i] for row in v] for i in kept])
+
+
+def discriminant_form(lat):
+    """Dual quotient of an even lattice with its induced form, on the
+    generators `_dual_basis` names."""
+    orders, rows, _ = _dual_basis(lat)
+    # generator a is u_a / d_a, so its pairings are W / (d_a d_b), which
     # is W (e / d_a) (e / d_b) over e^2 for e the exponent of the group
-    w = gram_of_rows([u[i] for i in kept], lat.gram)
-    orders = tuple(d[i][i] for i in kept)
+    w = gram_of_rows(rows, lat.gram)
     e = math.lcm(*orders)
     mat = [[w[a][b] * (e // da) * (e // db) for b, db in enumerate(orders)]
            for a, da in enumerate(orders)]
-    return FiniteQuadraticForm.over(orders, mat, e * e, gens_in_lattice=gens)
+    return FiniteQuadraticForm.over(orders, mat, e * e)
 
 
 def direct_sum_fqf(f1, f2):
@@ -327,9 +312,7 @@ def direct_sum_fqf(f1, f2):
 
 
 def negate_fqf(f):
-    return FiniteQuadraticForm.over(
-        f.orders, [[-x for x in r] for r in f.qmat], f.den, gens_in_lattice=f.gens_in_lattice
-    )
+    return FiniteQuadraticForm.over(f.orders, [[-x for x in r] for r in f.qmat], f.den)
 
 
 def canonical_form(f):
@@ -504,21 +487,6 @@ def quotient_form(f, tmat, smat):
         if any(f.b_num(t, s) for t in tgens):
             raise NotIsotropic("denominator pairs nontrivially with numerator")
     return _form_on(f, coords, orders)
-
-
-def fqf_coords_of(f, vector):
-    """Coordinates in f of a rational vector lying in the dual lattice."""
-    if f.gens_in_lattice is None:
-        raise Unsupported("form carries no lattice generators")
-    n = len(vector)
-    vec = [_frac(x) for x in vector]
-    den = math.lcm(*(x.denominator for row in f.gens_in_lattice + (vec,) for x in row))
-    rows = [_scaled(grow, den) for grow in f.gens_in_lattice]
-    rows += [[den if j == i else 0 for j in range(n)] for i in range(n)]
-    sol = solve_int(transpose(rows), _scaled(vec, den))
-    if sol is None:
-        raise BadCongruence("vector is not in the dual lattice")
-    return tuple(sol[i] % d for i, d in enumerate(f.orders))
 
 
 def splits_unit_block(f):

@@ -1,14 +1,12 @@
 """Exact matrix and number-theory helpers.
 
 Matrices are lists of row lists of int. Elimination is fraction free
-(Bareiss) or unimodular (Smith and Hermite forms), so an integer input
-never meets a Fraction. Only `inverse_fraction` returns Fractions, for
-inverses that really are rational; `mat_mul` multiplies rational matrices
-as well. Nothing here knows about lattices; this layer is pure linear
-algebra and elementary arithmetic.
+(Bareiss) or unimodular (Smith and Hermite forms), so nothing here meets a
+Fraction: ranks are read off the Smith diagonal and inverses are of
+unimodular matrices. Nothing here knows about lattices; this layer is pure
+linear algebra and elementary arithmetic.
 """
 
-from fractions import Fraction
 from math import isqrt
 from operator import mul
 
@@ -73,51 +71,6 @@ def det_bareiss(m):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def inverse_fraction(m):
-    """Inverse of a square matrix, returned with Fraction entries."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]
-
-
-def rational_rank(m):
-    """Rank over Q of an integer matrix, by fraction-free row echelon.
-
-    After each pivot every remaining entry is a minor of m, so the
-    division by the previous pivot is exact, as in det_bareiss.
-    """
-    a = copy_mat(m)
-    rows, cols = len(a), len(a[0]) if a else 0
-    rank, prev = 0, 1
-    for c in range(cols):
-        piv = next((i for i in range(rank, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        top = a[rank]
-        p = top[c]
-        for i in range(rank + 1, rows):
-            f = a[i][c]
-            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
-        prev = p
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def inverse_unimodular(m):
@@ -259,23 +212,6 @@ def right_kernel_int(m):
             out.append([v[i][j] for i in range(cols)])
     return out
 
-
-def solve_int(m, b):
-    """One integer solution x of m*x = b (columns convention), or None."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    d, u, v = snf_with_transforms(m)
-    c = mat_vec(u, b)
-    y = [0] * cols
-    for i in range(rows):
-        di = d[i][i] if i < min(rows, cols) else 0
-        if i < cols and di != 0:
-            if c[i] % di != 0:
-                return None
-            y[i] = c[i] // di
-        elif c[i] != 0:
-            return None
-    return mat_vec(v, y)
 
 
 def hnf_rows(rows, ncols=None):

@@ -7,7 +7,6 @@ DegenerateQuadraticModule rather than errors, because orthogonal complements
 inside hyperbolic pieces routinely produce them.
 """
 
-import math
 from operator import mul
 
 from .errors import (
@@ -22,8 +21,8 @@ from .errors import (
 from .intmat import (
     det_bareiss,
     mat_mul,
-    rational_rank,
     right_kernel_int,
+    snf_diagonal,
     transpose,
 )
 
@@ -56,18 +55,18 @@ def _check_gram(m):
 
 
 def rational_signature(gram):
-    """(positive, negative, zero) inertia of a symmetric rational matrix.
+    """(positive, negative, zero) inertia over Q of a symmetric integer
+    matrix.
 
-    Fraction-free symmetric elimination over int, scaled to integers
-    first. With diagonal pivots every remaining entry is a minor of the
-    matrix, so the division by the previous pivot is exact, as in
-    rational_rank, and pivot k is the leading principal minor D_k: its
-    Schur pivot D_k / D_(k-1) contributes its sign. When every remaining
-    diagonal entry is zero but a_ij is not, e_i + e_j has norm 2 a_ij and
-    takes the place of e_i, a unimodular change of basis.
+    Fraction-free symmetric elimination over int. With diagonal pivots
+    every remaining entry is a minor of the matrix, so the division by the
+    previous pivot is exact, as in det_bareiss, and pivot k is the leading
+    principal minor D_k: its Schur pivot D_k / D_(k-1) contributes its
+    sign. When every remaining diagonal entry is zero but a_ij is not,
+    e_i + e_j has norm 2 a_ij and takes the place of e_i, a unimodular
+    change of basis.
     """
-    den = math.lcm(1, *(x.denominator for r in gram for x in r))
-    a = [[int(x * den) for x in r] for r in gram]
+    a = [list(r) for r in gram]
     live = list(range(len(a)))
     pos = neg = 0
     prev = 1
@@ -176,8 +175,7 @@ def rescale(lat, s):
 
 
 def gram_of_rows(rows, gram):
-    """Gram matrix rows * gram * rows^T: int for integer rows, exact
-    Fraction for rational ones."""
+    """Gram matrix rows * gram * rows^T."""
     return mat_mul(mat_mul(rows, gram), transpose(rows))
 
 
@@ -186,7 +184,8 @@ def sublattice_from_gram_change(lat, rows):
     _check_int_matrix(rows)
     if rows and len(rows[0]) != lat.rank:
         raise BadShape("row length must equal the ambient rank")
-    if rational_rank(rows) != len(rows):
+    diag = snf_diagonal(rows)
+    if len(diag) < len(rows) or 0 in diag:
         raise DependentVectors("rows are dependent")
     g = gram_of_rows(rows, lat.gram)
     pos, neg, zero = rational_signature(g)

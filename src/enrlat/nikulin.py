@@ -3,10 +3,11 @@ primitive embeddings of the rank-12 ambient lattice, and odd-index descent."""
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .enriques import ambient
 from .errors import (
+    BadCongruence,
     BadPrime,
     BadShape,
     CapExceeded,
@@ -22,13 +23,12 @@ from .errors import (
 )
 from .fqf import (
     FiniteQuadraticForm,
+    _dual_basis,
     _jordan_split,
-    _lift,
     _order_two_elements,
     canonical_form,
     direct_sum_fqf,
     discriminant_form,
-    fqf_coords_of,
     fqf_isomorphic,
     milgram_signature,
     negate_fqf,
@@ -43,12 +43,12 @@ from .fqf import (
 )
 from .intmat import (
     crt_pair,
-    inverse_fraction,
     is_prime,
     legendre,
     mat_mul,
     prime_factors,
     sqrt_exact,
+    transpose,
     val_p,
 )
 from .lattice import Lattice, _check_int_matrix, gram_of_rows
@@ -282,7 +282,7 @@ def find_embedding_datum(lat):
                 return got
             continue
 
-        def extend(hl, gamma, span_l):
+        def extend(hl, gamma, span_l, span_n):
             nodes[0] += 1
             if nodes[0] > DATUM_NODE_CAP:
                 raise CapExceeded(
@@ -295,7 +295,9 @@ def find_embedding_datum(lat):
                 if ta in span_l:
                     continue
                 for b, qb in two_n:
-                    if qb != qa:
+                    # an image inside the span of the earlier images makes
+                    # the identification non-injective
+                    if qb != qa or b in span_n:
                         continue
                     if any(
                         fn.b_num(b, gamma[i]) * fl.den != fl.b_num(a, hl[i]) * fn.den
@@ -305,12 +307,13 @@ def find_embedding_datum(lat):
                     new_span = span_l | {fl.reduce(map(add, s, ta)) for s in span_l}
                     if len(new_span) != 2 * len(span_l):
                         continue
-                    got = extend(hl + [a], gamma + [b], new_span)
+                    got = extend(hl + [a], gamma + [b], new_span,
+                                 span_n | {fn.reduce(map(add, s, b)) for s in span_n})
                     if got is not None:
                         return got
             return None
 
-        got = extend([], [], {tuple([0] * fl.num_gens)})
+        got = extend([], [], {tuple([0] * fl.num_gens)}, {tuple([0] * fn.num_gens)})
         if got is not None:
             return got
     raise NotFound("no gluing datum within the search bound")
@@ -404,9 +407,10 @@ def index_p_sublattice(lat, p):
     return Lattice(gram_of_rows(rows, g)), rows
 
 
-def _two_part_projector(form):
-    """Multiplier sending every element to its two-primary component."""
-    expo = lcm(*form.orders)
+def _two_part_projector(orders):
+    """Multiplier sending every element of (+) Z/orders[i] to its
+    two-primary component."""
+    expo = lcm(*orders)
     a = val_p(expo, 2)
     odd = expo >> a if a else expo
     if odd == 1:
@@ -416,15 +420,32 @@ def _two_part_projector(form):
     return crt_pair(1, 1 << a, 0, odd)[0]
 
 
-def _convert_gens(src_form, dst_form, gens, change):
-    """Carry subgroup generators along rational points, multiplying their
-    lattice lifts by the matrix change and projecting onto the two-primary
-    part on the far side."""
-    mu = _two_part_projector(dst_form)
+def _convert_gens(src, dst, gens, pairing):
+    """Carry subgroup generators of the discriminant group of the lattice
+    src to that of dst, projecting onto the two-primary part on the far
+    side. The integer matrix pairing sends a vector of src to its pairings
+    with the basis of dst.
+
+    Generator i of src is u_i / d_i (`_dual_basis`), so for e the exponent
+    a row c of gens is z / e with z = sum_i c_i (e / d_i) u_i, and its
+    pairings with dst are z pairing / e. Where mu times them is not
+    integral the point is not in the dual of dst: BadCongruence.
+    """
     if not gens:
         return []
-    moved = mat_mul(_lift(src_form, gens), change)
-    return [fqf_coords_of(dst_form, [mu * x for x in point]) for point in moved]
+    orders, rows, _ = _dual_basis(src)
+    dst_orders, _, cols = _dual_basis(dst)
+    mu = _two_part_projector(dst_orders)
+    e = lcm(*orders)
+    lifts = [[sum(c * (e // d) * r[t] for c, d, r in zip(g, orders, rows))
+              for t in range(src.rank)] for g in gens]
+    out = []
+    for point in mat_mul(lifts, pairing):
+        if any(mu * x % e for x in point):
+            raise BadCongruence("vector is not in the dual lattice")
+        y = [mu * x // e for x in point]
+        out.append(tuple(sum(map(mul, y, col)) % d for col, d in zip(cols, dst_orders)))
+    return out
 
 
 def _check_child_basis(parent, child, child_basis):
@@ -451,8 +472,9 @@ def transfer_datum_down(parent, child, datum, child_basis):
     if not star.verdict:
         raise StarViolated("descent condition fails: %s" % (star,))
     fc = discriminant_form(child)
-    inv = inverse_fraction([list(r) for r in child_basis])
-    new_hl = _convert_gens(fl, fc, [list(r) for r in datum.h_l], inv)
+    # B^-1 G_child = G_parent B^T for the child basis B
+    new_hl = _convert_gens(parent, child, datum.h_l,
+                           mat_mul(parent.gram, transpose(child_basis)))
     extra = trivial_form()
     for p in prime_factors(star.index):
         extra = direct_sum_fqf(extra, p_part(fc, p))
@@ -473,7 +495,7 @@ def transfer_datum_up(parent, child, datum, child_basis):
     fc = discriminant_form(child)
     _, fn = _ambient_and_form()
     _check_datum_shape(datum, fc, fn)
-    new_hl = _convert_gens(fc, fl, [list(r) for r in datum.h_l], child_basis)
+    new_hl = _convert_gens(child, parent, datum.h_l, mat_mul(child_basis, parent.gram))
     quot = _graph_quotient(fl, fn, new_hl, [list(r) for r in datum.gamma])
     new_kf = canonical_form(negate_fqf(quot))
     if not exists_even_lattice(datum.k_signature, new_kf):

@@ -10,21 +10,6 @@ from itertools import product
 from math import gcd, isqrt, pi, sqrt
 
 
-def _fraction_inverse(m):
-    n = len(m)
-    a = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
 def sigma3(k):
     return sum(d ** 3 for d in range(1, k + 1) if k % d == 0)
 

@@ -93,6 +93,15 @@ def test_error_envelope_names_the_error(tmp_path):
         (["im-phi-bound", "--gram", "[[2,1],[0,2]]"], "NotSymmetric"),
         (["nikulin-exists", "--signature", "1"], "BadShape"),
         (["nikulin-exists", "--signature", "1,2,3"], "BadShape"),
+        # a JSON boolean is no integer
+        (["epsilon", "--vector", "[true,false,0,0,0,0,0,0,0,0,0,0]"], "BadShape"),
+        (["nikulin-exists", "--signature", "[true,false]"], "BadShape"),
+        (["brauer-image", "--rho", "20", "--params", "[1,true,1]"], "BadShape"),
+        (["theorem-c", "--gram", '[["a",1],[1,2]]'], "BadShape"),
+        (["theorem-c", "--gram", "[[2.5,1],[1,10]]"], "BadShape"),
+        (["theorem-c", "--gram", "[[true,1],[1,2]]"], "BadShape"),
+        (["theorem-c", "--gram", "[[2,1],[0,2]]"], "NotSymmetric"),
+        (["theorem-c", "--gram", "[[2,1,0],[1,2,0],[0,0,2]]"], "BadShape"),
     ]
     # a child whose det ratio to the parent is not a square, a child that
     # is degenerate and one of smaller rank

@@ -7,6 +7,7 @@ from enrlat import nikulin
 from enrlat.errors import (
     BadPrime,
     CapExceeded,
+    EnrLatError,
     EvenIndex,
     NotTwoGroup,
     StarViolated,
@@ -122,6 +123,21 @@ def test_find_and_verify_datum_for_four_four():
     assert ok, reasons
 
 
+@pytest.mark.parametrize("gram", [
+    [[8, 2, 4], [2, -8, 2], [4, 2, 0]],
+    [[-6, 2, 4], [2, 2, 4], [4, 4, 6]],
+    [[-8, 4, 4], [4, -4, 2], [4, 2, 0]],
+])
+def test_found_identification_is_injective(gram):
+    # each has a search path that sends two generators of H_L to one
+    # element, which the search must skip
+    lat = Lattice(gram)
+    datum = find_embedding_datum(lat)
+    assert len(set(datum.gamma)) == len(datum.gamma)
+    ok, reasons = verify_embedding_datum(lat, datum)
+    assert ok, reasons
+
+
 def test_spent_datum_search_budget_raises_cap_exceeded(monkeypatch):
     # [[4,0],[0,4]] needs two search nodes
     monkeypatch.setattr(nikulin, "DATUM_NODE_CAP", 1)
@@ -212,6 +228,33 @@ def test_transfer_round_trip():
     assert up.h_l == datum.h_l
     assert up.gamma == datum.gamma
     assert fqf_isomorphic(up.k_fqf, datum.k_fqf) is not None
+
+
+def test_transfer_round_trip_sweep():
+    """Down then up returns the datum's H_L and K form, whenever the
+    search, the descent and the lift all succeed."""
+    rng = random.Random(1313)
+    done = 0
+    for _ in range(200):
+        n = rng.randint(1, 2)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * rng.randint(-2, 2)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-5, 5)
+        p = rng.choice((3, 5, 7))
+        try:
+            parent = Lattice(g)
+            datum = find_embedding_datum(parent)
+            child, rows = index_p_sublattice(parent, p)
+            down = transfer_datum_down(parent, child, datum, rows)
+            up = transfer_datum_up(parent, child, down, rows)
+        except EnrLatError:
+            continue
+        assert up.h_l == datum.h_l, (g, p)
+        assert up.k_fqf == datum.k_fqf, (g, p)
+        done += 1
+    assert done >= 100
 
 
 def test_transfer_guards():

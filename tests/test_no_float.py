@@ -5,6 +5,10 @@ import of `cmath`, any use of `sqrt` (`math.sqrt` or an imported `sqrt`),
 any use of the name `float` and any complex literal. The one allowance is
 the wall-clock fields of `acceptance.CriterionResult` (`elapsed`, `limit`),
 which time criteria and decide nothing about a lattice or a form.
+
+It also fails on an import of `fractions` outside `fqf.py`, which holds
+the rational q values, and `cli.py`, which reads them from JSON: below
+that boundary the package computes in `int`.
 """
 
 import ast
@@ -14,6 +18,7 @@ import enrlat
 
 PACKAGE = Path(enrlat.__file__).parent
 ALLOWED_FLOAT_FIELDS = {("acceptance.py", "elapsed"), ("acceptance.py", "limit")}
+FRACTION_MODULES = {"fqf.py", "cli.py"}
 
 
 def _allowed_annotations(path, tree):
@@ -62,3 +67,28 @@ def test_guard_catches_each_pattern(tmp_path):
     )
     kinds = sorted(kind for _, kind in float_uses(bad))
     assert kinds == ["complex literal", "float", "float", "import cmath", "import sqrt", "sqrt"]
+
+
+def fraction_imports(paths):
+    """path:line of each import of `fractions` outside FRACTION_MODULES."""
+    found = []
+    for path in paths:
+        if path.name in FRACTION_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "fractions"):
+                found.append("%s:%d" % (path.name, node.lineno))
+    return found
+
+
+def test_fractions_stay_at_the_edges():
+    assert fraction_imports(sorted(PACKAGE.rglob("*.py"))) == []
+
+
+def test_fraction_guard_catches_each_pattern(tmp_path):
+    for name, text in (("a.py", "from fractions import Fraction\n"),
+                       ("b.py", "import math\nimport fractions\n"),
+                       ("fqf.py", "from fractions import Fraction\n")):
+        (tmp_path / name).write_text(text)
+    assert fraction_imports(sorted(tmp_path.glob("*.py"))) == ["a.py:1", "b.py:2"]
