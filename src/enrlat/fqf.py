@@ -26,10 +26,10 @@ lattice basis (`_dual_basis`). No float enters any decision: the Gauss
 signature is a sum of closed-form phases of Jordan blocks (Legendre
 symbols, residues mod 8 and parities of exponents). Every walk over the
 elements of a group goes through `_walk`, which updates q in integers
-from one element to the next. The q-value histogram walks each p-part on
-its own and convolves; the isomorphism search still walks p-groups, so
-its cap stays until a complete set of local invariants replaces
-enumeration.
+from one element to the next. The isomorphism test compares the q-value
+histograms of the p-parts that differ, then walks those p-groups in its
+backtrack, so its cap stays until a complete set of local invariants
+replaces enumeration.
 """
 
 import math
@@ -100,26 +100,11 @@ def _walk(f):
             i -= 1
 
 
-def _q_fingerprint(f):
-    """Sorted (q * f.den, count) pairs over the whole group.
-
-    The p-parts are orthogonal, so q(x) is the sum of the q values of the
-    p-components of x: the histogram is the convolution of the p-parts'
-    histograms, and the walk visits the sum of their orders, not the
-    product. Nothing here needs b to be nondegenerate.
-    """
-    twom = 2 * f.den
-    hist = {0: 1}
-    for p in prime_factors(f.group_order):
-        pf = p_part(f, p)
-        scale = f.den // pf.den
-        part = Counter(_walk(pf))
-        conv = Counter()
-        for a, ca in hist.items():
-            for b, cb in part.items():
-                conv[(a + b * scale) % twom] += ca * cb
-        hist = conv
-    return tuple(sorted(hist.items()))
+def _q_histogram(f, den):
+    """Sorted (q * den, count) pairs over the whole group, for den a
+    multiple of f.den. Nothing here needs b to be nondegenerate."""
+    scale = den // f.den
+    return sorted(Counter(q * scale for q in _walk(f)).items())
 
 
 def _form_on(f, rows, orders):
@@ -627,6 +612,11 @@ def fqf_isomorphic(f1, f2):
     identity when the two are equal). Since the sum over p of
     inv(d / p^a mod p^a) d / p^a is 1 mod d, generator i goes to the sum
     over p of that multiple of the image of its p-component.
+
+    Before any backtrack, each pair of p-parts that differ must have equal
+    q histograms, one walk of each p-group. The backtracks share ISO_CAP,
+    so a later p-part that fails its histogram ends the test before an
+    earlier backtrack can spend the cap.
     """
     if f1.den != f2.den or f1.group_order != f2.group_order:
         return None
@@ -638,9 +628,8 @@ def fqf_isomorphic(f1, f2):
         if sorted(o1) != sorted(o2):
             return None
         parts.append((p, _form_on(f1, c1, o1), _form_on(f2, c2, o2), c2))
-    # the whole q histogram is the convolution of the p-parts' ones and
-    # determines them, so no p-part is compared again
-    if any(p1 != p2 for _, p1, p2, _ in parts) and _q_fingerprint(f1) != _q_fingerprint(f2):
+    m = f1.den
+    if any(p1 != p2 and _q_histogram(p1, m) != _q_histogram(p2, m) for _, p1, p2, _ in parts):
         return None
     spent = [0]
     images = [[0] * f2.num_gens for _ in range(f1.num_gens)]

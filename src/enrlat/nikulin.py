@@ -250,7 +250,12 @@ def verify_embedding_datum(lat, datum):
 
 
 def find_embedding_datum(lat):
-    """Bounded search for a gluing datum, smallest subgroup first."""
+    """Bounded search for a gluing datum, smallest subgroup first.
+
+    The subgroup H_L ~ (Z/2)^k runs over the levels k from
+    ceil((l2 + n2 - want_rank) / 2) (at least 0) to min(l2, n2), for l2
+    and n2 the 2-lengths of the two discriminant forms.
+    """
     nlat, fn = _ambient_and_form()
     fl = discriminant_form(lat)
     want_rank = nlat.rank - lat.rank
@@ -271,49 +276,45 @@ def find_embedding_datum(lat):
             return None
         return make_datum(hl, gamma, gamma, want_rank, want_sig, kf)
 
-    max_k = 0
-    while 2 ** (max_k + 1) <= min(fl.group_order, fn.group_order):
-        max_k += 1
-
-    for k in range(0, max_k + 1):
-        if k == 0:
-            got = attempt([], [])
-            if got is not None:
-                return got
-            continue
-
-        def extend(hl, gamma, span_l, span_n):
-            nodes[0] += 1
-            if nodes[0] > DATUM_NODE_CAP:
-                raise CapExceeded(
-                    "gluing-datum search spent %d nodes, over its cap of %d"
-                    % (nodes[0], DATUM_NODE_CAP))
-            if len(hl) == k:
-                return attempt(hl, gamma)
-            for a, qa in two_l:
-                ta = tuple(a)
-                if ta in span_l:
+    def extend(k, hl, gamma, span_l, span_n):
+        nodes[0] += 1
+        if nodes[0] > DATUM_NODE_CAP:
+            raise CapExceeded(
+                "gluing-datum search spent %d nodes, over its cap of %d"
+                % (nodes[0], DATUM_NODE_CAP))
+        if len(hl) == k:
+            return attempt(hl, gamma)
+        for a, qa in two_l:
+            ta = tuple(a)
+            if ta in span_l:
+                continue
+            for b, qb in two_n:
+                # an image inside the span of the earlier images makes
+                # the identification non-injective
+                if qb != qa or b in span_n:
                     continue
-                for b, qb in two_n:
-                    # an image inside the span of the earlier images makes
-                    # the identification non-injective
-                    if qb != qa or b in span_n:
-                        continue
-                    if any(
-                        fn.b_num(b, gamma[i]) * fl.den != fl.b_num(a, hl[i]) * fn.den
-                        for i in range(len(hl))
-                    ):
-                        continue
-                    new_span = span_l | {fl.reduce(map(add, s, ta)) for s in span_l}
-                    if len(new_span) != 2 * len(span_l):
-                        continue
-                    got = extend(hl + [a], gamma + [b], new_span,
-                                 span_n | {fn.reduce(map(add, s, b)) for s in span_n})
-                    if got is not None:
-                        return got
-            return None
+                if any(
+                    fn.b_num(b, gamma[i]) * fl.den != fl.b_num(a, hl[i]) * fn.den
+                    for i in range(len(hl))
+                ):
+                    continue
+                new_span = span_l | {fl.reduce(map(add, s, ta)) for s in span_l}
+                if len(new_span) != 2 * len(span_l):
+                    continue
+                got = extend(k, hl + [a], gamma + [b], new_span,
+                             span_n | {fn.reduce(map(add, s, b)) for s in span_n})
+                if got is not None:
+                    return got
+        return None
 
-        got = extend([], [], {tuple([0] * fl.num_gens)}, {tuple([0] * fn.num_gens)})
+    # H_L lies in fl[2] and H_N in fn[2], so k is at most l2 and n2. The
+    # quotient H^perp / H of the difference form has 2-length at least
+    # l2 + n2 - 2k, so below the lower level every leaf has more than
+    # want_rank generators and fails.
+    l2 = sum(1 for d in fl.orders if d % 2 == 0)
+    n2 = sum(1 for d in fn.orders if d % 2 == 0)
+    for k in range(max(0, -((want_rank - l2 - n2) // 2)), min(l2, n2) + 1):
+        got = extend(k, [], [], {tuple([0] * fl.num_gens)}, {tuple([0] * fn.num_gens)})
         if got is not None:
             return got
     raise NotFound("no gluing datum within the search bound")

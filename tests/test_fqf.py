@@ -12,7 +12,7 @@ from enrlat.errors import Degenerate, NonWitt, NotSubgroup
 from enrlat.fqf import (
     FiniteQuadraticForm,
     _jordan_split,
-    _q_fingerprint,
+    _q_histogram,
     _subquotient,
     _walk,
     canonical_form,
@@ -91,7 +91,7 @@ def test_walk_kernel_against_product_q_of_and_brute_histogram():
                      for j in range(form.num_gens)]
                 assert Fraction(qnum, m) == form.q_of(x)
             brute = Counter(q for _, q in brute_q_values(orders, values))
-            hist = tuple((Fraction(q, m), c) for q, c in _q_fingerprint(walked))
+            hist = tuple((Fraction(q, m), c) for q, c in _q_histogram(walked, m))
             assert hist == tuple(sorted(brute.items()))
 
 
@@ -510,7 +510,7 @@ def test_degenerate_forms_raise_nonwitt():
                 exists_even_lattice((form.num_gens, 0), form)
 
 
-def test_q_fingerprint_on_multi_prime_and_degenerate_forms():
+def test_q_histogram_on_multi_prime_and_degenerate_forms():
     rng = random.Random(149)
     forms = [
         FiniteQuadraticForm((12, 6, 5), [[Fraction(1, 12), Fraction(1, 6), 0],
@@ -531,7 +531,7 @@ def test_q_fingerprint_on_multi_prime_and_degenerate_forms():
             degenerate += len(brute_radical(sub.orders, sub.values)) > 1
     assert degenerate
     for form in forms:
-        hist = tuple((Fraction(q, form.den), c) for q, c in _q_fingerprint(form))
+        hist = tuple((Fraction(q, form.den), c) for q, c in _q_histogram(form, form.den))
         assert hist == _brute_histogram(form)
     assert sum(len(prime_factors(f.group_order)) > 1 for f in forms) > 5
 

@@ -128,9 +128,11 @@ def test_find_and_verify_datum_for_four_four():
     [[-6, 2, 4], [2, 2, 4], [4, 4, 6]],
     [[-8, 4, 4], [4, -4, 2], [4, 2, 0]],
 ])
-def test_found_identification_is_injective(gram):
+def test_found_identification_is_injective(gram, monkeypatch):
     # each has a search path that sends two generators of H_L to one
-    # element, which the search must skip
+    # element, which the search must skip; the levels the 2-lengths rule
+    # out cost no nodes, so three nodes find the datum
+    monkeypatch.setattr(nikulin, "DATUM_NODE_CAP", 10)
     lat = Lattice(gram)
     datum = find_embedding_datum(lat)
     assert len(set(datum.gamma)) == len(datum.gamma)
