@@ -288,10 +288,45 @@ def _frame_tuples(gram):
                 return
 
 
+# gram (as a tuple of rows) -> the tuples iter_tuples_in_e82 has yielded for
+# it: a list while the search may go on, a tuple once it has run to its end.
+# Plain tuples of ints, never a suspended search; the oldest gram goes first.
+_TUPLES = {}
+_TUPLES_KEPT = 256
+
+
 def iter_tuples_in_e82(gram):
     """Yield tuples of vectors of the definite scaled piece with the given
     mutual pairings that span a primitive sublattice, deterministically
-    ordered."""
+    ordered.
+
+    The tuples yielded are kept per gram and replayed on the next call; a
+    caller that reads past them reruns the search, skips what is kept and
+    keeps what follows. The search is deterministic, so every call yields
+    what a fresh search yields, CapExceeded included.
+    """
+    key = tuple(map(tuple, gram))
+    kept = _TUPLES.get(key)
+    if kept is None:
+        if len(_TUPLES) >= _TUPLES_KEPT:
+            del _TUPLES[next(iter(_TUPLES))]
+        kept = _TUPLES[key] = []
+    done = 0
+    while done < len(kept):
+        yield kept[done]
+        done += 1
+    if isinstance(kept, tuple):
+        return
+    for n, rows in enumerate(_search_tuples(key)):
+        if n >= done:
+            if n == len(kept):
+                kept.append(rows)
+            yield rows
+    if _TUPLES.get(key) is kept:
+        _TUPLES[key] = tuple(kept)
+
+
+def _search_tuples(gram):
     e82 = standard_lattice("E82")
     t = len(gram)
     nodes = [0]
@@ -540,29 +575,52 @@ def _candidates(fam, template, params):
 # candidate tuples embedding_for_label tries per label permutation
 ATTEMPT_CAP = 200
 
+# (rho, params) -> (family, source Lattice, [(permutation, permuted
+# params)]) of the last few parameter sets that passed the check
+_PREPARED = {}
+_PREPARED_KEPT = 16
+
+
+def _prepared(rho, params):
+    key = (rho, params)
+    got = _PREPARED.get(key)
+    if got is None:
+        fam = _family(rho)
+        g = t_gram(rho, params)
+        if rational_signature([row[:fam.block] for row in g[:fam.block]]) != fam.signature:
+            raise BadParams(fam.message)
+        perms = [(sigma, fam.params([[g[s][t] for t in sigma] for s in sigma]))
+                 for sigma in fam.perms]
+        if len(_PREPARED) >= _PREPARED_KEPT:
+            del _PREPARED[next(iter(_PREPARED))]
+        got = _PREPARED[key] = (fam, Lattice(g), perms)
+    return got
+
 
 def embedding_for_label(rho, params, label):
-    """Primitive embedding with prescribed parity label from the tables."""
-    fam = _family(rho)
-    params = tuple(int(x) for x in params)
-    g = t_gram(rho, params)
-    if rational_signature([row[:fam.block] for row in g[:fam.block]]) != fam.signature:
-        raise BadParams(fam.message)
+    """Primitive embedding with prescribed parity label from the tables.
+
+    Each permutation tries at most ATTEMPT_CAP candidates. NotFound means
+    every permutation ran out of candidates; CapExceeded means none
+    succeeded and at least one stopped at the cap.
+    """
+    fam, source, perms = _prepared(rho, tuple(int(x) for x in params))
     label = tuple(int(x) % 2 for x in label)
-    if len(label) != len(g):
-        raise BadShape("label must have length %d" % len(g))
+    if len(label) != source.rank:
+        raise BadShape("label must have length %d" % source.rank)
     if not any(label):
         raise NotFound("the tables cover nonzero labels only")
-    source = Lattice(g)
-    for sigma in fam.perms:
+    spent = 0
+    capped = False
+    for sigma, sigma_params in perms:
         template = fam.templates.get(tuple(label[s] for s in sigma))
         if template is None:
             continue
-        gp = [[g[s][t] for t in sigma] for s in sigma]
         attempts = 0
-        for rows in _candidates(fam, template, fam.params(gp)):
+        for rows in _candidates(fam, template, sigma_params):
             attempts += 1
             if attempts > ATTEMPT_CAP:
+                capped = True
                 break
             images = [None] * len(label)
             for i, s in enumerate(sigma):
@@ -573,6 +631,10 @@ def embedding_for_label(rho, params, label):
                 continue
             assert emb.label == label
             return emb
+        spent += attempts
+    if capped:
+        raise CapExceeded("label search drew %d candidates, over its cap of %d per permutation"
+                          % (spent, ATTEMPT_CAP))
     raise NotFound("no table entry produced a valid embedding for %s" % (label,))
 
 
@@ -614,7 +676,7 @@ def realized_characters(rho, params):
             continue
         try:
             embedding_for_label(rho, params, label)
-        except (NotFound, BadParams, CapExceeded):
+        except (NotFound, CapExceeded):
             continue
         out.append(label)
     return sorted(out)

@@ -3,8 +3,11 @@
 Matrices are lists of row lists of int. Elimination is fraction free
 (Bareiss) or unimodular (Smith and Hermite forms), so nothing here meets a
 Fraction: ranks are read off the Smith diagonal and inverses are of
-unimodular matrices. Nothing here knows about lattices; this layer is pure
-linear algebra and elementary arithmetic.
+unimodular matrices. The Smith forms share one core (`_smith`) that carries
+each transform only when its caller reads it: `snf_diagonal` carries
+neither, `right_kernel_int` only the column transform. Nothing here knows
+about lattices; this layer is pure linear algebra and elementary
+arithmetic.
 """
 
 from math import isqrt
@@ -12,7 +15,7 @@ from operator import mul
 
 
 def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
 
 
 def copy_mat(m):
@@ -87,85 +90,88 @@ def inverse_unimodular(m):
     return [r[:n] for r in h]
 
 
-def snf_with_transforms(m):
-    """Smith form with transforms: returns (d, u, v), u*m*v = d.
+def _smith(m, want_u, want_v):
+    """Smith form of m as (a, u, vt): u*m*v = a, vt the transpose of v.
 
-    d is diagonal with nonnegative entries and d[i] | d[i+1]. The pivot at
-    every stage is the nonzero entry minimizing (abs value, row, col), which
-    pins the whole computation down deterministically.
+    u is carried only when want_u is set and vt only when want_v is set;
+    the other is None. vt holds the columns of v as rows, so a column
+    operation on v is one list comprehension. The pivot at every stage is
+    the nonzero entry minimizing (abs value, row, col), which pins the whole
+    computation down deterministically; the scan takes each row's least
+    absolute value and stops at the first row holding a unit.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = copy_mat(m)
-    u = identity(rows)
-    v = identity(cols)
+    u = identity(rows) if want_u else None
+    vt = identity(cols) if want_v else None
 
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
+    def swap(t, i, j):
+        if i != t:
+            a[t], a[i] = a[i], a[t]
+            if u is not None:
+                u[t], u[i] = u[i], u[t]
+        if j != t:
             for r in a:
-                r[i], r[j] = r[j], r[i]
-            for r in v:
-                r[i], r[j] = r[j], r[i]
+                r[t], r[j] = r[j], r[t]
+            if vt is not None:
+                vt[t], vt[j] = vt[j], vt[t]
 
     def row_sub(i, j, q):
         # row_i -= q * row_j
-        if q:
-            a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        if u is not None:
             u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
-    def col_sub(i, j, q):
-        # col_i -= q * col_j
-        if q:
-            for r in a:
-                r[i] -= q * r[j]
-            for r in v:
-                r[i] -= q * r[j]
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     def reduce_at(t):
         while True:
-            piv = None
+            best = None
             for i in range(t, rows):
-                ai = a[i]
-                for j in range(t, cols):
-                    if ai[j] != 0:
-                        key = (abs(ai[j]), i, j)
-                        if piv is None or key < piv:
-                            piv = key
-            if piv is None:
+                mags = list(map(abs, a[i][t:]))
+                least = min(filter(None, mags), default=0)
+                if least and (best is None or least < best[0]):
+                    best = (least, i, t + mags.index(least))
+                    if least == 1:
+                        break
+            if best is None:
                 return False
-            _, pi, pj = piv
-            swap_rows(t, pi)
-            swap_cols(t, pj)
+            swap(t, best[1], best[2])
+            piv = a[t][t]
             dirty = False
             for i in range(t + 1, rows):
                 if a[i][t]:
-                    row_sub(i, t, a[i][t] // a[t][t])
+                    row_sub(i, t, a[i][t] // piv)
                     if a[i][t]:
                         dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    col_sub(j, t, a[t][j] // a[t][t])
-                    if a[t][j]:
-                        dirty = True
+            # every column j > t takes col_j -= q_j * col_t at once
+            qs = [x // piv for x in a[t][t + 1:]]
+            if any(qs):
+                for r in a:
+                    c = r[t]
+                    if c:
+                        r[t + 1:] = [x - q * c for x, q in zip(r[t + 1:], qs)]
+                if vt is not None:
+                    col = vt[t]
+                    for j, q in enumerate(qs, t + 1):
+                        if q:
+                            vt[j] = [x - q * y for x, y in zip(vt[j], col)]
+                dirty = dirty or any(a[t][t + 1:])
             if not dirty:
                 return True
 
+    n = min(rows, cols)
     t = 0
-    while t < min(rows, cols):
-        if not reduce_at(t):
-            break
+    while t < n and reduce_at(t):
         t += 1
 
-    n = min(rows, cols)
     for i in range(n):
         if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
+            negate_row(i)
 
     # enforce the divisibility chain
     changed = True
@@ -178,20 +184,28 @@ def snf_with_transforms(m):
                 reduce_at(i)
                 for k in range(i, n):
                     if a[k][k] < 0:
-                        a[k] = [-x for x in a[k]]
-                        u[k] = [-x for x in u[k]]
+                        negate_row(k)
                 changed = True
                 break
             if di == 0 and dj != 0:
-                swap_rows(i, i + 1)
-                swap_cols(i, i + 1)
+                swap(i, i + 1, i + 1)
                 changed = True
                 break
-    return a, u, v
+    return a, u, vt
+
+
+def snf_with_transforms(m):
+    """Smith form with transforms: returns (d, u, v), u*m*v = d.
+
+    d is diagonal with nonnegative entries and d[i] | d[i+1]; see _smith
+    for the pivot rule.
+    """
+    d, u, vt = _smith(m, True, True)
+    return d, u, transpose(vt)
 
 
 def snf_diagonal(m):
-    d, _, _ = snf_with_transforms(m)
+    d, _, _ = _smith(m, False, False)
     n = min(len(m), len(m[0]) if m else 0)
     return [d[i][i] for i in range(n)]
 
@@ -204,14 +218,9 @@ def right_kernel_int(m):
         return []
     if rows == 0:
         return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    d, _, v = snf_with_transforms(m)
-    out = []
-    for j in range(cols):
-        dj = d[j][j] if j < min(rows, cols) else 0
-        if dj == 0:
-            out.append([v[i][j] for i in range(cols)])
-    return out
-
+    d, _, vt = _smith(m, False, True)
+    n = min(rows, cols)
+    return [vt[j] for j in range(cols) if j >= n or d[j][j] == 0]
 
 
 def hnf_rows(rows, ncols=None):

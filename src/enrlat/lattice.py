@@ -1,10 +1,13 @@
 """Even integral lattices with exact arithmetic.
 
 A Lattice wraps a nondegenerate symmetric integer Gram matrix with even
-diagonal. All derived data (determinant, signature) is computed exactly and
-cached on the instance. Degenerate restrictions are first class citizens via
+diagonal. Its determinant and signature come from one fraction-free
+symmetric elimination (`_eliminate`), run once when it is built: the
+pivots' signs give the signature and the last pivot is the determinant.
+Degenerate restrictions are first class citizens via
 DegenerateQuadraticModule rather than errors, because orthogonal complements
-inside hyperbolic pieces routinely produce them.
+inside hyperbolic pieces routinely produce them: a restriction is built as a
+Lattice, and only a singular gram falls back to the module.
 """
 
 from operator import mul
@@ -18,13 +21,10 @@ from .errors import (
     UnknownTag,
     ZeroScale,
 )
-from .intmat import (
-    det_bareiss,
-    mat_mul,
-    right_kernel_int,
-    snf_diagonal,
-    transpose,
-)
+from .intmat import identity, right_kernel_int, snf_diagonal
+
+
+_INT = {int}
 
 
 def _check_int_matrix(m):
@@ -38,9 +38,12 @@ def _check_int_matrix(m):
             width = len(r)
         elif len(r) != width:
             raise BadShape("ragged matrix")
-        for x in r:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise BadShape("entries must be integers")
+        # a row of plain ints passes on its types alone; only another row
+        # (an int subclass, a bool, anything else) is checked entry by entry
+        if not _INT.issuperset(map(type, r)):
+            for x in r:
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise BadShape("entries must be integers")
 
 
 def _check_gram(m):
@@ -50,50 +53,62 @@ def _check_gram(m):
     n = len(m)
     if any(len(r) != n for r in m):
         raise BadShape("gram must be square")
-    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+    if list(map(tuple, m)) != list(zip(*m)):
         raise NotSymmetric("gram must be symmetric")
 
 
-def rational_signature(gram):
-    """(positive, negative, zero) inertia over Q of a symmetric integer
-    matrix.
+def _eliminate(gram):
+    """(positive, negative, zero, det) of a symmetric integer matrix: its
+    inertia over Q and its determinant, from one elimination.
 
     Fraction-free symmetric elimination over int. With diagonal pivots
     every remaining entry is a minor of the matrix, so the division by the
     previous pivot is exact, as in det_bareiss, and pivot k is the leading
     principal minor D_k: its Schur pivot D_k / D_(k-1) contributes its
-    sign. When every remaining diagonal entry is zero but a_ij is not,
-    e_i + e_j has norm 2 a_ij and takes the place of e_i, a unimodular
-    change of basis.
+    sign, and the last pivot is the determinant. A zero pivot is swapped,
+    row and column, for a later nonzero diagonal entry. When every
+    remaining diagonal entry is zero but a_ij is not, e_i + e_j has norm
+    2 a_ij and takes the place of e_i, a unimodular change of basis. Both
+    keep the inertia and the determinant.
     """
     a = [list(r) for r in gram]
-    live = list(range(len(a)))
+    n = len(a)
     pos = neg = 0
     prev = 1
-    while live:
-        piv = next((i for i in live if a[i][i]), None)
-        if piv is None:
-            pair = next(((i, j) for i in live for j in live if i < j and a[i][j]), None)
-            if pair is None:
-                break  # remaining block is zero: the radical
-            piv, j = pair
-            for t in live:
-                a[piv][t] += a[j][t]
-            for t in live:
-                a[t][piv] += a[t][j]
-        p = a[piv][piv]
+    for k in range(n):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][i]), None)
+            j = None
+            if i is None:
+                i, j = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
+                            (None, None))
+                if i is None:
+                    return pos, neg, n - k, 0  # remaining block is zero: the radical
+            a[k], a[i] = a[i], a[k]
+            for r in a:
+                r[k], r[i] = r[i], r[k]
+            if j is not None:
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+                for r in a:
+                    r[k] += r[j]
+        p = a[k][k]
         if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        live.remove(piv)
-        col = a[piv]
-        for u in live:
+        col = a[k]
+        for u in range(k + 1, n):
             row, cu = a[u], col[u]
-            for w in live:
+            for w in range(k + 1, n):
                 row[w] = (p * row[w] - cu * col[w]) // prev
         prev = p
-    return pos, neg, len(live)
+    return pos, neg, 0, prev
+
+
+def rational_signature(gram):
+    """(positive, negative, zero) inertia over Q of a symmetric integer
+    matrix, by the elimination of _eliminate."""
+    return _eliminate(gram)[:3]
 
 
 class DegenerateQuadraticModule:
@@ -119,25 +134,16 @@ class Lattice:
 
     def __init__(self, gram):
         _check_gram(gram)
-        g = [list(r) for r in gram]
-        n = len(g)
-        if any(g[i][i] % 2 for i in range(n)):
+        n = len(gram)
+        if any(gram[i][i] % 2 for i in range(n)):
             raise NotEvenGram("diagonal must be even")
-        det = det_bareiss(g)
-        if n > 0 and det == 0:
+        pos, neg, zero, det = _eliminate(gram)
+        if zero:
             raise Degenerate("gram is singular")
-        self.gram = tuple(tuple(r) for r in g)
+        self.gram = tuple(map(tuple, gram))
         self.rank = n
         self.det = det
-        self._signature = None
-
-    @property
-    def signature(self):
-        if self._signature is None:
-            pos, neg, zero = rational_signature(self.gram)
-            assert zero == 0
-            self._signature = (pos, neg)
-        return self._signature
+        self.signature = (pos, neg)
 
     def bilinear(self, x, y):
         # x . (G y), one pass over the rows of G
@@ -174,9 +180,28 @@ def rescale(lat, s):
     return Lattice([[s * x for x in row] for row in lat.gram])
 
 
+def _times(rows, gram):
+    # rows * gram for a symmetric gram, whose rows are its columns
+    return [[sum(map(mul, r, col)) for col in gram] for r in rows]
+
+
 def gram_of_rows(rows, gram):
-    """Gram matrix rows * gram * rows^T."""
-    return mat_mul(mat_mul(rows, gram), transpose(rows))
+    """Gram matrix rows * gram * rows^T of a symmetric gram.
+
+    The product is symmetric: only its lower triangle is computed, and the
+    upper one is read off it.
+    """
+    low = [[sum(map(mul, x, y)) for y in rows[:i + 1]]
+           for i, x in enumerate(_times(rows, gram))]
+    return [row + [low[j][i] for j in range(i + 1, len(low))] for i, row in enumerate(low)]
+
+
+def _module(g):
+    # a Lattice, or the DegenerateQuadraticModule of a gram with a radical
+    try:
+        return Lattice(g)
+    except Degenerate:
+        return DegenerateQuadraticModule(g, rational_signature(g)[2])
 
 
 def sublattice_from_gram_change(lat, rows):
@@ -187,11 +212,7 @@ def sublattice_from_gram_change(lat, rows):
     diag = snf_diagonal(rows)
     if len(diag) < len(rows) or 0 in diag:
         raise DependentVectors("rows are dependent")
-    g = gram_of_rows(rows, lat.gram)
-    pos, neg, zero = rational_signature(g)
-    if zero:
-        return DegenerateQuadraticModule(g, zero)
-    return Lattice(g)
+    return _module(gram_of_rows(rows, lat.gram))
 
 
 def orthogonal_complement(lat, rows):
@@ -204,18 +225,8 @@ def orthogonal_complement(lat, rows):
     n = lat.rank
     if rows and len(rows[0]) != n:
         raise BadShape("row length must equal the ambient rank")
-    rg = mat_mul([list(r) for r in rows], [list(r) for r in lat.gram])
-    cols = right_kernel_int(rg) if rows else [
-        [1 if i == j else 0 for i in range(n)] for j in range(n)
-    ]
-    basis = [list(c) for c in cols]
-    g = gram_of_rows(basis, lat.gram)
-    pos, neg, zero = rational_signature(g)
-    if zero:
-        return basis, DegenerateQuadraticModule(g, zero)
-    if not basis:
-        return basis, Lattice([])
-    return basis, Lattice(g)
+    basis = right_kernel_int(_times(rows, lat.gram)) if rows else identity(n)
+    return basis, _module(gram_of_rows(basis, lat.gram))
 
 
 _U = [[0, 1], [1, 0]]

@@ -97,6 +97,8 @@ def test_error_envelope_names_the_error(tmp_path):
         (["epsilon", "--vector", "[true,false,0,0,0,0,0,0,0,0,0,0]"], "BadShape"),
         (["nikulin-exists", "--signature", "[true,false]"], "BadShape"),
         (["brauer-image", "--rho", "20", "--params", "[1,true,1]"], "BadShape"),
+        # parameters the tables refuse are refused, not swept to the zero character
+        (["brauer-image", "--rho", "17", "--params", "[0]"], "BadParams"),
         (["theorem-c", "--gram", '[["a",1],[1,2]]'], "BadShape"),
         (["theorem-c", "--gram", "[[2.5,1],[1,10]]"], "BadShape"),
         (["theorem-c", "--gram", "[[true,1],[1,2]]"], "BadShape"),

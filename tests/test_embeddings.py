@@ -2,7 +2,7 @@ import gc
 import math
 import random
 import time
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,9 +230,11 @@ def test_embedding_from_images_detects_imprimitive():
 def test_rho_17_sweep_leaves_no_tracked_objects(monkeypatch):
     # the E8(2) vector cache holds thousands of vectors; stored as tuples of
     # ints they leave the cyclic collector's tracked set, so a full
-    # collection does not walk them again. An empty cache makes the sweep
-    # fill it whatever ran before.
+    # collection does not walk them again. Empty caches make the sweep fill
+    # them whatever ran before: kept tuples would skip the enumeration.
     monkeypatch.setattr(embeddings, "_E82_CACHE", {})
+    monkeypatch.setattr(embeddings, "_TUPLES", {})
+    monkeypatch.setattr(embeddings, "_PREPARED", {})
     gc.collect()
     before = len(gc.get_objects())
     for m in (1, 2, 3):
@@ -350,3 +352,91 @@ def test_suggested_params_validate():
             assert len(params) == size
             g = t_gram(rho, params)
             assert all(g[i][i] % 2 == 0 for i in range(len(g)))
+
+
+# ------------------------------------------- kept tuples and parameters
+
+def test_same_gram_twice_yields_the_same_tuples(monkeypatch):
+    monkeypatch.setattr(embeddings, "_TUPLES", {})
+    gram = [[-8, 0], [0, -12]]
+    first = list(islice(iter_tuples_in_e82(gram), 4))
+    assert len(first) == 4
+    assert list(islice(iter_tuples_in_e82(gram), 4)) == first
+    kept = embeddings._TUPLES[((-8, 0), (0, -12))]
+    assert all(type(x) is int for rows in kept for row in rows for x in row)
+
+
+def test_reading_past_the_kept_tuples_matches_a_fresh_search(monkeypatch):
+    gram = [[-4, -2], [-2, -8]]
+    monkeypatch.setattr(embeddings, "_TUPLES", {})
+    fresh = list(islice(iter_tuples_in_e82(gram), 7))
+    monkeypatch.setattr(embeddings, "_TUPLES", {})
+    assert list(islice(iter_tuples_in_e82(gram), 2)) == fresh[:2]
+    assert list(islice(iter_tuples_in_e82(gram), 7)) == fresh
+    assert list(islice(iter_tuples_in_e82(gram), 3)) == fresh[:3]
+
+
+def test_a_finished_search_is_replayed_whole(monkeypatch):
+    monkeypatch.setattr(embeddings, "_TUPLES", {})
+    gram = [[-4, -4], [-4, -4]]  # t1 = t0 spans no primitive rank-2 sublattice
+    assert list(iter_tuples_in_e82(gram)) == []
+    assert embeddings._TUPLES[((-4, -4), (-4, -4))] == ()
+    assert list(iter_tuples_in_e82(gram)) == []
+
+
+def test_spent_tuple_search_raises_on_every_call(monkeypatch):
+    monkeypatch.setattr(embeddings, "_TUPLES", {})
+    monkeypatch.setattr(embeddings, "TUPLE_NODE_CAP", 300)
+    # the first tuples come within the cap and are kept; the search past
+    # them runs out of nodes on every call
+    gram = [[-4, -2], [-2, -4]]
+    for _ in range(3):
+        with pytest.raises(CapExceeded, match="spent 301 nodes"):
+            list(iter_tuples_in_e82(gram))
+    assert embeddings._TUPLES[((-4, -2), (-2, -4))]
+    monkeypatch.setattr(embeddings, "TUPLE_NODE_CAP", 5)
+    for _ in range(3):
+        with pytest.raises(CapExceeded, match="spent 6 nodes"):
+            list(iter_tuples_in_e82([[-4, -4], [-4, -4]]))
+
+
+def test_label_checks_hold_with_parameters_kept():
+    embedding_for_label(20, (1, 0, 1), (1, 0))
+    assert (20, (1, 0, 1)) in embeddings._PREPARED
+    for _ in range(2):
+        with pytest.raises(BadShape):
+            embedding_for_label(20, (1, 0, 1), (1, 0, 0))
+        with pytest.raises(NotFound):
+            embedding_for_label(20, (1, 0, 1), (0, 0))
+        assert embedding_for_label(20, (1, 0, 1), (0, 1)).label == (0, 1)
+
+
+def test_bad_parameters_are_refused_on_every_call():
+    for _ in range(2):
+        with pytest.raises(BadParams):
+            embedding_for_label(17, (0,), (1, 0, 0, 0, 0))
+        with pytest.raises(BadParams):
+            embedding_for_label(20, (1, 3, 1), (1, 0))
+        with pytest.raises(BadParams):
+            realized_characters(17, (0,))
+    assert (17, (0,)) not in embeddings._PREPARED
+
+
+def test_spent_label_search_raises_cap_exceeded(monkeypatch):
+    monkeypatch.setattr(embeddings, "ATTEMPT_CAP", 0)
+    # (1, 1) meets a template under both permutations; each draws one
+    # candidate past the cap
+    with pytest.raises(CapExceeded, match="drew 2 candidates, over its cap of 0"):
+        embedding_for_label(20, (1, 0, 1), (1, 1))
+    with pytest.raises(CapExceeded):
+        embedding_for_label(17, (1,), (1, 0, 0, 0, 0))
+
+
+def test_exhausted_label_search_raises_not_found(monkeypatch):
+    # no tuple at all: every permutation runs out below the cap
+    monkeypatch.setattr(embeddings, "iter_tuples_in_e82", lambda gram: iter(()))
+    with pytest.raises(NotFound):
+        embedding_for_label(17, (1,), (1, 0, 0, 0, 0))
+    monkeypatch.setattr(embeddings, "ATTEMPT_CAP", 0)
+    with pytest.raises(NotFound):
+        embedding_for_label(17, (1,), (1, 0, 0, 0, 0))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -257,3 +258,47 @@ def test_gram_of_rows_against_fraction_triple_sum(data):
     assert got == direct(ints)
     assert all(type(x) is int for row in got for x in row)
     assert gram_of_rows(fracs, g) == direct(fracs)
+
+
+# ------------------------------------- pinned outputs of the kernels
+
+def _kernel_matrices(rng, count):
+    """Seeded matrices of 1-6 rows and 1-13 columns: dense, sparse, small
+    and large entries, and rank deficient ones whose rows combine
+    earlier rows."""
+    out = []
+    for _ in range(count):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 13)
+        bound = rng.choice((1, 2, 4, 9, 40))
+        zero = rng.choice((0.0, 0.3, 0.7))
+        m = [[0 if rng.random() < zero else rng.randint(-bound, bound) for _ in range(cols)]
+             for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.3:
+            i = rng.randrange(1, rows)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            m[i] = [a * x + b * y for x, y in zip(m[i - 1], m[0])]
+        out.append(m)
+    return out
+
+
+def _symmetric(rng, n):
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            g[i][j] = g[j][i] = rng.randint(-6, 6)
+    return g
+
+
+# sha256 of the outputs of snf_with_transforms, snf_diagonal,
+# right_kernel_int and gram_of_rows on 2,000 seeded matrices
+KERNEL_DIGEST = "6d0ab173c32e773406ee789d3351ac63e797cd9dab353e02d3f75aa1b49f9cda"
+
+
+def test_kernel_outputs_are_pinned():
+    rng = random.Random(2024)
+    lines = []
+    for m in _kernel_matrices(rng, 2000):
+        g = _symmetric(rng, len(m[0]))
+        lines.append(repr((m, snf_with_transforms(m), snf_diagonal(m), right_kernel_int(m),
+                           gram_of_rows(m, g))))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KERNEL_DIGEST

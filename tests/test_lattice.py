@@ -21,7 +21,7 @@ from enrlat.lattice import (
     standard_lattice,
     sublattice_from_gram_change,
 )
-from enrlat.intmat import snf_diagonal
+from enrlat.intmat import det_bareiss, snf_diagonal
 
 from _oracles import maximal_minor_gcd, snf_diagonal_by_minor_gcds
 
@@ -158,6 +158,32 @@ def test_sublattice_from_gram_change():
     rows = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
     sub = sublattice_from_gram_change(e8, rows)
     assert sub.det == e8.det * 2 ** 16
+
+
+def test_one_elimination_gives_det_and_signature():
+    # the constructor reads both off the elimination rational_signature
+    # runs; det_bareiss is a second, unsymmetric elimination
+    rng = random.Random(41)
+    built = 0
+    for _ in range(3000):
+        n = rng.randint(0, 7)
+        zero_diag = rng.random() < 0.4
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 0 if zero_diag and rng.random() < 0.8 else 2 * rng.randint(-4, 4)
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = rng.choice((0, rng.randint(-5, 5)))
+        det = det_bareiss(g)
+        if det == 0:
+            with pytest.raises(Degenerate):
+                Lattice(g)
+            continue
+        lat = Lattice(g)
+        assert lat.det == det
+        assert lat.signature == rational_signature(g)[:2]
+        assert sum(lat.signature) == n
+        built += 1
+    assert built > 2000
 
 
 def test_rational_signature_handles_zero_diagonal():
