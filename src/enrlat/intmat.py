@@ -15,7 +15,10 @@ from operator import mul
 
 
 def identity(n):
-    return [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, r in enumerate(rows):
+        r[i] = 1
+    return rows
 
 
 def copy_mat(m):
@@ -156,10 +159,13 @@ def _smith(m, want_u, want_v):
                     if c:
                         r[t + 1:] = [x - q * c for x, q in zip(r[t + 1:], qs)]
                 if vt is not None:
-                    col = vt[t]
+                    # col_t of v starts as a unit vector and stays sparse
+                    col = [(k, y) for k, y in enumerate(vt[t]) if y]
                     for j, q in enumerate(qs, t + 1):
                         if q:
-                            vt[j] = [x - q * y for x, y in zip(vt[j], col)]
+                            vj = vt[j]
+                            for k, y in col:
+                                vj[k] -= q * y
                 dirty = dirty or any(a[t][t + 1:])
             if not dirty:
                 return True
@@ -205,9 +211,29 @@ def snf_with_transforms(m):
 
 
 def snf_diagonal(m):
-    d, _, _ = _smith(m, False, False)
+    """The min(rows, cols) invariant factors of m, as on the Smith diagonal.
+
+    They do not depend on how they are found, so each unit entry is peeled
+    off first: row operations clear its column, its row is dropped and
+    the diagonal gains a 1. _smith, with no transform, takes the rest.
+    """
     n = min(len(m), len(m[0]) if m else 0)
-    return [d[i][i] for i in range(n)]
+    a = [list(r) for r in m]
+    ones = 0
+    while True:
+        i = next((i for i, r in enumerate(a) if 1 in r or -1 in r), None)
+        if i is None:
+            break
+        top = a.pop(i)
+        j = next(j for j, x in enumerate(top) if x in (1, -1))
+        for k, r in enumerate(a):
+            if r[j]:
+                q = r[j] * top[j]
+                a[k] = [x - q * y for x, y in zip(r, top)]
+        ones += 1
+    d, _, _ = _smith(a, False, False)
+    rest = [d[i][i] for i in range(min(len(a), len(a[0]) if a else 0))]
+    return ([1] * ones + rest)[:n]
 
 
 def right_kernel_int(m):

@@ -181,15 +181,31 @@ def rescale(lat, s):
 
 
 def _times(rows, gram):
-    # rows * gram for a symmetric gram, whose rows are its columns
-    return [[sum(map(mul, r, col)) for col in gram] for r in rows]
+    """rows * gram for a symmetric gram.
+
+    A row with at most half its entries nonzero gives the sum of the gram
+    rows those entries select; any other row one dot product per gram row,
+    which is also a column.
+    """
+    n = len(gram)
+    out = []
+    for r in rows:
+        if 2 * (n - r.count(0)) <= n:
+            acc = [0] * n
+            for i, x in enumerate(r):
+                if x:
+                    acc = [a + x * g for a, g in zip(acc, gram[i])]
+        else:
+            acc = [sum(map(mul, r, col)) for col in gram]
+        out.append(acc)
+    return out
 
 
 def gram_of_rows(rows, gram):
     """Gram matrix rows * gram * rows^T of a symmetric gram.
 
-    The product is symmetric: only its lower triangle is computed, and the
-    upper one is read off it.
+    rows * gram is taken by _times. The product is symmetric: only its
+    lower triangle is computed, and the upper one is read off it.
     """
     low = [[sum(map(mul, x, y)) for y in rows[:i + 1]]
            for i, x in enumerate(_times(rows, gram))]
