@@ -98,7 +98,7 @@ def _smith(m, want_u, want_v):
 
     u is carried only when want_u is set and vt only when want_v is set;
     the other is None. vt holds the columns of v as rows, so a column
-    operation on v is one list comprehension. The pivot at every stage is
+    operation on v changes one row of vt. The pivot at every stage is
     the nonzero entry minimizing (abs value, row, col), which pins the whole
     computation down deterministically; the scan takes each row's least
     absolute value and stops at the first row holding a unit.
@@ -243,7 +243,7 @@ def right_kernel_int(m):
     if cols == 0:
         return []
     if rows == 0:
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
+        return identity(cols)
     d, _, vt = _smith(m, False, True)
     n = min(rows, cols)
     return [vt[j] for j in range(cols) if j >= n or d[j][j] == 0]

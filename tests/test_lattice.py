@@ -12,6 +12,7 @@ from enrlat.errors import (
 )
 from enrlat.fqf import discriminant_form
 from enrlat.lattice import (
+    DegenerateQuadraticModule,
     Lattice,
     _TAGS,
     direct_sum,
@@ -158,6 +159,20 @@ def test_sublattice_from_gram_change():
     rows = [[2 if i == j else 0 for j in range(8)] for i in range(8)]
     sub = sublattice_from_gram_change(e8, rows)
     assert sub.det == e8.det * 2 ** 16
+
+
+def test_degenerate_restrictions_are_modules():
+    # e = (1, 0, 0) of U + [2] is isotropic and lies in its own complement
+    lat = Lattice([[0, 1, 0], [1, 0, 0], [0, 0, 2]])
+    rows, module = orthogonal_complement(lat, [[1, 0, 0]])
+    assert rows == [[1, 0, 0], [0, 0, 1]]
+    assert isinstance(module, DegenerateQuadraticModule)
+    assert module.gram == ((0, 0), (0, 2))
+    assert (module.rank, module.radical_rank) == (2, 1)
+    sub = sublattice_from_gram_change(lat, [[1, 0, 0]])
+    assert isinstance(sub, DegenerateQuadraticModule)
+    assert (sub.gram, sub.radical_rank) == (((0,),), 1)
+    assert isinstance(sublattice_from_gram_change(lat, [[1, 1, 0]]), Lattice)
 
 
 def test_one_elimination_gives_det_and_signature():
