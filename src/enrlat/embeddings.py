@@ -288,9 +288,10 @@ def _frame_tuples(gram):
                 return
 
 
-# gram (as a tuple of rows) -> the tuples iter_tuples_in_e82 has yielded for
-# it: a list while the search may go on, a tuple once it has run to its end.
-# Plain tuples of ints, never a suspended search; the oldest gram goes first.
+# gram (as a tuple of rows) -> (finished, the tuples iter_tuples_in_e82 has
+# yielded for it), finished once the search has run to its end. Nested
+# tuples of ints, which the cyclic collector stops tracking, and never a
+# suspended search; the oldest gram goes first.
 _TUPLES = {}
 _TUPLES_KEPT = 256
 
@@ -302,28 +303,27 @@ def iter_tuples_in_e82(gram):
 
     The tuples yielded are kept per gram and replayed on the next call; a
     caller that reads past them reruns the search, skips what is kept and
-    keeps what follows. The search is deterministic, so every call yields
-    what a fresh search yields, CapExceeded included.
+    keeps what follows once it stops reading. The search is deterministic,
+    so every call yields what a fresh search yields, CapExceeded included.
     """
     key = tuple(map(tuple, gram))
-    kept = _TUPLES.get(key)
-    if kept is None:
-        if len(_TUPLES) >= _TUPLES_KEPT:
-            del _TUPLES[next(iter(_TUPLES))]
-        kept = _TUPLES[key] = []
-    done = 0
-    while done < len(kept):
-        yield kept[done]
-        done += 1
-    if isinstance(kept, tuple):
+    finished, kept = _TUPLES.get(key, (False, ()))
+    yield from kept
+    if finished:
         return
-    for n, rows in enumerate(_search_tuples(key)):
-        if n >= done:
-            if n == len(kept):
-                kept.append(rows)
-            yield rows
-    if _TUPLES.get(key) is kept:
-        _TUPLES[key] = tuple(kept)
+    grown = list(kept)
+    try:
+        for n, rows in enumerate(_search_tuples(key)):
+            if n == len(grown):
+                grown.append(rows)
+                yield rows
+        finished = True
+    finally:
+        # another call may have kept more of the same sequence meanwhile
+        if finished or len(grown) > len(_TUPLES.get(key, (False, ()))[1]):
+            if key not in _TUPLES and len(_TUPLES) >= _TUPLES_KEPT:
+                del _TUPLES[next(iter(_TUPLES))]
+            _TUPLES[key] = (finished, tuple(grown))
 
 
 def _search_tuples(gram):
@@ -589,8 +589,8 @@ def _prepared(rho, params):
         g = t_gram(rho, params)
         if rational_signature([row[:fam.block] for row in g[:fam.block]]) != fam.signature:
             raise BadParams(fam.message)
-        perms = [(sigma, fam.params([[g[s][t] for t in sigma] for s in sigma]))
-                 for sigma in fam.perms]
+        perms = tuple((sigma, fam.params([[g[s][t] for t in sigma] for s in sigma]))
+                      for sigma in fam.perms)
         if len(_PREPARED) >= _PREPARED_KEPT:
             del _PREPARED[next(iter(_PREPARED))]
         got = _PREPARED[key] = (fam, Lattice(g), perms)

@@ -362,7 +362,8 @@ def test_same_gram_twice_yields_the_same_tuples(monkeypatch):
     first = list(islice(iter_tuples_in_e82(gram), 4))
     assert len(first) == 4
     assert list(islice(iter_tuples_in_e82(gram), 4)) == first
-    kept = embeddings._TUPLES[((-8, 0), (0, -12))]
+    finished, kept = embeddings._TUPLES[((-8, 0), (0, -12))]
+    assert not finished and kept == tuple(first)
     assert all(type(x) is int for rows in kept for row in rows for x in row)
 
 
@@ -380,7 +381,7 @@ def test_a_finished_search_is_replayed_whole(monkeypatch):
     monkeypatch.setattr(embeddings, "_TUPLES", {})
     gram = [[-4, -4], [-4, -4]]  # t1 = t0 spans no primitive rank-2 sublattice
     assert list(iter_tuples_in_e82(gram)) == []
-    assert embeddings._TUPLES[((-4, -4), (-4, -4))] == ()
+    assert embeddings._TUPLES[((-4, -4), (-4, -4))] == (True, ())
     assert list(iter_tuples_in_e82(gram)) == []
 
 
@@ -393,7 +394,7 @@ def test_spent_tuple_search_raises_on_every_call(monkeypatch):
     for _ in range(3):
         with pytest.raises(CapExceeded, match="spent 301 nodes"):
             list(iter_tuples_in_e82(gram))
-    assert embeddings._TUPLES[((-4, -2), (-2, -4))]
+    assert embeddings._TUPLES[((-4, -2), (-2, -4))][1]
     monkeypatch.setattr(embeddings, "TUPLE_NODE_CAP", 5)
     for _ in range(3):
         with pytest.raises(CapExceeded, match="spent 6 nodes"):
