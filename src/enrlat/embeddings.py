@@ -575,17 +575,16 @@ def _candidates(fam, template, params):
 # candidate tuples embedding_for_label tries per label permutation
 ATTEMPT_CAP = 200
 
-# (rho, params) -> (family, source Lattice, [(permutation, permuted
-# params)]) of the last few parameter sets that passed the check
+# (rho, params) -> (source Lattice, ((permutation, permuted params), ...))
+# of the last few parameter sets that passed the check
 _PREPARED = {}
 _PREPARED_KEPT = 16
 
 
-def _prepared(rho, params):
+def _prepared(fam, rho, params):
     key = (rho, params)
     got = _PREPARED.get(key)
     if got is None:
-        fam = _family(rho)
         g = t_gram(rho, params)
         if rational_signature([row[:fam.block] for row in g[:fam.block]]) != fam.signature:
             raise BadParams(fam.message)
@@ -593,7 +592,7 @@ def _prepared(rho, params):
                       for sigma in fam.perms)
         if len(_PREPARED) >= _PREPARED_KEPT:
             del _PREPARED[next(iter(_PREPARED))]
-        got = _PREPARED[key] = (fam, Lattice(g), perms)
+        got = _PREPARED[key] = (Lattice(g), perms)
     return got
 
 
@@ -604,7 +603,8 @@ def embedding_for_label(rho, params, label):
     every permutation ran out of candidates; CapExceeded means none
     succeeded and at least one stopped at the cap.
     """
-    fam, source, perms = _prepared(rho, tuple(int(x) for x in params))
+    fam = _family(rho)
+    source, perms = _prepared(fam, rho, tuple(int(x) for x in params))
     label = tuple(int(x) % 2 for x in label)
     if len(label) != source.rank:
         raise BadShape("label must have length %d" % source.rank)
@@ -665,7 +665,9 @@ def realized_characters(rho, params):
     """Labels the tables actually produce, as a subset of all characters.
 
     The zero character is always included; each nonzero label is kept when
-    its table construction succeeds and validates.
+    its table construction succeeds and validates, and left out when its
+    search runs out (NotFound) or stops at a cap (CapExceeded). Parameters
+    the tables refuse raise BadParams.
     """
     width = len(_family(rho).gram_forms)
     from itertools import product as iproduct
