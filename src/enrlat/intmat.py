@@ -171,32 +171,53 @@ def _smith(m, want_u, want_v):
                 return True
 
     n = min(rows, cols)
-    t = 0
-    while t < n and reduce_at(t):
-        t += 1
 
+    def reduce_from(t):
+        while t < n and reduce_at(t):
+            t += 1
+
+    def diagonal(t):
+        # rows and columns from t hold nothing off the diagonal
+        return not any(any(r[t:k]) or any(r[k + 1:]) for k, r in enumerate(a[t:], t))
+
+    def enforce_chain(eager):
+        # make d[i] | d[i+1]; returns whether a row operation was needed
+        fixed = False
+        changed = True
+        while changed:
+            changed = False
+            for i in range(n - 1):
+                di, dj = a[i][i], a[i + 1][i + 1]
+                if di and dj % di != 0:
+                    row_sub(i, i + 1, -1)
+                    reduce_at(i)
+                    if eager and not diagonal(i + 1):
+                        reduce_from(i + 1)
+                    for k in range(i, n):
+                        if a[k][k] < 0:
+                            negate_row(k)
+                    fixed = changed = True
+                    break
+                if di == 0 and dj != 0:
+                    swap(i, i + 1, i + 1)
+                    changed = True
+                    break
+        return fixed
+
+    reduce_from(0)
     for i in range(n):
         if a[i][i] < 0:
             negate_row(i)
-
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if di and dj % di != 0:
-                row_sub(i, i + 1, -1)
-                reduce_at(i)
-                for k in range(i, n):
-                    if a[k][k] < 0:
-                        negate_row(k)
-                changed = True
-                break
-            if di == 0 and dj != 0:
-                swap(i, i + 1, i + 1)
-                changed = True
-                break
+    # reduce_at(i) in the chain fix may take its pivot from further down the
+    # diagonal and leave the rows below it off the diagonal. Where the fix
+    # ends so, reduce again and fix the chain reducing the rows below after
+    # each step; every other matrix keeps the transforms of the plain fix.
+    if enforce_chain(False) and not diagonal(0):
+        reduce_from(0)
+        for i in range(n):
+            if a[i][i] < 0:
+                negate_row(i)
+        enforce_chain(True)
     return a, u, vt
 
 
@@ -215,9 +236,11 @@ def snf_diagonal(m):
 
     They do not depend on how they are found, so each unit entry is peeled
     off first: row operations clear its column, its row is dropped and
-    the diagonal gains a 1. _smith, with no transform, takes the rest.
+    the diagonal gains a 1. _smith, with no transform, takes the rest; the
+    peeled columns are zero there, so past min(rows, cols) it adds only
+    zeros.
     """
-    n = min(len(m), len(m[0]) if m else 0)
+    cols = len(m[0]) if m else 0
     a = [list(r) for r in m]
     ones = 0
     while True:
@@ -232,8 +255,7 @@ def snf_diagonal(m):
                 a[k] = [x - q * y for x, y in zip(r, top)]
         ones += 1
     d, _, _ = _smith(a, False, False)
-    rest = [d[i][i] for i in range(min(len(a), len(a[0]) if a else 0))]
-    return ([1] * ones + rest)[:n]
+    return ([1] * ones + [r[i] for i, r in zip(range(cols), d)])[:min(len(m), cols)]
 
 
 def right_kernel_int(m):

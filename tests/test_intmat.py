@@ -61,6 +61,22 @@ def test_snf_divisibility_chain():
             assert b % a == 0
 
 
+def test_snf_is_diagonal_after_the_divisibility_fix():
+    # the divisibility fix once took a pivot from further down the diagonal
+    # and left the block [[4, -10], [-4, 20]] below it, read as the
+    # factors 4 and 20
+    m = [[0, -5, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 2, 0, 0, 0, -4],
+         [0, 0, 0, 0, 0, 0, 0, 4, 0], [0, 0, -5, 0, 0, 0, 0, 0, -9],
+         [0, 0, 9, 0, 0, 0, 5, 0, 0]]
+    d, u, v = snf_with_transforms(m)
+    assert mat_mul(mat_mul(u, m), v) == d
+    assert all(d[i][j] == 0 for i in range(5) for j in range(9) if i != j)
+    assert [d[i][i] for i in range(5)] == [1, 1, 1, 2, 20]
+    assert snf_diagonal(m) == [1, 1, 1, 2, 20]
+    assert snf_diagonal_by_minor_gcds(m) == [1, 1, 1, 2, 20]
+    assert len(right_kernel_int(m)) == 4
+
+
 def test_snf_against_minor_gcd_oracle():
     rng = random.Random(17)
     for _ in range(40):
