@@ -173,8 +173,13 @@ def _smith(m, want_u, want_v):
     n = min(rows, cols)
 
     def reduce_from(t):
-        while t < n and reduce_at(t):
-            t += 1
+        # stages t, t + 1, ... then nonnegative pivots from t on
+        s = t
+        while s < n and reduce_at(s):
+            s += 1
+        for k in range(t, n):
+            if a[k][k] < 0:
+                negate_row(k)
 
     def diagonal(t):
         # rows and columns from t hold nothing off the diagonal
@@ -205,18 +210,12 @@ def _smith(m, want_u, want_v):
         return fixed
 
     reduce_from(0)
-    for i in range(n):
-        if a[i][i] < 0:
-            negate_row(i)
     # reduce_at(i) in the chain fix may take its pivot from further down the
     # diagonal and leave the rows below it off the diagonal. Where the fix
     # ends so, reduce again and fix the chain reducing the rows below after
     # each step; every other matrix keeps the transforms of the plain fix.
     if enforce_chain(False) and not diagonal(0):
         reduce_from(0)
-        for i in range(n):
-            if a[i][i] < 0:
-                negate_row(i)
         enforce_chain(True)
     return a, u, vt
 
