@@ -24,12 +24,13 @@ form of a gram names the generators of its discriminant form and gives
 the coordinates of a dual vector from its integer pairings with the
 lattice basis (`_dual_basis`). No float enters any decision: the Gauss
 signature is a sum of closed-form phases of Jordan blocks (Legendre
-symbols, residues mod 8 and parities of exponents). Every walk over the
-elements of a group goes through `_walk`, which updates q in integers
-from one element to the next. The isomorphism test compares the q-value
-histograms of the p-parts that differ, then walks those p-groups in its
-backtrack, so its cap stays until a complete set of local invariants
-replaces enumeration.
+symbols, residues mod 8 and parities of exponents). The q-value
+histograms the isomorphism test compares come from the Jordan blocks too.
+Every walk over the elements of a group goes through `_walk`, which
+updates q in integers from one element to the next; only the isomorphism
+backtrack walks a whole group (besides the two-torsion of the datum
+search and the histogram of a degenerate form), so its cap stays until a
+complete set of local invariants replaces enumeration.
 """
 
 import math
@@ -47,23 +48,18 @@ from .errors import (
     NotSubgroup,
 )
 from .intmat import (
+    _smith,
     hnf_rows,
     inv_mod,
-    inverse_unimodular,
     legendre,
     mat_mul,
     mat_vec,
     prime_factors,
     right_kernel_int,
     snf_with_transforms,
-    transpose,
     val_p,
 )
 from .lattice import gram_of_rows
-
-
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _walk(f):
@@ -102,9 +98,26 @@ def _walk(f):
 
 def _q_histogram(f, den):
     """Sorted (q * den, count) pairs over the whole group, for den a
-    multiple of f.den. Nothing here needs b to be nondegenerate."""
-    scale = den // f.den
-    return sorted(Counter(q * scale for q in _walk(f)).items())
+    multiple of f.den. q is additive on orthogonal sums, so this convolves
+    the histograms of the Jordan blocks of every p-part; a degenerate form
+    has no splitting, and its group is walked."""
+    twom = 2 * den
+    try:
+        blocks = [blk for p in prime_factors(f.group_order) for blk in _jordan_split(f, p)]
+    except Degenerate:
+        return sorted(Counter(q * (den // f.den) for q in _walk(f)).items())
+    hist = Counter([0])
+    for kind, s, *qval in blocks:
+        if kind == "q":
+            vals = [c * c * int(qval[0] * den) for c in range(s)]
+        else:  # b(e1, e2) = 1 / s and q(e1) = q(e2) = 0 ('u') or 2 / s ('v')
+            vals = [2 * den // s * ((kind == "v") * (a * a + b * b) + a * b)
+                    for a, b in product(range(s), repeat=2)]
+        new = Counter()
+        for (x, c), (y, n) in product(hist.items(), Counter(vals).items()):
+            new[(x + y) % twom] += c * n
+        hist = new
+    return sorted(hist.items())
 
 
 def _form_on(f, rows, orders):
@@ -112,34 +125,21 @@ def _form_on(f, rows, orders):
     return FiniteQuadraticForm.over(orders, gram_of_rows(rows, f.qmat), f.den)
 
 
-def _two_torsion(f):
-    """Generators (d/2)e_i of the two-torsion, one per even order d, and
-    the form on them; walking it visits the two-torsion in the order
-    itertools.product visits the coordinates of f."""
-    gens = [
-        [d // 2 if j == i else 0 for j in range(f.num_gens)]
-        for i, d in enumerate(f.orders) if d % 2 == 0
-    ]
-    return gens, _form_on(f, gens, (2,) * len(gens))
-
-
 def _order_two_elements(f):
     """Nonzero elements of order two with 2q in 0..3, as (coords, 2q) in
-    the order itertools.product visits the coordinates; kept on the form."""
+    the order itertools.product visits the coordinates; kept on the form.
+    The two-torsion is walked on its generators (d/2)e_i, one per even
+    order d, which visits it in that order."""
     if f._order_two is None:
-        gens, two = _two_torsion(f)
+        gens = [[d // 2 if j == i else 0 for j in range(f.num_gens)]
+                for i, d in enumerate(f.orders) if d % 2 == 0]
+        two = _form_on(f, gens, (2,) * len(gens))
         f._order_two = tuple(
             (tuple(map(sum, zip(*[g for b, g in zip(bits, gens) if b]))), 2 * q // two.den)
             for bits, q in zip(two.elements(), _walk(two))
             if any(bits)
         )
     return f._order_two
-
-
-def _scaled(row, den):
-    """The integers den * x for the rationals x of row (den a multiple of
-    their denominators)."""
-    return [x.numerator * (den // x.denominator) for x in row]
 
 
 class FiniteQuadraticForm:
@@ -151,9 +151,9 @@ class FiniteQuadraticForm:
     """
 
     def __init__(self, orders, values):
-        vals = [[_frac(x) for x in row] for row in values]
+        vals = [[Fraction(x) for x in row] for row in values]
         den = math.lcm(1, *(x.denominator for row in vals for x in row))
-        self._set(orders, [_scaled(row, den) for row in vals], den)
+        self._set(orders, [[x.numerator * (den // x.denominator) for x in r] for r in vals], den)
 
     @classmethod
     def over(cls, orders, qmat, den):
@@ -308,11 +308,10 @@ def canonical_form(f):
             f._canonical = f
         else:
             dmat = [[f.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-            d, u, _ = snf_with_transforms(dmat)
-            # row j of uinv^T is invariant-factor generator j in f coordinates
-            cols = transpose(inverse_unimodular(u))
+            d, uinv_t, _ = _smith(dmat, True, False, inverse=True)
+            # row j of u^-T is invariant-factor generator j in f coordinates
             kept = [j for j in range(k) if d[j][j] > 1]
-            f._canonical = _form_on(f, [cols[j] for j in kept], tuple(d[j][j] for j in kept))
+            f._canonical = _form_on(f, [uinv_t[j] for j in kept], tuple(d[j][j] for j in kept))
     return f._canonical
 
 
@@ -442,10 +441,13 @@ def _solve_lower(t, s):
     positive diagonal, by back-substitution; None when c is not integral."""
     k = len(t)
     c = [0] * k
+    nonzero = []
     for j in range(k - 1, -1, -1):
-        c[j], rem = divmod(s[j] - sum(c[i] * t[i][j] for i in range(j + 1, k)), t[j][j])
+        c[j], rem = divmod(s[j] - sum(c[i] * t[i][j] for i in nonzero), t[j][j])
         if rem:
             return None
+        if c[j]:
+            nonzero.append(j)
     return c
 
 
@@ -455,8 +457,7 @@ def _subquotient(f, tmat, smat):
     c = [_solve_lower(tmat, s) for s in smat]
     if None in c:
         raise NotSubgroup("denominator subgroup is not inside the numerator")
-    d, _, v = snf_with_transforms(c)
-    vinv = inverse_unimodular(v)
+    d, _, vinv = _smith(c, False, True, inverse=True)
     kept = [i for i in range(f.num_gens) if d[i][i] > 1]
     coords = [list(f.reduce(w)) for w in mat_mul([vinv[i] for i in kept], tmat)]
     return coords, tuple(d[i][i] for i in kept)
@@ -502,18 +503,19 @@ def _jordan_split(f, p):
     (t(x, x) / 2)(t(y, y) / 2) mod 2. Every other generator y moves onto
     the block's orthogonal complement as y - sum_a c_a x_a, with c the row
     (t(y, x_a))_a times the inverse mod d of the block's t matrix; that
-    keeps its order, so the generators stay a basis of what is left.
+    keeps its order, so the generators stay a basis of what is left. Only
+    their gram is kept, updated by the block's Schur complement mod m (2m
+    on the diagonal), where b and q, hence t and the blocks, are defined.
     """
     if p in f._jordan:
         return f._jordan[p]
     pf = p_part(f, p)
     m = pf.den
-    rows = [list(_unit(pf.num_gens, i)) for i in range(pf.num_gens)]
+    gram = [list(r) for r in pf.qmat]
     orders = list(pf.orders)
     blocks = []
-    while rows:
+    while orders:
         top = max(orders)
-        gram = gram_of_rows(rows, pf.qmat)
         t = [[top * x // m for x in r] for r in gram]
         idx = [i for i, d in enumerate(orders) if d == top]
         pick = next(([i] for i in idx if t[i][i] % p), None)
@@ -522,8 +524,11 @@ def _jordan_split(f, p):
             if pick is None:
                 raise Degenerate("no exact pairing at top scale; form is degenerate")
             if p != 2:
+                # generator i becomes x_i + x_j
                 i, j = pick
-                rows[i] = [(a + b) % d for a, b, d in zip(rows[i], rows[j], pf.orders)]
+                for r in gram:
+                    r[i] += r[j]
+                gram[i] = list(map(add, gram[i], gram[j]))
                 continue
         if len(pick) == 1:
             (i,) = pick
@@ -535,11 +540,14 @@ def _jordan_split(f, p):
             blocks.append(("v" if (a // 2) % 2 and (c // 2) % 2 else "u", top))
             e = inv_mod(a * c - b * b, top)
             tinv = [[c * e, -b * e], [-b * e, a * e]]
-        rest = [y for y in range(len(rows)) if y not in pick]
+        rest = [y for y in range(len(orders)) if y not in pick]
         coef = mat_mul([[t[y][a] for a in pick] for y in rest], tinv)
-        moved = mat_mul(coef, [rows[a] for a in pick])
-        rows = [
-            [(x - z) % d for x, z, d in zip(rows[y], mv, pf.orders)] for y, mv in zip(rest, moved)
+        # cg[r][z] = b(sum_a coef_ra x_a, x_z) * m, for y the r-th of rest
+        cg = mat_mul(coef, [gram[a] for a in pick])
+        gram = [
+            [(gram[y][z] - cg[r][z] - cg[s][y] + sum(cg[r][a] * c for a, c in zip(pick, coef[s])))
+             % (2 * m if r == s else m) for s, z in enumerate(rest)]
+            for r, y in enumerate(rest)
         ]
         orders = [orders[y] for y in rest]
     f._jordan[p] = blocks = tuple(blocks)
@@ -565,13 +573,16 @@ def _p_group_backtrack(p1, p2, spent):
         keys.append((p1.orders[i], None if rem else num))
     cands = {key: [] for key in keys}
     wanted_q = {q for _, q in keys}
+    # in a p-group the order of an element is the largest order of its coordinates
+    orders = [[d // math.gcd(d, c) for c in range(d)] for d in p2.orders]
     for c, q in zip(p2.elements(), _walk(p2)):
         if q in wanted_q:
-            bucket = cands.get((p2.element_order(c), q))
+            bucket = cands.get((max(map(list.__getitem__, orders, c)), q))
             if bucket is not None:
                 bucket.append(list(c))
     order_index = list(range(k - 1, -1, -1))
     chosen = [None] * k
+    qchosen = [None] * k  # Q c for the chosen c, so b(x, c) * m2 = x . Q c mod m2
 
     def dfs(pos):
         if pos == len(order_index):
@@ -584,18 +595,12 @@ def _p_group_backtrack(p1, p2, spent):
                 raise CapExceeded(
                     "isomorphism search spent %d candidates, over its cap of %d"
                     % (spent[0], ISO_CAP))
-            ok = True
-            for pos2 in range(pos):
-                j = order_index[pos2]
-                if p2.b_num(c, chosen[j]) * m1 != p1.qmat[i][j] * m2:
-                    ok = False
-                    break
-            if not ok:
+            if any(sum(map(mul, c, qchosen[j])) % m2 * m1 != p1.qmat[i][j] * m2
+                   for j in order_index[:pos]):
                 continue
-            chosen[i] = c
+            chosen[i], qchosen[i] = c, mat_vec(p2.qmat, c)
             if dfs(pos + 1):
                 return True
-            chosen[i] = None
         return False
 
     if dfs(0):
@@ -611,13 +616,18 @@ def fqf_isomorphic(f1, f2):
     on its generators (d / p^a) e_i, is matched into the p-part of f2 (the
     identity when the two are equal). Since the sum over p of
     inv(d / p^a mod p^a) d / p^a is 1 mod d, generator i goes to the sum
-    over p of that multiple of the image of its p-component.
+    over p of that multiple of the image of its p-component; for equal
+    forms that is the identity, returned at once.
 
     Before any backtrack, each pair of p-parts that differ must have equal
-    q histograms, one walk of each p-group. The backtracks share ISO_CAP,
+    q histograms (`_q_histogram`). The backtracks share ISO_CAP,
     so a later p-part that fails its histogram ends the test before an
     earlier backtrack can spend the cap.
     """
+    if f1 == f2:
+        images = [list(_unit(f1.num_gens, i)) for i in range(f1.num_gens)]
+        assert verify_fqf_iso(f1, f2, images)
+        return images
     if f1.den != f2.den or f1.group_order != f2.group_order:
         return None
     parts = []
@@ -656,9 +666,7 @@ def fqf_isomorphic(f1, f2):
 
 def verify_fqf_iso(f1, f2, images):
     """Full check that generator images define an isomorphism of forms."""
-    if f1.group_order != f2.group_order:
-        return False
-    if len(images) != f1.num_gens:
+    if f1.group_order != f2.group_order or len(images) != f1.num_gens:
         return False
     m1, m2 = f1.den, f2.den
     for i in range(f1.num_gens):

@@ -2,12 +2,11 @@
 
 Matrices are lists of row lists of int. Elimination is fraction free
 (Bareiss) or unimodular (Smith and Hermite forms), so nothing here meets a
-Fraction: ranks are read off the Smith diagonal and inverses are of
-unimodular matrices. The Smith forms share one core (`_smith`) that carries
-each transform only when its caller reads it: `snf_diagonal` carries
-neither, `right_kernel_int` only the column transform. Nothing here knows
-about lattices; this layer is pure linear algebra and elementary
-arithmetic.
+Fraction: ranks are read off the Smith diagonal. The Smith forms share one
+core (`_smith`) that carries each transform, or its inverse, only when its
+caller reads it: `snf_diagonal` carries neither, `right_kernel_int` only
+the column transform. Nothing here knows about lattices; this layer is
+pure linear algebra and elementary arithmetic.
 """
 
 from math import isqrt
@@ -79,29 +78,18 @@ def det_bareiss(m):
     return sign * a[n - 1][n - 1]
 
 
-def inverse_unimodular(m):
-    """Integer inverse of a square integer matrix of determinant +-1.
-
-    The row span of [I | m] holds (row i of m^-1, e_i) for every i, and
-    those rows are exactly its Hermite basis, so the I half of hnf_rows
-    is the inverse. Raises ValueError when m is not unimodular.
-    """
-    n = len(m)
-    h = hnf_rows([e + list(r) for e, r in zip(identity(n), m)], 2 * n)
-    if [r[n:] for r in h] != identity(n):
-        raise ValueError("matrix is not unimodular")
-    return [r[:n] for r in h]
-
-
-def _smith(m, want_u, want_v):
+def _smith(m, want_u, want_v, inverse=False):
     """Smith form of m as (a, u, vt): u*m*v = a, vt the transpose of v.
 
     u is carried only when want_u is set and vt only when want_v is set;
     the other is None. vt holds the columns of v as rows, so a column
-    operation on v changes one row of vt. The pivot at every stage is
-    the nonzero entry minimizing (abs value, row, col), which pins the whole
-    computation down deterministically; the scan takes each row's least
-    absolute value and stops at the first row holding a unit.
+    operation on v changes one row of vt. With inverse set, the inverse
+    transposes u^-T and v^-1 take the places of u and vt: each elementary
+    operation E on u or vt acts as E^-T there, again on rows. The pivot at
+    every stage is the nonzero entry minimizing (abs value, row, col),
+    which pins the whole computation down deterministically; the scan
+    takes each row's least absolute value and stops at the first row
+    holding a unit.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -121,9 +109,11 @@ def _smith(m, want_u, want_v):
                 vt[t], vt[j] = vt[j], vt[t]
 
     def row_sub(i, j, q):
-        # row_i -= q * row_j
+        # row_i -= q * row_j; on u^-T, row_j += q * row_i
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        if u is not None:
+        if u is not None and inverse:
+            u[j] = [y + q * x for x, y in zip(u[i], u[j])]
+        elif u is not None:
             u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def negate_row(i):
@@ -158,7 +148,12 @@ def _smith(m, want_u, want_v):
                     c = r[t]
                     if c:
                         r[t + 1:] = [x - q * c for x, q in zip(r[t + 1:], qs)]
-                if vt is not None:
+                if vt is not None and inverse:
+                    # on v^-1, row_t += q_j * row_j for every j
+                    for j, q in enumerate(qs, t + 1):
+                        if q:
+                            vt[t] = [x + q * y for x, y in zip(vt[t], vt[j])]
+                elif vt is not None:
                     # col_t of v starts as a unit vector and stays sparse
                     col = [(k, y) for k, y in enumerate(vt[t]) if y]
                     for j, q in enumerate(qs, t + 1):

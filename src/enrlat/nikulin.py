@@ -2,7 +2,7 @@
 primitive embeddings of the rank-12 ambient lattice, and odd-index descent."""
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, mul
 
 from .enriques import ambient
@@ -79,14 +79,9 @@ def exists_even_lattice(signature, form):
         if p == 2:
             if splits_unit_block(form):
                 continue
-            unit = 1
-            for block in _jordan_split(form, 2):
-                if block[0] == "q":
-                    unit = (unit * block[2].numerator) % 8
-                elif block[0] == "u":
-                    unit = (unit * 7) % 8
-                else:
-                    unit = (unit * 3) % 8
+            # the 2-adic unit: each q block's numerator, 7 per U and 3 per V
+            unit = prod(b[2].numerator if b[0] == "q" else {"u": 7, "v": 3}[b[0]]
+                        for b in _jordan_split(form, 2))
             if (unit * rest) % 8 not in (1, 7):
                 return False
         else:
@@ -105,12 +100,13 @@ DATUM_NODE_CAP = 200_000
 
 
 def _ambient_and_form():
-    """The ambient lattice N and its discriminant form, built once and
-    kept."""
+    """The ambient lattice N, its discriminant form and the negative of
+    that form, built once and kept."""
     global _AMBIENT
     if _AMBIENT is None:
         lat = ambient()
-        _AMBIENT = (lat, discriminant_form(lat))
+        fn = discriminant_form(lat)
+        _AMBIENT = (lat, fn, negate_fqf(fn))
     return _AMBIENT
 
 
@@ -167,10 +163,10 @@ def _check_datum_shape(datum, fl, fn):
             raise BadShape("%s rows must have %d entries" % (name, form.num_gens))
 
 
-def _graph_quotient(fl, fn, h_l_gens, gamma_rows):
+def _graph_quotient(fl, h_l_gens, gamma_rows):
     """The subquotient carried by the graph of the identification inside
-    the difference form."""
-    diff = direct_sum_fqf(fl, negate_fqf(fn))
+    the difference form of fl and the ambient form."""
+    diff = direct_sum_fqf(fl, _ambient_and_form()[2])
     graph = [list(h) + list(g) for h, g in zip(h_l_gens, gamma_rows)]
     perp = perp_subgroup(diff, graph)
     return quotient_form(diff, perp, subgroup_matrix(diff, graph))
@@ -179,7 +175,7 @@ def _graph_quotient(fl, fn, h_l_gens, gamma_rows):
 def verify_embedding_datum(lat, datum):
     """Check a gluing datum against the source lattice. Returns a verdict
     and the list of reasons for failure."""
-    nlat, fn = _ambient_and_form()
+    nlat, fn, _ = _ambient_and_form()
     fl = discriminant_form(lat)
     _check_datum_shape(datum, fl, fn)
     reasons = []
@@ -229,7 +225,7 @@ def verify_embedding_datum(lat, datum):
             if fl.b_num(hl[i], hl[j]) * fn.den != fn.b_num(gamma[i], gamma[j]) * fl.den:
                 reasons.append("identification does not preserve the pairing")
                 return False, reasons
-    quot = _graph_quotient(fl, fn, hl, gamma)
+    quot = _graph_quotient(fl, hl, gamma)
     expected = (fl.group_order * fn.group_order) // (order_l * order_l)
     assert quot.group_order == expected
     target = negate_fqf(datum.k_fqf)
@@ -256,7 +252,7 @@ def find_embedding_datum(lat):
     ceil((l2 + n2 - want_rank) / 2) (at least 0) to min(l2, n2), for l2
     and n2 the 2-lengths of the two discriminant forms.
     """
-    nlat, fn = _ambient_and_form()
+    nlat, fn, _ = _ambient_and_form()
     fl = discriminant_form(lat)
     want_rank = nlat.rank - lat.rank
     sig_l = lat.signature
@@ -268,7 +264,7 @@ def find_embedding_datum(lat):
     nodes = [0]
 
     def attempt(hl, gamma):
-        quot = _graph_quotient(fl, fn, hl, gamma)
+        quot = _graph_quotient(fl, hl, gamma)
         if quot.num_gens > want_rank:
             return None
         kf = canonical_form(negate_fqf(quot))
@@ -494,10 +490,10 @@ def transfer_datum_up(parent, child, datum, child_basis):
         raise EvenIndex("the sublattice index must be odd")
     fl = discriminant_form(parent)
     fc = discriminant_form(child)
-    _, fn = _ambient_and_form()
+    _, fn, _ = _ambient_and_form()
     _check_datum_shape(datum, fc, fn)
     new_hl = _convert_gens(child, parent, datum.h_l, mat_mul(child_basis, parent.gram))
-    quot = _graph_quotient(fl, fn, new_hl, [list(r) for r in datum.gamma])
+    quot = _graph_quotient(fl, new_hl, [list(r) for r in datum.gamma])
     new_kf = canonical_form(negate_fqf(quot))
     if not exists_even_lattice(datum.k_signature, new_kf):
         raise ExistenceFails("lifted complement invariants are unrealizable")

@@ -259,6 +259,18 @@ def test_isomorphism_distinguishes_same_group_different_form():
     assert fqf_isomorphic(u2, d4) is None
 
 
+def test_isomorphism_of_a_form_with_itself_is_the_identity():
+    rng = random.Random(157)
+    forms = _small_forms(rng, 20, 4096) + [trivial_form(), discriminant_form(standard_lattice("N"))]
+    for form in forms:
+        k = form.num_gens
+        units = [[int(i == j) for j in range(k)] for i in range(k)]
+        assert fqf_isomorphic(form, form) == units
+        # an equal form built apart from it gets the same map
+        twin = FiniteQuadraticForm(form.orders, form.values)
+        assert twin is not form and fqf_isomorphic(form, twin) == units
+
+
 def test_degenerate_two_elementary_forms_get_a_verified_map():
     # integral values but a zero pairing: the backtracking search swaps
     # the two generators, there being no symplectic splitting to find
@@ -534,6 +546,58 @@ def test_q_histogram_on_multi_prime_and_degenerate_forms():
         hist = tuple((Fraction(q, form.den), c) for q, c in _q_histogram(form, form.den))
         assert hist == _brute_histogram(form)
     assert sum(len(prime_factors(f.group_order)) > 1 for f in forms) > 5
+
+
+def _random_basis(form, rng):
+    """form on a seeded random basis with the same generator orders."""
+    elems = list(form.elements())
+    while True:
+        rows = [rng.choice([x for x in elems if form.element_order(x) == d]) for d in form.orders]
+        if subgroup_order(form, subgroup_matrix(form, rows)) == form.group_order:
+            return _presented(form, rows, form.orders)
+
+
+def test_q_histogram_from_jordan_blocks_against_brute_histogram():
+    rng = random.Random(163)
+    two_adic = [FiniteQuadraticForm((2**k,), [[Fraction(u, 2**k)]])
+                for k in (1, 2, 3) for u in (1, 3, 5, 7)]
+    two_adic += [_block_form((kind, 2**k)) for k in (1, 2, 3) for kind in ("u", "v")]
+    # q(e1) = q(e2) = 0 and b(e1, e2) = 1 / p^k: no generator has a unit
+    # t(x, x), so the odd split takes the pair path through e1 + e2
+    pairs = [FiniteQuadraticForm((p**k, p**k), [[0, Fraction(1, p**k)], [Fraction(1, p**k), 0]])
+             for p, k in ((3, 1), (3, 2), (5, 1))]
+    odd = [FiniteQuadraticForm((p**k,), [[Fraction(2 * t, p**k)]])
+           for p, k, t in ((3, 1, 1), (3, 2, 2), (5, 1, 2))]
+    forms = []
+    for _ in range(12):
+        a, b = rng.sample(two_adic, 2)
+        forms.append(direct_sum_fqf(a, b))
+    forms += two_adic + pairs
+    forms += [direct_sum_fqf(pair, rng.choice([f for f in odd if f.den == pair.den]))
+              for pair in pairs]
+    forms = [g for form in forms for g in (form, _random_basis(form, rng))
+             if g.group_order <= 4096]
+    for form in forms:
+        for p in prime_factors(form.group_order):
+            _jordan_split(form, p)
+        for scale in (1, 3):
+            den = scale * form.den
+            hist = tuple((Fraction(q, den), c) for q, c in _q_histogram(form, den))
+            assert hist == _brute_histogram(form)
+    # degenerate forms have no splitting and are walked
+    degenerate = [
+        FiniteQuadraticForm((2,), [[Fraction(0)]]),
+        FiniteQuadraticForm((4,), [[Fraction(1, 2)]]),
+        FiniteQuadraticForm((9,), [[Fraction(6, 9)]]),
+        direct_sum_fqf(_block_form(("v", 4)), FiniteQuadraticForm((2,), [[Fraction(1)]])),
+        direct_sum_fqf(pairs[0], FiniteQuadraticForm((3,), [[Fraction(0)]])),
+    ]
+    for form in degenerate:
+        with pytest.raises(Degenerate):
+            for p in prime_factors(form.group_order):
+                _jordan_split(form, p)
+        hist = tuple((Fraction(q, form.den), c) for q, c in _q_histogram(form, form.den))
+        assert hist == _brute_histogram(form)
 
 
 def test_cli_exists_on_degenerate_form_is_a_nonwitt_envelope(tmp_path, capsys):

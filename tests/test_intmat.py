@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enrlat.intmat import (
+    _smith,
     crt_pair,
     det_bareiss,
     hnf_rows,
     identity,
     inv_mod,
-    inverse_unimodular,
     legendre,
     mat_mul,
     prime_factors,
@@ -61,13 +61,16 @@ def test_snf_divisibility_chain():
             assert b % a == 0
 
 
+# the divisibility fix once took a pivot from further down the diagonal of
+# this matrix and left the block [[4, -10], [-4, 20]] below it, read as the
+# factors 4 and 20
+CHAIN_FIX = [[0, -5, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 2, 0, 0, 0, -4],
+             [0, 0, 0, 0, 0, 0, 0, 4, 0], [0, 0, -5, 0, 0, 0, 0, 0, -9],
+             [0, 0, 9, 0, 0, 0, 5, 0, 0]]
+
+
 def test_snf_is_diagonal_after_the_divisibility_fix():
-    # the divisibility fix once took a pivot from further down the diagonal
-    # and left the block [[4, -10], [-4, 20]] below it, read as the
-    # factors 4 and 20
-    m = [[0, -5, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 2, 0, 0, 0, -4],
-         [0, 0, 0, 0, 0, 0, 0, 4, 0], [0, 0, -5, 0, 0, 0, 0, 0, -9],
-         [0, 0, 9, 0, 0, 0, 5, 0, 0]]
+    m = CHAIN_FIX
     d, u, v = snf_with_transforms(m)
     assert mat_mul(mat_mul(u, m), v) == d
     assert all(d[i][j] == 0 for i in range(5) for j in range(9) if i != j)
@@ -195,22 +198,6 @@ def int_matrices(draw):
     return m
 
 
-@st.composite
-def unimodular_matrices(draw):
-    """Products of elementary integer matrices: row negations and row
-    additions."""
-    n = draw(st.integers(1, 6))
-    u = identity(n)
-    for _ in range(draw(st.integers(0, 15))):
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        if i == j:
-            u[i] = [-x for x in u[i]]
-        else:
-            c = draw(st.integers(-4, 4))
-            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-    return u
-
-
 @ORACLE
 @given(int_matrices())
 def test_rational_rank_against_sympy(sympy, m):
@@ -218,17 +205,27 @@ def test_rational_rank_against_sympy(sympy, m):
     assert sum(1 for d in snf_diagonal(m) if d) == sympy.Matrix(m).rank()
 
 
-@ORACLE
-@given(unimodular_matrices(), st.integers(0, 5), st.sampled_from((0, 2, -3)))
-def test_inverse_unimodular_against_sympy(sympy, u, row, scale):
-    inv = inverse_unimodular(u)
-    assert sympy.Matrix(inv) == sympy.Matrix(u).inv()
-    assert mat_mul(u, inv) == identity(len(u))
-    # one row scaled by 0, 2 or -3: singular, or determinant +-2 or +-3
-    bad = [list(r) for r in u]
-    bad[row % len(u)] = [scale * x for x in bad[row % len(u)]]
-    with pytest.raises(ValueError):
-        inverse_unimodular(bad)
+def test_smith_carried_inverses_against_sympy(sympy):
+    rng = random.Random(41)
+    mats = [CHAIN_FIX]
+    for _ in range(80):
+        m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        if len(m) > 2 and rng.random() < 0.5:
+            # rank deficient: the last row a combination of the first two
+            m[-1] = [2 * x - 3 * y for x, y in zip(m[0], m[1])]
+        mats.append(m)
+    for m in mats:
+        d, u, vt = _smith(m, True, True)
+        d_inv, uinv_t, vinv = _smith(m, True, True, inverse=True)
+        assert d_inv == d
+        # each inverse alone is the same as when both are carried
+        assert _smith(m, False, True, inverse=True)[2] == vinv
+        assert _smith(m, True, False, inverse=True)[1] == uinv_t
+        v, uinv = transpose(vt), transpose(uinv_t)
+        assert mat_mul(v, vinv) == identity(len(v))
+        assert mat_mul(uinv, u) == identity(len(u))
+        assert sympy.Matrix(vinv) == sympy.Matrix(v).inv()
+        assert sympy.Matrix(uinv) == sympy.Matrix(u).inv()
 
 
 @ORACLE

@@ -18,9 +18,11 @@ from enrlat.fqf import (
     discriminant_form,
     fqf_isomorphic,
     milgram_signature,
+    negate_fqf,
     trivial_form,
 )
 from enrlat.lattice import Lattice, standard_lattice
+from _oracles import brute_b, brute_q
 from enrlat.nikulin import (
     condition_star,
     exists_even_lattice,
@@ -166,6 +168,40 @@ def test_verify_rejects_wrong_signature():
     )
     ok, reasons = verify_embedding_datum(lat, bad)
     assert not ok
+
+
+def test_verify_compares_the_complement_form_not_its_presentation():
+    # the found K form negates to the recomputed subquotient itself, so the
+    # isomorphism test takes its equal-forms path. A K form on the same
+    # group with a wrong q value must still fail: q(e_9) moved by 2/3 moves
+    # q on the 3-part Z/3 from 2/3 to 4/3, a non-square multiple. The same
+    # form on another basis must still pass.
+    lat = Lattice([[4, 2], [2, 4]])
+    good = find_embedding_datum(lat)
+    kf = good.k_fqf
+    assert kf.orders == (2,) * 9 + (6,)
+    quot = nikulin._graph_quotient(discriminant_form(lat), good.h_l, good.gamma)
+    assert negate_fqf(kf) == quot
+
+    def with_form(form):
+        return make_datum(good.h_l, good.h_n, good.gamma, good.k_rank, good.k_signature, form)
+
+    values = [list(r) for r in kf.values]
+    values[9][9] += Fraction(2, 3)
+    wrong = FiniteQuadraticForm(kf.orders, values)
+    assert wrong.orders == kf.orders and wrong != kf
+    ok, reasons = verify_embedding_datum(lat, with_form(wrong))
+    assert not ok
+    assert reasons == ["complement discriminant form does not match the subquotient"]
+    # e_i + e_(i+1) for i < 8, then e_8 and e_9 + e_0
+    rows = [[int(j in (i, i + 1)) for j in range(10)] for i in range(8)]
+    rows += [[0] * 8 + [1, 0], [1] + [0] * 8 + [1]]
+    other = FiniteQuadraticForm(kf.orders, [
+        [brute_q(kf.values, x) if i == j else brute_b(kf.values, x, y) for j, y in enumerate(rows)]
+        for i, x in enumerate(rows)])
+    assert other != kf and fqf_isomorphic(other, kf) is not None
+    ok, reasons = verify_embedding_datum(lat, with_form(other))
+    assert ok, reasons
 
 
 def test_verify_rejects_order_four_generators():
