@@ -18,6 +18,11 @@ Every form is worked on in its own presentation: its p-part is spanned by
 the multiples (d / p^a) e_i of its generators, and only the JSON boundary
 asks for invariant factors (`canonical_form`).
 
+A lattice keeps its discriminant form, the shared ambient N among them. A
+form keeps what is derived from it once: its Jordan splittings, its
+two-torsion, its invariant-factor form (unless it is its own) and, for a
+lattice glued into N, its difference form with the form of N.
+
 `Fraction` stays at the edges: `q_of` returns one and `values` is the
 `Fraction` view of Q / m that the JSON boundary reads. The integer Smith
 form of a gram names the generators of its discriminant form and gives
@@ -37,7 +42,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from operator import add, mul
+from operator import add, mod, mul
 
 from .errors import (
     BadShape,
@@ -163,32 +168,39 @@ class FiniteQuadraticForm:
         return form
 
     def _set(self, orders, qmat, den):
-        orders = tuple(int(d) for d in orders)
+        orders = tuple(map(int, orders))
         if any(d < 2 for d in orders):
             raise BadShape("generator orders must be at least 2")
         k = len(orders)
         if len(qmat) != k or any(len(r) != k for r in qmat):
             raise BadShape("value matrix must be %d x %d" % (k, k))
         twom = 2 * den
-        mat = [[x % (twom if i == j else den) for j, x in enumerate(r)] for i, r in enumerate(qmat)]
-        if any(mat[i][j] != mat[j][i] for i in range(k) for j in range(i)):
+        mat = [[x % den for x in r] for r in qmat]
+        for i, r in enumerate(mat):
+            r[i] = qmat[i][i] % twom
+        rows = tuple(map(tuple, mat))
+        if rows != tuple(zip(*rows)):
             raise BadShape("value matrix must be symmetric")
-        for i, d in enumerate(orders):
-            q = mat[i][i]
-            if (d * q) % den or (d * d * q) % twom:
-                raise BadShape(
-                    "q value %s invalid for a generator of order %d" % (Fraction(q, den), d))
-            for j in range(k):
-                if i != j and (d * mat[i][j]) % den:
-                    raise BadShape("pairing %s invalid for order %d" % (Fraction(mat[i][j], den), d))
-        g = math.gcd(den, *(x for r in mat for x in r))
+        g = den
+        for i, (d, r) in enumerate(zip(orders, rows)):
+            # for d the order of e_i, d b(e_i, e_j) and d q(e_i) are integers
+            # when den divides d gcd(row i), and d^2 q(e_i) must be even
+            rg = math.gcd(*r)
+            if (d * rg) % den or (d * d * r[i]) % twom:
+                if (d * r[i]) % den or (d * d * r[i]) % twom:
+                    raise BadShape("q value %s invalid for a generator of order %d"
+                                   % (Fraction(r[i], den), d))
+                x = next(x for j, x in enumerate(r) if j != i and (d * x) % den)
+                raise BadShape("pairing %s invalid for order %d" % (Fraction(x, den), d))
+            g = math.gcd(g, rg)
         self.orders = orders
         self.den = den // g
-        self.qmat = tuple(tuple(x // g for x in r) for r in mat)
+        self.qmat = rows if g == 1 else tuple(tuple(x // g for x in r) for r in rows)
         self._values = None
         self._canonical = None
         self._jordan = {}
         self._order_two = None
+        self._difference = None
 
     @property
     def values(self):
@@ -238,7 +250,7 @@ class FiniteQuadraticForm:
         return product(*[range(d) for d in self.orders])
 
     def reduce(self, coords):
-        return tuple(c % d for c, d in zip(coords, self.orders))
+        return tuple(map(mod, coords, self.orders))
 
     def __eq__(self, other):
         return (
@@ -276,15 +288,18 @@ def _dual_basis(lat):
 
 def discriminant_form(lat):
     """Dual quotient of an even lattice with its induced form, on the
-    generators `_dual_basis` names."""
-    orders, rows, _ = _dual_basis(lat)
-    # generator a is u_a / d_a, so its pairings are W / (d_a d_b), which
-    # is W (e / d_a) (e / d_b) over e^2 for e the exponent of the group
-    w = gram_of_rows(rows, lat.gram)
-    e = math.lcm(*orders)
-    mat = [[w[a][b] * (e // da) * (e // db) for b, db in enumerate(orders)]
-           for a, da in enumerate(orders)]
-    return FiniteQuadraticForm.over(orders, mat, e * e)
+    generators `_dual_basis` names; built once and kept on lat, so every
+    caller shares one form and the splittings kept on it."""
+    if lat._discriminant is None:
+        orders, rows, _ = _dual_basis(lat)
+        # generator a is u_a / d_a, so its pairings are W / (d_a d_b), which
+        # is W (e / d_a) (e / d_b) over e^2 for e the exponent of the group
+        w = gram_of_rows(rows, lat.gram)
+        e = math.lcm(*orders)
+        mat = [[w[a][b] * (e // da) * (e // db) for b, db in enumerate(orders)]
+               for a, da in enumerate(orders)]
+        lat._discriminant = FiniteQuadraticForm.over(orders, mat, e * e)
+    return lat._discriminant
 
 
 def direct_sum_fqf(f1, f2):
@@ -301,17 +316,20 @@ def negate_fqf(f):
 
 
 def canonical_form(f):
-    """The same form on invariant-factor generators, kept on f."""
+    """The same form on invariant-factor generators, kept on f. When each
+    order of f divides the next, the Smith form of their diagonal is that
+    diagonal with u = 1, so it is f itself, returned and not kept (a form
+    referring to itself is a cycle)."""
+    orders = f.orders
+    if all(b % a == 0 for a, b in zip(orders, orders[1:])):
+        return f
     if f._canonical is None:
         k = f.num_gens
-        if k == 0:
-            f._canonical = f
-        else:
-            dmat = [[f.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-            d, uinv_t, _ = _smith(dmat, True, False, inverse=True)
-            # row j of u^-T is invariant-factor generator j in f coordinates
-            kept = [j for j in range(k) if d[j][j] > 1]
-            f._canonical = _form_on(f, [uinv_t[j] for j in kept], tuple(d[j][j] for j in kept))
+        dmat = [[orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
+        d, uinv_t, _ = _smith(dmat, True, False, inverse=True)
+        # row j of u^-T is invariant-factor generator j in f coordinates
+        kept = [j for j in range(k) if d[j][j] > 1]
+        f._canonical = _form_on(f, [uinv_t[j] for j in kept], tuple(d[j][j] for j in kept))
     return f._canonical
 
 
@@ -389,8 +407,10 @@ def milgram_signature(f):
 
 
 def subgroup_matrix(f, gens):
-    """Canonical lower-triangular matrix whose row span mod relations is
-    the subgroup generated by gens (coordinate rows)."""
+    """Lower-triangular matrix whose row span mod relations is the
+    subgroup generated by gens (coordinate rows). It depends on the
+    generators, not only on the subgroup: two subgroups are compared by
+    their orders and by membership (`_solve_lower`), not by matrices."""
     k = f.num_gens
     rows = [list(g) for g in gens]
     for i in range(k):
@@ -417,7 +437,7 @@ def subgroup_gens(f, mat):
 
 
 def perp_subgroup(f, gens):
-    """Canonical matrix of everything pairing integrally with the gens."""
+    """Subgroup matrix of everything pairing integrally with the gens."""
     k = f.num_gens
     if not gens:
         return subgroup_matrix(f, [list(_unit(k, j)) for j in range(k)])
@@ -439,15 +459,15 @@ def _unit(k, j):
 def _solve_lower(t, s):
     """The integer row c with c t = s, for a lower-triangular t with a
     positive diagonal, by back-substitution; None when c is not integral."""
-    k = len(t)
-    c = [0] * k
-    nonzero = []
-    for j in range(k - 1, -1, -1):
-        c[j], rem = divmod(s[j] - sum(c[i] * t[i][j] for i in nonzero), t[j][j])
+    c = [0] * len(t)
+    rest = list(s)  # s minus the rows of t solved for so far
+    for j in range(len(t) - 1, -1, -1):
+        q, rem = divmod(rest[j], t[j][j])
         if rem:
             return None
-        if c[j]:
-            nonzero.append(j)
+        if q:
+            c[j] = q
+            rest = [x - q * y for x, y in zip(rest, t[j])]
     return c
 
 
@@ -468,9 +488,10 @@ def quotient_form(f, tmat, smat):
     coords, orders = _subquotient(f, tmat, smat)
     tgens = subgroup_gens(f, tmat)
     for s in subgroup_gens(f, smat):
-        if f.q_num(s):
+        qs = mat_vec(f.qmat, s)  # q(s) den = s . Q s mod 2 den, b(t, s) den = t . Q s mod den
+        if sum(map(mul, s, qs)) % (2 * f.den):
             raise NotIsotropic("q does not vanish on the denominator subgroup")
-        if any(f.b_num(t, s) for t in tgens):
+        if any(sum(map(mul, t, qs)) % f.den for t in tgens):
             raise NotIsotropic("denominator pairs nontrivially with numerator")
     return _form_on(f, coords, orders)
 
@@ -542,12 +563,14 @@ def _jordan_split(f, p):
             tinv = [[c * e, -b * e], [-b * e, a * e]]
         rest = [y for y in range(len(orders)) if y not in pick]
         coef = mat_mul([[t[y][a] for a in pick] for y in rest], tinv)
-        # cg[r][z] = b(sum_a coef_ra x_a, x_z) * m, for y the r-th of rest
+        # cg[r][z] = b(sum_a coef_ra x_a, x_z) * m, for y the r-th of rest,
+        # and cc[r][s] = b(sum_a coef_ra x_a, sum_a coef_sa x_a) * m
         cg = mat_mul(coef, [gram[a] for a in pick])
+        cc = [[sum(map(mul, row, c)) for c in coef] for row in ([r[a] for a in pick] for r in cg)]
         gram = [
-            [(gram[y][z] - cg[r][z] - cg[s][y] + sum(cg[r][a] * c for a, c in zip(pick, coef[s])))
-             % (2 * m if r == s else m) for s, z in enumerate(rest)]
-            for r, y in enumerate(rest)
+            [(gram[y][z] - cgr[z] - cg[s][y] + c) % (2 * m if r == s else m)
+             for s, (z, c) in enumerate(zip(rest, ccr))]
+            for r, (y, cgr, ccr) in enumerate(zip(rest, cg, cc))
         ]
         orders = [orders[y] for y in rest]
     f._jordan[p] = blocks = tuple(blocks)
@@ -666,21 +689,20 @@ def fqf_isomorphic(f1, f2):
 
 def verify_fqf_iso(f1, f2, images):
     """Full check that generator images define an isomorphism of forms."""
-    if f1.group_order != f2.group_order or len(images) != f1.num_gens:
+    if (f1.group_order != f2.group_order or len(images) != f1.num_gens
+            or any(len(img) != f2.num_gens for img in images)
+            or any(d % f2.element_order(img) for d, img in zip(f1.orders, images))):
         return False
-    m1, m2 = f1.den, f2.den
-    for i in range(f1.num_gens):
-        img = images[i]
-        if len(img) != f2.num_gens:
-            return False
-        if f1.orders[i] % f2.element_order(img) != 0:
-            return False
-        if f2.q_num(img) * m1 != f1.qmat[i][i] * m2:
-            return False
-        for j in range(i):
-            if f2.b_num(img, images[j]) * m1 != f1.qmat[i][j] * m2:
-                return False
     if f1.num_gens == 0:
         return True
-    mat = subgroup_matrix(f2, [list(im) for im in images])
+    # the images' gram over m2 holds q(img_i) * m2 mod 2 m2 on its diagonal
+    # and b(img_i, img_j) * m2 mod m2 off it
+    m1, m2 = f1.den, f2.den
+    rows = [list(im) for im in images]
+    for i, (row, want) in enumerate(zip(gram_of_rows(rows, f2.qmat), f1.qmat)):
+        if row[i] % (2 * m2) * m1 != want[i] * m2:
+            return False
+        if any(x % m2 * m1 != w * m2 for x, w in zip(row[:i], want)):
+            return False
+    mat = subgroup_matrix(f2, rows)
     return subgroup_order(f2, mat) == f2.group_order

@@ -38,7 +38,7 @@ def mat_mul(a, b):
 
 
 def mat_vec(m, v):
-    return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m))]
+    return [sum(map(mul, row, v)) for row in m]
 
 
 def xgcd(a, b):
@@ -266,11 +266,13 @@ def right_kernel_int(m):
 
 
 def hnf_rows(rows, ncols=None):
-    """Canonical basis of the integer row span, lower-triangular style.
+    """Hermite basis of the integer row span, lower-triangular style.
 
     Pivot of each basis row is its last nonzero coordinate; pivots are
     positive, entries in the pivot column of other rows reduced to
-    [0, pivot). Returned sorted by pivot position.
+    [0, pivot). Returned sorted by pivot position. The pivot columns are
+    reduced in ascending order, so a later reduction can undo an earlier
+    one: the result depends on the rows, not only on their span.
     """
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
@@ -278,13 +280,13 @@ def hnf_rows(rows, ncols=None):
     basis = {}
     while work:
         r = work.pop()
+        p = ncols
         while True:
-            p = None
-            for j in range(ncols - 1, -1, -1):
-                if r[j] != 0:
-                    p = j
-                    break
-            if p is None:
+            # each reduction clears r[p] and everything right of it
+            p -= 1
+            while p >= 0 and not r[p]:
+                p -= 1
+            if p < 0:
                 break
             if p not in basis:
                 if r[p] < 0:
@@ -301,10 +303,12 @@ def hnf_rows(rows, ncols=None):
     out = [basis[p] for p in pivots]
     # reduce entries sitting above other pivots
     for idx, p in enumerate(pivots):
+        piv = out[idx]
         for jdx in range(len(out)):
-            if jdx != idx and out[jdx][p] != 0:
-                q = out[jdx][p] // out[idx][p]
-                out[jdx] = [x - q * y for x, y in zip(out[jdx], out[idx])]
+            if jdx != idx:
+                q = out[jdx][p] // piv[p]
+                if q:
+                    out[jdx] = [x - q * y for x, y in zip(out[jdx], piv)]
     return out
 
 

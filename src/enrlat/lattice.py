@@ -144,6 +144,7 @@ class Lattice:
         self.rank = n
         self.det = det
         self.signature = (pos, neg)
+        self._discriminant = None  # kept by fqf.discriminant_form
 
     def bilinear(self, x, y):
         # x . (G y), one pass over the rows of G

@@ -26,6 +26,7 @@ from .fqf import (
     _dual_basis,
     _jordan_split,
     _order_two_elements,
+    _solve_lower,
     canonical_form,
     direct_sum_fqf,
     discriminant_form,
@@ -93,21 +94,16 @@ def exists_even_lattice(signature, form):
     return True
 
 
-_AMBIENT = None
-
 # search nodes `find_embedding_datum` visits before it gives up
 DATUM_NODE_CAP = 200_000
 
 
-def _ambient_and_form():
-    """The ambient lattice N, its discriminant form and the negative of
-    that form, built once and kept."""
-    global _AMBIENT
-    if _AMBIENT is None:
-        lat = ambient()
-        fn = discriminant_form(lat)
-        _AMBIENT = (lat, fn, negate_fqf(fn))
-    return _AMBIENT
+def _difference_form(fl):
+    """The difference form fl (+) (-q_N) of fl and the ambient form, kept
+    on fl; q_N itself is kept on the shared lattice N."""
+    if fl._difference is None:
+        fl._difference = direct_sum_fqf(fl, negate_fqf(discriminant_form(ambient())))
+    return fl._difference
 
 
 @dataclass(frozen=True)
@@ -166,7 +162,7 @@ def _check_datum_shape(datum, fl, fn):
 def _graph_quotient(fl, h_l_gens, gamma_rows):
     """The subquotient carried by the graph of the identification inside
     the difference form of fl and the ambient form."""
-    diff = direct_sum_fqf(fl, _ambient_and_form()[2])
+    diff = _difference_form(fl)
     graph = [list(h) + list(g) for h, g in zip(h_l_gens, gamma_rows)]
     perp = perp_subgroup(diff, graph)
     return quotient_form(diff, perp, subgroup_matrix(diff, graph))
@@ -175,8 +171,8 @@ def _graph_quotient(fl, h_l_gens, gamma_rows):
 def verify_embedding_datum(lat, datum):
     """Check a gluing datum against the source lattice. Returns a verdict
     and the list of reasons for failure."""
-    nlat, fn, _ = _ambient_and_form()
-    fl = discriminant_form(lat)
+    nlat = ambient()
+    fn, fl = discriminant_form(nlat), discriminant_form(lat)
     _check_datum_shape(datum, fl, fn)
     reasons = []
     want_rank = nlat.rank - lat.rank
@@ -210,12 +206,13 @@ def verify_embedding_datum(lat, datum):
         return False, reasons
     if order_l != 2 ** len(hl):
         raise DependentVectors("subgroup generators must be independent")
-    img_mat = subgroup_matrix(fn, gamma)
-    if img_mat != hn_mat:
+    # a subgroup matrix depends on the generators, so the spans are
+    # compared by order and membership; equal spans make gamma injective,
+    # as its len(hl) rows then span a group of order 2^len(hl)
+    img_mat = hn_mat if gamma == hn else subgroup_matrix(fn, gamma)
+    if (subgroup_order(fn, img_mat) != order_n
+            or any(_solve_lower(hn_mat, r) is None for r in img_mat)):
         reasons.append("identification images generate a different subgroup")
-        return False, reasons
-    if subgroup_order(fn, img_mat) != order_l:
-        reasons.append("identification is not injective")
         return False, reasons
     for i in range(len(hl)):
         if fl.q_num(hl[i]) * fn.den != fn.q_num(gamma[i]) * fl.den:
@@ -252,8 +249,8 @@ def find_embedding_datum(lat):
     ceil((l2 + n2 - want_rank) / 2) (at least 0) to min(l2, n2), for l2
     and n2 the 2-lengths of the two discriminant forms.
     """
-    nlat, fn, _ = _ambient_and_form()
-    fl = discriminant_form(lat)
+    nlat = ambient()
+    fn, fl = discriminant_form(nlat), discriminant_form(lat)
     want_rank = nlat.rank - lat.rank
     sig_l = lat.signature
     want_sig = (nlat.signature[0] - sig_l[0], nlat.signature[1] - sig_l[1])
@@ -464,7 +461,7 @@ def transfer_datum_down(parent, child, datum, child_basis):
     descent condition."""
     _check_child_basis(parent, child, child_basis)
     fl = discriminant_form(parent)
-    _check_datum_shape(datum, fl, _ambient_and_form()[1])
+    _check_datum_shape(datum, fl, discriminant_form(ambient()))
     star = condition_star(parent, child)
     if not star.verdict:
         raise StarViolated("descent condition fails: %s" % (star,))
@@ -490,8 +487,7 @@ def transfer_datum_up(parent, child, datum, child_basis):
         raise EvenIndex("the sublattice index must be odd")
     fl = discriminant_form(parent)
     fc = discriminant_form(child)
-    _, fn, _ = _ambient_and_form()
-    _check_datum_shape(datum, fc, fn)
+    _check_datum_shape(datum, fc, discriminant_form(ambient()))
     new_hl = _convert_gens(child, parent, datum.h_l, mat_mul(child_basis, parent.gram))
     quot = _graph_quotient(fl, new_hl, [list(r) for r in datum.gamma])
     new_kf = canonical_form(negate_fqf(quot))

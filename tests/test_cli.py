@@ -240,6 +240,20 @@ def test_datum_json_round_trip(tmp_path):
     assert json.loads(out)["verdicts"]["valid"]
 
 
+def test_verify_datum_accepts_the_glued_subgroup_on_other_generators(tmp_path):
+    gram = "[[4,0,0],[0,4,0],[0,0,-4]]"
+    blob = datum_to_json(find_embedding_datum(Lattice(json.loads(gram))))
+    # the same subgroup of the ambient form as the found H_N, on other generators
+    blob["H_N"] = [[0, 0, 0, 0, 0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 0, 0, 0, 1, 1, 0]]
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(blob))
+    code, out = run_cli(["--json", "verify-datum", "--gram", gram, "--datum-file", str(path)])
+    assert code == 0
+    env = json.loads(out)
+    assert env["verdicts"]["valid"] is True
+    assert env["payload"]["reasons"] == []
+
+
 def test_transfer_down_then_verify(tmp_path):
     lat = Lattice([[4, 0], [0, 4]])
     datum = find_embedding_datum(lat)

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -8,7 +10,7 @@ from itertools import product
 import pytest
 
 from enrlat.cli import main
-from enrlat.errors import Degenerate, NonWitt, NotSubgroup
+from enrlat.errors import BadShape, Degenerate, NonWitt, NotIsotropic, NotSubgroup
 from enrlat.fqf import (
     FiniteQuadraticForm,
     _jordan_split,
@@ -30,9 +32,9 @@ from enrlat.fqf import (
     trivial_form,
     verify_fqf_iso,
 )
-from enrlat.intmat import prime_factors
+from enrlat.intmat import _smith, prime_factors
 from enrlat.nikulin import exists_even_lattice
-from enrlat.lattice import Lattice, standard_lattice
+from enrlat.lattice import Lattice, gram_of_rows, standard_lattice
 
 from _oracles import (
     brute_b,
@@ -179,6 +181,72 @@ def test_canonical_form_is_stable():
         assert c1.values == c2.values
 
 
+def test_discriminant_form_is_kept_on_the_lattice():
+    lat = Lattice([[4, 2], [2, -4]])
+    form = discriminant_form(lat)
+    assert discriminant_form(lat) is form
+    # an equal lattice built anew builds its own, equal form
+    other = discriminant_form(Lattice([[4, 2], [2, -4]]))
+    assert other is not form and other == form
+    assert discriminant_form(standard_lattice("N")) is discriminant_form(standard_lattice("N"))
+
+
+def _smith_path(f):
+    """The form on the invariant-factor generators the Smith form of the
+    diagonal of f's orders names: canonical_form's general branch."""
+    k = f.num_gens
+    dmat = [[f.orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    d, uinv_t, _ = _smith(dmat, True, False, inverse=True)
+    kept = [j for j in range(k) if d[j][j] > 1]
+    return FiniteQuadraticForm.over(
+        [d[j][j] for j in kept], gram_of_rows([uinv_t[j] for j in kept], f.qmat), f.den)
+
+
+def test_canonical_form_of_a_divisibility_chain_is_the_form_itself():
+    rng = random.Random(97)
+    chains = 0
+    for _ in range(40):
+        form = discriminant_form(random_even_lattice(rng, max_rank=4))
+        if form.num_gens < 2:
+            continue
+        # moving the last generator to the front breaks the chain when its
+        # order is larger, which forces the Smith path
+        moved = form.orders[-1:] + form.orders[:-1]
+        perm = [form.num_gens - 1] + list(range(form.num_gens - 1))
+        permuted = FiniteQuadraticForm.over(
+            moved, [[form.qmat[i][j] for j in perm] for i in perm], form.den)
+        chain = canonical_form(permuted)
+        orders = chain.orders
+        assert all(b % a == 0 for a, b in zip(orders, orders[1:]))
+        assert fqf_isomorphic(chain, form) is not None
+        if moved[0] > moved[-1]:
+            chains += 1
+            assert chain is not permuted and canonical_form(permuted) is chain
+        # the chain's canonical form is itself, and the Smith path agrees
+        assert canonical_form(chain) is chain
+        assert _smith_path(chain) == chain
+        assert _smith_path(chain).qmat == chain.qmat
+    assert chains >= 5
+
+
+def test_canonical_forms_and_kept_forms_leave_no_cycles():
+    # with the cyclic collector off, reference counting alone must free them
+    gc.disable()
+    try:
+        forms = [trivial_form(),
+                 FiniteQuadraticForm((2, 4), [[1, 0], [0, Fraction(1, 4)]]),
+                 FiniteQuadraticForm((4, 2), [[Fraction(1, 4), 0], [0, 1]])]
+        refs = []
+        for form in forms:
+            refs += [weakref.ref(form), weakref.ref(canonical_form(form))]
+        lat = Lattice([[4, 0], [0, -12]])
+        refs += [weakref.ref(lat), weakref.ref(canonical_form(discriminant_form(lat)))]
+        del forms, form, lat
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
 def test_odd_jordan_blocks_multiply_to_group_order():
     rng = random.Random(83)
     for _ in range(10):
@@ -237,6 +305,21 @@ def test_subgroup_solves_reject_what_lies_outside():
     tmat = perp_subgroup(form, [[2, 2]])
     with pytest.raises(NotSubgroup):
         quotient_form(form, smat, tmat)
+
+
+def test_quotient_form_rejects_a_non_isotropic_denominator():
+    # Z/4 with q(1) = 1/4: q(2) = 1
+    form = discriminant_form(Lattice([[4]]))
+    with pytest.raises(NotIsotropic) as exc:
+        quotient_form(form, subgroup_matrix(form, [[1]]), subgroup_matrix(form, [[2]]))
+    assert str(exc.value) == "q does not vanish on the denominator subgroup"
+    # (Z/4)^2 with q(x) = (x_1^2 + x_2^2) / 4: (2, 2) is isotropic, but
+    # b((1, 0), (2, 2)) = 1/2
+    form = discriminant_form(Lattice([[4, 0], [0, 4]]))
+    whole = subgroup_matrix(form, [[1, 0], [0, 1]])
+    with pytest.raises(NotIsotropic) as exc:
+        quotient_form(form, whole, subgroup_matrix(form, [[2, 2]]))
+    assert str(exc.value) == "denominator pairs nontrivially with numerator"
 
 
 def test_isomorphism_search_and_verification():
@@ -419,6 +502,48 @@ def test_integer_q_and_b_against_fraction_sums():
             assert Fraction(form.b_num(x, y), form.den) == brute_b(form.values, x, y)
             # the integer matrix over the denominator is the same form
             assert form.q_num(x) == form.q_of(x) * form.den
+
+
+_HALF, _THIRD, _QUARTER = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+
+
+@pytest.mark.parametrize("orders, values, message", [
+    ((1,), [[0]], "generator orders must be at least 2"),
+    ((2, 0), [[0, 0], [0, 0]], "generator orders must be at least 2"),
+    ((2, 2), [[0, 0]], "value matrix must be 2 x 2"),
+    ((2, 2), [[0, 0], [0]], "value matrix must be 2 x 2"),
+    ((2,), [[0, 0]], "value matrix must be 1 x 1"),
+    ((2, 2), [[0, _HALF], [0, 0]], "value matrix must be symmetric"),
+    ((2, 2, 2), [[0, 0, 0], [0, 0, _HALF], [0, 0, 0]], "value matrix must be symmetric"),
+    ((3,), [[_THIRD]], "q value 1/3 invalid for a generator of order 3"),
+    ((2,), [[Fraction(7, 3)]], "q value 1/3 invalid for a generator of order 2"),
+    ((2, 2), [[0, _THIRD], [_THIRD, 0]], "pairing 1/3 invalid for order 2"),
+    ((2, 4), [[0, _QUARTER], [_QUARTER, 0]], "pairing 1/4 invalid for order 2"),
+    # generator by generator: a bad pairing of e_0 before a bad q of e_1,
+    # and a bad q of e_0 before a bad pairing of e_0
+    ((2, 3), [[0, _THIRD], [_THIRD, _THIRD]], "pairing 1/3 invalid for order 2"),
+    ((2, 2), [[_THIRD, _THIRD], [_THIRD, 0]], "q value 1/3 invalid for a generator of order 2"),
+])
+def test_constructor_rejections_by_type_and_message(orders, values, message):
+    with pytest.raises(BadShape) as exc:
+        FiniteQuadraticForm(orders, values)
+    assert type(exc.value) is BadShape and str(exc.value) == message
+    if all(len(r) == len(orders) for r in values) and len(values) == len(orders):
+        # the same matrix over its denominator, through the integer constructor
+        den = math.lcm(1, *(Fraction(x).denominator for r in values for x in r))
+        qmat = [[int(Fraction(x) * den) for x in r] for r in values]
+        with pytest.raises(BadShape) as exc:
+            FiniteQuadraticForm.over(orders, qmat, den)
+        assert type(exc.value) is BadShape and str(exc.value) == message
+
+
+def test_constructor_reduces_before_it_checks():
+    # b is read mod 1 and q mod 2, so these entries are valid
+    form = FiniteQuadraticForm((2, 2), [[Fraction(5, 2), _HALF], [-_HALF, 2]])
+    assert form.values == ((_HALF, _HALF), (_HALF, 0))
+    assert (form.den, form.qmat) == (2, ((1, 1), (1, 0)))
+    # the values come out over their least common denominator
+    assert FiniteQuadraticForm.over((4,), [[6]], 24).qmat == ((1,),)
 
 
 def _block_form(block):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -202,6 +203,46 @@ def test_verify_compares_the_complement_form_not_its_presentation():
     assert other != kf and fqf_isomorphic(other, kf) is not None
     ok, reasons = verify_embedding_datum(lat, with_form(other))
     assert ok, reasons
+
+
+def _f2_span(rows):
+    return {tuple(sum(c * x for c, x in zip(cs, col)) % 2 for col in zip(*rows))
+            for cs in product(range(2), repeat=len(rows))}
+
+
+@pytest.mark.parametrize("gram", [
+    [[4, 0, 0], [0, 4, 0], [0, 0, -4]],
+    [[4, 0, 0], [0, -4, 0], [0, 0, -8]],
+    [[4, 0, 0, 0], [0, -4, 0, 0], [0, 0, 4, 0], [0, 0, 0, -4]],
+])
+def test_verify_accepts_any_generators_of_the_glued_subgroup(gram):
+    # H_N names a subgroup of the ambient form (Z/2)^10; any basis of it,
+    # here seeded invertible mod-2 combinations of the found one, is the
+    # same datum
+    lat = Lattice(gram)
+    datum = find_embedding_datum(lat)
+    k = len(datum.h_n)
+    span = _f2_span(datum.h_n)
+    rng = random.Random(sum(map(sum, gram)))
+    tried = 0
+    while tried < 12:
+        mix = [[rng.randrange(2) for _ in range(k)] for _ in range(k)]
+        h_n = [[sum(c * x for c, x in zip(m, col)) % 2 for col in zip(*datum.h_n)] for m in mix]
+        if len(_f2_span(h_n)) < 2 ** k:
+            continue
+        assert _f2_span(h_n) == span
+        tried += 1
+        other = make_datum(datum.h_l, h_n, datum.gamma, datum.k_rank, datum.k_signature,
+                           datum.k_fqf)
+        ok, reasons = verify_embedding_datum(lat, other)
+        assert ok, (h_n, reasons)
+    # a row outside the subgroup still changes it
+    outside = next(e for e in ([int(i == j) for i in range(10)] for j in range(10))
+                   if tuple(e) not in span)
+    other = make_datum(datum.h_l, [outside] + list(datum.h_n[1:]), datum.gamma,
+                       datum.k_rank, datum.k_signature, datum.k_fqf)
+    assert verify_embedding_datum(lat, other) == (
+        False, ["identification images generate a different subgroup"])
 
 
 def test_verify_rejects_order_four_generators():
