@@ -15,7 +15,7 @@ from enrlat import (
     trivial_form,
     verify_embedding_datum,
 )
-from enrlat.fqf import fqf_isomorphic
+from enrlat.fqf import is_isomorphic
 from enrlat.lattice import Lattice
 
 # Existence. An even unimodular lattice of signature (p, n) exists exactly
@@ -71,7 +71,7 @@ back = transfer_datum_up(lat44, sub, child, rows)
 ok_back, _ = verify_embedding_datum(lat44, back)
 print("lifted back up: valid =", ok_back,
       "and the complement form matches:",
-      fqf_isomorphic(back.k_fqf, parent.k_fqf) is not None)
+      is_isomorphic(back.k_fqf, parent.k_fqf))
 
 # Milgram consistency ties the whole chain together: the descended
 # complement data still satisfies the signature congruence mod 8.

@@ -41,6 +41,7 @@ from .fqf import (
     discriminant_form,
     direct_sum_fqf,
     fqf_isomorphic,
+    is_isomorphic,
     milgram_signature,
     negate_fqf,
     p_part,

@@ -29,19 +29,25 @@ form of a gram names the generators of its discriminant form and gives
 the coordinates of a dual vector from its integer pairings with the
 lattice basis (`_dual_basis`). No float enters any decision: the Gauss
 signature is a sum of closed-form phases of Jordan blocks (Legendre
-symbols, residues mod 8 and parities of exponents). The q-value
-histograms the isomorphism test compares come from the Jordan blocks too.
-Every walk over the elements of a group goes through `_walk`, which
-updates q in integers from one element to the next; only the isomorphism
-backtrack walks a whole group (besides the two-torsion of the datum
-search and the histogram of a degenerate form), so its cap stays until a
-complete set of local invariants replaces enumeration.
+symbols, residues mod 8 and parities of exponents).
+
+Isomorphism is decided from the Jordan blocks too, p-part by p-part
+(`is_isomorphic`): at odd p by the rank and the Legendre symbol of the
+determinant at each scale, on (Z/2)^a by parity and signature mod 8, and
+on any other 2-part by its blocks under three rewrites that are
+isomorphisms. Only a 2-part whose rewritten blocks differ, or a
+degenerate p-part, goes to the witness search `fqf_isomorphic`, which
+compares q histograms convolved from the blocks and then backtracks over
+generator images under ISO_CAP. Every walk over the elements of a group
+goes through `_walk`, which updates q in integers from one element to the
+next; only that backtrack walks a whole group (besides the two-torsion of
+the datum search and the histogram of a degenerate form).
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from operator import add, mod, mul
 
 from .errors import (
@@ -139,11 +145,9 @@ def _order_two_elements(f):
         gens = [[d // 2 if j == i else 0 for j in range(f.num_gens)]
                 for i, d in enumerate(f.orders) if d % 2 == 0]
         two = _form_on(f, gens, (2,) * len(gens))
-        f._order_two = tuple(
-            (tuple(map(sum, zip(*[g for b, g in zip(bits, gens) if b]))), 2 * q // two.den)
-            for bits, q in zip(two.elements(), _walk(two))
-            if any(bits)
-        )
+        coords = product(*[(0, d // 2) if d % 2 == 0 else (0,) for d in f.orders])
+        f._order_two = tuple(islice(
+            ((c, 2 * q // two.den) for c, q in zip(coords, _walk(two))), 1, None))
     return f._order_two
 
 
@@ -632,7 +636,8 @@ def _p_group_backtrack(p1, p2, spent):
 
 
 def fqf_isomorphic(f1, f2):
-    """Explicit isomorphism between two forms, or None.
+    """Explicit isomorphism between two forms, or None; a caller that
+    reads no witness asks `is_isomorphic`.
 
     The result maps generator i of f1 to the coordinate vector result[i]
     in f2. Both forms stay in their own presentations. The p-part of f1,
@@ -685,6 +690,80 @@ def fqf_isomorphic(f1, f2):
     images = [list(f2.reduce(img)) for img in images]
     assert verify_fqf_iso(f1, f2, images)
     return images
+
+
+def _two_adic_normal(blocks):
+    """The 2-adic Jordan blocks rewritten by three isomorphisms: the unit
+    a of each block <a / 2^k> reduced mod min(8, 2^(k+1)), v + v as u + u
+    at each scale, and a v left over at 2^(k +- 1) with a block <a / 2^k>
+    as u with <5a / 2^k> (the smallest unit there). Returns, per scale,
+    the sorted units and the numbers of u and of v."""
+    units, planes = {}, {}
+    for kind, s, *q in blocks:
+        if kind == "q":
+            units.setdefault(s, []).append(q[0].numerator % min(8, 2 * s))
+        else:
+            planes.setdefault(s, [0, 0])[kind == "v"] += 1
+    for s, (nu, nv) in planes.items():
+        planes[s] = [nu + nv - nv % 2, nv % 2]
+        t = next((t for t in (s // 2, 2 * s) if t in units), None)
+        if nv % 2 and t:
+            us = sorted(units[t])
+            us[0] = 5 * us[0] % min(8, 2 * t)
+            units[t] = us
+            planes[s] = [nu + nv, 0]
+    return sorted((s, sorted(us)) for s, us in units.items()), sorted(planes.items())
+
+
+def _local_key(blocks, p):
+    """(complete, key) for the Jordan blocks of a nondegenerate p-part.
+    Equal keys mean isomorphic p-parts; when the key is complete, unequal
+    keys mean p-parts that are not isomorphic. At odd p the key is the
+    rank and the Legendre symbol of the product of the units t of the
+    blocks 2t / p^k at each scale p^k, a complete invariant. On (Z/2)^a
+    it is the parity and the signature mod 8, which with a fix the form
+    (Nikulin 1979, 3.6.2). Any other 2-part gets `_two_adic_normal`,
+    which is not complete."""
+    if p != 2:
+        ranks, dets = Counter(), {}
+        for _, s, q in blocks:
+            ranks[s] += 1
+            dets[s] = dets.get(s, 1) * (q.numerator // 2) % p
+        return True, sorted((s, n, legendre(dets[s], p)) for s, n in ranks.items())
+    if all(b[1] == 2 for b in blocks):
+        return True, (any(b[0] == "q" for b in blocks),
+                      sum(_block_phase(2, b) for b in blocks) % 8)
+    return False, _two_adic_normal(blocks)
+
+
+def is_isomorphic(f1, f2):
+    """Whether f1 and f2 are isomorphic, with no witness.
+
+    Equal forms are isomorphic. Otherwise den, order and the elementary
+    divisors of each p-part must agree, and then each p-part is decided
+    by the `_local_key`s of its Jordan splittings, so equal p-parts
+    always agree. A p-part whose keys differ but are not complete, or
+    whose splitting finds it degenerate, goes to `fqf_isomorphic`.
+    """
+    if f1 == f2:
+        return True
+    if f1.den != f2.den or f1.group_order != f2.group_order:
+        return False
+    primes = prime_factors(f1.group_order)
+    if any(sorted(_p_coords(f1, p)[1]) != sorted(_p_coords(f2, p)[1]) for p in primes):
+        return False
+    for p in primes:
+        try:
+            (complete, k1), (_, k2) = (_local_key(_jordan_split(f, p), p) for f in (f1, f2))
+            if k1 == k2:
+                continue
+            if complete:
+                return False
+        except Degenerate:
+            pass
+        if fqf_isomorphic(p_part(f1, p), p_part(f2, p)) is None:
+            return False
+    return True
 
 
 def verify_fqf_iso(f1, f2, images):

@@ -30,7 +30,7 @@ from .fqf import (
     canonical_form,
     direct_sum_fqf,
     discriminant_form,
-    fqf_isomorphic,
+    is_isomorphic,
     milgram_signature,
     negate_fqf,
     p_part,
@@ -231,7 +231,7 @@ def verify_embedding_datum(lat, datum):
             reasons.append("the provided complement identification fails")
             return False, reasons
     else:
-        if fqf_isomorphic(target, quot) is None:
+        if not is_isomorphic(target, quot):
             reasons.append(
                 "complement discriminant form does not match the subquotient"
             )

@@ -16,11 +16,13 @@ from enrlat.fqf import (
     _jordan_split,
     _q_histogram,
     _subquotient,
+    _two_adic_normal,
     _walk,
     canonical_form,
     direct_sum_fqf,
     discriminant_form,
     fqf_isomorphic,
+    is_isomorphic,
     milgram_signature,
     negate_fqf,
     p_part,
@@ -364,6 +366,108 @@ def test_degenerate_two_elementary_forms_get_a_verified_map():
     assert verify_fqf_iso(a, b, iso)
 
 
+def _blocks(*blocks):
+    """The orthogonal sum of Jordan blocks ('q', s, q) = <q>, ('u', s) and
+    ('v', s), each on its own generators."""
+    out = trivial_form()
+    for kind, s, *a in blocks:
+        if kind == "q":
+            block = FiniteQuadraticForm((s,), [a])
+        else:
+            d, e = Fraction(2 * (kind == "v"), s), Fraction(1, s)
+            block = FiniteQuadraticForm((s, s), [[d, e], [e, d]])
+        out = direct_sum_fqf(out, block)
+    return out
+
+
+def _witnessed(a, b):
+    iso = fqf_isomorphic(a, b)
+    return iso is not None and verify_fqf_iso(a, b, iso)
+
+
+def test_two_adic_rewrites_are_isomorphisms():
+    # v + v = u + u, and <a / s> + v = <5a / s> + u at the scales next to
+    # s, for every unit a: each side splits into those blocks, the two
+    # sides get one normal form, and the witness search finds a map
+    def check(left, right):
+        a, b = _blocks(*left), _blocks(*right)
+        assert _jordan_split(a, 2) == left and _jordan_split(b, 2) == right
+        assert a != b and _witnessed(a, b) and is_isomorphic(a, b)
+        assert _two_adic_normal(left) == _two_adic_normal(right)
+
+    checked = 0
+    for s in (2, 4, 8, 16):
+        check((("v", s), ("v", s)), (("u", s), ("u", s)))
+        for t in (s // 2, 2 * s):
+            for a in range(1, 2 * s, 2) if t > 1 else ():
+                five = Fraction(5 * a, s) % 2
+                q, plane = ("q", s, Fraction(a, s)), ("v", t)
+                left = (q, plane) if s > t else (plane, q)
+                right = tuple(("q", s, five) if b is q else ("u", t) for b in left)
+                check(left, right)
+                checked += 1
+    assert checked == 2 + 8 + 16 + 32
+
+
+def test_two_adic_units_count_mod_eight_against_brute():
+    # <a / 2^k> and <b / 2^k> are isomorphic exactly when a = b mod 4 at
+    # k = 1 and mod 8 above
+    for s in (2, 4, 8, 16):
+        for a, b in product(range(1, 2 * s, 2), repeat=2):
+            fa, fb = _blocks(("q", s, Fraction(a, s))), _blocks(("q", s, Fraction(b, s)))
+            want = brute_isomorphic(fa.orders, fa.values, fb.orders, fb.values)
+            assert want == ((a - b) % min(8, 2 * s) == 0)
+            assert is_isomorphic(fa, fb) == want
+            assert (_two_adic_normal(_jordan_split(fa, 2))
+                    == _two_adic_normal(_jordan_split(fb, 2))) == want
+
+
+def _all_forms(orders):
+    """Every form on (+) Z/orders[i], degenerate ones included: q(e_i) in
+    (1 / d_i) Z with d_i^2 q(e_i) even, b(e_i, e_j) in (1 / gcd) Z."""
+    k = len(orders)
+    diag = [[Fraction(t, d) for t in range(2 * d) if d * t % 2 == 0] for d in orders]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    offs = [[Fraction(c, g) for c in range(g)]
+            for g in (math.gcd(orders[i], orders[j]) for i, j in pairs)]
+    out = []
+    for qs in product(*diag):
+        for bs in product(*offs):
+            vals = [[qs[i] if i == j else Fraction(0) for j in range(k)] for i in range(k)]
+            for (i, j), b in zip(pairs, bs):
+                vals[i][j] = vals[j][i] = b
+            out.append(FiniteQuadraticForm(orders, vals))
+    return out
+
+
+@pytest.mark.parametrize("orders,degenerate", [
+    ((9,), True), ((27,), True), ((3, 9), True), ((5, 5), True),
+    ((2,), True), ((2, 2), True), ((2, 2, 2), False)])
+def test_is_isomorphic_on_every_form_of_a_group_against_brute(orders, degenerate):
+    # the forms fall into classes by brute force (within buckets of equal
+    # q-value multisets); each form is then decided against a member of
+    # every class, both ways. Degenerate forms, which the decision hands
+    # to the witness search, are left out on (Z/2)^3, where they are most
+    # of its 512 forms.
+    forms = [f for f in _all_forms(orders)
+             if degenerate or len(brute_radical(f.orders, f.values)) == 1]
+    reps = []  # (sorted q values, representative)
+    cls = []
+    for f in forms:
+        hist = sorted(q for _, q in brute_q_values(f.orders, f.values))
+        rep = next((r for h, r in reps if h == hist
+                    and brute_isomorphic(r.orders, r.values, f.orders, f.values)), None)
+        if rep is None:
+            rep = f
+            reps.append((hist, f))
+        cls.append(rep)
+    for f, rep in zip(forms, cls):
+        for _, r in reps:
+            assert is_isomorphic(f, r) == is_isomorphic(r, f) == (r is rep), (f.values, r.values)
+    assert len(reps) > 2
+    assert not degenerate or any(len(brute_radical(f.orders, f.values)) > 1 for f in forms)
+
+
 def _presented(form, rows, orders):
     """The form on the elements rows of form, taken as generators of the
     given orders, with its values read off by the oracle."""
@@ -430,6 +534,7 @@ def test_isomorphism_against_brute_force_across_presentations():
             iso = fqf_isomorphic(a, b)
             want = brute_isomorphic(a.orders, a.values, b.orders, b.values)
             assert (iso is not None) == want, (a.orders, a.values, b.orders, b.values)
+            assert is_isomorphic(a, b) == want, (a.orders, a.values, b.orders, b.values)
             if iso is not None:
                 assert verify_fqf_iso(a, b, iso)
             verdicts[want, a.orders == b.orders] += 1

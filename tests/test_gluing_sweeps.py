@@ -4,7 +4,8 @@ Every `find_embedding_datum` result on a seeded sweep of small grams (the
 datum's canonical JSON, or the exception type and message) and every
 `fqf_isomorphic` witness on seeded pairs of forms in several presentations
 is written out and hashed, so a change to either search must reproduce
-each result byte for byte.
+each result byte for byte. On the same pairs `is_isomorphic` must give
+the verdict of the witness search.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ from enrlat.fqf import (
     direct_sum_fqf,
     discriminant_form,
     fqf_isomorphic,
+    is_isomorphic,
     negate_fqf,
     p_part,
     trivial_form,
@@ -85,7 +87,9 @@ def _by_primes(f):
     return out
 
 
-def _iso_sweep():
+def _iso_pairs():
+    """Seeded pairs (f, g) of forms of one order: f against itself in
+    several presentations, its negation, and up to three other forms."""
     rng = random.Random(1)
     base = []
     for lat in _lattices(rng, 200, (-4, 4), 4):
@@ -98,14 +102,19 @@ def _iso_sweep():
     by_order = {}
     for f in base:
         by_order.setdefault(f.group_order, []).append(f)
-    lines, verdicts = [], Counter()
     for f in base:
         others = [g for g in by_order[f.group_order] if g is not f][:3]
         for g in [f, canonical_form(f), _by_primes(f), _rebased(f, rng), _rebased(f, rng),
                   negate_fqf(f), _rebased(negate_fqf(f), rng)] + others:
-            iso = fqf_isomorphic(f, g)
-            verdicts[iso is not None, len(prime_factors(f.group_order)) > 1] += 1
-            lines.append("%s %s %s" % (f.orders, g.orders, iso))
+            yield f, g
+
+
+def _iso_sweep():
+    lines, verdicts = [], Counter()
+    for f, g in _iso_pairs():
+        iso = fqf_isomorphic(f, g)
+        verdicts[iso is not None, len(prime_factors(f.group_order)) > 1] += 1
+        lines.append("%s %s %s" % (f.orders, g.orders, iso))
     return _hash(lines), verdicts
 
 
@@ -120,3 +129,9 @@ def test_isomorphism_sweep_hash_is_unchanged():
     # witnesses and refusals, on one-prime and multi-prime groups
     assert all(verdicts[iso, multi] for iso in (True, False) for multi in (True, False))
     assert digest == "b5f4469296978d12a740165b97d680e9b52a2060a6fbf8293ab23d6055593808"
+
+
+def test_is_isomorphic_agrees_with_the_witness_search_on_the_sweep():
+    verdicts = Counter(
+        (is_isomorphic(f, g), fqf_isomorphic(f, g) is not None) for f, g in _iso_pairs())
+    assert set(verdicts) == {(True, True), (False, False)}

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -8,18 +9,23 @@ from enrlat import nikulin
 from enrlat.errors import (
     BadPrime,
     CapExceeded,
+    Degenerate,
     EnrLatError,
     EvenIndex,
+    NotFound,
     NotTwoGroup,
     StarViolated,
 )
 from enrlat.fqf import (
     FiniteQuadraticForm,
+    _jordan_split,
     canonical_form,
+    direct_sum_fqf,
     discriminant_form,
     fqf_isomorphic,
     milgram_signature,
     negate_fqf,
+    p_part,
     trivial_form,
 )
 from enrlat.lattice import Lattice, standard_lattice
@@ -205,6 +211,29 @@ def test_verify_compares_the_complement_form_not_its_presentation():
     assert ok, reasons
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_verify_rejects_a_degenerate_complement_form(p):
+    # the found K form is (Z/2)^9 + Z/6; zeroing row and column 0 puts e_0
+    # in the radical of its 2-part, and its 2-part plus <0> on Z/3 has a
+    # null 3-part. Either is degenerate and gets the verdict of a wrong
+    # form, not a Degenerate traceback.
+    lat = Lattice([[4, 2], [2, 4]])
+    good = find_embedding_datum(lat)
+    kf = good.k_fqf
+    if p == 2:
+        values = [[Fraction(0) if 0 in (i, j) else x for j, x in enumerate(r)]
+                  for i, r in enumerate(kf.values)]
+        bad = FiniteQuadraticForm(kf.orders, values)
+    else:
+        bad = direct_sum_fqf(p_part(kf, 2), FiniteQuadraticForm((3,), [[0]]))
+    assert bad.group_order == kf.group_order
+    with pytest.raises(Degenerate):
+        _jordan_split(negate_fqf(bad), p)
+    other = make_datum(good.h_l, good.h_n, good.gamma, good.k_rank, good.k_signature, bad)
+    assert verify_embedding_datum(lat, other) == (
+        False, ["complement discriminant form does not match the subquotient"])
+
+
 def _f2_span(rows):
     return {tuple(sum(c * x for c, x in zip(cs, col)) % 2 for col in zip(*rows))
             for cs in product(range(2), repeat=len(rows))}
@@ -334,6 +363,45 @@ def test_transfer_round_trip_sweep():
         assert up.k_fqf == datum.k_fqf, (g, p)
         done += 1
     assert done >= 100
+
+
+def _smallest_admissible_prime(det):
+    return next(p for p in range(3, 100, 2)
+                if (2 * det) % p and all(p % q for q in range(3, p, 2)))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_descended_datum_with_two_elementary_complement_verifies(p):
+    # the child's K form has 2-part (Z/2)^10 with half-integral q values,
+    # on which the witness search spends its whole cap; the decision reads
+    # its parity and signature
+    parent = Lattice([[2, -2], [-2, 8]])
+    datum = find_embedding_datum(parent)
+    child, rows = index_p_sublattice(parent, p)
+    down = transfer_datum_down(parent, child, datum, rows)
+    assert down.k_fqf.orders == (2,) * 9 + (6 * p * p,)
+    assert verify_embedding_datum(child, down) == (True, [])
+
+
+def test_one_descent_step_verifies_on_every_small_binary_gram():
+    # [[2a, b], [b, 2c]] for a, c in -3..3, b in -4..4 and |b| <= 2
+    # min(|a|, |c|), one step down at the smallest admissible prime
+    outcomes = Counter()
+    for a, c, b in product(range(-3, 4), range(-3, 4), range(-4, 5)):
+        if abs(b) > 2 * min(abs(a), abs(c)):
+            continue
+        try:
+            parent = Lattice([[2 * a, b], [b, 2 * c]])
+            datum = find_embedding_datum(parent)
+        except (Degenerate, NotFound) as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        p = _smallest_admissible_prime(abs(parent.det))
+        child, rows = index_p_sublattice(parent, p)
+        down = transfer_datum_down(parent, child, datum, rows)
+        assert verify_embedding_datum(child, down) == (True, []), (a, b, c, p)
+        outcomes["verified"] += 1
+    assert outcomes == {"verified": 196, "NotFound": 40, "Degenerate": 21}
 
 
 def test_transfer_guards():
