@@ -19,9 +19,12 @@ the multiples (d / p^a) e_i of its generators, and only the JSON boundary
 asks for invariant factors (`canonical_form`).
 
 A lattice keeps its discriminant form, the shared ambient N among them. A
-form keeps what is derived from it once: its Jordan splittings, its
-two-torsion, its invariant-factor form (unless it is its own) and, for a
-lattice glued into N, its difference form with the form of N.
+form keeps what is derived from it once: its two-torsion, its
+invariant-factor form (unless it is its own) and, for a lattice glued into
+N, its difference form with the form of N. Jordan splittings are kept by
+form value instead (`_jordan_split`): the 256 latest (form, p) splittings,
+a degenerate outcome included, so equal forms built again and again along
+the gluing path split once.
 
 `Fraction` stays at the edges: `q_of` returns one and `values` is the
 `Fraction` view of Q / m that the JSON boundary reads. The integer Smith
@@ -70,7 +73,7 @@ from .intmat import (
     snf_with_transforms,
     val_p,
 )
-from .lattice import gram_of_rows
+from .lattice import _int, gram_of_rows
 
 
 def _walk(f):
@@ -160,6 +163,7 @@ class FiniteQuadraticForm:
     """
 
     def __init__(self, orders, values):
+        orders = tuple(_int(d, "generator order") for d in orders)
         vals = [[Fraction(x) for x in row] for row in values]
         den = math.lcm(1, *(x.denominator for row in vals for x in row))
         self._set(orders, [[x.numerator * (den // x.denominator) for x in r] for r in vals], den)
@@ -202,7 +206,6 @@ class FiniteQuadraticForm:
         self.qmat = rows if g == 1 else tuple(tuple(x // g for x in r) for r in rows)
         self._values = None
         self._canonical = None
-        self._jordan = {}
         self._order_two = None
         self._difference = None
 
@@ -293,7 +296,7 @@ def _dual_basis(lat):
 def discriminant_form(lat):
     """Dual quotient of an even lattice with its induced form, on the
     generators `_dual_basis` names; built once and kept on lat, so every
-    caller shares one form and the splittings kept on it."""
+    caller shares one form and what is kept on it."""
     if lat._discriminant is None:
         orders, rows, _ = _dual_basis(lat)
         # generator a is u_a / d_a, so its pairings are W / (d_a d_b), which
@@ -515,13 +518,39 @@ def splits_unit_block(f):
     )
 
 
+# Jordan splittings by form value and prime, (orders, den, qmat, p): the
+# block tuple, or the message of the Degenerate the split raised. Tuples
+# only, never a form, so a form is still freed by reference counting; the
+# oldest key goes first.
+_SPLITS = {}
+_SPLITS_KEPT = 256
+
+
 def _jordan_split(f, p):
+    """Jordan splitting of the p-part of f (`_split_blocks`), kept per
+    form value: equal forms, however often rebuilt, split once, and a
+    degenerate one raises the same Degenerate again without a new split."""
+    key = (f.orders, f.den, f.qmat, p)
+    kept = _SPLITS.get(key)
+    if kept is None:
+        try:
+            kept = _split_blocks(f, p)
+        except Degenerate as exc:
+            kept = str(exc)
+        if len(_SPLITS) >= _SPLITS_KEPT:
+            del _SPLITS[next(iter(_SPLITS))]
+        _SPLITS[key] = kept
+    if isinstance(kept, str):
+        raise Degenerate(kept)
+    return kept
+
+
+def _split_blocks(f, p):
     """Jordan splitting of the p-part of f by linear algebra mod p^k.
 
-    Returns blocks largest scale first, as a tuple kept on the form for
-    each p, so the signature and the existence test split once. At the top
-    order d = p^k of the current generators, t(x, y) = d b(x, y) is an
-    integer mod d. A generator x with t(x, x) a unit mod p is a block
+    Returns blocks largest scale first, as a tuple. At the top order
+    d = p^k of the current generators, t(x, y) = d b(x, y) is an integer
+    mod d. A generator x with t(x, x) a unit mod p is a block
     ('q', d, q(x)); for odd p a pair x, y with t(x, y) a unit gives one
     through x + y. For p = 2 a pair with t(x, y) odd and t(x, x), t(y, y)
     even is a block ('u', d) or ('v', d), told apart by the Arf invariant
@@ -532,8 +561,6 @@ def _jordan_split(f, p):
     their gram is kept, updated by the block's Schur complement mod m (2m
     on the diagonal), where b and q, hence t and the blocks, are defined.
     """
-    if p in f._jordan:
-        return f._jordan[p]
     pf = p_part(f, p)
     m = pf.den
     gram = [list(r) for r in pf.qmat]
@@ -577,8 +604,7 @@ def _jordan_split(f, p):
             for r, (y, cgr, ccr) in enumerate(zip(rest, cg, cc))
         ]
         orders = [orders[y] for y in rest]
-    f._jordan[p] = blocks = tuple(blocks)
-    return blocks
+    return tuple(blocks)
 
 
 # candidate images `fqf_isomorphic` tries, over all p-parts, before it gives up

@@ -27,6 +27,13 @@ from .intmat import identity, right_kernel_int, snf_diagonal
 _INT = {int}
 
 
+def _int(x, what):
+    # bool is an int subclass, but a JSON true is no coordinate
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise BadShape("%s: %r is not an integer" % (what, x))
+    return x
+
+
 def _check_int_matrix(m):
     if not isinstance(m, (list, tuple)):
         raise BadShape("matrix must be a list of rows")

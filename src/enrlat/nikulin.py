@@ -52,7 +52,7 @@ from .intmat import (
     transpose,
     val_p,
 )
-from .lattice import Lattice, _check_int_matrix, gram_of_rows
+from .lattice import Lattice, _check_int_matrix, _int, gram_of_rows
 
 
 def exists_even_lattice(signature, form):
@@ -60,7 +60,7 @@ def exists_even_lattice(signature, form):
     exists."""
     if len(signature) != 2:
         raise BadShape("the signature must have two entries")
-    tpos, tneg = int(signature[0]), int(signature[1])
+    tpos, tneg = (_int(x, "signature") for x in signature)
     if tpos < 0 or tneg < 0:
         return False
     order = form.group_order
@@ -118,13 +118,6 @@ class EmbeddingDatum:
     k_signature: tuple
     k_fqf: FiniteQuadraticForm
     delta: tuple = None
-
-
-def _int(x, what):
-    # bool is an int subclass, but a JSON true is no coordinate
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise BadShape("%s: %r is not an integer" % (what, x))
-    return x
 
 
 def _as_rows(rows, what):

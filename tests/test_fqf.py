@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import json
 import math
@@ -9,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from enrlat import fqf
 from enrlat.cli import main
 from enrlat.errors import BadShape, Degenerate, NonWitt, NotIsotropic, NotSubgroup
 from enrlat.fqf import (
@@ -243,10 +245,64 @@ def test_canonical_forms_and_kept_forms_leave_no_cycles():
             refs += [weakref.ref(form), weakref.ref(canonical_form(form))]
         lat = Lattice([[4, 0], [0, -12]])
         refs += [weakref.ref(lat), weakref.ref(canonical_form(discriminant_form(lat)))]
+        # the kept Jordan splittings hold tuples, never the forms split;
+        # both forms on (Z/2) + (Z/4) are degenerate, so failures are kept too
+        for form in forms + [discriminant_form(lat)]:
+            for p in prime_factors(form.group_order):
+                with contextlib.suppress(Degenerate):
+                    _jordan_split(form, p)
+            with contextlib.suppress(NonWitt):
+                milgram_signature(form)
         del forms, form, lat
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+def _recorded_splits(monkeypatch):
+    """Empty the kept splittings and count every split that runs, by form
+    value and prime."""
+    monkeypatch.setattr(fqf, "_SPLITS", {})
+    runs = Counter()
+    split = fqf._split_blocks
+
+    def recorded(f, p):
+        runs[(f.orders, f.den, f.qmat, p)] += 1
+        return split(f, p)
+
+    monkeypatch.setattr(fqf, "_split_blocks", recorded)
+    return runs
+
+
+def test_degenerate_splits_are_kept_and_raised_again(monkeypatch):
+    runs = _recorded_splits(monkeypatch)
+    form = FiniteQuadraticForm((2,), [[0]])
+    messages = []
+    for _ in range(2):
+        with pytest.raises(Degenerate) as exc:
+            _jordan_split(form, 2)
+        messages.append(str(exc.value))
+    with pytest.raises(NonWitt) as exc:
+        milgram_signature(FiniteQuadraticForm((2,), [[0]]))
+    assert isinstance(exc.value.__cause__, Degenerate)
+    assert messages == [str(exc.value.__cause__)] * 2 and messages[0]
+    assert list(runs.values()) == [1]
+
+
+def test_kept_splittings_keep_the_latest_256_keys(monkeypatch):
+    runs = _recorded_splits(monkeypatch)
+    forms = [FiniteQuadraticForm((d,), [[Fraction(1 + d % 2, d)]]) for d in range(2, 302)]
+    keys = [(f.orders, f.den, f.qmat, min(prime_factors(f.group_order))) for f in forms]
+    for form, key in zip(forms, keys):
+        _jordan_split(form, key[-1])
+    assert len(set(keys)) == 300 and fqf._SPLITS_KEPT == 256
+    assert list(fqf._SPLITS) == keys[-256:]
+    # the oldest key was evicted, so its form splits again and evicts the
+    # next oldest; the latest is still kept
+    _jordan_split(forms[0], 2)
+    _jordan_split(forms[-1], keys[-1][-1])
+    assert runs[keys[0]] == 2 and runs[keys[-1]] == 1
+    assert list(fqf._SPLITS) == keys[-255:] + keys[:1]
 
 
 def test_odd_jordan_blocks_multiply_to_group_order():
@@ -640,6 +696,15 @@ def test_constructor_rejections_by_type_and_message(orders, values, message):
         with pytest.raises(BadShape) as exc:
             FiniteQuadraticForm.over(orders, qmat, den)
         assert type(exc.value) is BadShape and str(exc.value) == message
+
+
+@pytest.mark.parametrize("orders", [(2.5,), ("4",), (True,), (2, 4.0)])
+def test_constructor_rejects_orders_that_are_not_ints(orders):
+    # 2.5 and "4" used to become orders 2 and 4
+    with pytest.raises(BadShape) as exc:
+        FiniteQuadraticForm(orders, [[0] * len(orders)] * len(orders))
+    assert type(exc.value) is BadShape
+    assert str(exc.value) == "generator order: %r is not an integer" % (orders[-1],)
 
 
 def test_constructor_reduces_before_it_checks():

@@ -5,9 +5,10 @@ from itertools import product
 
 import pytest
 
-from enrlat import nikulin
+from enrlat import fqf, nikulin
 from enrlat.errors import (
     BadPrime,
+    BadShape,
     CapExceeded,
     Degenerate,
     EnrLatError,
@@ -99,6 +100,15 @@ def test_exists_does_not_depend_on_the_presentation():
 
 def test_exists_rejects_negative_signature_entries():
     assert not exists_even_lattice((-1, 1), trivial_form())
+
+
+@pytest.mark.parametrize("signature", [(2.9, 0), ("2", "0"), (True, False), (2, 0.0)])
+def test_exists_rejects_signature_entries_that_are_not_ints(signature):
+    # (2.9, 0) and ("2", "0") used to be truncated to (2, 0), which exists
+    form = discriminant_form(Lattice([[2, 1], [1, 2]]))
+    assert exists_even_lattice((2, 0), form)
+    with pytest.raises(BadShape, match="signature: .* is not an integer"):
+        exists_even_lattice(signature, form)
 
 
 def test_unimodular_iff_rule():
@@ -336,6 +346,51 @@ def test_transfer_round_trip():
     assert up.h_l == datum.h_l
     assert up.gamma == datum.gamma
     assert fqf_isomorphic(up.k_fqf, datum.k_fqf) is not None
+
+
+def test_gluing_path_splits_each_form_value_once(monkeypatch):
+    """Along find, verify and one descent step of a det-16 gram, and find
+    and verify on two fresh lattices of one det-12 gram, no (form value, p)
+    is split twice, and every splitting served equals a fresh one."""
+    monkeypatch.setattr(fqf, "_SPLITS", {})
+    runs, served = Counter(), {}
+    split, kept = fqf._split_blocks, fqf._jordan_split
+
+    def run(f, p):
+        runs[(f.orders, f.den, f.qmat, p)] += 1
+        return split(f, p)
+
+    def serve(f, p):
+        try:
+            out = kept(f, p)
+        except Degenerate as exc:
+            out = str(exc)
+        served.setdefault((f.orders, f.den, f.qmat, p), set()).add(out)
+        if isinstance(out, str):
+            raise Degenerate(out)
+        return out
+
+    monkeypatch.setattr(fqf, "_split_blocks", run)
+    for module in (fqf, nikulin):
+        monkeypatch.setattr(module, "_jordan_split", serve)
+    parent = Lattice([[4, 4], [4, 8]])
+    datum = find_embedding_datum(parent)
+    assert verify_embedding_datum(parent, datum) == (True, [])
+    child, rows = index_p_sublattice(parent, 3)
+    down = transfer_datum_down(parent, child, datum, rows)
+    assert verify_embedding_datum(child, down) == (True, [])
+    transfer_datum_up(parent, child, down, rows)
+    for _ in range(2):
+        lat = Lattice([[4, 2], [2, 4]])
+        assert verify_embedding_datum(lat, find_embedding_datum(lat)) == (True, [])
+    assert runs and max(runs.values()) == 1 and set(served) == set(runs)
+    for (orders, den, qmat, p), (out,) in served.items():
+        fqf._SPLITS.clear()
+        try:
+            fresh = kept(FiniteQuadraticForm.over(orders, qmat, den), p)
+        except Degenerate as exc:
+            fresh = str(exc)
+        assert out == fresh
 
 
 def test_transfer_round_trip_sweep():
