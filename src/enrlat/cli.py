@@ -31,7 +31,7 @@ from .embeddings import (
 from .enriques import epsilon, is_twice_even
 from .errors import BadShape, EnrLatError, NotFound, NotPrimitive
 from .fqf import FiniteQuadraticForm, canonical_form, discriminant_form, trivial_form
-from .lattice import Lattice, standard_lattice, sublattice_from_gram_change
+from .lattice import Lattice, _is_int, standard_lattice, sublattice_from_gram_change
 from .nikulin import (
     condition_star,
     exists_even_lattice,
@@ -77,10 +77,6 @@ def _field(obj, key, what):
     if not isinstance(obj, dict) or key not in obj:
         raise BadShape("%s has no %r field" % (what, key))
     return obj[key]
-
-
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _q_entry(entry):

@@ -27,9 +27,13 @@ from .intmat import identity, right_kernel_int, snf_diagonal
 _INT = {int}
 
 
-def _int(x, what):
+def _is_int(x):
     # bool is an int subclass, but a JSON true is no coordinate
-    if not isinstance(x, int) or isinstance(x, bool):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int(x, what):
+    if not _is_int(x):
         raise BadShape("%s: %r is not an integer" % (what, x))
     return x
 
@@ -47,10 +51,8 @@ def _check_int_matrix(m):
             raise BadShape("ragged matrix")
         # a row of plain ints passes on its types alone; only another row
         # (an int subclass, a bool, anything else) is checked entry by entry
-        if not _INT.issuperset(map(type, r)):
-            for x in r:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise BadShape("entries must be integers")
+        if not _INT.issuperset(map(type, r)) and not all(map(_is_int, r)):
+            raise BadShape("entries must be integers")
 
 
 def _check_gram(m):
@@ -171,21 +173,13 @@ class Lattice:
 
 
 def direct_sum(a, b):
-    n, m = a.rank, b.rank
-    g = [[0] * (n + m) for _ in range(n + m)]
-    for i in range(n):
-        for j in range(n):
-            g[i][j] = a.gram[i][j]
-    for i in range(m):
-        for j in range(m):
-            g[n + i][n + j] = b.gram[i][j]
-    return Lattice(g)
+    return Lattice(_block_diag(a.gram, b.gram))
 
 
 def rescale(lat, s):
     if not isinstance(s, int) or s == 0:
         raise ZeroScale("scale must be a nonzero integer")
-    return Lattice([[s * x for x in row] for row in lat.gram])
+    return Lattice(_scaled(lat.gram, s))
 
 
 def _times(rows, gram):

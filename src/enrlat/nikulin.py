@@ -241,6 +241,12 @@ def find_embedding_datum(lat):
     The subgroup H_L ~ (Z/2)^k runs over the levels k from
     ceil((l2 + n2 - want_rank) / 2) (at least 0) to min(l2, n2), for l2
     and n2 the 2-lengths of the two discriminant forms.
+
+    Only H_L is searched. Each generator a goes to the first order-two b
+    of q_N outside the span of the earlier images with q(b) = q(a) and a's
+    pairings; by Witt's extension theorem on the nonsingular F_2-space q_N
+    any other fitting b gives an isomorphic complement. So a NotFound is
+    exhaustive over H_L; past DATUM_NODE_CAP nodes CapExceeded is raised.
     """
     nlat = ambient()
     fn, fl = discriminant_form(nlat), discriminant_form(lat)
@@ -271,26 +277,23 @@ def find_embedding_datum(lat):
         if len(hl) == k:
             return attempt(hl, gamma)
         for a, qa in two_l:
-            ta = tuple(a)
-            if ta in span_l:
+            if a in span_l:
                 continue
-            for b, qb in two_n:
-                # an image inside the span of the earlier images makes
-                # the identification non-injective
-                if qb != qa or b in span_n:
-                    continue
-                if any(
-                    fn.b_num(b, gamma[i]) * fl.den != fl.b_num(a, hl[i]) * fn.den
-                    for i in range(len(hl))
-                ):
-                    continue
-                new_span = span_l | {fl.reduce(map(add, s, ta)) for s in span_l}
-                if len(new_span) != 2 * len(span_l):
-                    continue
-                got = extend(k, hl + [a], gamma + [b], new_span,
-                             span_n | {fn.reduce(map(add, s, b)) for s in span_n})
-                if got is not None:
-                    return got
+            # q_N is nonsingular over F_2, so any partial isometry into it
+            # extends (Witt) and two fitting images give isomorphic graph
+            # quotients; a leaf reads only the quotient's num_gens and
+            # exists_even_lattice, so no image but the first is tried
+            b = next((b for b, qb in two_n
+                      if qb == qa and b not in span_n
+                      and all(fn.b_num(b, gamma[i]) * fl.den == fl.b_num(a, hl[i]) * fn.den
+                              for i in range(len(hl)))), None)
+            if b is None:
+                continue
+            got = extend(k, hl + [a], gamma + [b],
+                         span_l | {fl.reduce(map(add, s, a)) for s in span_l},
+                         span_n | {fn.reduce(map(add, s, b)) for s in span_n})
+            if got is not None:
+                return got
         return None
 
     # H_L lies in fl[2] and H_N in fn[2], so k is at most l2 and n2. The

@@ -12,11 +12,18 @@ import hashlib
 import math
 import random
 from collections import Counter
+from operator import add
 
+import pytest
+
+from enrlat import nikulin
 from enrlat.cli import canonical_json, datum_to_json
-from enrlat.errors import Degenerate, EnrLatError
+from enrlat.enriques import ambient
+from enrlat.errors import Degenerate, EnrLatError, NotFound
 from enrlat.fqf import (
     FiniteQuadraticForm,
+    _order_two_elements,
+    _subquotient,
     canonical_form,
     direct_sum_fqf,
     discriminant_form,
@@ -24,19 +31,23 @@ from enrlat.fqf import (
     is_isomorphic,
     negate_fqf,
     p_part,
+    perp_subgroup,
+    subgroup_matrix,
     trivial_form,
+    verify_fqf_iso,
 )
-from enrlat.intmat import prime_factors
+from enrlat.intmat import hnf_rows, prime_factors
 from enrlat.lattice import Lattice, gram_of_rows
-from enrlat.nikulin import find_embedding_datum
+from enrlat.nikulin import exists_even_lattice, find_embedding_datum
 
 
-def _lattices(rng, count, half_diag, off):
-    """count seeded nondegenerate even lattices of rank 1 to 3, with
-    diagonal entries 2 * half_diag and off-diagonal ones in -off..off."""
+def _lattices(rng, count, half_diag, off, ranks=(1, 3)):
+    """count seeded nondegenerate even lattices of rank in ranks (1 to 3 by
+    default), with diagonal entries 2 * half_diag and off-diagonal ones in
+    -off..off."""
     out = []
     while len(out) < count:
-        n = rng.randint(1, 3)
+        n = rng.randint(*ranks)
         g = [[0] * n for _ in range(n)]
         for i in range(n):
             g[i][i] = 2 * rng.randint(*half_diag)
@@ -53,16 +64,16 @@ def _hash(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _datum_sweep():
+def _datum_sweep(lattices):
     lines, found = [], 0
-    for lat in _lattices(random.Random(1), 60, (-4, 1), 4):
+    for lat in lattices:
         try:
             out = canonical_json(datum_to_json(find_embedding_datum(lat)))
             found += 1
         except EnrLatError as exc:
             out = "%s: %s" % (type(exc).__name__, exc)
         lines.append("%s %s" % ([list(r) for r in lat.gram], out))
-    return _hash(lines), found, len(lines)
+    return lines, found
 
 
 def _rebased(f, rng):
@@ -119,9 +130,150 @@ def _iso_sweep():
 
 
 def test_datum_sweep_hash_is_unchanged():
-    digest, found, total = _datum_sweep()
-    assert (found, total) == (54, 60)
-    assert digest == "7f922b17a34f902d51e3c63ce1affad598b2a58633aed86ca837ecdba14bc925"
+    lines, found = _datum_sweep(_lattices(random.Random(1), 60, (-4, 1), 4))
+    assert (found, len(lines)) == (54, 60)
+    assert _hash(lines) == "7f922b17a34f902d51e3c63ce1affad598b2a58633aed86ca837ecdba14bc925"
+
+
+# rank-4 grams on which a search that backtracks over the images of each
+# H_L generator spends thousands of nodes before it refuses
+_RANK_FOUR_REFUSALS = [
+    [[-4, -2, 2, 4], [-2, 2, -4, 1], [2, -4, 6, 1], [4, 1, 1, -6]],
+    [[2, -2, 1, -1], [-2, 8, 4, 4], [1, 4, 2, -1], [-1, 4, -1, -2]],
+    [[6, 0, -1, 1], [0, 6, 1, 1], [-1, 1, -6, -1], [1, 1, -1, -6]],
+    [[-2, 3, -1, 1], [3, -2, 3, -4], [-1, 3, 6, 1], [1, -4, 1, -6]],
+    [[-6, 2, 3, 4], [2, 4, 4, 0], [3, 4, -2, -1], [4, 0, -1, 2]],
+    [[0, 0, 0, 2], [0, -2, 0, 3], [0, 0, 8, 2], [2, 3, 2, -6]],
+    [[4, -2, -2, 0], [-2, 0, 2, 0], [-2, 2, -2, -3], [0, 0, -3, -6]],
+    [[8, -4, 0, 0], [-4, 2, 3, 2], [0, 3, 2, 4], [0, 2, 4, 0]],
+]
+
+
+@pytest.mark.parametrize("gram", _RANK_FOUR_REFUSALS)
+def test_rank_four_refusal_is_exhaustive_within_a_hundred_nodes(gram, monkeypatch):
+    monkeypatch.setattr(nikulin, "DATUM_NODE_CAP", 100)
+    with pytest.raises(NotFound, match="no gluing datum within the search bound"):
+        find_embedding_datum(Lattice(gram))
+
+
+def test_rank_four_datum_sweep_hash(monkeypatch):
+    # every search ends within 100 nodes, far below the real cap, so the
+    # outputs are those of an uncapped search
+    monkeypatch.setattr(nikulin, "DATUM_NODE_CAP", 100)
+    lattices = _lattices(random.Random(7), 200, (-4, 4), 4, ranks=(4, 4))
+    lines, found = _datum_sweep(lattices)
+    assert not [line for line in lines if "CapExceeded" in line]
+    assert found == 30
+    assert _hash(lines) == "2701309a381d1ce9ce56cd1834d1ae250e6f961fe639053c580e46e3d6655973"
+
+
+def _fitting(f, g, sources, images, a, q_a, candidates, span):
+    """The first candidate b of g outside span whose 2q is q_a and that
+    pairs with images as a, of f, pairs with sources: the search's fitting
+    rules, on (element, 2q) candidates as `_order_two_elements` lists them."""
+    return next(b for b, q_b in candidates
+                if q_b == q_a and b not in span
+                and all(g.b_num(b, y) * f.den == f.b_num(a, x) * g.den
+                        for x, y in zip(sources, images)))
+
+
+def _grown(f, span, b):
+    return span | {f.reduce(map(add, s, b)) for s in span}
+
+
+def _second_images(fl, fn, h_l, rng):
+    """Images of the rows of h_l in fn[2], first fit over a seeded shuffle
+    of the order-two elements of fn."""
+    q_l = dict(_order_two_elements(fl))
+    two_n = list(_order_two_elements(fn))
+    rng.shuffle(two_n)
+    gamma, span = [], {tuple([0] * fn.num_gens)}
+    for a in h_l:
+        b = _fitting(fl, fn, h_l, gamma, a, q_l[a], two_n, span)
+        gamma.append(b)
+        span = _grown(fn, span, b)
+    return gamma
+
+
+def _coords_in(f, gens, relations, y):
+    """Integers c with y = sum c_j gens_j in f, modulo the relations."""
+    n, k = f.num_gens, len(gens)
+    rows = [list(g) + [int(i == j) for j in range(k)] for i, g in enumerate(gens)]
+    rows += [list(r) + [0] * k for r in relations]
+    rows += [[d if j == i else 0 for j in range(n)] + [0] * k for i, d in enumerate(f.orders)]
+    rest = list(y) + [0] * k
+    for row in reversed(hnf_rows(rows, n)):
+        p = max(j for j in range(n) if row[j])
+        q, rem = divmod(rest[p], row[p])
+        assert rem == 0
+        rest = [x - q * r for x, r in zip(rest, row)]
+    assert not any(rest[:n])
+    return [-x for x in rest[n:]]
+
+
+def _witt_isometry(fn, gamma, gamma2):
+    """An isometry of q_N taking gamma to gamma2, grown one unit vector at
+    a time: by Witt's extension theorem the first fitting image of each
+    always exists. Returned as a map on coordinate rows of fn."""
+    q_n = dict(_order_two_elements(fn))
+    zero = tuple([0] * fn.num_gens)
+    sources, images = [tuple(g) for g in gamma], [tuple(g) for g in gamma2]
+    span_s, span_i = {zero}, {zero}
+    for s, i in zip(sources, images):
+        span_s, span_i = _grown(fn, span_s, s), _grown(fn, span_i, i)
+    for j in range(fn.num_gens):
+        e = tuple(int(t == j) for t in range(fn.num_gens))
+        if e in span_s:
+            continue
+        b = _fitting(fn, fn, sources, images, e, q_n[e], _order_two_elements(fn), span_i)
+        sources.append(e)
+        images.append(b)
+        span_s, span_i = _grown(fn, span_s, e), _grown(fn, span_i, b)
+
+    def sigma(y):
+        c = _coords_in(fn, sources, [], y)
+        return fn.reduce([sum(x * im[t] for x, im in zip(c, images)) for t in range(fn.num_gens)])
+    return sigma
+
+
+def _quotient_lifts(diff, graph):
+    """Generators of graph^perp / graph in diff coordinates, those of the
+    form `nikulin._graph_quotient` builds."""
+    return _subquotient(diff, perp_subgroup(diff, graph), subgroup_matrix(diff, graph))[0]
+
+
+def test_any_fitting_images_give_an_isomorphic_complement():
+    # Witt's extension theorem for the nonsingular F_2-space q_N: two
+    # identifications of one H_L differ by an isometry sigma of q_N, and
+    # id (+) sigma carries one graph quotient onto the other. That isometry
+    # is built and its witness checked, which proves each case
+    rng = random.Random(3)
+    fn = discriminant_form(ambient())
+    sources = _lattices(random.Random(1), 60, (-4, 1), 4) + [Lattice([[4, 2], [2, 4]])]
+    moved = 0
+    for lat in sources:
+        try:
+            datum = find_embedding_datum(lat)
+        except NotFound:
+            continue
+        fl = discriminant_form(lat)
+        gamma = _second_images(fl, fn, datum.h_l, rng)
+        moved += gamma != list(datum.gamma)
+        first = nikulin._graph_quotient(fl, datum.h_l, datum.gamma)
+        second = nikulin._graph_quotient(fl, datum.h_l, gamma)
+        assert first.num_gens == second.num_gens
+        assert (exists_even_lattice(datum.k_signature, canonical_form(negate_fqf(first)))
+                == exists_even_lattice(datum.k_signature, canonical_form(negate_fqf(second))))
+        sigma = _witt_isometry(fn, datum.gamma, gamma)
+        diff, k = nikulin._difference_form(fl), fl.num_gens
+        graph1, graph2 = ([list(h) + list(g) for h, g in zip(datum.h_l, images)]
+                          for images in (datum.gamma, gamma))
+        gens2 = _quotient_lifts(diff, graph2)
+        witness = [[x % d for x, d in zip(
+            _coords_in(diff, gens2, graph2, list(y[:k]) + list(sigma(y[k:]))), second.orders)]
+            for y in _quotient_lifts(diff, graph1)]
+        assert verify_fqf_iso(first, second, witness)
+    assert moved >= 20
 
 
 def test_isomorphism_sweep_hash_is_unchanged():

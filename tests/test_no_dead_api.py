@@ -1,7 +1,8 @@
-"""No public name that nothing uses.
+"""No name that nothing uses.
 
 Walks the syntax tree of every module of `src/enrlat` and collects each
-public module-level function and class and each public method and
+module-level function and class, each private module-level constant
+(dunder names such as `__version__` exempt) and each public method and
 property of those classes. Each one must be read somewhere in
 `src/enrlat` (not counting the re-exports of `__init__.py`) or in
 `demos/`, as a name or an attribute, outside its own definition. An
@@ -22,12 +23,22 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def public_definitions(path, tree):
-    """(label, name, node) for each public module-level function and class
-    and each public method or property of those classes."""
+def _assigned(node):
+    """Names a module-level assignment binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def definitions(path, tree):
+    """(label, name, node) for each module-level function and class, each
+    private module-level constant and each public method or property of
+    those classes; dunder names are left out."""
     out = []
     for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            out += [("%s.%s" % (path.stem, name), name, node) for name in _assigned(node)
+                    if name.startswith("_") and not name.startswith("__")]
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
             continue
         out.append(("%s.%s" % (path.stem, node.name), node.name, node))
         if isinstance(node, ast.ClassDef):
@@ -38,16 +49,17 @@ def public_definitions(path, tree):
 
 
 def _reads(tree):
-    """(name, node id) of every ast.Name and ast.Attribute in the tree."""
+    """(name, node id) of every ast.Name and ast.Attribute in the tree that
+    is not assigned to."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id, id(node)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             yield node.attr, id(node)
 
 
 def dead_names(package, demos):
-    """Labels of the public definitions in package that nothing reads."""
+    """Labels of the definitions in package that nothing reads."""
     modules = {p: _parse(p) for p in sorted(package.glob("*.py"))}
     users = [tree for p, tree in modules.items() if p.name != "__init__.py"]
     users += [_parse(p) for p in sorted(demos.glob("*.py"))]
@@ -57,7 +69,7 @@ def dead_names(package, demos):
             reads.setdefault(name, set()).add(node_id)
     dead = []
     for path, tree in modules.items():
-        for label, name, node in public_definitions(path, tree):
+        for label, name, node in definitions(path, tree):
             inside = {id(n) for n in ast.walk(node)}
             if not reads.get(name, set()) - inside:
                 dead.append(label)
@@ -75,10 +87,13 @@ def test_guard_catches_each_pattern(tmp_path):
     demos.mkdir()
     (package / "__init__.py").write_text("from .mod import exported, used\n")
     (package / "mod.py").write_text(
-        "def used():\n    return 1\n\n"
+        "__version__ = '1'\n_KEPT = 1\n_UNREAD = 2\n\n"
+        "def used():\n    return _helper()\n\n"
         "def exported():\n    return 2\n\n"
         "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n"
+        "def _helper():\n    return _KEPT\n\n"
         "def _private():\n    return 3\n\n"
+        "def _rebinds():\n    global _UNREAD\n    _UNREAD = _private()\n\n"
         "class Box:\n"
         "    @property\n    def size(self):\n        return 1\n\n"
         "    def shown(self):\n        return self.size\n\n"
@@ -87,4 +102,5 @@ def test_guard_catches_each_pattern(tmp_path):
     (demos / "demo.py").write_text(
         "from pkg.mod import Box, imported_only\nprint(Box().shown())\n"
     )
-    assert dead_names(package, demos) == ["mod.exported", "mod.recursive", "mod.Box.unread"]
+    assert dead_names(package, demos) == [
+        "mod._UNREAD", "mod.exported", "mod.recursive", "mod._rebinds", "mod.Box.unread"]
