@@ -34,17 +34,16 @@ lattice basis (`_dual_basis`). No float enters any decision: the Gauss
 signature is a sum of closed-form phases of Jordan blocks (Legendre
 symbols, residues mod 8 and parities of exponents).
 
-Isomorphism is decided from the Jordan blocks too, p-part by p-part
-(`is_isomorphic`): at odd p by the rank and the Legendre symbol of the
-determinant at each scale, on (Z/2)^a by parity and signature mod 8, and
-on any other 2-part by its blocks under three rewrites that are
-isomorphisms. Only a 2-part whose rewritten blocks differ, or a
-degenerate p-part, goes to the witness search `fqf_isomorphic`, which
-compares q histograms convolved from the blocks and then backtracks over
-generator images under ISO_CAP. Every walk over the elements of a group
-goes through `_walk`, which updates q in integers from one element to the
-next; only that backtrack walks a whole group (besides the two-torsion of
-the datum search and the histogram of a degenerate form).
+Isomorphism is decided from the Jordan blocks too (`is_isomorphic`), by
+one complete key per p-part (`_local_key`): at odd p the rank and the
+Legendre symbol of the determinant at each scale, at p = 2 the canonical
+2-adic symbol. A degenerate p-part has no key, and only a pair of them
+goes to the witness search `fqf_isomorphic`, which gates p-parts by the
+same keys (degenerate ones by their q histograms) and then backtracks
+over generator images under ISO_CAP. Every walk over the elements of a
+group goes through `_walk`, which updates q in integers from one element
+to the next; only that backtrack walks a whole group (besides the
+two-torsion of the datum search and the histogram of a degenerate form).
 """
 
 import math
@@ -108,30 +107,6 @@ def _walk(f):
                 break
             coords[i] = 0
             i -= 1
-
-
-def _q_histogram(f, den):
-    """Sorted (q * den, count) pairs over the whole group, for den a
-    multiple of f.den. q is additive on orthogonal sums, so this convolves
-    the histograms of the Jordan blocks of every p-part; a degenerate form
-    has no splitting, and its group is walked."""
-    twom = 2 * den
-    try:
-        blocks = [blk for p in prime_factors(f.group_order) for blk in _jordan_split(f, p)]
-    except Degenerate:
-        return sorted(Counter(q * (den // f.den) for q in _walk(f)).items())
-    hist = Counter([0])
-    for kind, s, *qval in blocks:
-        if kind == "q":
-            vals = [c * c * int(qval[0] * den) for c in range(s)]
-        else:  # b(e1, e2) = 1 / s and q(e1) = q(e2) = 0 ('u') or 2 / s ('v')
-            vals = [2 * den // s * ((kind == "v") * (a * a + b * b) + a * b)
-                    for a, b in product(range(s), repeat=2)]
-        new = Counter()
-        for (x, c), (y, n) in product(hist.items(), Counter(vals).items()):
-            new[(x + y) % twom] += c * n
-        hist = new
-    return sorted(hist.items())
 
 
 def _form_on(f, rows, orders):
@@ -674,9 +649,9 @@ def fqf_isomorphic(f1, f2):
     forms that is the identity, returned at once.
 
     Before any backtrack, each pair of p-parts that differ must have equal
-    q histograms (`_q_histogram`). The backtracks share ISO_CAP,
-    so a later p-part that fails its histogram ends the test before an
-    earlier backtrack can spend the cap.
+    `_local_key`s, and two degenerate ones equal q histograms, walked. The
+    backtracks share ISO_CAP, so a later p-part that fails this gate ends
+    the test before an earlier backtrack can spend the cap.
     """
     if f1 == f2:
         images = [list(_unit(f1.num_gens, i)) for i in range(f1.num_gens)]
@@ -692,9 +667,12 @@ def fqf_isomorphic(f1, f2):
         if sorted(o1) != sorted(o2):
             return None
         parts.append((p, _form_on(f1, c1, o1), _form_on(f2, c2, o2), c2))
-    m = f1.den
-    if any(p1 != p2 and _q_histogram(p1, m) != _q_histogram(p2, m) for _, p1, p2, _ in parts):
-        return None
+    for p, p1, p2, _ in parts:
+        if p1 == p2:
+            continue
+        key = _local_key(p1, p)
+        if key != _local_key(p2, p) or key is None and Counter(_walk(p1)) != Counter(_walk(p2)):
+            return None
     spent = [0]
     images = [[0] * f2.num_gens for _ in range(f1.num_gens)]
     for p, p1, p2, coords2 in parts:
@@ -718,48 +696,70 @@ def fqf_isomorphic(f1, f2):
     return images
 
 
-def _two_adic_normal(blocks):
-    """The 2-adic Jordan blocks rewritten by three isomorphisms: the unit
-    a of each block <a / 2^k> reduced mod min(8, 2^(k+1)), v + v as u + u
-    at each scale, and a v left over at 2^(k +- 1) with a block <a / 2^k>
-    as u with <5a / 2^k> (the smallest unit there). Returns, per scale,
-    the sorted units and the numbers of u and of v."""
-    units, planes = {}, {}
+def _two_adic_key(blocks):
+    """Conway and Sloane's canonical 2-adic symbol (SPLAG ch. 15, 7.3-7.6)
+    of a 2-adic lattice whose discriminant form has these Jordan blocks;
+    that lattice is fixed up to an even unimodular summand (Nikulin 1979,
+    1.9), so the symbol is a complete invariant of the form.
+
+    A block ('q', 2^k, u / 2^k) adds rank 1, unit u and oddity u at scale
+    2^k and makes it odd; 'u' and 'v' add rank 2 and units 7 and 3. A
+    scale's sign is + when its unit is 1 or 7 mod 8. Scale 1 is the even
+    unimodular summand, of free sign, which also absorbs the u + 4 that a
+    block at scale 2 leaves open. Compartments (runs of odd scales) keep
+    their total oddity; trains break between two adjacent even scales.
+    From the top down, a sign - moves from each nonzero scale to the next
+    lower nonzero one of its train, adding 4 to the oddity of each
+    compartment either lies in. The sign left at scale 1 is dropped.
+    """
+    rank, unit, oddity = Counter(), {0: 1}, Counter()
     for kind, s, *q in blocks:
+        k = s.bit_length() - 1
         if kind == "q":
-            units.setdefault(s, []).append(q[0].numerator % min(8, 2 * s))
+            u = q[0].numerator
+            rank[k] += 1
+            oddity[k] += u
         else:
-            planes.setdefault(s, [0, 0])[kind == "v"] += 1
-    for s, (nu, nv) in planes.items():
-        planes[s] = [nu + nv - nv % 2, nv % 2]
-        t = next((t for t in (s // 2, 2 * s) if t in units), None)
-        if nv % 2 and t:
-            us = sorted(units[t])
-            us[0] = 5 * us[0] % min(8, 2 * t)
-            units[t] = us
-            planes[s] = [nu + nv, 0]
-    return sorted((s, sorted(us)) for s, us in units.items()), sorted(planes.items())
+            u = 7 if kind == "u" else 3
+            rank[k] += 2
+        unit[k] = unit.get(k, 1) * u % 8
+    top = max(rank)
+    odd = [k in oddity for k in range(top + 1)]
+    comp, train = [None] * (top + 1), [0] * (top + 1)  # compartment head, train number
+    for k in range(1, top + 1):
+        if odd[k]:
+            comp[k] = comp[k - 1] if odd[k - 1] else k
+        train[k] = train[k - 1] + (not odd[k - 1] and not odd[k])
+    total = Counter()
+    for k, t in oddity.items():
+        total[comp[k]] += t
+    sign = {k: u in (1, 7) for k, u in unit.items()}
+    scales = [0] + sorted(rank)
+    for a, b in reversed(list(zip(scales, scales[1:]))):
+        if train[a] == train[b] and not sign[b]:
+            sign[a], sign[b] = not sign[a], True
+            for c in {comp[a], comp[b]} - {None}:
+                total[c] += 4
+    return (tuple((k, rank[k], sign[k], odd[k]) for k in scales[1:]),
+            tuple(sorted((c, t % 8) for c, t in total.items())))
 
 
-def _local_key(blocks, p):
-    """(complete, key) for the Jordan blocks of a nondegenerate p-part.
-    Equal keys mean isomorphic p-parts; when the key is complete, unequal
-    keys mean p-parts that are not isomorphic. At odd p the key is the
-    rank and the Legendre symbol of the product of the units t of the
-    blocks 2t / p^k at each scale p^k, a complete invariant. On (Z/2)^a
-    it is the parity and the signature mod 8, which with a fix the form
-    (Nikulin 1979, 3.6.2). Any other 2-part gets `_two_adic_normal`,
-    which is not complete."""
-    if p != 2:
-        ranks, dets = Counter(), {}
-        for _, s, q in blocks:
-            ranks[s] += 1
-            dets[s] = dets.get(s, 1) * (q.numerator // 2) % p
-        return True, sorted((s, n, legendre(dets[s], p)) for s, n in ranks.items())
-    if all(b[1] == 2 for b in blocks):
-        return True, (any(b[0] == "q" for b in blocks),
-                      sum(_block_phase(2, b) for b in blocks) % 8)
-    return False, _two_adic_normal(blocks)
+def _local_key(f, p):
+    """A complete invariant of the p-part of f, read off its Jordan
+    blocks, or None when the p-part is degenerate. At odd p it is the rank
+    and the Legendre symbol of the product of the units t of the blocks
+    2t / p^k at each scale p^k; at p = 2 it is `_two_adic_key`."""
+    try:
+        blocks = _jordan_split(f, p)
+    except Degenerate:
+        return None
+    if p == 2:
+        return _two_adic_key(blocks)
+    ranks, dets = Counter(), {}
+    for _, s, q in blocks:
+        ranks[s] += 1
+        dets[s] = dets.get(s, 1) * (q.numerator // 2) % p
+    return sorted((s, n, legendre(dets[s], p)) for s, n in ranks.items())
 
 
 def is_isomorphic(f1, f2):
@@ -767,9 +767,9 @@ def is_isomorphic(f1, f2):
 
     Equal forms are isomorphic. Otherwise den, order and the elementary
     divisors of each p-part must agree, and then each p-part is decided
-    by the `_local_key`s of its Jordan splittings, so equal p-parts
-    always agree. A p-part whose keys differ but are not complete, or
-    whose splitting finds it degenerate, goes to `fqf_isomorphic`.
+    by its `_local_key`. A degenerate p-part is not isomorphic to a
+    nondegenerate one; only when both are degenerate does the p-part go
+    to `fqf_isomorphic`.
     """
     if f1 == f2:
         return True
@@ -779,15 +779,10 @@ def is_isomorphic(f1, f2):
     if any(sorted(_p_coords(f1, p)[1]) != sorted(_p_coords(f2, p)[1]) for p in primes):
         return False
     for p in primes:
-        try:
-            (complete, k1), (_, k2) = (_local_key(_jordan_split(f, p), p) for f in (f1, f2))
-            if k1 == k2:
-                continue
-            if complete:
-                return False
-        except Degenerate:
-            pass
-        if fqf_isomorphic(p_part(f1, p), p_part(f2, p)) is None:
+        key = _local_key(f1, p)
+        if key != _local_key(f2, p):
+            return False
+        if key is None and fqf_isomorphic(p_part(f1, p), p_part(f2, p)) is None:
             return False
     return True
 

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import random
+import time
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -16,9 +17,8 @@ from enrlat.errors import BadShape, Degenerate, NonWitt, NotIsotropic, NotSubgro
 from enrlat.fqf import (
     FiniteQuadraticForm,
     _jordan_split,
-    _q_histogram,
+    _local_key,
     _subquotient,
-    _two_adic_normal,
     _walk,
     canonical_form,
     direct_sum_fqf,
@@ -97,8 +97,7 @@ def test_walk_kernel_against_product_q_of_and_brute_histogram():
                      for j in range(form.num_gens)]
                 assert Fraction(qnum, m) == form.q_of(x)
             brute = Counter(q for _, q in brute_q_values(orders, values))
-            hist = tuple((Fraction(q, m), c) for q, c in _q_histogram(walked, m))
-            assert hist == tuple(sorted(brute.items()))
+            assert Counter(Fraction(q, m) for q in qnums) == brute
 
 
 def test_discriminant_form_of_unimodular_is_trivial():
@@ -163,16 +162,45 @@ def test_negate_flips_milgram():
 
 
 def test_p_part_reassembly():
+    # a form is isomorphic to the sum of its p-parts and to itself on a
+    # random basis; multi-prime and degenerate forms included, whose
+    # degenerate p-parts only the witness search decides
     rng = random.Random(73)
-    for _ in range(15):
-        form = discriminant_form(random_even_lattice(rng))
-        parts = [p_part(form, p) for p in prime_factors(form.group_order)]
-        if not parts:
+    forms = [discriminant_form(random_even_lattice(rng)) for _ in range(15)]
+    three_pair = FiniteQuadraticForm((3, 3), [[0, Fraction(1, 3)], [Fraction(1, 3), 0]])
+    forms += [
+        FiniteQuadraticForm((12, 6, 5), [[Fraction(1, 12), Fraction(1, 6), 0],
+                                         [Fraction(1, 6), Fraction(1, 3), 0],
+                                         [0, 0, Fraction(4, 5)]]),
+        direct_sum_fqf(discriminant_form(Lattice([[4, 2], [2, 8]])),
+                       discriminant_form(Lattice([[6, 3], [3, 10]]))),
+        FiniteQuadraticForm((6,), [[Fraction(3)]]),
+        FiniteQuadraticForm((10, 3), [[Fraction(1, 5), 0], [0, Fraction(0)]]),
+        FiniteQuadraticForm((2,), [[Fraction(0)]]),
+        FiniteQuadraticForm((4,), [[Fraction(1, 2)]]),
+        FiniteQuadraticForm((9,), [[Fraction(6, 9)]]),
+        direct_sum_fqf(_block_form(("v", 4)), FiniteQuadraticForm((2,), [[Fraction(1)]])),
+        direct_sum_fqf(three_pair, FiniteQuadraticForm((3,), [[Fraction(0)]])),
+    ]
+    sub_rng = random.Random(149)
+    for form in _small_forms(sub_rng, 30, 2000):
+        sub = _form_on_subgroup(form, [[sub_rng.randrange(d) for d in form.orders]])
+        forms += [form] if sub.is_trivial else [form, sub]
+    kinds = Counter()
+    for form in forms:
+        if form.is_trivial:
             continue
+        primes = prime_factors(form.group_order)
+        parts = [p_part(form, p) for p in primes]
         rebuilt = parts[0]
         for extra in parts[1:]:
             rebuilt = direct_sum_fqf(rebuilt, extra)
-        assert fqf_isomorphic(form, rebuilt) is not None
+        for other in (rebuilt, _random_basis(form, rng)):
+            iso = fqf_isomorphic(form, other)
+            assert iso is not None and verify_fqf_iso(form, other, iso)
+            assert is_isomorphic(form, other) and is_isomorphic(other, form)
+        kinds[len(primes) > 1, any(_local_key(form, p) is None for p in primes)] += 1
+    assert all(kinds[multi, degen] for multi in (True, False) for degen in (True, False)), kinds
 
 
 def test_canonical_form_is_stable():
@@ -444,12 +472,12 @@ def _witnessed(a, b):
 def test_two_adic_rewrites_are_isomorphisms():
     # v + v = u + u, and <a / s> + v = <5a / s> + u at the scales next to
     # s, for every unit a: each side splits into those blocks, the two
-    # sides get one normal form, and the witness search finds a map
+    # sides get one key, and the witness search finds a map
     def check(left, right):
         a, b = _blocks(*left), _blocks(*right)
         assert _jordan_split(a, 2) == left and _jordan_split(b, 2) == right
         assert a != b and _witnessed(a, b) and is_isomorphic(a, b)
-        assert _two_adic_normal(left) == _two_adic_normal(right)
+        assert _local_key(a, 2) == _local_key(b, 2)
 
     checked = 0
     for s in (2, 4, 8, 16):
@@ -474,8 +502,26 @@ def test_two_adic_units_count_mod_eight_against_brute():
             want = brute_isomorphic(fa.orders, fa.values, fb.orders, fb.values)
             assert want == ((a - b) % min(8, 2 * s) == 0)
             assert is_isomorphic(fa, fb) == want
-            assert (_two_adic_normal(_jordan_split(fa, 2))
-                    == _two_adic_normal(_jordan_split(fb, 2))) == want
+            assert (_local_key(fa, 2) == _local_key(fb, 2)) == want
+
+
+def test_large_two_adic_pairs_are_decided_by_the_key_alone(monkeypatch):
+    # <1/4> + <7/4> and <3/4> + <5/4> are isomorphic; with four or five
+    # planes u at scale 4 (|A| = 2^20, 2^24), or four and <1/8> + <3/8>
+    # (2^26), the witness search took seconds to minutes to find a map.
+    # The key decides each pair, and the twin <1/4> + <3/4> that is not
+    # isomorphic to either, without that search
+    calls = []
+    monkeypatch.setattr(fqf, "fqf_isomorphic", lambda f, g: calls.append((f, g)))
+    eighths = (("q", 8, Fraction(1, 8)), ("q", 8, Fraction(3, 8)))
+    for rest in ((("u", 4),) * 4, (("u", 4),) * 5, (("u", 4),) * 4 + eighths):
+        a, b, twin = (_blocks(("q", 4, Fraction(x, 4)), ("q", 4, Fraction(y, 4)), *rest)
+                      for x, y in ((1, 7), (3, 5), (1, 3)))
+        for f, g, want in ((a, b, True), (a, twin, False), (b, twin, False)):
+            start = time.perf_counter()
+            assert is_isomorphic(f, g) == want
+            assert time.perf_counter() - start < 0.05
+    assert not calls
 
 
 def _all_forms(orders):
@@ -498,13 +544,15 @@ def _all_forms(orders):
 
 @pytest.mark.parametrize("orders,degenerate", [
     ((9,), True), ((27,), True), ((3, 9), True), ((5, 5), True),
-    ((2,), True), ((2, 2), True), ((2, 2, 2), False)])
+    ((2,), True), ((2, 2), True), ((2, 2, 2), False),
+    ((4, 4), False), ((2, 4), False), ((2, 8), False), ((4, 8), False), ((2, 16), False)])
 def test_is_isomorphic_on_every_form_of_a_group_against_brute(orders, degenerate):
     # the forms fall into classes by brute force (within buckets of equal
     # q-value multisets); each form is then decided against a member of
     # every class, both ways. Degenerate forms, which the decision hands
-    # to the witness search, are left out on (Z/2)^3, where they are most
-    # of its 512 forms.
+    # to the witness search, are left out of the 2-groups with more than
+    # two elements, where they are most of the forms. Those 2-groups have
+    # scales where the 2-adic key fuses oddities and walks signs.
     forms = [f for f in _all_forms(orders)
              if degenerate or len(brute_radical(f.orders, f.values)) == 1]
     reps = []  # (sorted q values, representative)
@@ -726,8 +774,14 @@ def _block_form(block):
 
 def test_jordan_blocks_sum_to_the_form():
     rng = random.Random(137)
+    # q(e1) = q(e2) = 0 and b(e1, e2) = 1 / p^k: no generator has a unit
+    # t(x, x), so the odd split takes the pair path through e1 + e2
+    pairs = [FiniteQuadraticForm((p**k, p**k), [[0, Fraction(1, p**k)], [Fraction(1, p**k), 0]])
+             for p, k in ((3, 1), (3, 2), (5, 1))]
+    odd = [FiniteQuadraticForm((p,), [[Fraction(2, p)]]) for p in (3, 5)]
+    pairs += [direct_sum_fqf(pair, q) for pair in pairs for q in odd if q.den == pair.den]
     kinds = Counter()
-    for form in _small_forms(rng, 60, 4096):
+    for form in _small_forms(rng, 60, 4096) + pairs:
         total = trivial_form()
         for p in prime_factors(form.group_order):
             for blk in _jordan_split(form, p):
@@ -757,11 +811,6 @@ def test_exists_even_lattice_against_whole_group_walk():
                 want = reference_exists_even_lattice(sig, form.orders, form.values)
                 assert exists_even_lattice(sig, form) == want
     assert checked[True] and checked[False]
-
-
-def _brute_histogram(form):
-    hist = Counter(q for _, q in brute_q_values(form.orders, form.values))
-    return tuple(sorted(hist.items()))
 
 
 def test_milgram_on_every_block_type_against_brute_sum():
@@ -817,32 +866,6 @@ def test_degenerate_forms_raise_nonwitt():
                 exists_even_lattice((form.num_gens, 0), form)
 
 
-def test_q_histogram_on_multi_prime_and_degenerate_forms():
-    rng = random.Random(149)
-    forms = [
-        FiniteQuadraticForm((12, 6, 5), [[Fraction(1, 12), Fraction(1, 6), 0],
-                                         [Fraction(1, 6), Fraction(1, 3), 0],
-                                         [0, 0, Fraction(4, 5)]]),
-        direct_sum_fqf(discriminant_form(Lattice([[4, 2], [2, 8]])),
-                       discriminant_form(Lattice([[6, 3], [3, 10]]))),
-        FiniteQuadraticForm((6,), [[Fraction(3)]]),
-        FiniteQuadraticForm((10, 3), [[Fraction(1, 5), 0], [0, Fraction(0)]]),
-    ]
-    degenerate = 0
-    for form in _small_forms(rng, 30, 2000):
-        forms.append(form)
-        gens = [[rng.randrange(d) for d in form.orders]]
-        sub = _form_on_subgroup(form, gens)
-        if not sub.is_trivial:
-            forms.append(sub)
-            degenerate += len(brute_radical(sub.orders, sub.values)) > 1
-    assert degenerate
-    for form in forms:
-        hist = tuple((Fraction(q, form.den), c) for q, c in _q_histogram(form, form.den))
-        assert hist == _brute_histogram(form)
-    assert sum(len(prime_factors(f.group_order)) > 1 for f in forms) > 5
-
-
 def _random_basis(form, rng):
     """form on a seeded random basis with the same generator orders."""
     elems = list(form.elements())
@@ -850,49 +873,6 @@ def _random_basis(form, rng):
         rows = [rng.choice([x for x in elems if form.element_order(x) == d]) for d in form.orders]
         if subgroup_order(form, subgroup_matrix(form, rows)) == form.group_order:
             return _presented(form, rows, form.orders)
-
-
-def test_q_histogram_from_jordan_blocks_against_brute_histogram():
-    rng = random.Random(163)
-    two_adic = [FiniteQuadraticForm((2**k,), [[Fraction(u, 2**k)]])
-                for k in (1, 2, 3) for u in (1, 3, 5, 7)]
-    two_adic += [_block_form((kind, 2**k)) for k in (1, 2, 3) for kind in ("u", "v")]
-    # q(e1) = q(e2) = 0 and b(e1, e2) = 1 / p^k: no generator has a unit
-    # t(x, x), so the odd split takes the pair path through e1 + e2
-    pairs = [FiniteQuadraticForm((p**k, p**k), [[0, Fraction(1, p**k)], [Fraction(1, p**k), 0]])
-             for p, k in ((3, 1), (3, 2), (5, 1))]
-    odd = [FiniteQuadraticForm((p**k,), [[Fraction(2 * t, p**k)]])
-           for p, k, t in ((3, 1, 1), (3, 2, 2), (5, 1, 2))]
-    forms = []
-    for _ in range(12):
-        a, b = rng.sample(two_adic, 2)
-        forms.append(direct_sum_fqf(a, b))
-    forms += two_adic + pairs
-    forms += [direct_sum_fqf(pair, rng.choice([f for f in odd if f.den == pair.den]))
-              for pair in pairs]
-    forms = [g for form in forms for g in (form, _random_basis(form, rng))
-             if g.group_order <= 4096]
-    for form in forms:
-        for p in prime_factors(form.group_order):
-            _jordan_split(form, p)
-        for scale in (1, 3):
-            den = scale * form.den
-            hist = tuple((Fraction(q, den), c) for q, c in _q_histogram(form, den))
-            assert hist == _brute_histogram(form)
-    # degenerate forms have no splitting and are walked
-    degenerate = [
-        FiniteQuadraticForm((2,), [[Fraction(0)]]),
-        FiniteQuadraticForm((4,), [[Fraction(1, 2)]]),
-        FiniteQuadraticForm((9,), [[Fraction(6, 9)]]),
-        direct_sum_fqf(_block_form(("v", 4)), FiniteQuadraticForm((2,), [[Fraction(1)]])),
-        direct_sum_fqf(pairs[0], FiniteQuadraticForm((3,), [[Fraction(0)]])),
-    ]
-    for form in degenerate:
-        with pytest.raises(Degenerate):
-            for p in prime_factors(form.group_order):
-                _jordan_split(form, p)
-        hist = tuple((Fraction(q, form.den), c) for q, c in _q_histogram(form, form.den))
-        assert hist == _brute_histogram(form)
 
 
 def test_cli_exists_on_degenerate_form_is_a_nonwitt_envelope(tmp_path, capsys):

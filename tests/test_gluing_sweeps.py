@@ -12,11 +12,12 @@ import hashlib
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from operator import add
 
 import pytest
 
-from enrlat import nikulin
+from enrlat import fqf, nikulin
 from enrlat.cli import canonical_json, datum_to_json
 from enrlat.enriques import ambient
 from enrlat.errors import Degenerate, EnrLatError, NotFound
@@ -283,7 +284,23 @@ def test_isomorphism_sweep_hash_is_unchanged():
     assert digest == "b5f4469296978d12a740165b97d680e9b52a2060a6fbf8293ab23d6055593808"
 
 
-def test_is_isomorphic_agrees_with_the_witness_search_on_the_sweep():
+def test_is_isomorphic_agrees_with_the_witness_search_on_the_sweep(monkeypatch):
+    # every p-part of the sweep is nondegenerate, so the keys decide each
+    # pair without the witness search; so is a degenerate p-part against a
+    # nondegenerate one of the same orders and den
+    calls = []
+    search = fqf.fqf_isomorphic
+
+    def counted(f, g):
+        calls.append((f, g))
+        return search(f, g)
+
+    monkeypatch.setattr(fqf, "fqf_isomorphic", counted)
     verdicts = Counter(
         (is_isomorphic(f, g), fqf_isomorphic(f, g) is not None) for f, g in _iso_pairs())
     assert set(verdicts) == {(True, True), (False, False)}
+    degenerate = FiniteQuadraticForm((2, 2), [[Fraction(1, 2), 0], [0, 0]])
+    plane = FiniteQuadraticForm((2, 2), [[Fraction(1, 2), 0], [0, Fraction(3, 2)]])
+    assert degenerate.den == plane.den
+    assert not is_isomorphic(degenerate, plane) and not is_isomorphic(plane, degenerate)
+    assert not calls
