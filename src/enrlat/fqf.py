@@ -19,28 +19,34 @@ the multiples (d / p^a) e_i of its generators, and only the JSON boundary
 asks for invariant factors (`canonical_form`).
 
 A lattice keeps its discriminant form, the shared ambient N among them. A
-form keeps what is derived from it once: its two-torsion, its
-invariant-factor form (unless it is its own) and, for a lattice glued into
-N, its difference form with the form of N. Jordan splittings are kept by
-form value instead (`_jordan_split`): the 256 latest (form, p) splittings,
-a degenerate outcome included, so equal forms built again and again along
-the gluing path split once.
+form keeps what is derived from it once: its two-torsion and, for a
+lattice glued into N, its difference form with the form of N. Jordan
+splittings are kept by form value instead (`_jordan_split`): the 256
+latest (form, p) splittings, a degenerate outcome included, so equal forms
+built again and again along the gluing path split once.
 
 `Fraction` stays at the edges: `q_of` returns one and `values` is the
 `Fraction` view of Q / m that the JSON boundary reads. The integer Smith
 form of a gram names the generators of its discriminant form and gives
 the coordinates of a dual vector from its integer pairings with the
-lattice basis (`_dual_basis`). No float enters any decision: the Gauss
-signature is a sum of closed-form phases of Jordan blocks (Legendre
-symbols, residues mod 8 and parities of exponents).
+lattice basis (`_dual_basis`). No float enters any decision.
 
-Isomorphism is decided from the Jordan blocks too (`is_isomorphic`), by
-one complete key per p-part (`_local_key`): at odd p the rank and the
-Legendre symbol of the determinant at each scale, at p = 2 the canonical
-2-adic symbol. A degenerate p-part has no key, and only a pair of them
-goes to the witness search `fqf_isomorphic`, which gates p-parts by the
-same keys (degenerate ones by their q histograms) and then backtracks
-over generator images under ISO_CAP. Every walk over the elements of a
+Every use of the Jordan blocks reads them through `_scales`, once per
+scale p^k: the rank, the product of the block units (mod 8 at p = 2, mod
+p at odd p) and, at p = 2, the oddity of the scale. The Gauss signature
+(`milgram_signature`) is the sum of one closed-form phase per scale, as in
+Conway and Sloane's oddity formula (SPLAG ch. 15): the oddity plus 4 for
+an odd exponent with unit 3 or 5 mod 8 at p = 2, and for an odd exponent
+at odd p a term in the rank, p mod 4 and the Legendre symbol of the unit.
+
+Isomorphism is decided from the same reading (`is_isomorphic`), by one
+complete key per p-part (`_local_key`): at odd p the rank and the
+Legendre symbol of the unit at each scale, at p = 2 the canonical 2-adic
+symbol. A degenerate p-part has no key, and only a pair of them goes to
+the witness search `fqf_isomorphic`, which gates p-parts by the same keys
+(degenerate ones by their q histograms) and then backtracks over
+generator images under ISO_CAP. `nikulin.exists_even_lattice` reads its
+p-adic conditions off `_scales` too. Every walk over the elements of a
 group goes through `_walk`, which updates q in integers from one element
 to the next; only that backtrack walks a whole group (besides the
 two-torsion of the datum search and the histogram of a degenerate form).
@@ -179,8 +185,6 @@ class FiniteQuadraticForm:
         self.orders = orders
         self.den = den // g
         self.qmat = rows if g == 1 else tuple(tuple(x // g for x in r) for r in rows)
-        self._values = None
-        self._canonical = None
         self._order_two = None
         self._difference = None
 
@@ -188,9 +192,7 @@ class FiniteQuadraticForm:
     def values(self):
         """The value matrix as Fractions: q on the diagonal in [0, 2), b off
         it in [0, 1)."""
-        if self._values is None:
-            self._values = tuple(tuple(Fraction(x, self.den) for x in r) for r in self.qmat)
-        return self._values
+        return tuple(tuple(Fraction(x, self.den) for x in r) for r in self.qmat)
 
     @property
     def num_gens(self):
@@ -298,21 +300,18 @@ def negate_fqf(f):
 
 
 def canonical_form(f):
-    """The same form on invariant-factor generators, kept on f. When each
-    order of f divides the next, the Smith form of their diagonal is that
-    diagonal with u = 1, so it is f itself, returned and not kept (a form
-    referring to itself is a cycle)."""
+    """The same form on invariant-factor generators. When each order of f
+    divides the next, the Smith form of their diagonal is that diagonal
+    with u = 1, so it is f itself."""
     orders = f.orders
     if all(b % a == 0 for a, b in zip(orders, orders[1:])):
         return f
-    if f._canonical is None:
-        k = f.num_gens
-        dmat = [[orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
-        d, uinv_t, _ = _smith(dmat, True, False, inverse=True)
-        # row j of u^-T is invariant-factor generator j in f coordinates
-        kept = [j for j in range(k) if d[j][j] > 1]
-        f._canonical = _form_on(f, [uinv_t[j] for j in kept], tuple(d[j][j] for j in kept))
-    return f._canonical
+    k = f.num_gens
+    dmat = [[orders[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    d, uinv_t, _ = _smith(dmat, True, False, inverse=True)
+    # row j of u^-T is invariant-factor generator j in f coordinates
+    kept = [j for j in range(k) if d[j][j] > 1]
+    return _form_on(f, [uinv_t[j] for j in kept], tuple(d[j][j] for j in kept))
 
 
 def _p_coords(f, p):
@@ -332,28 +331,29 @@ def p_part(f, p):
     return _form_on(f, *_p_coords(f, p))
 
 
-def _block_phase(p, block):
-    """Signature mod 8 of one Jordan block: the phase of its Gauss sum in
-    units of pi / 4.
+def _scales(f, p):
+    """The Jordan blocks of the p-part of f (`_jordan_split`) read once per
+    scale: {k: (rank, unit, oddity)} for each scale p^k with a block.
 
-    A block ('q', p^k, 2t / p^k) at odd p sums to (t/p) eps_p p^(k/2) for
-    k odd, with eps_p = 1 or i as p = 1 or 3 mod 4, and to p^(k/2) for k
-    even. A block ('q', 2^k, u / 2^k) sums to sqrt(2^k) exp(pi i u / 4),
-    negated when k is odd and u = 3 or 5 mod 8. U sums to 2^k and V to
-    (-1)^k 2^k.
+    At p = 2 the unit is the product mod 8 of the block units: the
+    numerator u of each block ('q', 2^k, u / 2^k), 7 per 'u' and 3 per
+    'v'; the oddity is the sum of the q numerators, None when the scale
+    has no 'q' block (an even scale). At odd p the unit is the product
+    mod p of the t of the blocks ('q', p^k, 2t / p^k), and the oddity is
+    None. A degenerate p-part raises Degenerate.
     """
-    kind, scale = block[0], block[1]
-    k = val_p(scale, p)
-    if kind == "u":
-        return 0
-    if kind == "v":
-        return 4 * (k % 2)
-    u = block[2].numerator
-    if p == 2:
-        return u + 4 * (k % 2 == 1 and u % 8 in (3, 5))
-    if k % 2 == 0:
-        return 0
-    return (0 if p % 4 == 1 else 2) + (0 if legendre(u // 2, p) == 1 else 4)
+    out = {}
+    for kind, scale, *q in _jordan_split(f, p):
+        k = val_p(scale, p)
+        rank, unit, oddity = out.get(k, (0, 1, None))
+        if kind != "q":
+            out[k] = (rank + 2, unit * (7 if kind == "u" else 3) % 8, oddity)
+        elif p == 2:
+            u = q[0].numerator
+            out[k] = (rank + 1, unit * u % 8, (oddity or 0) + u)
+        else:
+            out[k] = (rank + 1, unit * (q[0].numerator // 2) % p, None)
+    return out
 
 
 # the group-order cap of `milgram_signature`
@@ -364,11 +364,18 @@ def milgram_signature(f):
     """Signature mod 8 of the form: sig with Gauss sum
     sum_x exp(pi i q(x)) = sqrt(|A|) exp(pi i sig / 4) (Milgram).
 
-    The sum is multiplicative over orthogonal sums, so sig is the sum of
-    the phases of the Jordan blocks of every p-part (`_block_phase`),
-    exact and in integers. A degenerate form has no such phase (its Gauss
-    sum is 0 or sqrt(|A| |radical|) in absolute value): its Jordan
-    splitting fails, and that raises NonWitt.
+    The sum is multiplicative over orthogonal sums, so sig adds one phase
+    per scale p^k of every p-part (`_scales`), exact and in integers. At
+    p = 2 a block ('q', 2^k, u / 2^k) sums to sqrt(2^k) exp(pi i u / 4),
+    negated when k is odd and u = 3 or 5 mod 8, U to 2^k and V to
+    (-1)^k 2^k; since V has unit 3 and U unit 7, the scale's phase is its
+    oddity plus 4 when k is odd and its unit is 3 or 5 mod 8. At odd p a
+    block 2t / p^k sums to (t/p) eps_p p^(k/2) for k odd, with eps_p = 1
+    or i as p = 1 or 3 mod 4, and to p^(k/2) for k even; so a scale of odd
+    k adds rank (p mod 4 - 1) + 2 - 2 (unit/p), and one of even k nothing.
+    A degenerate form has no such phase (its Gauss sum is 0 or
+    sqrt(|A| |radical|) in absolute value): its Jordan splitting fails,
+    and that raises NonWitt.
 
     Nothing here walks the group. The group-order cap stays for now
     because it is the known cliff of the [[4, 0], [0, 4]] descent at
@@ -381,10 +388,14 @@ def milgram_signature(f):
     sig = 0
     for p in prime_factors(f.group_order):
         try:
-            blocks = _jordan_split(f, p)
+            scales = _scales(f, p)
         except Degenerate as exc:
             raise NonWitt("degenerate form: the Gauss sum has no admissible phase") from exc
-        sig += sum(_block_phase(p, block) for block in blocks)
+        for k, (rank, unit, oddity) in scales.items():
+            if p == 2:
+                sig += (oddity or 0) + 4 * (k % 2 == 1 and unit in (3, 5))
+            elif k % 2:
+                sig += rank * (p % 4 - 1) + 2 - 2 * legendre(unit, p)
     return sig % 8
 
 
@@ -476,21 +487,6 @@ def quotient_form(f, tmat, smat):
         if any(sum(map(mul, t, qs)) % f.den for t in tgens):
             raise NotIsotropic("denominator pairs nontrivially with numerator")
     return _form_on(f, coords, orders)
-
-
-def splits_unit_block(f):
-    """Whether the scale-2 part contains a one-generator unit summand, that
-    is an element of order two with half-integral q value.
-
-    On the two-torsion x -> 2q(x) mod 2 is additive, since 2b(x, y) is an
-    integer there, so the generators (d/2)e_i decide it: 2q = d^2 Q_ii /
-    (2 den) must be odd.
-    """
-    twom = 2 * f.den
-    return any(
-        d % 2 == 0 and (d * d // 2 * f.qmat[i][i]) % twom == f.den
-        for i, d in enumerate(f.orders)
-    )
 
 
 # Jordan splittings by form value and prime, (orders, den, qmat, p): the
@@ -696,70 +692,55 @@ def fqf_isomorphic(f1, f2):
     return images
 
 
-def _two_adic_key(blocks):
+def _two_adic_key(scales):
     """Conway and Sloane's canonical 2-adic symbol (SPLAG ch. 15, 7.3-7.6)
-    of a 2-adic lattice whose discriminant form has these Jordan blocks;
-    that lattice is fixed up to an even unimodular summand (Nikulin 1979,
-    1.9), so the symbol is a complete invariant of the form.
+    of a 2-adic lattice whose discriminant form has these `_scales`; that
+    lattice is fixed up to an even unimodular summand (Nikulin 1979, 1.9),
+    so the symbol is a complete invariant of the form.
 
-    A block ('q', 2^k, u / 2^k) adds rank 1, unit u and oddity u at scale
-    2^k and makes it odd; 'u' and 'v' add rank 2 and units 7 and 3. A
-    scale's sign is + when its unit is 1 or 7 mod 8. Scale 1 is the even
-    unimodular summand, of free sign, which also absorbs the u + 4 that a
-    block at scale 2 leaves open. Compartments (runs of odd scales) keep
-    their total oddity; trains break between two adjacent even scales.
-    From the top down, a sign - moves from each nonzero scale to the next
-    lower nonzero one of its train, adding 4 to the oddity of each
-    compartment either lies in. The sign left at scale 1 is dropped.
+    A scale is odd when it has an oddity, and its sign is + when its unit
+    is 1 or 7 mod 8. Scale 1 is the even unimodular summand, of free sign,
+    which also absorbs the u + 4 that a block at scale 2 leaves open.
+    Compartments (runs of odd scales) keep their total oddity; trains
+    break between two adjacent even scales. From the top down, a sign -
+    moves from each nonzero scale to the next lower nonzero one of its
+    train, adding 4 to the oddity of each compartment either lies in. The
+    sign left at scale 1 is dropped.
     """
-    rank, unit, oddity = Counter(), {0: 1}, Counter()
-    for kind, s, *q in blocks:
-        k = s.bit_length() - 1
-        if kind == "q":
-            u = q[0].numerator
-            rank[k] += 1
-            oddity[k] += u
-        else:
-            u = 7 if kind == "u" else 3
-            rank[k] += 2
-        unit[k] = unit.get(k, 1) * u % 8
-    top = max(rank)
-    odd = [k in oddity for k in range(top + 1)]
+    top = max(scales)
+    odd = [k in scales and scales[k][2] is not None for k in range(top + 1)]
     comp, train = [None] * (top + 1), [0] * (top + 1)  # compartment head, train number
     for k in range(1, top + 1):
         if odd[k]:
             comp[k] = comp[k - 1] if odd[k - 1] else k
         train[k] = train[k - 1] + (not odd[k - 1] and not odd[k])
     total = Counter()
-    for k, t in oddity.items():
-        total[comp[k]] += t
-    sign = {k: u in (1, 7) for k, u in unit.items()}
-    scales = [0] + sorted(rank)
-    for a, b in reversed(list(zip(scales, scales[1:]))):
+    for k, (_, _, oddity) in scales.items():
+        if oddity is not None:
+            total[comp[k]] += oddity
+    sign = {0: True, **{k: u in (1, 7) for k, (_, u, _) in scales.items()}}
+    walk = [0] + sorted(scales)
+    for a, b in reversed(list(zip(walk, walk[1:]))):
         if train[a] == train[b] and not sign[b]:
             sign[a], sign[b] = not sign[a], True
             for c in {comp[a], comp[b]} - {None}:
                 total[c] += 4
-    return (tuple((k, rank[k], sign[k], odd[k]) for k in scales[1:]),
+    return (tuple((k, scales[k][0], sign[k], odd[k]) for k in walk[1:]),
             tuple(sorted((c, t % 8) for c, t in total.items())))
 
 
 def _local_key(f, p):
-    """A complete invariant of the p-part of f, read off its Jordan
-    blocks, or None when the p-part is degenerate. At odd p it is the rank
-    and the Legendre symbol of the product of the units t of the blocks
-    2t / p^k at each scale p^k; at p = 2 it is `_two_adic_key`."""
+    """A complete invariant of the p-part of f, read off its `_scales`, or
+    None when the p-part is degenerate. At odd p it is the rank and the
+    Legendre symbol of the unit at each scale; at p = 2 it is
+    `_two_adic_key`."""
     try:
-        blocks = _jordan_split(f, p)
+        scales = _scales(f, p)
     except Degenerate:
         return None
     if p == 2:
-        return _two_adic_key(blocks)
-    ranks, dets = Counter(), {}
-    for _, s, q in blocks:
-        ranks[s] += 1
-        dets[s] = dets.get(s, 1) * (q.numerator // 2) % p
-    return sorted((s, n, legendre(dets[s], p)) for s, n in ranks.items())
+        return _two_adic_key(scales)
+    return sorted((k, rank, legendre(unit, p)) for k, (rank, unit, _) in scales.items())
 
 
 def is_isomorphic(f1, f2):

@@ -24,8 +24,8 @@ from .errors import (
 from .fqf import (
     FiniteQuadraticForm,
     _dual_basis,
-    _jordan_split,
     _order_two_elements,
+    _scales,
     _solve_lower,
     canonical_form,
     direct_sum_fqf,
@@ -36,7 +36,6 @@ from .fqf import (
     p_part,
     perp_subgroup,
     quotient_form,
-    splits_unit_block,
     subgroup_matrix,
     subgroup_order,
     trivial_form,
@@ -77,19 +76,18 @@ def exists_even_lattice(signature, form):
         if tpos + tneg > ranks[p]:
             continue
         rest = order // p**e
+        scales = _scales(form, p)
+        unit = prod(u for _, u, _ in scales.values())
         if p == 2:
-            if splits_unit_block(form):
+            # 2q is additive on A[2], and only a q block at scale 2 makes
+            # it odd there: such a scale splits off a one-generator block
+            if scales.get(1, (0, 1, None))[2] is not None:
                 continue
-            # the 2-adic unit: each q block's numerator, 7 per U and 3 per V
-            unit = prod(b[2].numerator if b[0] == "q" else {"u": 7, "v": 3}[b[0]]
-                        for b in _jordan_split(form, 2))
-            if (unit * rest) % 8 not in (1, 7):
+            if unit * rest % 8 not in (1, 7):
                 return False
         else:
-            value = (-1) ** tneg * rest
-            for _, _, qval in _jordan_split(form, p):
-                value *= qval.numerator
-            if legendre(value % p, p) != 1:
+            # a block 2t / p^k puts 2t into the determinant: 2^length in all
+            if legendre((-1) ** tneg * rest * 2 ** ranks[p] * unit, p) != 1:
                 return False
     return True
 
@@ -350,7 +348,7 @@ def condition_star(parent, child):
     witness = []
     ell_ok = True
     for p in prime_factors(index):
-        ell = p_part(fc, p).num_gens
+        ell = sum(1 for d in fc.orders if d % p == 0)
         witness.append((p, ell, bound))
         if ell >= bound:
             ell_ok = False

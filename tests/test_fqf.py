@@ -18,6 +18,7 @@ from enrlat.fqf import (
     FiniteQuadraticForm,
     _jordan_split,
     _local_key,
+    _scales,
     _subquotient,
     _walk,
     canonical_form,
@@ -31,7 +32,6 @@ from enrlat.fqf import (
     perp_subgroup,
     subgroup_order,
     quotient_form,
-    splits_unit_block,
     subgroup_matrix,
     trivial_form,
     verify_fqf_iso,
@@ -253,7 +253,7 @@ def test_canonical_form_of_a_divisibility_chain_is_the_form_itself():
         assert fqf_isomorphic(chain, form) is not None
         if moved[0] > moved[-1]:
             chains += 1
-            assert chain is not permuted and canonical_form(permuted) is chain
+            assert chain is not permuted and canonical_form(permuted) == chain
         # the chain's canonical form is itself, and the Smith path agrees
         assert canonical_form(chain) is chain
         assert _smith_path(chain) == chain
@@ -362,11 +362,13 @@ def test_two_adic_jordan_covers_group():
 
 
 def test_splits_unit_block_examples():
-    yes = discriminant_form(Lattice([[2]]))
-    assert splits_unit_block(yes)
-    no = discriminant_form(Lattice([[-4]]))
-    assert not splits_unit_block(no)
-    assert not splits_unit_block(trivial_form())
+    # a one-generator block splits off A[2] exactly when scale 2 is odd
+    def scale_two_is_odd(form):
+        return _scales(form, 2).get(1, (0, 1, None))[2] is not None
+
+    assert scale_two_is_odd(discriminant_form(Lattice([[2]])))
+    assert not scale_two_is_odd(discriminant_form(Lattice([[-4]])))
+    assert not scale_two_is_odd(trivial_form())
 
 
 def test_quotient_by_isotropic_divides_order_by_square():
@@ -826,9 +828,27 @@ def test_milgram_on_every_block_type_against_brute_sum():
     for k in range(1, 4):
         for kind in ("u", "v"):
             forms.append((kind, _block_form((kind, 2**k))))
-    for kind, form in forms:
+    # several blocks at one scale, whose units and oddities the signature
+    # reads as one product and one sum
+    def q(s, a):
+        return _block_form(("q", s, Fraction(a, s)))
+
+    sums = [
+        direct_sum_fqf(q(4, 1), q(4, 3)),
+        direct_sum_fqf(q(2, 3), q(2, 3)),
+        direct_sum_fqf(_block_form(("v", 4)), q(4, 3)),
+        direct_sum_fqf(_block_form(("u", 2)), q(2, 5)),
+        direct_sum_fqf(_block_form(("v", 8)), _block_form(("v", 8))),
+        direct_sum_fqf(q(3, 4), q(3, 4)),
+        direct_sum_fqf(q(27, 4), q(27, 2)),
+        direct_sum_fqf(q(9, 4), q(9, 4)),
+    ]
+    for kind, form in forms + [(None, form) for form in sums]:
         (p,) = prime_factors(form.group_order)
-        assert [b[0] for b in _jordan_split(form, p)] == [kind]
+        if kind is None:
+            assert len(_scales(form, p)) == 1 and len(_jordan_split(form, p)) == 2
+        else:
+            assert [b[0] for b in _jordan_split(form, p)] == [kind]
         assert milgram_signature(form) == brute_gauss_signature(form.orders, form.values), form
 
 

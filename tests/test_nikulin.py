@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -30,7 +31,7 @@ from enrlat.fqf import (
     trivial_form,
 )
 from enrlat.lattice import Lattice, standard_lattice
-from _oracles import brute_b, brute_q
+from _oracles import brute_b, brute_isomorphic, brute_q
 from enrlat.nikulin import (
     condition_star,
     exists_even_lattice,
@@ -96,6 +97,77 @@ def test_exists_does_not_depend_on_the_presentation():
     for f in (form, canonical_form(form), lat_form):
         assert exists_even_lattice((0, 1), f)
         assert not exists_even_lattice((0, 0), f)
+
+
+def _reduced_rank_two_grams(dmax):
+    """Even rank-2 grams with |det| <= dmax, as (signature, gram), at
+    least one in each isometry class: a x^2 + 2b xy + c y^2 reduces to
+    |2b| <= |a| <= |c| unless it is isotropic, and then it has a basis e, f
+    with e^2 = 0, e.f = r and f^2 = 2c, shifted by e into |c| <= r.
+
+    - definite, det D: 0 < a <= c, so 3a^2 <= 4D, and its negative;
+    - indefinite anisotropic, det -D: ac < 0, so a^2 <= D;
+    - isotropic, det -r^2: [[0, r], [r, 2c]]."""
+    out = []
+    for d in range(1, dmax + 1):
+        for a in range(2, d + 1, 2):
+            for b in range(-(a // 2), a // 2 + 1):
+                c, rem = divmod(d + b * b, a)
+                if 3 * a * a <= 4 * d and not rem and c % 2 == 0 and c >= a:
+                    out += [((2, 0), [[a, b], [b, c]]), ((0, 2), [[-a, -b], [-b, -c]])]
+                c, rem = divmod(b * b - d, a)
+                if a * a <= d and not rem and c % 2 == 0 and c:
+                    out += [((1, 1), [[a, b], [b, c]]), ((1, 1), [[-a, b], [b, -c]])]
+        r = math.isqrt(d)
+        if r * r == d:
+            out += [((1, 1), [[0, r], [r, 2 * c]]) for c in range(-r, r + 1)]
+    return out
+
+
+def _forms_of_order(d):
+    """Every nondegenerate form on Z/d and on Z/m + Z/(d/m) for m | d/m:
+    q(e_i) = s / d_i for a generator of order d_i, b(e_1, e_2) = t / m."""
+    if d == 1:
+        return [trivial_form()]
+    shapes = [(d,)] + [(m, d // m) for m in range(2, math.isqrt(d) + 1) if d % (m * m) == 0]
+    forms = []
+    for orders in shapes:
+        units = [[int(i == j) for j in range(len(orders))] for i in range(len(orders))]
+        for svals in product(*[range(0, 2 * n, 1 + n % 2) for n in orders]):
+            for t in range(orders[0]) if len(orders) == 2 else (None,):
+                vals = [[Fraction(s, n) if i == j else Fraction(t, orders[0])
+                         for j in range(len(orders))] for i, (s, n) in enumerate(zip(svals, orders))]
+                form = FiniteQuadraticForm(orders, vals)
+                if all(any(form.b_num(x, e) for e in units) for x in form.elements() if any(x)):
+                    forms.append(form)
+    return forms
+
+
+def test_exists_on_rank_two_against_every_reduced_gram():
+    """Nikulin's existence test at rank 2 against the truth: a form on a
+    group of order D <= 32 with at most two generators is the
+    discriminant form of an even lattice of signature (2, 0), (1, 1) or
+    (0, 2) exactly when one of the reduced grams of that signature and
+    |det| = D has an isomorphic one, by the brute-force search."""
+    def histogram(form):
+        return sorted(map(form.q_of, form.elements()))
+
+    seen = {}  # (signature, order, q histogram) -> discriminant forms
+    for sig, gram in _reduced_rank_two_grams(32):
+        form = discriminant_form(Lattice(gram))
+        kept = seen.setdefault((sig, form.group_order, tuple(histogram(form))), [])
+        if form not in kept:
+            kept.append(form)
+    verdicts = Counter()
+    for d in range(1, 33):
+        for form in _forms_of_order(d):
+            hist = tuple(histogram(form))
+            for sig in ((2, 0), (1, 1), (0, 2)):
+                want = any(brute_isomorphic(form.orders, form.values, r.orders, r.values)
+                           for r in seen.get((sig, d, hist), ()))
+                assert exists_even_lattice(sig, form) == want, (sig, form.orders, form.values)
+                verdicts[sig, want] += 1
+    assert len(verdicts) == 6 and min(verdicts.values()) >= 50, verdicts
 
 
 def test_exists_rejects_negative_signature_entries():
@@ -371,8 +443,7 @@ def test_gluing_path_splits_each_form_value_once(monkeypatch):
         return out
 
     monkeypatch.setattr(fqf, "_split_blocks", run)
-    for module in (fqf, nikulin):
-        monkeypatch.setattr(module, "_jordan_split", serve)
+    monkeypatch.setattr(fqf, "_jordan_split", serve)
     parent = Lattice([[4, 4], [4, 8]])
     datum = find_embedding_datum(parent)
     assert verify_embedding_datum(parent, datum) == (True, [])
