@@ -39,7 +39,8 @@ print("...but not with the signature flipped:", exists_even_lattice((0, 2), q))
 # even unimodular one is pinned down by a small package of invariants: two
 # subgroup ranks, a gluing map, and the complement's rank, signature and
 # discriminant form. The finder assembles one and the verifier replays
-# every compatibility check from scratch.
+# every compatibility check; the glued subquotient is built once per
+# lattice and (H_L, gamma).
 
 big = standard_lattice("U")
 datum = find_embedding_datum(big)

@@ -39,6 +39,7 @@ from .lattice import (
     Lattice,
     _check_gram,
     _check_int_matrix,
+    _is_int,
     gram_of_rows,
     orthogonal_complement,
     rational_signature,
@@ -72,7 +73,10 @@ def vectors_of_norm(lat, value, cap=200000):
     Each pair goes into a bucket of its L1 norm; the buckets are sorted and
     concatenated by ascending norm. The `roots` goldens pin this order, and
     so does the E8(2) vector cache, whose order the tuple search follows.
+    A cap that is not a nonnegative int is malformed: BadShape.
     """
+    if not _is_int(cap) or cap < 0:
+        raise BadShape("cap: %r is not a nonnegative integer" % (cap,))
     k = lat.rank
     if k == 0:
         return []

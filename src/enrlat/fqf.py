@@ -20,7 +20,8 @@ asks for invariant factors (`canonical_form`).
 
 A lattice keeps its discriminant form, the shared ambient N among them. A
 form keeps what is derived from it once: its two-torsion and, for a
-lattice glued into N, its difference form with the form of N. Jordan
+lattice glued into N, its difference form with the form of N and the last
+graph quotient taken in it (`nikulin._graph_quotient`). Jordan
 splittings are kept by form value instead (`_jordan_split`): the 256
 latest (form, p) splittings, a degenerate outcome included, so equal forms
 built again and again along the gluing path split once.
@@ -187,6 +188,7 @@ class FiniteQuadraticForm:
         self.qmat = rows if g == 1 else tuple(tuple(x // g for x in r) for r in rows)
         self._order_two = None
         self._difference = None
+        self._glued = None
 
     @property
     def values(self):

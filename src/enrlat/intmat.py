@@ -301,14 +301,14 @@ def hnf_rows(rows, ncols=None):
             r = rest
     pivots = sorted(basis)
     out = [basis[p] for p in pivots]
-    # reduce entries sitting above other pivots
+    # reduce entries sitting above other pivots; a row before idx has its
+    # pivot left of p and zeros from there on, so only later rows change
     for idx, p in enumerate(pivots):
         piv = out[idx]
-        for jdx in range(len(out)):
-            if jdx != idx:
-                q = out[jdx][p] // piv[p]
-                if q:
-                    out[jdx] = [x - q * y for x, y in zip(out[jdx], piv)]
+        for jdx in range(idx + 1, len(out)):
+            q = out[jdx][p] // piv[p]
+            if q:
+                out[jdx] = [x - q * y for x, y in zip(out[jdx], piv)]
     return out
 
 

@@ -152,11 +152,22 @@ def _check_datum_shape(datum, fl, fn):
 
 def _graph_quotient(fl, h_l_gens, gamma_rows):
     """The subquotient carried by the graph of the identification inside
-    the difference form of fl and the ambient form."""
+    the difference form of fl and the ambient form.
+
+    The last one built is kept on fl, keyed by the H_L rows and the gamma
+    rows as given, so verify and transfer_datum_up read the quotient of
+    the datum that find_embedding_datum built. It is a function of the
+    form value and the rows alone, so a hit returns what building it again
+    would; a call that raises keeps nothing."""
+    key = (tuple(map(tuple, h_l_gens)), tuple(map(tuple, gamma_rows)))
+    if fl._glued is not None and fl._glued[0] == key:
+        return fl._glued[1]
     diff = _difference_form(fl)
     graph = [list(h) + list(g) for h, g in zip(h_l_gens, gamma_rows)]
     perp = perp_subgroup(diff, graph)
-    return quotient_form(diff, perp, subgroup_matrix(diff, graph))
+    quot = quotient_form(diff, perp, subgroup_matrix(diff, graph))
+    fl._glued = (key, quot)
+    return quot
 
 
 def verify_embedding_datum(lat, datum):

@@ -43,7 +43,7 @@ def test_python_dash_m_matches_main():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = ["--json", "standard-lattice", "--tag", "U"]
-    proc = subprocess.run([sys.executable, "-m", "enrlat"] + argv, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "enrlat"] + argv, env=env,
                           capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run_cli(argv)[1].encode()
@@ -186,6 +186,16 @@ def test_roots_verdict_and_payload():
     code, out = run_cli(["--json", "roots", "--gram", "[[-4]]", "--norm", "-2"])
     assert code == 1
     assert json.loads(out)["payload"]["count"] == 0
+
+
+def test_roots_with_a_negative_cap_exits_two():
+    # a vector of norm 2 exists, so a spent budget would read CapExceeded
+    for norm in ("2", "4"):
+        code, out = run_cli(["--json", "roots", "--gram", "[[2]]", "--norm", norm, "--cap", "-1"])
+        assert code == 2
+        env = json.loads(out)
+        assert env["error"]["type"] == "BadShape"
+        assert "cap" in env["error"]["message"]
 
 
 def test_epsilon_command():

@@ -1,6 +1,6 @@
-"""Every demo script runs to completion against the source tree and prints
-the same bytes as before: its stdout is deterministic, so its SHA-256 is
-pinned."""
+"""Every demo script runs to completion against the source tree, with
+warnings made errors as in CI, and prints the same bytes as before: its
+stdout is deterministic, so its SHA-256 is pinned."""
 
 import hashlib
 import os
@@ -31,7 +31,7 @@ STDOUT_SHA256 = {
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, timeout=300
+        [sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env, capture_output=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.stem]

@@ -108,6 +108,14 @@ def test_cap_boundary_is_exact():
         vectors_of_norm(e8, -2, cap=239)
 
 
+@pytest.mark.parametrize("cap", [-1, -240, 2.0, "2", True, None])
+def test_malformed_cap_is_a_bad_shape(cap):
+    # checked before any work, whether or not a vector of the norm exists
+    for lat, value in ((Lattice([[2]]), 2), (Lattice([[2]]), 4), (standard_lattice("E8"), -2)):
+        with pytest.raises(BadShape, match="cap: .* is not a nonnegative integer"):
+            vectors_of_norm(lat, value, cap=cap)
+
+
 def test_cap_stops_the_search_early():
     # E8 at -40 has 240 * sigma3(20) = 2,207,520 vectors; the cap ends the
     # walk after about a thousand of them

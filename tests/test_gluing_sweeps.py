@@ -262,6 +262,10 @@ def test_any_fitting_images_give_an_isomorphic_complement():
         moved += gamma != list(datum.gamma)
         first = nikulin._graph_quotient(fl, datum.h_l, datum.gamma)
         second = nikulin._graph_quotient(fl, datum.h_l, gamma)
+        # the first is kept from the search: both equal quotients built anew
+        fresh = discriminant_form(Lattice(lat.gram))
+        assert first == nikulin._graph_quotient(fresh, datum.h_l, datum.gamma)
+        assert second == nikulin._graph_quotient(fresh, datum.h_l, gamma)
         assert first.num_gens == second.num_gens
         assert (exists_even_lattice(datum.k_signature, canonical_form(negate_fqf(first)))
                 == exists_even_lattice(datum.k_signature, canonical_form(negate_fqf(second))))

@@ -15,6 +15,7 @@ from enrlat.errors import (
     EnrLatError,
     EvenIndex,
     NotFound,
+    NotIsotropic,
     NotTwoGroup,
     StarViolated,
 )
@@ -30,6 +31,7 @@ from enrlat.fqf import (
     p_part,
     trivial_form,
 )
+from enrlat.enriques import ambient
 from enrlat.lattice import Lattice, standard_lattice
 from _oracles import brute_b, brute_isomorphic, brute_q
 from enrlat.nikulin import (
@@ -260,7 +262,7 @@ def test_verify_rejects_wrong_signature():
 
 
 def test_verify_compares_the_complement_form_not_its_presentation():
-    # the found K form negates to the recomputed subquotient itself, so the
+    # the found K form negates to the kept subquotient itself, so the
     # isomorphism test takes its equal-forms path. A K form on the same
     # group with a wrong q value must still fail: q(e_9) moved by 2/3 moves
     # q on the 3-part Z/3 from 2/3 to 4/3, a non-square multiple. The same
@@ -462,6 +464,88 @@ def test_gluing_path_splits_each_form_value_once(monkeypatch):
         except Degenerate as exc:
             fresh = str(exc)
         assert out == fresh
+
+
+@pytest.mark.parametrize("gram, p", [
+    ([[4, 0], [0, 4]], 3),
+    ([[4, 4], [4, 8]], 3),
+    ([[4, 2], [2, 4]], 5),
+])
+def test_descent_chain_builds_each_graph_quotient_once(gram, p, monkeypatch):
+    """Along find, verify, down, verify child, up and verify, only find and
+    the child's verify build a graph quotient: verify and up read the one
+    kept on the parent form. Every quotient served equals one built on a
+    fresh lattice of the same gram."""
+    built, served = [0], []
+    build, graph_quotient = nikulin.quotient_form, nikulin._graph_quotient
+
+    def counted(*args):
+        built[0] += 1
+        return build(*args)
+
+    def recorded(fl, h_l_gens, gamma_rows):
+        out = graph_quotient(fl, h_l_gens, gamma_rows)
+        served.append((fl, [list(r) for r in h_l_gens], [list(r) for r in gamma_rows], out))
+        return out
+
+    monkeypatch.setattr(nikulin, "quotient_form", counted)
+    monkeypatch.setattr(nikulin, "_graph_quotient", recorded)
+    counts = []
+
+    def step(call):
+        before = built[0]
+        out = call()
+        counts.append(built[0] - before)
+        return out
+
+    parent = Lattice(gram)
+    datum = step(lambda: find_embedding_datum(parent))
+    assert step(lambda: verify_embedding_datum(parent, datum)) == (True, [])
+    child, rows = index_p_sublattice(parent, p)
+    down = step(lambda: transfer_datum_down(parent, child, datum, rows))
+    assert step(lambda: verify_embedding_datum(child, down)) == (True, [])
+    up = step(lambda: transfer_datum_up(parent, child, down, rows))
+    assert step(lambda: verify_embedding_datum(parent, up)) == (True, [])
+    assert counts == [1, 0, 0, 1, 0, 0]
+    grams = {id(discriminant_form(lat)): lat.gram for lat in (parent, child)}
+    for fl, h_l_gens, gamma_rows, out in served:
+        fresh = discriminant_form(Lattice(grams[id(fl)]))
+        assert out == graph_quotient(fresh, h_l_gens, gamma_rows)
+
+
+def test_kept_graph_quotient_decides_no_verdict_and_keeps_no_error(monkeypatch):
+    lat = Lattice([[4, 2], [2, 4]])
+    good = find_embedding_datum(lat)
+    fl = discriminant_form(lat)
+    kept = fl._glued
+    assert kept is not None
+    built = []
+    build = nikulin.quotient_form
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(nikulin, "quotient_form", counted)
+    # the wrong K form of the presentation test above: the kept quotient is
+    # served, and the isomorphism test still rejects it
+    values = [list(r) for r in good.k_fqf.values]
+    values[9][9] += Fraction(2, 3)
+    wrong = make_datum(good.h_l, good.h_n, good.gamma, good.k_rank, good.k_signature,
+                       FiniteQuadraticForm(good.k_fqf.orders, values))
+    ok, reasons = verify_embedding_datum(lat, wrong)
+    assert not ok
+    assert reasons == ["complement discriminant form does not match the subquotient"]
+    assert not built
+    # q(h) = 1 and q(g) = 0, so the graph is not isotropic: the error is
+    # raised anew on each call and the earlier entry stays
+    h, g = good.h_l[0], (0,) * 9 + (1,)
+    assert fl.q_of(h) != discriminant_form(ambient()).q_of(g)
+    for _ in range(2):
+        with pytest.raises(NotIsotropic):
+            nikulin._graph_quotient(fl, [h], [g])
+    assert len(built) == 2
+    assert fl._glued is kept
 
 
 def test_transfer_round_trip_sweep():
