@@ -126,9 +126,10 @@ def datum_from_json(obj):
 
 
 def _json_arg(text, what):
+    # ValueError also covers an integer past Python's digit limit
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise BadShape("%s is not valid JSON: %s" % (what, exc))
 
 
@@ -138,7 +139,7 @@ def _load_json_file(path, what):
             return json.load(fh)
     except OSError as exc:
         raise BadShape("cannot read %s: %s" % (what, exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise BadShape("%s is not valid JSON: %s" % (what, exc))
 
 

@@ -20,6 +20,7 @@ full validation, so a table can only produce correct embeddings.
 """
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import mul, neg
 
@@ -52,36 +53,41 @@ def vectors_of_norm(lat, value, cap=200000):
     """All lattice vectors of the given self-pairing, definite lattices only.
 
     Integer Fincke-Pohst enumeration over a fraction-free LDL^T (Bareiss
-    elimination of the gram, negated if negative definite): with leading
-    minors D_0 = 1, D_1, ..., D_k and the elimination rows B_i,
-    q(x) = sum_i (D_{i+1} x_i + c_i)^2 / (D_i D_{i+1}) with
-    c_i = sum_{j>i} B_i[j] x_j. Scaled by M = lcm(D_i D_{i+1}), every term
+    elimination of the gram, negated if negative definite, in reversed
+    coordinate order: z_i = x_{k-1-i}): with leading minors
+    D_0 = 1, D_1, ..., D_k and the elimination rows B_i,
+    q = sum_i (D_{i+1} z_i + c_i)^2 / (D_i D_{i+1}) with
+    c_i = sum_{j>i} B_i[j] z_j. Scaled by M = lcm(D_i D_{i+1}), every term
     has an integer weight, so each coordinate's range is an exact integer
     square root. Definiteness is read off the same elimination (Sylvester):
     the sign is that of g_00, and a pivot that is not positive raises
     NotDefinite.
 
-    The descent fixes x_{k-1} first and walks only half the tree: while
-    every coordinate fixed so far is 0 the centre is 0 and the range
-    symmetric, so it keeps t >= 0, and each vector found, whose last
-    nonzero coordinate is positive, is listed with its negative. The last
-    two levels run in one loop: for each x_1, x_0 is solved in place by an
-    exact-square test. CapExceeded is raised inside that loop as soon as
-    the pairs found hold more than `cap` vectors.
+    The descent fixes z_{k-1} = x_0 first and walks each range from the top
+    down. It walks only half the tree: while every coordinate fixed so far
+    is 0 the centre is 0 and the range symmetric, so it keeps t >= 0, and
+    finds the vectors whose first nonzero coordinate is positive. The last
+    two levels run in one loop: for each x_{k-2}, x_{k-1} is solved in place
+    by an exact-square test. CapExceeded is raised inside that loop as soon
+    as the vectors found, with their negatives, number more than `cap`.
 
     The order is pinned: by L1 norm, then coordinates in descending order.
-    Each pair goes into a bucket of its L1 norm; the buckets are sorted and
-    concatenated by ascending norm. The `roots` goldens pin this order, and
-    so does the E8(2) vector cache, whose order the tuple search follows.
-    A cap that is not a nonnegative int is malformed: BadShape.
+    The walk lists the half in descending order, and every vector of it
+    exceeds every negated one, so each L1 bucket is the half's vectors of
+    that norm followed by their negatives in reverse; nothing is sorted.
+    The `roots` goldens pin this order, and so does the E8(2) vector cache,
+    whose order the tuple search follows. A value that is not an int, or a
+    cap that is not a nonnegative int, is malformed: BadShape.
     """
+    if not _is_int(value):
+        raise BadShape("value: %r is not an integer" % (value,))
     if not _is_int(cap) or cap < 0:
         raise BadShape("cap: %r is not a nonnegative integer" % (cap,))
     k = lat.rank
     if k == 0:
         return []
     sign = 1 if lat.gram[0][0] > 0 else -1
-    a = [[sign * x for x in row] for row in lat.gram]
+    a = [[sign * x for x in reversed(row)] for row in reversed(lat.gram)]
     minors = [1]
     rows = []
     for i in range(k):
@@ -106,18 +112,20 @@ def vectors_of_norm(lat, value, cap=200000):
         if cap < 2:
             raise CapExceeded("more than %d vectors" % cap)
         return [[s // minors[1]], [-s // minors[1]]]
-    half = []
-    x = [0] * k
+    buckets = defaultdict(list)  # L1 norm -> the half's vectors of that norm
+    found = 0
+    z = [0] * k
     d0, w0, d1, w1 = minors[1], weights[0], minors[2], weights[1]
     row0 = rows[0]
 
-    def last_two(i, rem, c, free):
-        # i = 1, x[2:] is fixed, c = c_1; for each x_1 the remainder must
-        # be w_0 y_0^2 exactly, with y_0 = d_0 x_0 + c_0
+    def last_two(i, rem, c, free, l1):
+        # i = 1, z[2:] is fixed, c = c_1; for each z_1 the remainder must
+        # be w_0 y_0^2 exactly, with y_0 = d_0 z_0 + c_0
+        nonlocal found
         s = math.isqrt(rem // w1)
-        base = sum(map(mul, row0[2:], x[2:]))
+        base = sum(map(mul, row0[2:], z[2:]))
         b1 = row0[1]
-        for t in range(-((s + c) // d1) if free else 0, (s - c) // d1 + 1):
+        for t in range((s - c) // d1, -((s + c) // d1) - 1 if free else -1, -1):
             y = d1 * t + c
             r = rem - w1 * y * y
             if r % w0:
@@ -129,48 +137,36 @@ def vectors_of_norm(lat, value, cap=200000):
             c0 = base + b1 * t
             for y0 in (s0, -s0) if s0 and (free or t) else (s0,):
                 if (y0 - c0) % d0 == 0:
-                    x[0], x[1] = (y0 - c0) // d0, t
-                    half.append(x[:])
-            if 2 * len(half) > cap:
-                raise CapExceeded("more than %d vectors" % cap)
+                    z[0], z[1] = (y0 - c0) // d0, t
+                    buckets[l1 + abs(t) + abs(z[0])].append(z[::-1])
+                    found += 1
+                    if 2 * found > cap:
+                        raise CapExceeded("more than %d vectors" % cap)
 
-    def rec(i, rem, c, free):
-        # x[i+1:] is fixed, c = c_i, rem = M |value| - sum_{j>i} w_j y_j^2;
-        # w y^2 <= rem holds exactly when |y| <= isqrt(rem // w), y = d x_i + c.
+    def rec(i, rem, c, free, l1):
+        # z[i+1:] is fixed, of L1 norm l1, c = c_i,
+        # rem = M |value| - sum_{j>i} w_j y_j^2; w y^2 <= rem holds exactly
+        # when |y| <= isqrt(rem // w), y = d z_i + c.
         # Until some fixed coordinate is nonzero, c = 0 and t >= 0.
         d, w = minors[i + 1], weights[i]
         s = math.isqrt(rem // w)
         row = rows[i - 1]
-        base = sum(map(mul, row[i + 1:], x[i + 1:]))
+        base = sum(map(mul, row[i + 1:], z[i + 1:]))
         down, b = last_two if i == 2 else rec, row[i]
-        for t in range(-((s + c) // d) if free else 0, (s - c) // d + 1):
-            x[i] = t
+        for t in range((s - c) // d, -((s + c) // d) - 1 if free else -1, -1):
+            z[i] = t
             y = d * t + c
-            down(i - 1, rem - w * y * y, base + b * t, free or t != 0)
+            down(i - 1, rem - w * y * y, base + b * t, free or t != 0, l1 + abs(t))
 
-    (last_two if k == 2 else rec)(k - 1, rem, 0, False)
-    out = _with_negatives(half)
-    # rec refers to itself, so this frame's cells, half among them, live on
-    # until a cyclic collection; emptying half frees its lists with `out`
-    half.clear()
-    return out
-
-
-def _with_negatives(half):
-    # each v with -v, bucketed by L1 norm; every bucket in descending order
-    buckets = {}
-    for v in half:
-        n = sum(map(abs, v))
-        bucket = buckets.get(n)
-        if bucket is None:
-            buckets[n] = bucket = []
-        bucket.append(v)
-        bucket.append(list(map(neg, v)))
+    (last_two if k == 2 else rec)(k - 1, rem, 0, False, 0)
     out = []
     for n in sorted(buckets):
-        bucket = buckets[n]
-        bucket.sort(reverse=True)
-        out += bucket
+        half = buckets[n]
+        out += half
+        out += [list(map(neg, v)) for v in reversed(half)]
+    # rec refers to itself, so this frame's cells, buckets among them, live
+    # on until a cyclic collection; emptying buckets frees its lists now
+    buckets.clear()
     return out
 
 

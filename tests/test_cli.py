@@ -198,6 +198,22 @@ def test_roots_with_a_negative_cap_exits_two():
         assert "cap" in env["error"]["message"]
 
 
+def test_over_long_json_integer_exits_two(tmp_path):
+    # json parses the digits, but int() refuses more than 4,300 of them
+    gram = "[[%s]]" % ("2" * 5000)
+    path = tmp_path / "gram.json"
+    path.write_text(gram)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for source in (["--gram", gram], ["--gram-file", str(path)]):
+        argv = ["--json", "roots"] + source + ["--norm", "2"]
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "enrlat"] + argv, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["error"]["type"] == "BadShape"
+
+
 def test_epsilon_command():
     code, out = run_cli(["--json", "epsilon", "--vector", "[1,1] + []"])
     assert code == 2

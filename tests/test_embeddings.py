@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import math
 import random
 import time
@@ -34,6 +36,21 @@ from enrlat.errors import (
 from enrlat.lattice import Lattice, gram_of_rows, standard_lattice
 
 from _oracles import sigma3, snf_diagonal_by_minor_gcds
+
+
+def _pinned_key(v):
+    # the pinned order: by L1 norm, then coordinates in descending order
+    return sum(map(abs, v)), [-x for x in v]
+
+
+def _rebased(lat, rng):
+    """(U, U G U^T) for U a product of six elementary +-1 row operations."""
+    u = [[int(i == j) for j in range(8)] for i in range(8)]
+    for _ in range(6):
+        i, j = rng.sample(range(8), 2)
+        s = rng.choice((-1, 1))
+        u[i] = [a + s * b for a, b in zip(u[i], u[j])]
+    return u, Lattice([[int(x) for x in row] for row in gram_of_rows(u, lat.gram)])
 
 
 def test_enumeration_matches_box_oracle():
@@ -96,7 +113,7 @@ def test_enumeration_property_against_box_oracle(g, half):
     assert found == naive_vectors(g, value)
     assert len(found) == len(got)
     assert {tuple(-x for x in v) for v in found} == found
-    assert got == sorted(got, key=lambda t: (sum(abs(x) for x in t), tuple(-x for x in t)))
+    assert got == sorted(got, key=_pinned_key)
     assert vectors_of_norm(lat, -value) == []
 
 
@@ -106,6 +123,14 @@ def test_cap_boundary_is_exact():
     assert len(vectors_of_norm(e8, -2, cap=240)) == 240
     with pytest.raises(CapExceeded, match="more than 239 vectors"):
         vectors_of_norm(e8, -2, cap=239)
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, "2", True, None])
+def test_malformed_value_is_a_bad_shape(value):
+    # checked before any work, whether or not the lattice takes the norm
+    for lat in (Lattice([[2]]), Lattice([[-2]]), standard_lattice("E8")):
+        with pytest.raises(BadShape, match="value: .* is not an integer"):
+            vectors_of_norm(lat, value)
 
 
 @pytest.mark.parametrize("cap", [-1, -240, 2.0, "2", True, None])
@@ -147,19 +172,39 @@ def test_rebased_e8_keeps_theta_counts():
         lat = standard_lattice(tag)
         want = {k: {tuple(v) for v in vectors_of_norm(lat, -2 * scale * k)} for k in (1, 2)}
         for _ in range(3):
-            u = [[int(i == j) for j in range(8)] for i in range(8)]
-            for _ in range(6):
-                i, j = rng.sample(range(8), 2)
-                s = rng.choice((-1, 1))
-                u[i] = [a + s * b for a, b in zip(u[i], u[j])]
-            rebased = Lattice([[int(x) for x in row] for row in gram_of_rows(u, lat.gram)])
+            u, rebased = _rebased(lat, rng)
             for k in (1, 2):
                 got = vectors_of_norm(rebased, -2 * scale * k)
                 assert len(got) == 240 * sigma3(k)
+                assert got == sorted(got, key=_pinned_key)
                 # x in the rebased basis is the vector x U of the original one
                 mapped = {tuple(sum(x[r] * u[r][c] for r in range(8)) for c in range(8))
                           for x in got}
                 assert mapped == want[k]
+
+
+# sha256 of json.dumps of each whole list, so the full rank-8 order is pinned
+# (the roots goldens hold only the first vectors; E8(2) at -12 is E8 at -6)
+RANK_EIGHT_DIGESTS = [
+    ("E8", -2, 240, "74feef94c24255d9141aff9727621544e2758587a1a5e4e18954a3234fbb0f49"),
+    ("E8", -4, 2160, "8a8b1ea1ee8736b3049431f40e511bef6eb5c3749a143e70d77e6ee2534ca97d"),
+    ("E8", -6, 6720, "e1d84abd09e86e7b798137e0253f6060f98b5b88a3bbecae8c67d5b735cf924a"),
+    ("E82", -12, 6720, "e1d84abd09e86e7b798137e0253f6060f98b5b88a3bbecae8c67d5b735cf924a"),
+    (2027, -4, 2160, "99b4bab0d91a73a6c18e3496999e520c2483b70d9548d3d0cc050b2ea3b89d24"),
+]
+
+
+@pytest.mark.parametrize("lattice, value, count, digest", RANK_EIGHT_DIGESTS,
+                         ids=["E8-2", "E8-4", "E8-6", "E82-12", "rebased-E8-4"])
+def test_rank_eight_enumeration_order_is_pinned(lattice, value, count, digest):
+    if isinstance(lattice, int):
+        lat = _rebased(standard_lattice("E8"), random.Random(lattice))[1]
+    else:
+        lat = standard_lattice(lattice)
+    got = vectors_of_norm(lat, value)
+    assert len(got) == count
+    assert got == sorted(got, key=_pinned_key)
+    assert hashlib.sha256(json.dumps(got).encode()).hexdigest() == digest
 
 
 def test_e8_counts_follow_divisor_sums():
@@ -179,7 +224,7 @@ def test_enumeration_output_is_sorted_and_without_zero():
     vecs = vectors_of_norm(lat, -2)
     assert (0, 0) not in {tuple(v) for v in vecs}
     assert len(vecs) == 4
-    assert vecs == sorted(vecs, key=lambda t: (sum(abs(x) for x in t), tuple(-x for x in t)))
+    assert vecs == sorted(vecs, key=_pinned_key)
 
 
 def test_positive_norm_request_is_empty_in_negative_definite():
