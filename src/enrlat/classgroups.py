@@ -2,11 +2,12 @@
 endomorphism report for definite rank-2 even lattices."""
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import (
     BadCongruence,
     BadShape,
+    CapExceeded,
     NotEvenGram,
     NotFundamental,
     NotImaginary,
@@ -31,17 +32,33 @@ class ClassGroup:
     ambiguous_count: int
 
 
+# the pairs (b, a) `class_group` walks before it gives up
+CLASS_GROUP_CAP = 1 << 20
+
+
 def class_group(disc):
-    """All reduced primitive positive forms of the given discriminant."""
+    """All reduced primitive positive forms of the given discriminant.
+
+    The walk over b and then a takes about |disc| / 7 pairs (b, a). Before
+    walking the a of one b it counts them, and raises CapExceeded when
+    they would take the total past CLASS_GROUP_CAP.
+    """
     _check_disc(disc)
     absd = -disc
     forms = []
+    spent = 0
     b = absd % 2
     while b * b <= absd // 3:
         ac4 = b * b + absd
         if ac4 % 4 == 0:
             ac = ac4 // 4
             a = max(b, 1)
+            more = isqrt(ac) - a + 1
+            if spent + more > CLASS_GROUP_CAP:
+                raise CapExceeded(
+                    "class group search spent %d pairs (b, a) and needs %d more, "
+                    "over its cap of %d" % (spent, more, CLASS_GROUP_CAP))
+            spent += more
             while a * a <= ac:
                 if ac % a == 0:
                     c = ac // a

@@ -431,8 +431,21 @@ def _cmd_accept(args):
     return inputs, {"all_pass": all(r.ok for r in results)}, payload
 
 
+class _UsageError(Exception):
+    """An argparse error; its args are the parser that met it and the
+    message."""
+
+
+def _raising(parser):
+    """parser, raising _UsageError where argparse prints usage and exits."""
+    def error(message):
+        raise _UsageError(parser, message)
+    parser.error = error
+    return parser
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="enrlat")
+    parser = _raising(argparse.ArgumentParser(prog="enrlat"))
     parser.add_argument("--json", action="store_true", help="canonical JSON output")
     parser.add_argument(
         "--seed",
@@ -447,7 +460,7 @@ def build_parser():
         # --json/--seed are accepted after the subcommand too; distinct
         # dests because argparse lets subparser defaults clobber parent
         # values on a shared dest
-        p = sub.add_parser(name, help=helptext)
+        p = _raising(sub.add_parser(name, help=helptext))
         p.add_argument("--json", action="store_true", dest="json_sub",
                        help=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=None, dest="seed_sub",
@@ -526,9 +539,28 @@ def build_parser():
     return parser
 
 
+def _usage_error(exc, argv):
+    """Exit status 2 for an argparse error: with --json a BadShape envelope
+    naming the subcommand (null when none was reached), else argparse's
+    usage text and message on stderr. argparse takes any prefix of --json
+    from --j on for it, so the error path does too."""
+    parser, message = exc.args
+    if any(len(a) > 2 and "--json".startswith(a) for a in argv):
+        command = parser.prog.split()[1] if parser.prog != "enrlat" else None
+        print(canonical_json({"command": command,
+                              "error": {"type": "BadShape", "message": message}}))
+    else:
+        parser.print_usage(sys.stderr)
+        print("%s: error: %s" % (parser.prog, message), file=sys.stderr)
+    return 2
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _usage_error(exc, argv)
     args.json = args.json or getattr(args, "json_sub", False)
     if args.seed is None:
         args.seed = getattr(args, "seed_sub", None)

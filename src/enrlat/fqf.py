@@ -13,15 +13,20 @@ x^T Q y of their generators through `gram_of_rows`, membership in a
 subgroup is a back-substitution on its lower-triangular Hermite matrix,
 and the Jordan splittings are linear algebra mod p^k on the generators, so
 their cost grows with the number of generators, not with the group order.
+At p = 2, once every generator left has order 2, the splitting finishes
+over F_2: each generator keeps 2q mod 4 and its pairings 2b mod 2 as the
+bits of one int, and a block is split off by XORs of those rows.
 
 Every form is worked on in its own presentation: its p-part is spanned by
-the multiples (d / p^a) e_i of its generators, and only the JSON boundary
-asks for invariant factors (`canonical_form`).
+the multiples (d / p^a) e_i of its generators, its value matrix read off
+Q, and only the JSON boundary asks for invariant factors
+(`canonical_form`).
 
 A lattice keeps its discriminant form, the shared ambient N among them. A
-form keeps what is derived from it once: its two-torsion and, for a
-lattice glued into N, its difference form with the form of N and the last
-graph quotient taken in it (`nikulin._graph_quotient`). Jordan
+form keeps what is derived from it once: its two-torsion, for the form of
+N its negation, and, for a lattice glued into N, its difference form with
+the form of N and the last graph quotient taken in it
+(`nikulin._graph_quotient`). Jordan
 splittings are kept by form value instead (`_jordan_split`): the 256
 latest (form, p) splittings, a degenerate outcome included, so equal forms
 built again and again along the gluing path split once.
@@ -187,6 +192,7 @@ class FiniteQuadraticForm:
         self.den = den // g
         self.qmat = rows if g == 1 else tuple(tuple(x // g for x in r) for r in rows)
         self._order_two = None
+        self._negated = None
         self._difference = None
         self._glued = None
 
@@ -329,8 +335,15 @@ def _p_coords(f, p):
 
 
 def p_part(f, p):
-    """The form on the p-torsion, on the generators `_p_coords` names."""
-    return _form_on(f, *_p_coords(f, p))
+    """The form on the p-torsion, on the generators `_p_coords` names.
+
+    Generator (d / p^a) e_i is c_i e_i, so the value matrix is Q restricted
+    to the generators whose order p divides, entry (i, j) scaled by c_i c_j:
+    what `gram_of_rows` gives on those rows, without the product.
+    """
+    kept = [(i, d // p ** val_p(d, p)) for i, d in enumerate(f.orders) if d % p == 0]
+    mat = [[f.qmat[i][j] * ci * cj for j, cj in kept] for i, ci in kept]
+    return FiniteQuadraticForm.over([f.orders[i] // c for i, c in kept], mat, f.den)
 
 
 def _scales(f, p):
@@ -533,6 +546,8 @@ def _split_blocks(f, p):
     keeps its order, so the generators stay a basis of what is left. Only
     their gram is kept, updated by the block's Schur complement mod m (2m
     on the diagonal), where b and q, hence t and the blocks, are defined.
+    At p = 2, once every generator left has order 2, `_split_order_two`
+    finishes on bit rows.
     """
     pf = p_part(f, p)
     m = pf.den
@@ -541,6 +556,8 @@ def _split_blocks(f, p):
     blocks = []
     while orders:
         top = max(orders)
+        if p == 2 and top == 2:
+            return tuple(blocks) + _split_order_two(gram, m)
         t = [[top * x // m for x in r] for r in gram]
         idx = [i for i, d in enumerate(orders) if d == top]
         pick = next(([i] for i in idx if t[i][i] % p), None)
@@ -577,6 +594,52 @@ def _split_blocks(f, p):
             for r, (y, cgr, ccr) in enumerate(zip(rest, cg, cc))
         ]
         orders = [orders[y] for y in rest]
+    return tuple(blocks)
+
+
+def _split_order_two(gram, m):
+    """The blocks `_split_blocks` gives at p = 2 on generators of order 2
+    with this gram over m, computed over F_2.
+
+    Generator y keeps Q_y = 2q(y) mod 4 and the bit row of beta(y, z) =
+    2b(y, z) mod 2 as one int (bit y is Q_y mod 2). The picks are those of
+    `_split_blocks`. Its coefficients only matter mod 2, where the inverse
+    of a q block's t is 1 and a 'u' or 'v' pair's is [[0, 1], [1, 0]]:
+    every other y becomes y + sum_a c_a x_a with c = beta(y, x) for a q
+    block at x and c = (beta(y, x_j), beta(y, x_i)) for a pair x_i, x_j.
+    Then Q_y gains sum_a c_a Q_a + 2 sum_a c_a beta(y, x_a) + 2 c_i c_j mod
+    4, and since the new y is orthogonal to the block, beta(y, z) for every
+    z left changes by sum_a c_a beta(x_a, z): an XOR of block rows.
+    """
+    qs = [2 * r[y] // m for y, r in enumerate(gram)]
+    rows = [sum((2 * x // m & 1) << z for z, x in enumerate(r)) for r in gram]
+    live = list(range(len(gram)))
+    blocks = []
+    while live:
+        x = next((y for y in live if qs[y] & 1), None)
+        if x is not None:
+            blocks.append(("q", 2, Fraction(qs[x], 2)))
+            live.remove(x)
+            for y in live:
+                if rows[y] >> x & 1:
+                    qs[y] = (qs[y] + qs[x] + 2) % 4
+                    rows[y] ^= rows[x]
+            continue
+        mask = sum(1 << y for y in live)
+        # the first i that pairs with some j > i, and the least such j
+        i = next((i for i in live if (rows[i] & mask) >> i + 1), None)
+        if i is None:
+            raise Degenerate("no exact pairing at top scale; form is degenerate")
+        h = (rows[i] & mask) >> i + 1
+        j = i + (h & -h).bit_length()
+        blocks.append(("v" if qs[i] == qs[j] == 2 else "u", 2))
+        live.remove(i)
+        live.remove(j)
+        for y in live:
+            ci, cj = rows[y] >> j & 1, rows[y] >> i & 1
+            if ci or cj:
+                qs[y] = (qs[y] + ci * qs[i] + cj * qs[j] + 2 * ci * cj) % 4
+                rows[y] ^= (rows[i] if ci else 0) ^ (rows[j] if cj else 0)
     return tuple(blocks)
 
 
@@ -659,12 +722,12 @@ def fqf_isomorphic(f1, f2):
         return None
     parts = []
     for p in prime_factors(f1.group_order):
-        (c1, o1), (c2, o2) = _p_coords(f1, p), _p_coords(f2, p)
+        (_, o1), (c2, o2) = _p_coords(f1, p), _p_coords(f2, p)
         # each p-part is (+) Z/p^a over the generators, so these sorted
         # orders are its elementary divisors
         if sorted(o1) != sorted(o2):
             return None
-        parts.append((p, _form_on(f1, c1, o1), _form_on(f2, c2, o2), c2))
+        parts.append((p, p_part(f1, p), p_part(f2, p), c2))
     for p, p1, p2, _ in parts:
         if p1 == p2:
             continue

@@ -12,6 +12,8 @@ pure linear algebra and elementary arithmetic.
 from math import isqrt
 from operator import mul
 
+from .errors import CapExceeded
+
 
 def identity(n):
     rows = [[0] * n for _ in range(n)]
@@ -31,10 +33,24 @@ def transpose(m):
 
 
 def mat_mul(a, b):
+    """a * b. A row of a with at most half its entries nonzero gives the
+    sum of the rows of b it selects; any other row one dot product per
+    column of b."""
     if not a or not b:
         return []
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    cols = None
+    out = []
+    for row in a:
+        if 2 * (len(row) - row.count(0)) <= len(row):
+            acc = [0] * len(b[0])
+            for x, r in zip(row, b):
+                if x:
+                    acc = [s + x * y for s, y in zip(acc, r)]
+        else:
+            cols = cols or list(zip(*b))
+            acc = [sum(map(mul, row, col)) for col in cols]
+        out.append(acc)
+    return out
 
 
 def mat_vec(m, v):
@@ -312,8 +328,17 @@ def hnf_rows(rows, ncols=None):
     return out
 
 
+# the largest trial divisor `prime_factors` tries before it gives up
+FACTOR_CAP = 1 << 20
+
+
 def prime_factors(n):
-    """Prime factorization by trial division, as an ordered dict p -> e."""
+    """Prime factorization by trial division, as an ordered dict p -> e.
+
+    The trial divisors stop at FACTOR_CAP: n is factored when what is left
+    of it after its primes up to the cap is below the cap squared, and
+    otherwise CapExceeded is raised.
+    """
     n = abs(n)
     out = {}
     if n <= 1:
@@ -324,6 +349,9 @@ def prime_factors(n):
             n //= p
     f = 5
     while f * f <= n:
+        if f > FACTOR_CAP:
+            raise CapExceeded("trial division reached divisor %d, over its cap of %d"
+                              % (f, FACTOR_CAP))
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1

@@ -98,9 +98,12 @@ DATUM_NODE_CAP = 200_000
 
 def _difference_form(fl):
     """The difference form fl (+) (-q_N) of fl and the ambient form, kept
-    on fl; q_N itself is kept on the shared lattice N."""
+    on fl; q_N itself is kept on the shared lattice N, and -q_N on q_N."""
     if fl._difference is None:
-        fl._difference = direct_sum_fqf(fl, negate_fqf(discriminant_form(ambient())))
+        fn = discriminant_form(ambient())
+        if fn._negated is None:
+            fn._negated = negate_fqf(fn)
+        fl._difference = direct_sum_fqf(fl, fn._negated)
     return fl._difference
 
 

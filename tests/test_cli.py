@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -395,8 +396,60 @@ def test_accept_single_fast_criterion():
 
 
 def test_accept_rejects_unknown_suite():
-    with pytest.raises(SystemExit):
-        run_cli(["--json", "accept", "--suite", "bogus"])
+    code, out = run_cli(["--json", "accept", "--suite", "bogus"])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "BadShape"
+
+
+USAGE_ERRORS = {
+    "bad int": ["roots", "--gram", "[[2]]", "--norm", "abc"],
+    "over-long int": ["roots", "--gram", "[[2]]", "--norm", "2", "--cap", "9" * 5000],
+    "missing option": ["roots", "--gram", "[[2]]"],
+    "bad choice": ["transfer", "--direction", "sideways", "--parent-gram", "[[2]]",
+                   "--child-gram", "[[2]]", "--child-basis", "[[1]]", "--datum-file", "x"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=list(USAGE_ERRORS))
+def test_usage_errors_return_two_inside_the_json_contract(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(["--json"] + argv)
+    assert code == 2 and err.getvalue() == ""
+    env = json.loads(out)
+    assert env["command"] == argv[0] and env["error"]["type"] == "BadShape"
+    assert env["error"]["message"].startswith(("argument --", "the following arguments"))
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    usage, message = err.getvalue().splitlines()[0], err.getvalue().splitlines()[-1]
+    assert usage.startswith("usage: enrlat %s" % argv[0])
+    assert message == "enrlat %s: error: %s" % (argv[0], env["error"]["message"])
+
+
+def test_usage_error_before_a_subcommand_names_none():
+    code, out = run_cli(["--json", "no-such-command"])
+    assert code == 2 and json.loads(out)["command"] is None
+    # argparse reads an abbreviated --json as --json, so the envelope follows it
+    code, out = run_cli(["--js", "roots", "--gram", "[[2]]", "--norm", "abc"])
+    assert code == 2 and json.loads(out)["command"] == "roots"
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stdout(io.StringIO()):
+        main(["roots", "--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["theorem-c", "--gram", "[[2,1],[1,1000000000000000000000000002]]"],
+    ["class-group", "--disc", "-4000000000000"],
+])
+def test_unbounded_inputs_end_in_a_cap_envelope(argv):
+    start = time.monotonic()
+    code, out = run_cli(["--json"] + argv)
+    assert time.monotonic() - start < 1.0
+    assert code == 2
+    env = json.loads(out)
+    assert env["command"] == argv[0] and env["error"]["type"] == "CapExceeded"
+    assert "over its cap of 1048576" in env["error"]["message"]
 
 
 def test_human_mode_prints_verdict_lines():

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import json
 import math
 import random
@@ -11,9 +12,16 @@ from itertools import product
 
 import pytest
 
-from enrlat import fqf
+from enrlat import fqf, nikulin
 from enrlat.cli import main
-from enrlat.errors import BadShape, Degenerate, NonWitt, NotIsotropic, NotSubgroup
+from enrlat.errors import (
+    BadShape,
+    Degenerate,
+    EnrLatError,
+    NonWitt,
+    NotIsotropic,
+    NotSubgroup,
+)
 from enrlat.fqf import (
     FiniteQuadraticForm,
     _jordan_split,
@@ -901,3 +909,70 @@ def test_cli_exists_on_degenerate_form_is_a_nonwitt_envelope(tmp_path, capsys):
     code = main(["--json", "nikulin-exists", "--signature", "[2,0]", "--fqf-file", str(path)])
     assert code == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "NonWitt"
+
+
+def _split_outcome(f, p):
+    try:
+        return repr(fqf._split_blocks(f, p))
+    except Degenerate as exc:
+        return "Degenerate: %s" % exc
+
+
+def _random_two_group_form(rng, k, orders):
+    """A seeded form on k generators of the given orders: q(e_i) = s / d_i
+    and b(e_i, e_j) = r / gcd(d_i, d_j); degenerate ones included."""
+    ds = [rng.choice(orders) for _ in range(k)]
+    zero = rng.choice((0.0, 0.5, 0.8))
+    vals = [[Fraction(0)] * k for _ in range(k)]
+    for i, di in enumerate(ds):
+        vals[i][i] = Fraction(rng.randrange(2 * di), di)
+        for j in range(i):
+            if rng.random() >= zero:
+                vals[i][j] = vals[j][i] = Fraction(rng.randrange(math.gcd(di, ds[j])),
+                                                   math.gcd(di, ds[j]))
+    return FiniteQuadraticForm(ds, vals)
+
+
+def _split_forms(rng):
+    """Discriminant forms of seeded sparse even lattices of rank 1 to 9,
+    seeded (Z/2)^k forms with k <= 12 and 2-group forms of orders 2, 4, 8,
+    the small forms and quotients of `_small_forms`, and the difference
+    forms and last graph quotients of the datum search on small lattices."""
+    forms = []
+    while len(forms) < 150:
+        n = rng.randint(1, 9)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+            for j in range(i):
+                if rng.random() < 0.4:
+                    g[i][j] = g[j][i] = rng.randint(-3, 3)
+        try:
+            forms.append(discriminant_form(Lattice(g)))
+        except Degenerate:
+            pass
+    forms += [_random_two_group_form(rng, rng.randint(1, 12), (2,)) for _ in range(400)]
+    forms += [_random_two_group_form(rng, rng.randint(1, 8), (2, 4, 8)) for _ in range(200)]
+    forms += _small_forms(rng, 60, 400)
+    for g in ([[2]], [[-2]], [[4]], [[-4, 2], [2, -4]], [[2, 1], [1, -2]], [[4, 0], [0, 4]],
+              [[-2, 0], [0, 2]], [[-2, -1, 0], [-1, -2, -1], [0, -1, -4]]):
+        fl = discriminant_form(Lattice(g))
+        forms.append(nikulin._difference_form(fl))
+        try:
+            nikulin.find_embedding_datum(Lattice(g))
+        except EnrLatError:
+            pass
+        if fl._glued is not None:
+            forms.append(fl._glued[1])
+    return forms
+
+
+# sha256 of every `_split_blocks(f, p)` outcome, the block tuple or the
+# Degenerate message, on `_split_forms` at each prime of the group order
+SPLIT_DIGEST = "f497775c2fd463e4256b2360b7367b27b480c3fe88c7b6dc0187d855741f05a0"
+
+
+def test_split_blocks_outcomes_are_pinned():
+    lines = [_split_outcome(f, p) for f in _split_forms(random.Random(28))
+             for p in prime_factors(f.group_order)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SPLIT_DIGEST

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from enrlat.errors import CapExceeded
 from enrlat.intmat import (
+    FACTOR_CAP,
     _smith,
     crt_pair,
     det_bareiss,
@@ -156,6 +158,14 @@ def test_prime_factors_and_valuation():
     assert prime_factors(360) == {2: 3, 3: 2, 5: 1}
     assert val_p(48, 2) == 4
     assert val_p(48, 3) == 1
+
+
+def test_prime_factors_stops_past_its_divisor_cap():
+    # 1048573 is the largest prime below 2^20, 1048583 and 1048589 the next two
+    assert FACTOR_CAP == 1 << 20
+    assert prime_factors(2 * 1048573 * 1048583) == {2: 1, 1048573: 1, 1048583: 1}
+    with pytest.raises(CapExceeded, match="reached divisor 1048577, over its cap of 1048576"):
+        prime_factors(1048583 * 1048589)
 
 
 def test_legendre_small_table():
@@ -315,3 +325,28 @@ def test_kernel_outputs_are_pinned():
         lines.append(repr((m, snf_with_transforms(m), snf_diagonal(m), right_kernel_int(m),
                            gram_of_rows(m, g))))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KERNEL_DIGEST
+
+
+def _product_pairs(rng, count):
+    """count seeded pairs (a, b) of 1 to 14 rows and columns, from dense to
+    mostly zero, some with unit entries only."""
+    out = []
+    for _ in range(count):
+        r, k, c = rng.randint(1, 14), rng.randint(1, 14), rng.randint(1, 14)
+        bound = rng.choice((1, 3, 50, 10**12))
+        za, zb = rng.choice((0.0, 0.4, 0.6, 0.9)), rng.choice((0.0, 0.5, 0.9))
+        a = [[0 if rng.random() < za else rng.randint(-bound, bound) for _ in range(k)]
+             for _ in range(r)]
+        b = [[0 if rng.random() < zb else rng.randint(-bound, bound) for _ in range(c)]
+             for _ in range(k)]
+        out.append((a, b))
+    return out
+
+
+# sha256 of mat_mul on 1,500 seeded pairs
+MAT_MUL_DIGEST = "5beb8b0ac561d3cae042932d8277b6132a201f417be0f950a842aa740c913225"
+
+
+def test_mat_mul_outputs_are_pinned():
+    lines = [repr((a, b, mat_mul(a, b))) for a, b in _product_pairs(random.Random(28), 1500)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MAT_MUL_DIGEST
