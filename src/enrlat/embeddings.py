@@ -41,6 +41,7 @@ from .lattice import (
     _check_gram,
     _check_int_matrix,
     _is_int,
+    _restricted_gram,
     gram_of_rows,
     orthogonal_complement,
     rational_signature,
@@ -391,7 +392,7 @@ def embedding_from_images(source, images):
     diag = snf_diagonal(rows)
     if len(diag) < len(rows) or 0 in diag:
         raise DependentVectors("images are dependent")
-    got = gram_of_rows(rows, nlat.gram)
+    got = _restricted_gram(nlat, rows)
     want = [list(r) for r in source.gram]
     if got != want:
         raise GramMismatch("images have pairings %s, expected %s" % (got, want))

@@ -4,9 +4,11 @@ Matrices are lists of row lists of int. Elimination is fraction free
 (Bareiss) or unimodular (Smith and Hermite forms), so nothing here meets a
 Fraction: ranks are read off the Smith diagonal. The Smith forms share one
 core (`_smith`) that carries each transform, or its inverse, only when its
-caller reads it: `snf_diagonal` carries neither, `right_kernel_int` only
-the column transform. Nothing here knows about lattices; this layer is
-pure linear algebra and elementary arithmetic.
+caller reads it: `snf_diagonal` carries neither, the kernel
+(`_kernel_and_factors`, under `right_kernel_int`) only the column
+transform, and it reads the invariant factors off the same diagonal.
+Nothing here knows about lattices; this layer is pure linear algebra and
+elementary arithmetic.
 """
 
 from math import isqrt
@@ -268,17 +270,25 @@ def snf_diagonal(m):
     return ([1] * ones + [r[i] for i, r in zip(range(cols), d)])[:min(len(m), cols)]
 
 
-def right_kernel_int(m):
-    """Basis (list of columns as lists) of {x integer : m*x = 0}, saturated."""
+def _kernel_and_factors(m):
+    """(kernel, factors) of m from one Smith form: the saturated basis of
+    {x integer : m*x = 0}, as right_kernel_int gives it, and the nonzero
+    invariant factors of m."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if cols == 0:
-        return []
+        return [], []
     if rows == 0:
-        return identity(cols)
+        return identity(cols), []
     d, _, vt = _smith(m, False, True)
     n = min(rows, cols)
-    return [vt[j] for j in range(cols) if j >= n or d[j][j] == 0]
+    return ([vt[j] for j in range(cols) if j >= n or d[j][j] == 0],
+            [d[j][j] for j in range(n) if d[j][j]])
+
+
+def right_kernel_int(m):
+    """Basis (list of columns as lists) of {x integer : m*x = 0}, saturated."""
+    return _kernel_and_factors(m)[0]
 
 
 def hnf_rows(rows, ncols=None):
@@ -363,6 +373,12 @@ def prime_factors(n):
 
 
 def is_prime(n):
+    """Whether n is prime, by trial division.
+
+    The trial divisors stop at FACTOR_CAP, as in prime_factors: an n with
+    no divisor up to the cap is decided when it is below the cap squared,
+    and otherwise CapExceeded is raised.
+    """
     if n < 2:
         return False
     if n < 4:
@@ -371,6 +387,9 @@ def is_prime(n):
         return False
     f = 3
     while f * f <= n:
+        if f > FACTOR_CAP:
+            raise CapExceeded("trial division reached divisor %d, over its cap of %d"
+                              % (f, FACTOR_CAP))
         if n % f == 0:
             return False
         f += 2

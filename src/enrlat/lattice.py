@@ -1,15 +1,21 @@
 """Even integral lattices with exact arithmetic.
 
 A Lattice wraps a nondegenerate symmetric integer Gram matrix with even
-diagonal. Its determinant and signature come from one fraction-free
-symmetric elimination (`_eliminate`), run once when it is built: the
-pivots' signs give the signature and the last pivot is the determinant.
+diagonal. Built from a gram, it gets its determinant and signature from
+one fraction-free symmetric elimination (`_eliminate`): the pivots' signs
+give the signature and the last pivot is the determinant. An orthogonal
+complement reads both off instead: from the Smith form of rows * G that
+finds its basis and from the elimination of the rows' own small gram (see
+`orthogonal_complement`). Products against a Lattice's gram read the
+nonzero entries of each gram row, kept on the lattice after its first
+product; a raw gram matrix (`gram_of_rows`) is multiplied as it stands.
 Degenerate restrictions are first class citizens via
 DegenerateQuadraticModule rather than errors, because orthogonal complements
 inside hyperbolic pieces routinely produce them: a restriction is built as a
 Lattice, and only a singular gram falls back to the module.
 """
 
+from math import prod
 from operator import mul
 
 from .errors import (
@@ -21,7 +27,7 @@ from .errors import (
     UnknownTag,
     ZeroScale,
 )
-from .intmat import identity, right_kernel_int, snf_diagonal
+from .intmat import _kernel_and_factors, identity, snf_diagonal
 
 
 _INT = {int}
@@ -149,11 +155,23 @@ class Lattice:
         pos, neg, zero, det = _eliminate(gram)
         if zero:
             raise Degenerate("gram is singular")
+        self._keep(gram, det, (pos, neg))
+
+    @classmethod
+    def _known(cls, gram, det, signature):
+        """The Lattice of an even symmetric gram whose det (nonzero) and
+        signature are already known: no check and no elimination."""
+        lat = cls.__new__(cls)
+        lat._keep(gram, det, signature)
+        return lat
+
+    def _keep(self, gram, det, signature):
         self.gram = tuple(map(tuple, gram))
-        self.rank = n
+        self.rank = len(self.gram)
         self.det = det
-        self.signature = (pos, neg)
+        self.signature = signature
         self._discriminant = None  # kept by fqf.discriminant_form
+        self._nonzero = None  # kept by _products
 
     def bilinear(self, x, y):
         # x . (G y), one pass over the rows of G
@@ -177,7 +195,7 @@ def direct_sum(a, b):
 
 
 def rescale(lat, s):
-    if not isinstance(s, int) or s == 0:
+    if not _is_int(s) or s == 0:
         raise ZeroScale("scale must be a nonzero integer")
     return Lattice(_scaled(lat.gram, s))
 
@@ -203,15 +221,49 @@ def _times(rows, gram):
     return out
 
 
-def gram_of_rows(rows, gram):
-    """Gram matrix rows * gram * rows^T of a symmetric gram.
+def _products(lat, rows):
+    """rows * lat.gram, read off the gram's nonzero entries.
 
-    rows * gram is taken by _times. The product is symmetric: only its
-    lower triangle is computed, and the upper one is read off it.
+    Per gram row, the (column, entry) pairs of its nonzero entries are
+    kept on the lattice, built on its first product: each nonzero x_i of a
+    row adds x_i * g to the columns gram row i touches.
     """
-    low = [[sum(map(mul, x, y)) for y in rows[:i + 1]]
-           for i, x in enumerate(_times(rows, gram))]
+    nonzero = lat._nonzero
+    if nonzero is None:
+        nonzero = lat._nonzero = tuple(
+            tuple((j, g) for j, g in enumerate(row) if g) for row in lat.gram)
+    n = lat.rank
+    out = []
+    for r in rows:
+        acc = [0] * n
+        for x, entries in zip(r, nonzero):
+            if x:
+                for j, g in entries:
+                    acc[j] += x * g
+        out.append(acc)
+    return out
+
+
+def _gram_from(rows, prods):
+    # rows * gram * rows^T from prods = rows * gram: only the lower
+    # triangle is computed, and the upper one is read off it
+    low = [[sum(map(mul, x, y)) for y in rows[:i + 1]] for i, x in enumerate(prods)]
     return [row + [low[j][i] for j in range(i + 1, len(low))] for i, row in enumerate(low)]
+
+
+def gram_of_rows(rows, gram):
+    """Gram matrix rows * gram * rows^T of a symmetric gram matrix.
+
+    rows * gram is taken by _times; the product against a Lattice's gram
+    is _restricted_gram's.
+    """
+    return _gram_from(rows, _times(rows, gram))
+
+
+def _restricted_gram(lat, rows):
+    """Gram matrix rows * G * rows^T of the form of lat on integer rows,
+    its products taken by _products."""
+    return _gram_from(rows, _products(lat, rows))
 
 
 def _module(g):
@@ -230,21 +282,43 @@ def sublattice_from_gram_change(lat, rows):
     diag = snf_diagonal(rows)
     if len(diag) < len(rows) or 0 in diag:
         raise DependentVectors("rows are dependent")
-    return _module(gram_of_rows(rows, lat.gram))
+    return _module(_restricted_gram(lat, rows))
 
 
 def orthogonal_complement(lat, rows):
     """(basis_rows, module) of everything orthogonal to the given rows.
 
-    The basis is automatically saturated. The module is a Lattice when the
-    restricted form is nondegenerate, otherwise a DegenerateQuadraticModule.
+    The basis is automatically saturated: it is the kernel of P = rows * G,
+    read off the Smith form of P, which also gives P's nonzero invariant
+    factors d_i. When S = rows * G * rows^T is nondegenerate, x -> P x
+    maps Z^n onto a sublattice of index prod(d_i) in Z^k with kernel the
+    complement C, so [Z^n : span(rows) + C] = |det S| / prod(d_i), and C
+    is a Lattice with
+
+        det C = det(lat) * det(S) / prod(d_i)^2,
+        sig C = sig(lat) - sig(S),
+
+    read off S's elimination instead of C's. A degenerate S, or no rows,
+    gives the module of C's gram: a Lattice when the restricted form is
+    nondegenerate, otherwise a DegenerateQuadraticModule.
     """
     _check_int_matrix(rows)
     n = lat.rank
     if rows and len(rows[0]) != n:
         raise BadShape("row length must equal the ambient rank")
-    basis = right_kernel_int(_times(rows, lat.gram)) if rows else identity(n)
-    return basis, _module(gram_of_rows(basis, lat.gram))
+    if not rows:
+        basis = identity(n)
+        return basis, _module(_restricted_gram(lat, basis))
+    prods = _products(lat, rows)
+    basis, factors = _kernel_and_factors(prods)
+    gram = _restricted_gram(lat, basis)
+    pos, neg, zero, det_s = _eliminate(_gram_from(rows, prods))
+    if zero:
+        return basis, _module(gram)
+    index = prod(factors)
+    sig = lat.signature
+    return basis, Lattice._known(gram, lat.det * det_s // (index * index),
+                                 (sig[0] - pos, sig[1] - neg))
 
 
 _U = [[0, 1], [1, 0]]

@@ -441,6 +441,7 @@ def test_usage_error_before_a_subcommand_names_none():
 @pytest.mark.parametrize("argv", [
     ["theorem-c", "--gram", "[[2,1],[1,1000000000000000000000000002]]"],
     ["class-group", "--disc", "-4000000000000"],
+    ["sublattice", "--p", "1000000000000000000000000000057", "--gram", "[[4]]"],
 ])
 def test_unbounded_inputs_end_in_a_cap_envelope(argv):
     start = time.monotonic()

@@ -14,6 +14,7 @@ from enrlat.intmat import (
     hnf_rows,
     identity,
     inv_mod,
+    is_prime,
     legendre,
     mat_mul,
     prime_factors,
@@ -166,6 +167,22 @@ def test_prime_factors_stops_past_its_divisor_cap():
     assert prime_factors(2 * 1048573 * 1048583) == {2: 1, 1048573: 1, 1048583: 1}
     with pytest.raises(CapExceeded, match="reached divisor 1048577, over its cap of 1048576"):
         prime_factors(1048583 * 1048589)
+
+
+def test_is_prime_answers_below_its_divisor_cap():
+    # a sieve up to 20,000, then n around the cap and its square: 2^40 - 87
+    # is the largest prime below 2^40
+    sieve = [True] * 20000
+    sieve[0] = sieve[1] = False
+    for p in range(2, 142):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, 20000, p))
+    assert [is_prime(n) for n in range(-3, 20000)] == [False] * 3 + sieve
+    assert is_prime(1048573) and is_prime(1048583) and not is_prime(1048575)
+    assert is_prime((1 << 40) - 87)
+    assert not is_prime(1048573 * 1048583)
+    with pytest.raises(CapExceeded, match="reached divisor 1048577, over its cap of 1048576"):
+        is_prime(1048583 * 1048589)
 
 
 def test_legendre_small_table():

@@ -1,14 +1,24 @@
+import hashlib
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from enrlat.embeddings import (
+    PrimitiveEmbedding,
+    embedding_for_label,
+    embedding_from_images,
+    suggest_params,
+)
 from enrlat.errors import (
     BadShape,
     Degenerate,
+    EnrLatError,
     NotEvenGram,
     UnknownTag,
+    ZeroScale,
 )
 from enrlat.fqf import discriminant_form
 from enrlat.lattice import (
@@ -16,13 +26,14 @@ from enrlat.lattice import (
     Lattice,
     _TAGS,
     direct_sum,
+    gram_of_rows,
     orthogonal_complement,
     rational_signature,
     rescale,
     standard_lattice,
     sublattice_from_gram_change,
 )
-from enrlat.intmat import det_bareiss, snf_diagonal
+from enrlat.intmat import det_bareiss, hnf_rows, snf_diagonal
 
 from _oracles import maximal_minor_gcd, snf_diagonal_by_minor_gcds
 
@@ -112,6 +123,15 @@ def test_rescale_scales_det_by_power():
         assert big.det == lat.det * s ** lat.rank
         pos, neg = lat.signature
         assert big.signature == (pos, neg)
+
+
+def test_rescale_takes_no_bool_as_a_scale():
+    # a JSON true is no integer: True must not scale by 1
+    lat = Lattice([[2]])
+    for s in (True, False, 0, 2.0):
+        with pytest.raises(ZeroScale):
+            rescale(lat, s)
+    assert rescale(lat, -1).gram == ((-2,),)
 
 
 def test_signature_of_direct_sum_adds():
@@ -244,3 +264,161 @@ def test_rational_signature_against_sympy_inertia(g):
     zero = len(coeffs) - 1 - max(i for i, c in enumerate(coeffs) if c != 0)
     flipped = [c * (-1) ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs)]
     assert rational_signature(g) == (_sign_changes(coeffs), _sign_changes(flipped), zero)
+
+
+# ------------------------------------------------ complements, pinned
+
+LABEL_LENGTH = {20: 2, 19: 3, 18: 4, 17: 5}
+
+
+def _label_rows():
+    """The images of every nonzero label the tables give for
+    suggest_params(rho, seed), rho 17 to 20 and seeds 0 to 2."""
+    out = []
+    for rho in (17, 18, 19, 20):
+        for seed in range(3):
+            for params in suggest_params(rho, seed):
+                for label in itertools.product((0, 1), repeat=LABEL_LENGTH[rho]):
+                    if any(label):
+                        emb = embedding_for_label(rho, params, label)
+                        out.append([list(r) for r in emb.images])
+    return out
+
+
+def _random_rows_in_n(rng, count):
+    """count seeded row sets of 1 to 6 rows in N: plain, with a scaled
+    (non-primitive) row, with a dependent row, and with an isotropic basis
+    vector of U that every other row is orthogonal to, so that the rows'
+    gram is degenerate."""
+    out = []
+    for case in range(count):
+        k = rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(12)] for _ in range(k)]
+        kind = case % 4
+        if kind == 1:
+            rows[-1] = [rng.choice((2, 3)) * x for x in rows[-1]]
+        elif kind == 2 and k > 1:
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % (k - 1)])]
+        elif kind == 3:
+            e = rng.randrange(2)
+            rows[0] = [1 if i == e else 0 for i in range(12)]
+            for r in rows[1:]:
+                r[1 - e] = 0
+        out.append(rows)
+    return out
+
+
+def _unit(n, *idx):
+    return [[1 if i == j else 0 for j in range(n)] for i in idx]
+
+
+def _complement_cases():
+    """(tag, rows) inputs of the pinned complement outputs."""
+    cases = [("N", rows) for rows in _label_rows()]
+    cases += [("N", rows) for rows in _random_rows_in_n(random.Random(2029), 400)]
+    cases += [
+        ("E8", _unit(8, 0)),
+        ("E8", _unit(8, 0, 2)),
+        ("E8", [[2, 0, 0, 0, 0, 0, 0, 0], [0, 1, 1, 0, 0, 0, 0, 0]]),
+        ("E8", _unit(8, *range(8))),
+        ("E8", _unit(8, 0, 0)),
+        ("Lambda", _unit(22, 16, 17)),
+        ("Lambda", _unit(22, 16)),
+        ("Lambda", [[1] * 22, [0] * 16 + [1, 1, 0, 0, 0, 0]]),
+        ("Lambda", _unit(22, *range(8), 16, 18)),
+    ]
+    rng = random.Random(2030)
+    for _ in range(40):
+        k = rng.randint(1, 5)
+        cases.append(("Lambda", [[rng.choice((0, 0, 0, rng.randint(-2, 2))) for _ in range(22)]
+                                 for _ in range(k)]))
+    return cases
+
+
+def _outcome(call):
+    try:
+        return call()
+    except EnrLatError as e:
+        return type(e).__name__, str(e)
+
+
+def _module_key(module):
+    if isinstance(module, Lattice):
+        return type(module).__name__, module.gram, module.det, module.signature
+    return type(module).__name__, module.gram, module.radical_rank
+
+
+def _complement_lines():
+    lines = []
+    for tag, rows in _complement_cases():
+        lat = standard_lattice(tag)
+        basis, module = orthogonal_complement(lat, rows)
+        sub = _outcome(lambda: sublattice_from_gram_change(lat, rows))
+        line = [tag, rows, basis, _module_key(module),
+                _module_key(sub) if isinstance(sub, (Lattice, DegenerateQuadraticModule)) else sub]
+        if tag == "N" and isinstance(sub, Lattice):
+            for source in (sub, rescale(sub, 3)):
+                got = _outcome(lambda: embedding_from_images(source, rows))
+                line.append(got.images if isinstance(got, PrimitiveEmbedding) else got)
+        lines.append(repr(line))
+    return lines
+
+
+# sha256 of orthogonal_complement's basis and module (gram with det and
+# signature, or radical rank), sublattice_from_gram_change's module and
+# embedding_from_images' outcome, on the label images of the tables, on
+# seeded row sets in N and on a few in E8 and Lambda
+COMPLEMENT_DIGEST = "6c164e4932aba9e6c8717c44d69cf82a3efe4a747568ca90190f47b978168645"
+
+
+def test_complement_outputs_are_pinned():
+    lines = _complement_lines()
+    assert len(lines) == 504 + 400 + 49
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == COMPLEMENT_DIGEST
+
+
+def test_complement_invariants_match_its_gram():
+    # the det and signature read off the Smith factors and the rows' gram
+    # are those of one elimination of the complement's gram, and the
+    # complement is degenerate exactly when the form is on the rows' span
+    degenerate = 0
+    for tag, rows in _complement_cases():
+        lat = standard_lattice(tag)
+        basis, module = orthogonal_complement(lat, rows)
+        span = hnf_rows(rows, lat.rank)
+        singular = rational_signature(gram_of_rows(span, lat.gram))[2] > 0
+        assert isinstance(module, DegenerateQuadraticModule) == singular
+        if singular:
+            assert module.radical_rank == rational_signature(module.gram)[2] > 0
+            degenerate += 1
+            continue
+        fresh = Lattice(list(module.gram))
+        assert (module.rank, module.det, module.signature) == (fresh.rank, fresh.det,
+                                                               fresh.signature)
+        assert module == fresh and hash(module) == hash(fresh)
+    assert degenerate == 111 + 4
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**9), st.integers(1, 11), st.sampled_from((1, 1, 2, 3)))
+def test_complement_of_unimodular_rows_against_its_gram(seed, k, scale):
+    # the first k rows of a seeded unimodular change of N's basis, the
+    # last one scaled (so not always primitive)
+    rng = random.Random(seed)
+    n_amb = standard_lattice("N")
+    u = [[1 if i == j else 0 for j in range(12)] for i in range(12)]
+    for _ in range(30):
+        i, j = rng.sample(range(12), 2)
+        c = rng.randint(-2, 2)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    rows = u[:k]
+    rows[-1] = [scale * x for x in rows[-1]]
+    s_gram = gram_of_rows(rows, n_amb.gram)
+    assume(det_bareiss(s_gram))
+    basis, module = orthogonal_complement(n_amb, rows)
+    fresh = Lattice(list(module.gram))
+    assert module.rank == 12 - k
+    assert (module.det, module.signature) == (fresh.det, fresh.signature)
+    assert module == fresh and hash(module) == hash(fresh)
+    assert all(n_amb.bilinear(b, r) == 0 for b in basis for r in rows)
