@@ -14,11 +14,11 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .intmat import legendre, prime_factors
-from .lattice import _check_gram
+from .lattice import _check_gram, _int
 
 
 def _check_disc(disc):
-    if disc >= 0:
+    if _int(disc, "disc") >= 0:
         raise NotImaginary("a negative discriminant is required")
     if disc % 4 not in (0, 1):
         raise BadCongruence("a discriminant is 0 or 1 modulo 4")

@@ -40,6 +40,7 @@ from .lattice import (
     Lattice,
     _check_gram,
     _check_int_matrix,
+    _int,
     _is_int,
     _restricted_gram,
     gram_of_rows,
@@ -47,22 +48,22 @@ from .lattice import (
     rational_signature,
     standard_lattice,
 )
-from .intmat import snf_diagonal
+from .intmat import eliminate_symmetric, identity, snf_diagonal
 
 
 def vectors_of_norm(lat, value, cap=200000):
     """All lattice vectors of the given self-pairing, definite lattices only.
 
-    Integer Fincke-Pohst enumeration over a fraction-free LDL^T (Bareiss
-    elimination of the gram, negated if negative definite, in reversed
-    coordinate order: z_i = x_{k-1-i}): with leading minors
-    D_0 = 1, D_1, ..., D_k and the elimination rows B_i,
-    q = sum_i (D_{i+1} z_i + c_i)^2 / (D_i D_{i+1}) with
+    Integer Fincke-Pohst enumeration over a fraction-free LDL^T: the gram,
+    negated if negative definite and in reversed coordinate order
+    (z_i = x_{k-1-i}), goes through intmat.eliminate_symmetric, whose
+    pivots are the leading minors D_1, ..., D_k (D_0 = 1) and whose rows
+    are the B_i: q = sum_i (D_{i+1} z_i + c_i)^2 / (D_i D_{i+1}) with
     c_i = sum_{j>i} B_i[j] z_j. Scaled by M = lcm(D_i D_{i+1}), every term
     has an integer weight, so each coordinate's range is an exact integer
     square root. Definiteness is read off the same elimination (Sylvester):
-    the sign is that of g_00, and a pivot that is not positive raises
-    NotDefinite.
+    the sign is that of g_00, and the signed gram is definite when all k
+    of its pivots are positive; otherwise NotDefinite.
 
     The descent fixes z_{k-1} = x_0 first and walks each range from the top
     down. It walks only half the tree: while every coordinate fixed so far
@@ -80,26 +81,18 @@ def vectors_of_norm(lat, value, cap=200000):
     whose order the tuple search follows. A value that is not an int, or a
     cap that is not a nonnegative int, is malformed: BadShape.
     """
-    if not _is_int(value):
-        raise BadShape("value: %r is not an integer" % (value,))
+    _int(value, "value")
     if not _is_int(cap) or cap < 0:
         raise BadShape("cap: %r is not a nonnegative integer" % (cap,))
     k = lat.rank
     if k == 0:
         return []
     sign = 1 if lat.gram[0][0] > 0 else -1
-    a = [[sign * x for x in reversed(row)] for row in reversed(lat.gram)]
-    minors = [1]
-    rows = []
-    for i in range(k):
-        piv, prev = a[i][i], minors[-1]
-        if piv <= 0:
-            raise NotDefinite("enumeration requires a definite lattice")
-        minors.append(piv)
-        rows.append(a[i][:])
-        for r in range(i + 1, k):
-            for s in range(i + 1, k):
-                a[r][s] = (a[r][s] * piv - a[r][i] * a[i][s]) // prev
+    pos, _, _, _, rows = eliminate_symmetric(
+        [[sign * x for x in reversed(row)] for row in reversed(lat.gram)])
+    if pos < k:
+        raise NotDefinite("enumeration requires a definite lattice")
+    minors = [1] + [row[i] for i, row in enumerate(rows)]
     if value == 0 or (value < 0) == (sign > 0):
         return []  # zero, or the sign the lattice never takes
     big_m = math.lcm(*(minors[i] * minors[i + 1] for i in range(k)))
@@ -544,11 +537,12 @@ def _family(rho):
 
 
 def t_gram(rho, params):
-    """Gram matrix of the small lattice attached to each table family."""
+    """Gram matrix of the small lattice attached to each table family; a
+    parameter that is not an int is malformed: BadShape."""
     fam = _family(rho)
     if len(params) != len(fam.names):
         raise BadParams("rank invariant %s takes %d parameters" % (rho, len(fam.names)))
-    return fam.gram(params)
+    return fam.gram([_int(x, "params") for x in params])
 
 
 def _candidates(fam, template, params):
@@ -602,11 +596,12 @@ def embedding_for_label(rho, params, label):
 
     Each permutation tries at most ATTEMPT_CAP candidates. NotFound means
     every permutation ran out of candidates; CapExceeded means none
-    succeeded and at least one stopped at the cap.
+    succeeded and at least one stopped at the cap. A parameter or label
+    entry that is not an int is malformed: BadShape.
     """
     fam = _family(rho)
-    source, perms = _prepared(fam, rho, tuple(int(x) for x in params))
-    label = tuple(int(x) % 2 for x in label)
+    source, perms = _prepared(fam, rho, tuple(_int(x, "params") for x in params))
+    label = tuple(_int(x, "label") % 2 for x in label)
     if len(label) != source.rank:
         raise BadShape("label must have length %d" % source.rank)
     if not any(label):
@@ -747,7 +742,7 @@ def _conjugated_params(base, rng):
     g = t_gram(19, base)
     n = 3
     for _ in range(50):
-        p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        p = identity(n)
         for _ in range(rng.randint(1, 3)):
             i, j = rng.sample(range(n), 2)
             c = rng.choice([-1, 1])

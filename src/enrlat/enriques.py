@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BadLength, GramMismatch
-from .intmat import mat_mul, mat_vec, sqrt_exact
+from .intmat import identity, mat_mul, mat_vec, sqrt_exact
 from .lattice import Lattice, gram_of_rows, standard_lattice
 
 
@@ -113,7 +113,7 @@ def generate_isometry(seed, length):
     nlat = ambient()
     n = nlat.rank
     rng = random.Random(seed)
-    cur = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    cur = identity(n)
     for _ in range(length):
         if rng.random() < 0.5:
             u = [0] * n

@@ -75,6 +75,7 @@ from .errors import (
 from .intmat import (
     _smith,
     hnf_rows,
+    identity,
     inv_mod,
     legendre,
     mat_mul,
@@ -448,7 +449,7 @@ def perp_subgroup(f, gens):
     """Subgroup matrix of everything pairing integrally with the gens."""
     k = f.num_gens
     if not gens:
-        return subgroup_matrix(f, [list(_unit(k, j)) for j in range(k)])
+        return subgroup_matrix(f, identity(k))
     # x pairs integrally with a when x . (Q a) = 0 mod den
     m = f.den
     amat = [
@@ -456,12 +457,6 @@ def perp_subgroup(f, gens):
         for r, a in enumerate(gens)
     ]
     return subgroup_matrix(f, [s[:k] for s in right_kernel_int(amat)])
-
-
-def _unit(k, j):
-    row = [0] * k
-    row[j] = 1
-    return tuple(row)
 
 
 def _solve_lower(t, s):
@@ -715,7 +710,7 @@ def fqf_isomorphic(f1, f2):
     the test before an earlier backtrack can spend the cap.
     """
     if f1 == f2:
-        images = [list(_unit(f1.num_gens, i)) for i in range(f1.num_gens)]
+        images = identity(f1.num_gens)
         assert verify_fqf_iso(f1, f2, images)
         return images
     if f1.den != f2.den or f1.group_order != f2.group_order:

@@ -2,7 +2,12 @@
 
 Matrices are lists of row lists of int. Elimination is fraction free
 (Bareiss) or unimodular (Smith and Hermite forms), so nothing here meets a
-Fraction: ranks are read off the Smith diagonal. The Smith forms share one
+Fraction: ranks are read off the Smith diagonal. Matrix products are
+`mat_mul`'s, a raw gram's in `lattice.gram_of_rows` too; only a Lattice
+multiplies by its own gram's kept nonzero entries. Every symmetric
+elimination is `eliminate_symmetric`'s: the determinant and signature of
+a Lattice and the LDL^T of the norm enumeration
+(`embeddings.vectors_of_norm`) all come from it. The Smith forms share one
 core (`_smith`) that carries each transform, or its inverse, only when its
 caller reads it: `snf_diagonal` carries neither, the kernel
 (`_kernel_and_factors`, under `right_kernel_int`) only the column
@@ -94,6 +99,58 @@ def det_bareiss(m):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def eliminate_symmetric(m):
+    """(positive, negative, zero, det, rows) of a symmetric integer matrix:
+    its inertia over Q, its determinant and its eliminated rows, from one
+    fraction-free symmetric elimination.
+
+    With diagonal pivots every remaining entry is a minor of the matrix, so
+    the division by the previous pivot is exact, as in det_bareiss, and
+    pivot k, rows[k][k], is the leading principal minor D_(k+1) (D_0 = 1):
+    its Schur pivot D_(k+1) / D_k contributes its sign, and the last pivot
+    is the determinant. Row k of rows, from its diagonal on, is the row
+    pivot k eliminates with, the row B_k of a fraction-free LDL^T; the
+    entries left of its diagonal are not part of it. A zero pivot is swapped, row and
+    column, for a later nonzero diagonal entry. When every remaining
+    diagonal entry is zero but a_ij is not, e_i + e_j has norm 2 a_ij and
+    takes the place of e_i, a unimodular change of basis. Both keep the
+    inertia and the determinant. A remaining block that is zero is the
+    radical: zero counts its rows and det is 0.
+    """
+    a = [list(r) for r in m]
+    n = len(a)
+    pos = neg = 0
+    prev = 1
+    for k in range(n):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][i]), None)
+            j = None
+            if i is None:
+                i, j = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
+                            (None, None))
+                if i is None:
+                    return pos, neg, n - k, 0, a
+            a[k], a[i] = a[i], a[k]
+            for r in a:
+                r[k], r[i] = r[i], r[k]
+            if j is not None:
+                a[k] = [x + y for x, y in zip(a[k], a[j])]
+                for r in a:
+                    r[k] += r[j]
+        p = a[k][k]
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        col = a[k]
+        for u in range(k + 1, n):
+            row, cu = a[u], col[u]
+            for w in range(k + 1, n):
+                row[w] = (p * row[w] - cu * col[w]) // prev
+        prev = p
+    return pos, neg, 0, prev, a
 
 
 def _smith(m, want_u, want_v, inverse=False):

@@ -2,13 +2,14 @@
 
 A Lattice wraps a nondegenerate symmetric integer Gram matrix with even
 diagonal. Built from a gram, it gets its determinant and signature from
-one fraction-free symmetric elimination (`_eliminate`): the pivots' signs
-give the signature and the last pivot is the determinant. An orthogonal
-complement reads both off instead: from the Smith form of rows * G that
-finds its basis and from the elimination of the rows' own small gram (see
-`orthogonal_complement`). Products against a Lattice's gram read the
-nonzero entries of each gram row, kept on the lattice after its first
-product; a raw gram matrix (`gram_of_rows`) is multiplied as it stands.
+one fraction-free symmetric elimination (`intmat.eliminate_symmetric`):
+the pivots' signs give the signature and the last pivot is the
+determinant. An orthogonal complement reads both off instead: from the
+Smith form of rows * G that finds its basis and from the elimination of
+the rows' own small gram (see `orthogonal_complement`). Products against
+a Lattice's gram read the nonzero entries of each gram row, kept on the
+lattice after its first product; a raw gram matrix (`gram_of_rows`) is
+multiplied by `intmat.mat_mul`.
 Degenerate restrictions are first class citizens via
 DegenerateQuadraticModule rather than errors, because orthogonal complements
 inside hyperbolic pieces routinely produce them: a restriction is built as a
@@ -27,7 +28,7 @@ from .errors import (
     UnknownTag,
     ZeroScale,
 )
-from .intmat import _kernel_and_factors, identity, snf_diagonal
+from .intmat import _kernel_and_factors, eliminate_symmetric, identity, mat_mul, snf_diagonal
 
 
 _INT = {int}
@@ -72,58 +73,10 @@ def _check_gram(m):
         raise NotSymmetric("gram must be symmetric")
 
 
-def _eliminate(gram):
-    """(positive, negative, zero, det) of a symmetric integer matrix: its
-    inertia over Q and its determinant, from one elimination.
-
-    Fraction-free symmetric elimination over int. With diagonal pivots
-    every remaining entry is a minor of the matrix, so the division by the
-    previous pivot is exact, as in det_bareiss, and pivot k is the leading
-    principal minor D_k: its Schur pivot D_k / D_(k-1) contributes its
-    sign, and the last pivot is the determinant. A zero pivot is swapped,
-    row and column, for a later nonzero diagonal entry. When every
-    remaining diagonal entry is zero but a_ij is not, e_i + e_j has norm
-    2 a_ij and takes the place of e_i, a unimodular change of basis. Both
-    keep the inertia and the determinant.
-    """
-    a = [list(r) for r in gram]
-    n = len(a)
-    pos = neg = 0
-    prev = 1
-    for k in range(n):
-        if not a[k][k]:
-            i = next((i for i in range(k + 1, n) if a[i][i]), None)
-            j = None
-            if i is None:
-                i, j = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
-                            (None, None))
-                if i is None:
-                    return pos, neg, n - k, 0  # remaining block is zero: the radical
-            a[k], a[i] = a[i], a[k]
-            for r in a:
-                r[k], r[i] = r[i], r[k]
-            if j is not None:
-                a[k] = [x + y for x, y in zip(a[k], a[j])]
-                for r in a:
-                    r[k] += r[j]
-        p = a[k][k]
-        if (p > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
-        col = a[k]
-        for u in range(k + 1, n):
-            row, cu = a[u], col[u]
-            for w in range(k + 1, n):
-                row[w] = (p * row[w] - cu * col[w]) // prev
-        prev = p
-    return pos, neg, 0, prev
-
-
 def rational_signature(gram):
     """(positive, negative, zero) inertia over Q of a symmetric integer
-    matrix, by the elimination of _eliminate."""
-    return _eliminate(gram)[:3]
+    matrix, by intmat.eliminate_symmetric."""
+    return eliminate_symmetric(gram)[:3]
 
 
 class DegenerateQuadraticModule:
@@ -152,7 +105,7 @@ class Lattice:
         n = len(gram)
         if any(gram[i][i] % 2 for i in range(n)):
             raise NotEvenGram("diagonal must be even")
-        pos, neg, zero, det = _eliminate(gram)
+        pos, neg, zero, det, _ = eliminate_symmetric(gram)
         if zero:
             raise Degenerate("gram is singular")
         self._keep(gram, det, (pos, neg))
@@ -200,27 +153,6 @@ def rescale(lat, s):
     return Lattice(_scaled(lat.gram, s))
 
 
-def _times(rows, gram):
-    """rows * gram for a symmetric gram.
-
-    A row with at most half its entries nonzero gives the sum of the gram
-    rows those entries select; any other row one dot product per gram row,
-    which is also a column.
-    """
-    n = len(gram)
-    out = []
-    for r in rows:
-        if 2 * (n - r.count(0)) <= n:
-            acc = [0] * n
-            for i, x in enumerate(r):
-                if x:
-                    acc = [a + x * g for a, g in zip(acc, gram[i])]
-        else:
-            acc = [sum(map(mul, r, col)) for col in gram]
-        out.append(acc)
-    return out
-
-
 def _products(lat, rows):
     """rows * lat.gram, read off the gram's nonzero entries.
 
@@ -254,10 +186,10 @@ def _gram_from(rows, prods):
 def gram_of_rows(rows, gram):
     """Gram matrix rows * gram * rows^T of a symmetric gram matrix.
 
-    rows * gram is taken by _times; the product against a Lattice's gram
-    is _restricted_gram's.
+    rows * gram is taken by intmat.mat_mul; the product against a
+    Lattice's gram is _restricted_gram's.
     """
-    return _gram_from(rows, _times(rows, gram))
+    return _gram_from(rows, mat_mul(rows, gram))
 
 
 def _restricted_gram(lat, rows):
@@ -312,7 +244,7 @@ def orthogonal_complement(lat, rows):
     prods = _products(lat, rows)
     basis, factors = _kernel_and_factors(prods)
     gram = _restricted_gram(lat, basis)
-    pos, neg, zero, det_s = _eliminate(_gram_from(rows, prods))
+    pos, neg, zero, det_s, _ = eliminate_symmetric(_gram_from(rows, prods))
     if zero:
         return basis, _module(gram)
     index = prod(factors)

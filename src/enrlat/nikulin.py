@@ -371,7 +371,7 @@ def condition_star(parent, child):
 
 def index_p_sublattice(lat, p):
     """Index-p sublattice for odd p, keeping the basis order."""
-    if p == 2 or not is_prime(p):
+    if _int(p, "p") == 2 or not is_prime(p):
         raise BadPrime("an odd prime is required")
     g = lat.gram
     n = lat.rank

@@ -10,7 +10,7 @@ from enrlat.classgroups import (
     ray_class2_order,
     reduce_form,
 )
-from enrlat.errors import BadCongruence, NotFundamental, NotImaginary
+from enrlat.errors import BadCongruence, BadShape, NotFundamental, NotImaginary
 from enrlat.intmat import prime_factors
 
 from _oracles import reduced_forms_by_direct_scan
@@ -44,6 +44,10 @@ def test_class_group_rejects_bad_discriminants():
         class_group(5)
     with pytest.raises(BadCongruence):
         class_group(-5)
+    for bad in (-3.0, -4.0, True, "-3"):
+        for call in (class_group, fundamental_split, is_fundamental):
+            with pytest.raises(BadShape, match="disc: .* is not an integer"):
+                call(bad)
 
 
 def test_forms_agree_with_independent_scan():

@@ -131,6 +131,13 @@ def test_malformed_value_is_a_bad_shape(value):
     for lat in (Lattice([[2]]), Lattice([[-2]]), standard_lattice("E8")):
         with pytest.raises(BadShape, match="value: .* is not an integer"):
             vectors_of_norm(lat, value)
+    # a table parameter or label entry is never rounded or cast to an int
+    with pytest.raises(BadShape, match="params: .* is not an integer"):
+        t_gram(20, (value, 0, 1))
+    with pytest.raises(BadShape, match="params: .* is not an integer"):
+        embedding_for_label(20, (value, 0, 1), (1, 0))
+    with pytest.raises(BadShape, match="label: .* is not an integer"):
+        embedding_for_label(20, (1, 0, 1), (value, 1))
 
 
 @pytest.mark.parametrize("cap", [-1, -240, 2.0, "2", True, None])
@@ -159,7 +166,13 @@ def test_rank_one_enumeration():
         vectors_of_norm(Lattice([[-8]]), -8, cap=1)
 
 
-@pytest.mark.parametrize("gram", [[[0, 1], [1, 0]], [[2, 3], [3, 2]], [[-2, 3], [3, -2]]])
+@pytest.mark.parametrize("gram", [
+    [[0, 1], [1, 0]], [[2, 3], [3, 2]], [[-2, 3], [3, -2]],
+    # a positive first pivot and a later one that is not; the last has a
+    # zero leading minor of order two, where the elimination swaps
+    [[2, 1, 0], [1, 2, 0], [0, 0, -2]], [[-2, 1, 0], [1, -2, 0], [0, 0, 2]],
+    [[2, 2, 0], [2, 2, 1], [0, 1, 2]],
+])
 @pytest.mark.parametrize("value", [0, 2, -2])
 def test_indefinite_lattice_is_refused(gram, value):
     with pytest.raises(NotDefinite):

@@ -383,6 +383,9 @@ def test_index_p_sublattice_frozen():
 def test_index_p_rejects_two():
     with pytest.raises(BadPrime):
         index_p_sublattice(Lattice([[4]]), 2)
+    for bad in (3.0, 2.0, True, "3"):
+        with pytest.raises(BadShape, match="p: .* is not an integer"):
+            index_p_sublattice(Lattice([[4]]), bad)
 
 
 def test_index_p_scales_discriminant():
