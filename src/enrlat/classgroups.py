@@ -152,7 +152,7 @@ def class_number_nonmaximal(d0, conductor):
     """Class number of the order of conductor f inside the maximal order."""
     if not is_fundamental(d0):
         raise NotFundamental("%d is not fundamental" % d0)
-    if conductor < 1:
+    if _int(conductor, "conductor") < 1:
         raise BadShape("the conductor must be positive")
     h0 = class_group(d0).h
     if conductor == 1:

@@ -531,7 +531,7 @@ _FAMILIES = {
 
 
 def _family(rho):
-    if rho not in _FAMILIES:
+    if _int(rho, "rho") not in _FAMILIES:
         raise BadParams("no table family for rank invariant %s" % (rho,))
     return _FAMILIES[rho]
 
@@ -681,9 +681,12 @@ def realized_characters(rho, params):
 
 
 def suggest_params(rho, seed, count=3):
-    """Deterministic parameter sets accepted by the tables."""
+    """Deterministic parameter sets accepted by the tables; rho is checked
+    as `_family` checks it, and a count that is not an int is a BadShape."""
     import random
 
+    _family(rho)
+    _int(count, "count")
     rng = random.Random(seed)
     out = []
     seen = set()
@@ -729,13 +732,11 @@ def suggest_params(rho, seed, count=3):
                 seen.add(p)
                 out.append(p)
         return out
-    if rho == 17:
-        m = 1 + (seed % 2)
-        while len(out) < count:
-            out.append((m,))
-            m += 1
-        return out
-    raise BadParams("no table family for rank invariant %s" % (rho,))
+    m = 1 + (seed % 2)  # rho is 17, the last family
+    while len(out) < count:
+        out.append((m,))
+        m += 1
+    return out
 
 
 def _conjugated_params(base, rng):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import BadLength, GramMismatch
 from .intmat import identity, mat_mul, mat_vec, sqrt_exact
-from .lattice import Lattice, gram_of_rows, standard_lattice
+from .lattice import Lattice, _int, gram_of_rows, standard_lattice
 
 
 def ambient():
@@ -109,7 +109,9 @@ def _reflection(nlat, v):
 
 def generate_isometry(seed, length):
     """Deterministic word of character-preserving isometries of the ambient
-    lattice, returned as a row-action matrix (x maps to x times the matrix)."""
+    lattice, returned as a row-action matrix (x maps to x times the matrix).
+    A length that is not an int is malformed: BadShape."""
+    _int(length, "length")
     nlat = ambient()
     n = nlat.rank
     rng = random.Random(seed)

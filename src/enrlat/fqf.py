@@ -15,7 +15,10 @@ and the Jordan splittings are linear algebra mod p^k on the generators, so
 their cost grows with the number of generators, not with the group order.
 At p = 2, once every generator left has order 2, the splitting finishes
 over F_2: each generator keeps 2q mod 4 and its pairings 2b mod 2 as the
-bits of one int, and a block is split off by XORs of those rows.
+bits of one int (`_order_two_bits`), and a block is split off by XORs of
+those rows. The two-torsion of a form has the same view (`_two_torsion`):
+each nonzero element is a bit mask over the generators (d/2)e_i with its
+2q mod 4 and its row of pairings, which the gluing-datum search reads.
 
 Every form is worked on in its own presentation: its p-part is spanned by
 the multiples (d / p^a) e_i of its generators, its value matrix read off
@@ -23,13 +26,13 @@ Q, and only the JSON boundary asks for invariant factors
 (`canonical_form`).
 
 A lattice keeps its discriminant form, the shared ambient N among them. A
-form keeps what is derived from it once: its two-torsion, for the form of
-N its negation, and, for a lattice glued into N, its difference form with
-the form of N and the last graph quotient taken in it
-(`nikulin._graph_quotient`). Jordan
-splittings are kept by form value instead (`_jordan_split`): the 256
-latest (form, p) splittings, a degenerate outcome included, so equal forms
-built again and again along the gluing path split once.
+form keeps what is derived from it once: its two-torsion view, for the
+form of N its negation, and, for a lattice glued into N, its difference
+form with the form of N and the last graph quotient taken in it
+(`nikulin._graph_quotient`). Jordan splittings are kept by form value
+instead (`_jordan_split`): the 256 latest (form, p) splittings, a
+degenerate outcome included, so equal forms built again and again along
+the gluing path split once.
 
 `Fraction` stays at the edges: `q_of` returns one and `values` is the
 `Fraction` view of Q / m that the JSON boundary reads. The integer Smith
@@ -52,16 +55,15 @@ symbol. A degenerate p-part has no key, and only a pair of them goes to
 the witness search `fqf_isomorphic`, which gates p-parts by the same keys
 (degenerate ones by their q histograms) and then backtracks over
 generator images under ISO_CAP. `nikulin.exists_even_lattice` reads its
-p-adic conditions off `_scales` too. Every walk over the elements of a
-group goes through `_walk`, which updates q in integers from one element
-to the next; only that backtrack walks a whole group (besides the
-two-torsion of the datum search and the histogram of a degenerate form).
+p-adic conditions off `_scales` too. Only that backtrack and the
+histogram of a degenerate form walk a whole group, reading `q_num` over
+`elements()`; nothing outside this module calls `elements()`.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from operator import add, mod, mul
 
 from .errors import (
@@ -88,57 +90,39 @@ from .intmat import (
 from .lattice import _int, gram_of_rows
 
 
-def _walk(f):
-    """Yield q(x) * f.den mod 2 f.den for every element x of f, in the
-    order f.elements() visits them.
-
-    Along the last generator e, q(x + ce) = q(x) + c^2 q(e) + 2c b(x, e);
-    moving to the next x adds one earlier generator and updates q(x) and
-    every 2b(x, e_j) the same way. All of it in integers.
-    """
-    orders, k = f.orders, f.num_gens
-    if k == 0:
-        yield 0
-        return
-    twom = 2 * f.den
-    qint = [f.qmat[i][i] for i in range(k)]
-    twob = [[2 * x for x in row] for row in f.qmat]
-    last, qe = orders[-1], qint[-1]
-    coords = [0] * (k - 1)
-    t = [0] * k  # t[j] = 2b(x, e_j) * den at the current x, left unreduced
-    q = 0
-    for _ in range(math.prod(orders[:-1])):
-        tl = t[-1]
-        for c in range(last):
-            yield (q + c * (c * qe + tl)) % twom
-        i = k - 2
-        while i >= 0:
-            q = (q + qint[i] + t[i]) % twom
-            t = list(map(add, t, twob[i]))
-            if coords[i] < orders[i] - 1:
-                coords[i] += 1
-                break
-            coords[i] = 0
-            i -= 1
-
-
 def _form_on(f, rows, orders):
     """The form f induces on the elements rows, given their orders."""
     return FiniteQuadraticForm.over(orders, gram_of_rows(rows, f.qmat), f.den)
 
 
-def _order_two_elements(f):
-    """Nonzero elements of order two with 2q in 0..3, as (coords, 2q) in
-    the order itertools.product visits the coordinates; kept on the form.
-    The two-torsion is walked on its generators (d/2)e_i, one per even
-    order d, which visits it in that order."""
+def _order_two_bits(gram, m):
+    """Q_y = 2q(y) mod 4 of each generator y of order 2 with this gram over
+    m, and the bit row of beta(y, z) = 2b(y, z) mod 2 as one int, bit z for
+    generator z."""
+    return ([2 * r[y] // m % 4 for y, r in enumerate(gram)],
+            [sum((2 * x // m & 1) << z for z, x in enumerate(r)) for r in gram])
+
+
+def _two_torsion(f):
+    """The two-torsion of f over F_2, kept on the form: (gens, elements).
+
+    gens are the generators (d/2)e_i, one per even order d, as coordinate
+    rows, the last first: bit b of a mask stands for gens[b]. elements
+    are the nonzero elements as (mask, Q = 2q mod 4, beta = the bit row of
+    their pairings 2b mod 2 with gens), masks increasing as
+    itertools.product visits the coordinates. Element x is x' + gens[g] for
+    g its lowest bit: Q gains Q_g + 2 beta(x', g), beta XORs g's row.
+    """
     if f._order_two is None:
         gens = [[d // 2 if j == i else 0 for j in range(f.num_gens)]
-                for i, d in enumerate(f.orders) if d % 2 == 0]
-        two = _form_on(f, gens, (2,) * len(gens))
-        coords = product(*[(0, d // 2) if d % 2 == 0 else (0,) for d in f.orders])
-        f._order_two = tuple(islice(
-            ((c, 2 * q // two.den) for c, q in zip(coords, _walk(two))), 1, None))
+                for i, d in enumerate(f.orders) if d % 2 == 0][::-1]
+        qs, rows = _order_two_bits(gram_of_rows(gens, f.qmat), f.den)
+        elements = [(0, 0, 0)]
+        for mask in range(1, 1 << len(gens)):
+            g = (mask & -mask).bit_length() - 1
+            _, q, row = elements[mask & mask - 1]
+            elements.append((mask, (q + qs[g] + 2 * (row >> g & 1)) % 4, row ^ rows[g]))
+        f._order_two = (gens, elements[1:])
     return f._order_two
 
 
@@ -597,7 +581,8 @@ def _split_order_two(gram, m):
     with this gram over m, computed over F_2.
 
     Generator y keeps Q_y = 2q(y) mod 4 and the bit row of beta(y, z) =
-    2b(y, z) mod 2 as one int (bit y is Q_y mod 2). The picks are those of
+    2b(y, z) mod 2 as one int (bit y is Q_y mod 2), read off the gram by
+    `_order_two_bits` as in the two-torsion view. The picks are those of
     `_split_blocks`. Its coefficients only matter mod 2, where the inverse
     of a q block's t is 1 and a 'u' or 'v' pair's is [[0, 1], [1, 0]]:
     every other y becomes y + sum_a c_a x_a with c = beta(y, x) for a q
@@ -606,8 +591,7 @@ def _split_order_two(gram, m):
     4, and since the new y is orthogonal to the block, beta(y, z) for every
     z left changes by sum_a c_a beta(x_a, z): an XOR of block rows.
     """
-    qs = [2 * r[y] // m for y, r in enumerate(gram)]
-    rows = [sum((2 * x // m & 1) << z for z, x in enumerate(r)) for r in gram]
+    qs, rows = _order_two_bits(gram, m)
     live = list(range(len(gram)))
     blocks = []
     while live:
@@ -659,7 +643,8 @@ def _p_group_backtrack(p1, p2, spent):
     wanted_q = {q for _, q in keys}
     # in a p-group the order of an element is the largest order of its coordinates
     orders = [[d // math.gcd(d, c) for c in range(d)] for d in p2.orders]
-    for c, q in zip(p2.elements(), _walk(p2)):
+    for c in p2.elements():
+        q = p2.q_num(c)
         if q in wanted_q:
             bucket = cands.get((max(map(list.__getitem__, orders, c)), q))
             if bucket is not None:
@@ -727,7 +712,8 @@ def fqf_isomorphic(f1, f2):
         if p1 == p2:
             continue
         key = _local_key(p1, p)
-        if key != _local_key(p2, p) or key is None and Counter(_walk(p1)) != Counter(_walk(p2)):
+        if key != _local_key(p2, p) or key is None and (
+                Counter(map(p1.q_num, p1.elements())) != Counter(map(p2.q_num, p2.elements()))):
             return None
     spent = [0]
     images = [[0] * f2.num_gens for _ in range(f1.num_gens)]

@@ -3,7 +3,7 @@ primitive embeddings of the rank-12 ambient lattice, and odd-index descent."""
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from operator import add, mul
+from operator import mul
 
 from .enriques import ambient
 from .errors import (
@@ -24,9 +24,9 @@ from .errors import (
 from .fqf import (
     FiniteQuadraticForm,
     _dual_basis,
-    _order_two_elements,
     _scales,
     _solve_lower,
+    _two_torsion,
     canonical_form,
     direct_sum_fqf,
     discriminant_form,
@@ -254,11 +254,14 @@ def find_embedding_datum(lat):
     ceil((l2 + n2 - want_rank) / 2) (at least 0) to min(l2, n2), for l2
     and n2 the 2-lengths of the two discriminant forms.
 
-    Only H_L is searched. Each generator a goes to the first order-two b
-    of q_N outside the span of the earlier images with q(b) = q(a) and a's
-    pairings; by Witt's extension theorem on the nonsingular F_2-space q_N
-    any other fitting b gives an isomorphic complement. So a NotFound is
-    exhaustive over H_L; past DATUM_NODE_CAP nodes CapExceeded is raised.
+    Only H_L is searched, on the bit masks of `_two_torsion`: a span is a
+    set of masks grown by XOR, and 2b(x, y) the parity of x's beta row and
+    y's mask. Each generator a goes to the first order-two b of q_N outside
+    the span of the earlier images with a's 2q and pairings; by Witt's
+    extension theorem on the nonsingular F_2-space q_N any other fitting b
+    gives an isomorphic complement. So a NotFound is exhaustive over H_L;
+    past DATUM_NODE_CAP nodes CapExceeded is raised. Masks become
+    coordinate rows only at a leaf.
     """
     nlat = ambient()
     fn, fl = discriminant_form(nlat), discriminant_form(lat)
@@ -267,11 +270,16 @@ def find_embedding_datum(lat):
     want_sig = (nlat.signature[0] - sig_l[0], nlat.signature[1] - sig_l[1])
     if want_rank < 0 or want_sig[0] < 0 or want_sig[1] < 0:
         raise NotFound("the source does not fit the ambient signature")
-    two_l = _order_two_elements(fl)
-    two_n = _order_two_elements(fn)
+    gens_l, two_l = _two_torsion(fl)
+    gens_n, two_n = _two_torsion(fn)
     nodes = [0]
 
+    def coords(gens, mask):
+        return [sum(col) for col in zip(*(g for b, g in enumerate(gens) if mask >> b & 1))]
+
     def attempt(hl, gamma):
+        hl = [coords(gens_l, a) for a in hl]
+        gamma = [coords(gens_n, b) for b in gamma]
         quot = _graph_quotient(fl, hl, gamma)
         if quot.num_gens > want_rank:
             return None
@@ -288,22 +296,22 @@ def find_embedding_datum(lat):
                 % (nodes[0], DATUM_NODE_CAP))
         if len(hl) == k:
             return attempt(hl, gamma)
-        for a, qa in two_l:
+        for a, qa, ra in two_l:
             if a in span_l:
                 continue
             # q_N is nonsingular over F_2, so any partial isometry into it
             # extends (Witt) and two fitting images give isomorphic graph
             # quotients; a leaf reads only the quotient's num_gens and
             # exists_even_lattice, so no image but the first is tried
-            b = next((b for b, qb in two_n
+            pairs = [(ra & h).bit_count() & 1 for h in hl]
+            b = next((b for b, qb, rb in two_n
                       if qb == qa and b not in span_n
-                      and all(fn.b_num(b, gamma[i]) * fl.den == fl.b_num(a, hl[i]) * fn.den
-                              for i in range(len(hl)))), None)
+                      and all((rb & g).bit_count() & 1 == p for g, p in zip(gamma, pairs))),
+                     None)
             if b is None:
                 continue
             got = extend(k, hl + [a], gamma + [b],
-                         span_l | {fl.reduce(map(add, s, a)) for s in span_l},
-                         span_n | {fn.reduce(map(add, s, b)) for s in span_n})
+                         span_l | {s ^ a for s in span_l}, span_n | {s ^ b for s in span_n})
             if got is not None:
                 return got
         return None
@@ -312,10 +320,9 @@ def find_embedding_datum(lat):
     # quotient H^perp / H of the difference form has 2-length at least
     # l2 + n2 - 2k, so below the lower level every leaf has more than
     # want_rank generators and fails.
-    l2 = sum(1 for d in fl.orders if d % 2 == 0)
-    n2 = sum(1 for d in fn.orders if d % 2 == 0)
+    l2, n2 = len(gens_l), len(gens_n)
     for k in range(max(0, -((want_rank - l2 - n2) // 2)), min(l2, n2) + 1):
-        got = extend(k, [], [], {tuple([0] * fl.num_gens)}, {tuple([0] * fn.num_gens)})
+        got = extend(k, [], [], {0}, {0})
         if got is not None:
             return got
     raise NotFound("no gluing datum within the search bound")

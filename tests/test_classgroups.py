@@ -48,6 +48,10 @@ def test_class_group_rejects_bad_discriminants():
         for call in (class_group, fundamental_split, is_fundamental):
             with pytest.raises(BadShape, match="disc: .* is not an integer"):
                 call(bad)
+    # a conductor of True is no conductor 1
+    for bad in (2.5, 1.0, True, "2", None):
+        with pytest.raises(BadShape, match="conductor: .* is not an integer"):
+            class_number_nonmaximal(-4, bad)
 
 
 def test_forms_agree_with_independent_scan():

@@ -125,7 +125,7 @@ def test_cap_boundary_is_exact():
         vectors_of_norm(e8, -2, cap=239)
 
 
-@pytest.mark.parametrize("value", [2.0, 2.5, "2", True, None])
+@pytest.mark.parametrize("value", [2.0, 2.5, "2", True, None, 20.0])
 def test_malformed_value_is_a_bad_shape(value):
     # checked before any work, whether or not the lattice takes the norm
     for lat in (Lattice([[2]]), Lattice([[-2]]), standard_lattice("E8")):
@@ -138,6 +138,14 @@ def test_malformed_value_is_a_bad_shape(value):
         embedding_for_label(20, (value, 0, 1), (1, 0))
     with pytest.raises(BadShape, match="label: .* is not an integer"):
         embedding_for_label(20, (1, 0, 1), (value, 1))
+    # nor a rank invariant or a count of parameter sets: 20.0 is no rho
+    for call in (lambda: t_gram(value, (1, 0, 1)),
+                 lambda: embedding_for_label(value, (1, 0, 1), (1, 0)),
+                 lambda: suggest_params(value, 1)):
+        with pytest.raises(BadShape, match="rho: .* is not an integer"):
+            call()
+    with pytest.raises(BadShape, match="count: .* is not an integer"):
+        suggest_params(20, 1, count=value)
 
 
 @pytest.mark.parametrize("cap", [-1, -240, 2.0, "2", True, None])

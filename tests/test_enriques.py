@@ -9,7 +9,7 @@ from enrlat.enriques import (
     involution_eigenlattices,
     is_twice_even,
 )
-from enrlat.errors import BadLength
+from enrlat.errors import BadLength, BadShape
 from enrlat.intmat import mat_mul, transpose
 from enrlat.lattice import standard_lattice
 
@@ -105,3 +105,9 @@ def test_generated_isometries_are_deterministic():
     assert a == b
     c = generate_isometry(43, 7)
     assert c != a
+
+
+@pytest.mark.parametrize("length", [2.5, 7.0, True, "7", None])
+def test_generated_isometry_rejects_a_malformed_length(length):
+    with pytest.raises(BadShape, match="length: .* is not an integer"):
+        generate_isometry(42, length)

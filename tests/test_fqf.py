@@ -28,7 +28,7 @@ from enrlat.fqf import (
     _local_key,
     _scales,
     _subquotient,
-    _walk,
+    _two_torsion,
     canonical_form,
     direct_sum_fqf,
     discriminant_form,
@@ -76,7 +76,7 @@ def random_even_lattice(rng, max_rank=5, bound=8, det_cap=3000):
             return lat
 
 
-def test_walk_kernel_against_product_q_of_and_brute_histogram():
+def test_q_num_over_elements_against_product_and_brute_histogram():
     rng = random.Random(101)
     for _ in range(12):
         form = discriminant_form(random_even_lattice(rng, max_rank=3, det_cap=80))
@@ -96,7 +96,7 @@ def test_walk_kernel_against_product_q_of_and_brute_histogram():
             (tuple(form.element_order(g) for g in gens), sub_values, gens),
         ):
             walked = FiniteQuadraticForm(orders, values)
-            qnums = list(_walk(walked))
+            qnums = [walked.q_num(c) for c in walked.elements()]
             m = walked.den
             assert len(qnums) == walked.group_order
             assert list(walked.elements()) == list(product(*[range(d) for d in orders]))
@@ -106,6 +106,44 @@ def test_walk_kernel_against_product_q_of_and_brute_histogram():
                 assert Fraction(qnum, m) == form.q_of(x)
             brute = Counter(q for _, q in brute_q_values(orders, values))
             assert Counter(Fraction(q, m) for q in qnums) == brute
+
+
+def _two_torsion_forms():
+    """Seeded discriminant forms, q_N and forms with mixed orders."""
+    rng = random.Random(211)
+    forms = [discriminant_form(random_even_lattice(rng, max_rank=4, det_cap=600))
+             for _ in range(25)]
+    forms.append(discriminant_form(standard_lattice("N")))
+    forms.append(FiniteQuadraticForm((12, 2, 3), [[Fraction(1, 12), Fraction(1, 2), 0],
+                                                  [Fraction(1, 2), 1, 0],
+                                                  [0, 0, Fraction(2, 3)]]))
+    forms.append(FiniteQuadraticForm((4, 6, 2), [[Fraction(3, 4), 0, Fraction(1, 2)],
+                                                 [0, Fraction(1, 6), Fraction(1, 2)],
+                                                 [Fraction(1, 2), Fraction(1, 2), 0]]))
+    forms.append(FiniteQuadraticForm((3, 9), [[Fraction(2, 3), 0], [0, Fraction(2, 9)]]))
+    return forms
+
+
+def test_two_torsion_view_against_brute_force():
+    mixed = 0
+    for form in _two_torsion_forms():
+        gens, elements = _two_torsion(form)
+        assert gens == [[d // 2 if j == i else 0 for j in range(form.num_gens)]
+                        for i, d in reversed(list(enumerate(form.orders))) if d % 2 == 0]
+        # the nonzero elements x with 2x = 0, in the order of elements()
+        brute = [c for c in form.elements()
+                 if any(c) and not any(2 * x % d for x, d in zip(c, form.orders))]
+        assert len(elements) == len(brute) == (1 << len(gens)) - 1
+        mixed += bool(gens) and any(d != 2 for d in form.orders)
+        for (mask, q, beta), c in zip(elements, brute):
+            assert [sum(g[t] for b, g in enumerate(gens) if mask >> b & 1)
+                    for t in range(form.num_gens)] == list(c)
+            assert q == 2 * form.q_num(c) // form.den % 4
+            assert 2 * form.q_num(c) % form.den == 0
+            assert beta == sum((2 * form.b_num(c, g) // form.den) << b
+                               for b, g in enumerate(gens))
+        assert _two_torsion(form) is _two_torsion(form)
+    assert mixed >= 3
 
 
 def test_discriminant_form_of_unimodular_is_trivial():

@@ -8,11 +8,13 @@ each result byte for byte. On the same pairs `is_isomorphic` must give
 the verdict of the witness search.
 """
 
+import functools
 import hashlib
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from operator import add
 
 import pytest
@@ -23,7 +25,6 @@ from enrlat.enriques import ambient
 from enrlat.errors import Degenerate, EnrLatError, NotFound
 from enrlat.fqf import (
     FiniteQuadraticForm,
-    _order_two_elements,
     _subquotient,
     canonical_form,
     direct_sum_fqf,
@@ -65,16 +66,18 @@ def _hash(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def _datum_out(lat):
+    """The canonical JSON of the datum found for lat, or the exception."""
+    try:
+        return canonical_json(datum_to_json(find_embedding_datum(lat)))
+    except EnrLatError as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
 def _datum_sweep(lattices):
-    lines, found = [], 0
-    for lat in lattices:
-        try:
-            out = canonical_json(datum_to_json(find_embedding_datum(lat)))
-            found += 1
-        except EnrLatError as exc:
-            out = "%s: %s" % (type(exc).__name__, exc)
-        lines.append("%s %s" % ([list(r) for r in lat.gram], out))
-    return lines, found
+    outs = [_datum_out(lat) for lat in lattices]
+    lines = ["%s %s" % ([list(r) for r in lat.gram], out) for lat, out in zip(lattices, outs)]
+    return lines, sum(out.startswith("{") for out in outs)
 
 
 def _rebased(f, rng):
@@ -166,6 +169,51 @@ def test_rank_four_datum_sweep_hash(monkeypatch):
     assert not [line for line in lines if "CapExceeded" in line]
     assert found == 30
     assert _hash(lines) == "2701309a381d1ce9ce56cd1834d1ae250e6f961fe639053c580e46e3d6655973"
+
+
+def _diag(x, n):
+    return [[x if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _block(*grams):
+    n = sum(map(len, grams))
+    out, at = [[0] * n for _ in range(n)], 0
+    for g in grams:
+        for i, row in enumerate(g):
+            out[at + i][at:at + len(row)] = row
+        at += len(g)
+    return out
+
+
+_D4_MINUS_2 = [[-4, 2, 0, 0], [2, -4, 2, 2], [0, 2, -4, 0], [0, 2, 0, -4]]
+_U2 = [[0, 2], [2, 0]]
+
+
+# sources of 2-length 4 to 6, where the sweeps reach 3 at ranks 1 to 3 and
+# 4 at rank 4, with the sha256 of the canonical datum JSON or of the
+# exception line
+@pytest.mark.parametrize("gram, digest", [
+    (_diag(-4, 4), "f8cf9c9ab781107d7f544d3e1ff37b13f3695f8cc757ca71ff553a4cee569841"),
+    (_diag(-4, 5), "01189b131d1a6ebcb7ab7be48acf67dc42787a9161a0003eaea0b371f377e660"),
+    (_diag(-4, 6), "efc7efd78c4e7deeb7158c52ffd0b8d878720c34668346525bf92addc46755d6"),
+    (_diag(-8, 4), "d0bc27cef4b48c459dc9fda1d7449e4c44768484de43918d54e9090b36620815"),
+    (_diag(-8, 5), "4c93cdcd4a4ceac4519e57690b8d826e639acc2dca54cd0743c075611cd68a2b"),
+    (_D4_MINUS_2, "506d264e7b562a887eb6a3269c1419e261cc8def505b3cb990339f395d6eb349"),
+    (_block(_D4_MINUS_2, _U2), "faa79e98df9f79fc49fd0e79d35a2ac201274df34cd49b492988a6ba2ec65bed"),
+    (_block(_U2, _diag(-4, 3)), "5d0c3ab9283509dc19c638f012dd341cfb15b95d5fa386ada24cc69ac6c75ccb"),
+    (_diag(4, 5), "32ace1d3443b316f3f7a9866724d5adc34478c06710cb03f3b9cc5a1ff946426"),
+])
+def test_datum_past_the_sweeps_two_lengths_is_pinned(gram, digest):
+    assert _hash([_datum_out(Lattice(gram))]) == digest
+
+
+@functools.cache
+def _order_two_elements(f):
+    """The nonzero elements of order two of f as (coords, 2q), in the order
+    itertools.product visits their coordinates, read off q_num; computed
+    once per form value."""
+    coords = product(*[(0, d // 2) if d % 2 == 0 else (0,) for d in f.orders])
+    return tuple((c, 2 * f.q_num(c) // f.den) for c in coords)[1:]
 
 
 def _fitting(f, g, sources, images, a, q_a, candidates, span):

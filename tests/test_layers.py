@@ -17,6 +17,10 @@ so the integer matrix layer knows nothing of lattices, and a lattice
 nothing of forms or embeddings. The front ends (`__init__`, `__main__`,
 `cli`, `acceptance`) may import anything; a module that is in neither
 list fails until it is given a place.
+
+A second guard keeps one group-enumeration kernel: `.elements()`, the
+walk over every element of a finite quadratic form, is called only inside
+`fqf`, in any module of `src/enrlat`, front ends included.
 """
 
 import ast
@@ -107,4 +111,40 @@ def test_guard_catches_each_pattern(tmp_path):
         "intmat imports lattice",
         "lattice imports fqf",
         "top has no layer",
+    ]
+
+
+def group_walks(package, owner="fqf"):
+    """'module calls .elements() at line n' for each such call in a module
+    other than owner."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == owner:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        out += ["%s calls .elements() at line %d" % (path.stem, node.lineno)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "elements"]
+    return sorted(out)
+
+
+def test_only_fqf_walks_a_group():
+    assert group_walks(PACKAGE) == []
+
+
+def test_walk_guard_catches_each_call(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    files = {
+        "fqf.py": "def walk(f):\n    return list(f.elements())\n",
+        "nikulin.py": "def late(f):\n    def inner():\n        return f.elements()\n    return inner\n",
+        "cli.py": "from .fqf import walk\nxs = [q for q in self.form.elements()]\n",
+        "lattice.py": "elements = 1\ndef f(x):\n    return x.elements, elements\n",
+    }
+    for fname, text in files.items():
+        (package / fname).write_text(text)
+    assert group_walks(package) == [
+        "cli calls .elements() at line 2",
+        "nikulin calls .elements() at line 3",
     ]
