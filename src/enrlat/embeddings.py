@@ -3,9 +3,11 @@
 The tables are data, read by one interpreter (`_candidates`). There is one
 family per rank invariant rho = 17..20. A family names its parameters and
 gives the source gram, the check on the parameters (the signature wanted of
-the leading block of the gram), the basis permutations the label search
-tries in turn, and one template per tabulated parity label; every other
-nonzero label is reached through a permutation.
+the leading block of the gram), the ranges `suggest_params` draws the
+parameters from ("a 1 6, b -4 4": a from 1..6, then b from -4..4; rho = 17
+draws none), the basis permutations the label search tries in turn, and one
+template per tabulated parity label; every other nonzero label is reached
+through a permutation.
 
 A template is (tuple gram, image rows[, sign rule]). The tuple gram asks
 `iter_tuples_in_e82` for vectors t0, t1, ... of the definite scaled piece
@@ -19,9 +21,11 @@ basis vector r negated, where p is positive, and image r is negated back;
 full validation, so a table can only produce correct embeddings.
 """
 import math
+import random
 import re
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import product
 from operator import mul, neg
 
 from .enriques import ambient, epsilon
@@ -43,12 +47,11 @@ from .lattice import (
     _int,
     _is_int,
     _restricted_gram,
-    gram_of_rows,
     orthogonal_complement,
     rational_signature,
     standard_lattice,
 )
-from .intmat import eliminate_symmetric, identity, snf_diagonal
+from .intmat import eliminate_symmetric, snf_diagonal
 
 
 def vectors_of_norm(lat, value, cap=200000):
@@ -251,31 +254,24 @@ def _frame_tuples(gram):
             return
         needs.append(-gram[i][i] // 4)
     frame = _orthogonal_frame()
-    from itertools import product as iproduct
-
     reprs = [_square_decomps(n)[:6] for n in needs]
     if any(not r for r in reprs):
         return
     count = 0
     for shift in range(8):
-        for combo in iproduct(*reprs):
-            if sum(len(rep) for rep in combo) > 8:
+        for combo in product(*reprs):
+            # the reps lie side by side from frame slot `shift` on
+            if shift + sum(map(len, combo)) > 8:
                 continue
             rows = []
             off = shift
-            ok = True
             for rep in combo:
-                if off + len(rep) > 8:
-                    ok = False
-                    break
                 row = [0] * 8
                 for j, coeff in enumerate(rep):
                     for c in range(8):
                         row[c] += coeff * frame[off + j][c]
                 rows.append(tuple(row))
                 off += len(rep)
-            if not ok:
-                continue
             yield tuple(rows)
             count += 1
             if count >= _FRAME_TUPLE_LIMIT:
@@ -418,12 +414,17 @@ def _value(form, params):
 
 
 class _Family:
-    """The table family of one rank invariant, parsed once from its spec."""
+    """The table family of one rank invariant, parsed once from its spec:
+    parameter names, source gram, check (block size, signature wanted of
+    the leading block, message), draw ranges ("name low high", comma
+    separated, in draw order), permutations and templates."""
 
-    def __init__(self, names, gram, check, perms, templates):
+    def __init__(self, names, gram, check, draws, perms, templates):
         self.names = names.split()
         self.gram_forms = self._matrix(gram)
         self.block, self.signature, self.message = check
+        self.draws = [(self.names.index(name), int(low), int(high))
+                      for name, low, high in map(str.split, filter(None, draws.split(",")))]
         self.perms = [tuple(map(int, p)) for p in perms.split()]
         self.templates = {
             tuple(map(int, key)): self._template(*spec) for key, spec in templates.items()
@@ -455,12 +456,18 @@ class _Family:
     def params(self, gram):
         return tuple(gram[i][j] // k for i, j, k in self.read)
 
+    def accepts(self, gram):
+        """Whether the leading block of the gram has the wanted signature."""
+        b = self.block
+        return rational_signature([row[:b] for row in gram[:b]]) == self.signature
+
 
 # The tables; the module docstring describes the format.
 _FAMILIES = {
     20: _Family(
         "a b c", ["4a 2b", "2b 4c"],
         (2, (2, 0, 0), "the rank-two block must be positive definite"),
+        "a 1 6, c 1 6, b -4 4",
         "01 10",
         {
             "10": ([], ["1 2a 0 0", "0 2b 1 c"]),
@@ -470,6 +477,7 @@ _FAMILIES = {
     19: _Family(
         "a d l b m c", ["4a 2d 2l", "2d 4b 2m", "2l 2m 4c"],
         (3, (2, 1, 0), "parameters must give signature (2, 1)"),
+        "a -5 -1, b -5 -1, c -5 -1, d -9 9, l -9 9, m -9 9",
         "012 021 102 120 201 210",
         {
             "100": (["4c"], ["1 2a 0 0", "0 2d 1 b", "0 2l 0 m t0"]),
@@ -480,6 +488,7 @@ _FAMILIES = {
     18: _Family(
         "a b c", ["4a 2b 0 0", "2b 4c 0 0", "0 0 0 2", "0 0 2 0"],
         (2, (1, 1, 0), "the rank-two block must be indefinite"),
+        "a -5 -1, c -5 -1, b 1 9",
         "0123 1023 0132 1032",
         {
             "1000": (["4c"], ["1 2a 0 0", "0 2b 0 0 t0", "0 0 1 0", "0 0 0 1"]),
@@ -501,6 +510,7 @@ _FAMILIES = {
     17: _Family(
         "m", ["0 2 0 0 0", "2 0 0 0 0", "0 0 0 2 0", "0 0 2 0 0", "0 0 0 0 -4m"],
         (5, (2, 3, 0), "the last parameter must be a positive multiple of four over four"),
+        "",
         "01234 01324 10234 10324 23014 23104 32014 32104",
         {
             "10000": (["-8 0", "0 -4m"],
@@ -581,7 +591,7 @@ def _prepared(fam, rho, params):
     got = _PREPARED.get(key)
     if got is None:
         g = t_gram(rho, params)
-        if rational_signature([row[:fam.block] for row in g[:fam.block]]) != fam.signature:
+        if not fam.accepts(g):
             raise BadParams(fam.message)
         perms = tuple((sigma, fam.params([[g[s][t] for t in sigma] for s in sigma]))
                       for sigma in fam.perms)
@@ -641,17 +651,15 @@ def character_upper_bound(gram):
     n = len(gram)
     if n > 20:
         raise RankTooLarge("rank %d exceeds the enumeration bound" % n)
-    from itertools import product as iproduct
-
     constraints = []
-    for v in iproduct((0, 1), repeat=n):
+    for v in product((0, 1), repeat=n):
         if not any(v):
             continue
         norm = sum(v[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
         if norm % 4 == 2:
             constraints.append(v)
     out = []
-    for alpha in iproduct((0, 1), repeat=n):
+    for alpha in product((0, 1), repeat=n):
         if all(sum(a * b for a, b in zip(alpha, v)) % 2 == 0 for v in constraints):
             out.append(alpha)
     return sorted(out)
@@ -666,10 +674,8 @@ def realized_characters(rho, params):
     the tables refuse raise BadParams.
     """
     width = len(_family(rho).gram_forms)
-    from itertools import product as iproduct
-
     out = [(0,) * width]
-    for label in iproduct((0, 1), repeat=width):
+    for label in product((0, 1), repeat=width):
         if not any(label):
             continue
         try:
@@ -680,76 +686,43 @@ def realized_characters(rho, params):
     return sorted(out)
 
 
-def suggest_params(rho, seed, count=3):
-    """Deterministic parameter sets accepted by the tables; rho is checked
-    as `_family` checks it, and a count that is not an int is a BadShape."""
-    import random
+# the most parameter sets suggest_params draws for one call
+PARAM_DRAW_CAP = 20_000
 
-    _family(rho)
-    _int(count, "count")
+
+def suggest_params(rho, seed, count=3):
+    """Deterministic parameter sets accepted by the tables.
+
+    Each parameter is drawn from its family's range, in spec order, with
+    random.Random(seed); a set is kept when it is new and the family's check
+    accepts its gram. After PARAM_DRAW_CAP draws short of `count` sets,
+    CapExceeded names the draws spent and the sets kept: the ranges hold 98
+    accepted sets for rho = 18 and 300 for rho = 20. rho = 17 draws nothing:
+    m counts up from 1 + seed % 2. A rho, seed or count that is not an int,
+    or a negative count, is a BadShape.
+    """
+    fam = _family(rho)
+    _int(seed, "seed")
+    if _int(count, "count") < 0:
+        raise BadShape("count: %r is negative" % (count,))
+    if not fam.draws:
+        start = 1 + seed % 2
+        return [(m,) for m in range(start, start + count)]
     rng = random.Random(seed)
     out = []
     seen = set()
-    if rho == 20:
-        while len(out) < count:
-            a, c = rng.randint(1, 6), rng.randint(1, 6)
-            b = rng.randint(-4, 4)
-            if 4 * a * c - b * b <= 0:
-                continue
-            p = (a, b, c)
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-        return out
-    if rho == 19:
-        tries = 0
-        while len(out) < count and tries < 20000:
-            tries += 1
-            a, b, c = (rng.randint(-5, -1) for _ in range(3))
-            d, l, m = (rng.randint(-9, 9) for _ in range(3))
-            p = (a, d, l, b, m, c)
-            if rational_signature(t_gram(19, p)) != (2, 1, 0):
-                continue
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-        base = (-1, -4, -4, -3, -8, -3)
-        while len(out) < count:
-            p = _conjugated_params(base, rng)
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-        return out
-    if rho == 18:
-        while len(out) < count:
-            a, c = rng.randint(-5, -1), rng.randint(-5, -1)
-            b = rng.randint(1, 9)
-            p = (a, b, c)
-            top = [[4 * a, 2 * b], [2 * b, 4 * c]]
-            if rational_signature(top) != (1, 1, 0):
-                continue
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-        return out
-    m = 1 + (seed % 2)  # rho is 17, the last family
+    drawn = 0
     while len(out) < count:
-        out.append((m,))
-        m += 1
+        if drawn == PARAM_DRAW_CAP:
+            raise CapExceeded(
+                "parameter search spent %d draws and kept %d of the %d sets asked,"
+                " over its cap of %d" % (drawn, len(out), count, PARAM_DRAW_CAP))
+        drawn += 1
+        p = [0] * len(fam.names)
+        for k, low, high in fam.draws:
+            p[k] = rng.randint(low, high)
+        p = tuple(p)
+        if p not in seen and fam.accepts(fam.gram(p)):
+            seen.add(p)
+            out.append(p)
     return out
-
-
-def _conjugated_params(base, rng):
-    g = t_gram(19, base)
-    n = 3
-    for _ in range(50):
-        p = identity(n)
-        for _ in range(rng.randint(1, 3)):
-            i, j = rng.sample(range(n), 2)
-            c = rng.choice([-1, 1])
-            for col in range(n):
-                p[i][col] += c * p[j][col]
-        new = gram_of_rows(p, g)
-        if all(abs(x) <= 40 for row in new for x in row):
-            return _FAMILIES[19].params(new)
-    return _FAMILIES[19].params(g)

@@ -9,7 +9,7 @@ reads the two coefficients on the unscaled hyperbolic plane.
 import random
 from dataclasses import dataclass
 
-from .errors import BadLength, GramMismatch
+from .errors import BadLength, BadShape, GramMismatch
 from .intmat import identity, mat_mul, mat_vec, sqrt_exact
 from .lattice import Lattice, _int, gram_of_rows, standard_lattice
 
@@ -110,8 +110,9 @@ def _reflection(nlat, v):
 def generate_isometry(seed, length):
     """Deterministic word of character-preserving isometries of the ambient
     lattice, returned as a row-action matrix (x maps to x times the matrix).
-    A length that is not an int is malformed: BadShape."""
-    _int(length, "length")
+    A length that is not a nonnegative int is malformed: BadShape."""
+    if _int(length, "length") < 0:
+        raise BadShape("length: %r is negative" % (length,))
     nlat = ambient()
     n = nlat.rank
     rng = random.Random(seed)

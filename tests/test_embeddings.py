@@ -146,6 +146,14 @@ def test_malformed_value_is_a_bad_shape(value):
             call()
     with pytest.raises(BadShape, match="count: .* is not an integer"):
         suggest_params(20, 1, count=value)
+    for rho in (17, 20):
+        with pytest.raises(BadShape, match="seed: .* is not an integer"):
+            suggest_params(rho, value)
+    # a negative count or length is no empty request
+    with pytest.raises(BadShape, match="count: -2 is negative"):
+        suggest_params(20, 1, count=-2)
+    with pytest.raises(BadShape, match="count: -1 is negative"):
+        suggest_params(17, 1, count=-1)
 
 
 @pytest.mark.parametrize("cap", [-1, -240, 2.0, "2", True, None])
@@ -426,6 +434,32 @@ def test_suggested_params_validate():
             assert len(params) == size
             g = t_gram(rho, params)
             assert all(g[i][i] % 2 == 0 for i in range(len(g)))
+
+
+def test_suggested_params_are_pinned():
+    # the sets drawn from each family's ranges, in draw order
+    got = {"%d/%d/%d" % (rho, seed, count): suggest_params(rho, seed, count)
+           for rho in (17, 18, 19, 20) for seed in range(20) for count in (1, 3, 40)}
+    assert hashlib.sha256(json.dumps(got, sort_keys=True).encode()).hexdigest() == (
+        "22833861f6f96cddea32d81d69f7f29569f56b5b4dba287f27227ed329ac5b22")
+
+
+@pytest.mark.parametrize("rho, accepted", [
+    # 4ac - b^2 > 0 on a, c in 1..6, b in -4..4
+    (20, [(a, b, c) for a in range(1, 7) for b in range(-4, 5) for c in range(1, 7)
+          if 4 * a * c - b * b > 0]),
+    # b^2 > 4ac on a, c in -5..-1, b in 1..9
+    (18, [(a, b, c) for a in range(-5, 0) for b in range(1, 10) for c in range(-5, 0)
+          if b * b > 4 * a * c]),
+])
+def test_sampler_past_its_ranges_raises_cap_exceeded(rho, accepted):
+    assert len(accepted) == {20: 300, 18: 98}[rho]
+    assert sorted(suggest_params(rho, 0, len(accepted))) == accepted
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="spent 20000 draws and kept %d of the %d sets asked"
+                       % (len(accepted), len(accepted) + 1)):
+        suggest_params(rho, 0, len(accepted) + 1)
+    assert time.perf_counter() - start < 5
 
 
 # ------------------------------------------- kept tuples and parameters

@@ -107,7 +107,7 @@ def test_generated_isometries_are_deterministic():
     assert c != a
 
 
-@pytest.mark.parametrize("length", [2.5, 7.0, True, "7", None])
+@pytest.mark.parametrize("length", [2.5, 7.0, True, "7", None, -3])
 def test_generated_isometry_rejects_a_malformed_length(length):
-    with pytest.raises(BadShape, match="length: .* is not an integer"):
+    with pytest.raises(BadShape, match="length: .* is (not an integer|negative)"):
         generate_isometry(42, length)

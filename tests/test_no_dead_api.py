@@ -8,6 +8,9 @@ property of those classes. Each one must be read somewhere in
 `demos/`, as a name or an attribute, outside its own definition. An
 import alone is not a use, and neither is a test: code kept alive only by
 its own tests is dead code.
+
+Likewise every name that a module other than `__init__.py` imports, at
+module level or inside a function, must be read in that module.
 """
 
 import ast
@@ -104,3 +107,42 @@ def test_guard_catches_each_pattern(tmp_path):
     )
     assert dead_names(package, demos) == [
         "mod._UNREAD", "mod.exported", "mod.recursive", "mod._rebinds", "mod.Box.unread"]
+
+
+def unused_imports(package):
+    """module:name for each name a module other than `__init__.py`
+    imports and never reads as a name."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        out.append("%s:%s" % (path.stem, name))
+    return out
+
+
+def test_every_import_is_read():
+    assert unused_imports(PACKAGE) == []
+
+
+def test_import_guard_catches_each_pattern(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .mod import used\n")
+    (package / "mod.py").write_text(
+        "import math\nimport os.path\nimport re\n"
+        "from itertools import product as iproduct, chain\n"
+        "from .other import identity, gram_of_rows\n\n"
+        "def used():\n    import random\n    import json\n"
+        "    return math.pi, os.sep, iproduct, random.random(), identity\n\n"
+        "def rebinds():\n    global re\n    re = 1\n"
+    )
+    assert unused_imports(package) == [
+        "mod:re", "mod:chain", "mod:gram_of_rows", "mod:json"]
