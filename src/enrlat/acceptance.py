@@ -18,10 +18,10 @@ from .embeddings import (
     vectors_of_norm,
 )
 from .enriques import epsilon, generate_isometry, is_twice_even
-from .errors import EnrLatError
+from .errors import BadShape, EnrLatError
 from .fqf import discriminant_form, is_isomorphic, milgram_signature, p_part, trivial_form
 from .intmat import det_bareiss, is_prime, mat_mul, transpose
-from .lattice import Lattice, standard_lattice
+from .lattice import Lattice, orthogonal_complement, standard_lattice
 from .nikulin import (
     condition_star,
     exists_even_lattice,
@@ -44,13 +44,32 @@ class CriterionResult:
 
 
 def load_fixtures(path=None):
-    if path is not None:
-        with open(path) as fh:
-            return json.load(fh)
+    """The published counts, or a file of the same shape: every section and
+    count the criteria read, with its JSON type. Anything else is BadShape."""
     from importlib import resources
 
     with resources.files("enrlat").joinpath("fixtures/published_counts.json").open() as fh:
-        return json.load(fh)
+        published = json.load(fh)
+    if path is None:
+        return published
+    try:
+        with open(path) as fh:
+            fixtures = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise BadShape("cannot read fixtures file %s: %s" % (path, exc))
+    if not _fits(fixtures, published):
+        raise BadShape("fixtures file %s lacks a section or count of the published ones" % path)
+    return fixtures
+
+
+def _fits(obj, ref):
+    # every key of ref but the comment is in obj, with ref's JSON type
+    # there (a bool is no count)
+    if isinstance(ref, dict):
+        return isinstance(obj, dict) and all(
+            key in obj and _fits(obj[key], value) for key, value in ref.items()
+            if not key.startswith("_"))
+    return type(obj) is type(ref)
 
 
 def _random_posdef_params(rng):
@@ -136,14 +155,24 @@ def _criterion_4(fixtures):
     return "200 generated isometries preserve the pairing and the parity"
 
 
+def _check_table_complement(rho, params, label):
+    # the complement read off the embedding is twice even and is the one
+    # that eliminates S = images * G * images^T afresh
+    emb = embedding_for_label(rho, params, label)
+    basis, comp = embedding_complement(emb)
+    want_basis, want = orthogonal_complement(emb.ambient, [list(r) for r in emb.images])
+    assert (basis, comp.gram, comp.det, comp.signature) == (
+        want_basis, want.gram, want.det, want.signature)
+    assert is_twice_even(comp.gram)
+
+
 def _criterion_5(fixtures):
     count = 0
     rng = random.Random(101)
     for _ in range(25):
         params = _random_posdef_params(rng)
         for label in ((1, 0), (0, 1), (1, 1)):
-            _, comp = embedding_complement(embedding_for_label(20, params, label))
-            assert is_twice_even(comp.gram)
+            _check_table_complement(20, params, label)
             count += 1
     sweeps = [
         (19, suggest_params(19, 202, count=3), 3),
@@ -155,8 +184,7 @@ def _criterion_5(fixtures):
             for label in iproduct((0, 1), repeat=size):
                 if not any(label):
                     continue
-                _, comp = embedding_complement(embedding_for_label(rho, params, label))
-                assert is_twice_even(comp.gram)
+                _check_table_complement(rho, params, label)
                 count += 1
     return "%d complements are all twice even" % count
 

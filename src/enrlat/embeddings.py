@@ -24,7 +24,7 @@ import math
 import random
 import re
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from operator import mul, neg
 
@@ -46,12 +46,25 @@ from .lattice import (
     _check_int_matrix,
     _int,
     _is_int,
-    _restricted_gram,
+    _complement,
+    _gram_from,
+    _products,
     orthogonal_complement,
     rational_signature,
     standard_lattice,
 )
 from .intmat import eliminate_symmetric, snf_diagonal
+
+
+# the most coordinates one norm enumeration tries: 110 times the most any
+# enumeration of the tables, the tests or the benchmark tries (37,834, E8(2)
+# at norm -24), and about a second of walking a rank-2 range
+ENUM_NODE_CAP = 1 << 22
+
+
+def _spent(nodes):
+    return CapExceeded("norm enumeration needs at least %d nodes, over its cap of %d"
+                       % (nodes, ENUM_NODE_CAP))
 
 
 def vectors_of_norm(lat, value, cap=200000):
@@ -74,7 +87,10 @@ def vectors_of_norm(lat, value, cap=200000):
     finds the vectors whose first nonzero coordinate is positive. The last
     two levels run in one loop: for each x_{k-2}, x_{k-1} is solved in place
     by an exact-square test. CapExceeded is raised inside that loop as soon
-    as the vectors found, with their negatives, number more than `cap`.
+    as the vectors found, with their negatives, number more than `cap`, and
+    before a level's loop when the coordinates tried, its whole range
+    counted at once, number more than ENUM_NODE_CAP: a huge value on a
+    small lattice stops at once instead of walking a range of 10^19.
 
     The order is pinned: by L1 norm, then coordinates in descending order.
     The walk lists the half in descending order, and every vector of it
@@ -110,7 +126,7 @@ def vectors_of_norm(lat, value, cap=200000):
             raise CapExceeded("more than %d vectors" % cap)
         return [[s // minors[1]], [-s // minors[1]]]
     buckets = defaultdict(list)  # L1 norm -> the half's vectors of that norm
-    found = 0
+    found = nodes = 0
     z = [0] * k
     d0, w0, d1, w1 = minors[1], weights[0], minors[2], weights[1]
     row0 = rows[0]
@@ -118,11 +134,15 @@ def vectors_of_norm(lat, value, cap=200000):
     def last_two(i, rem, c, free, l1):
         # i = 1, z[2:] is fixed, c = c_1; for each z_1 the remainder must
         # be w_0 y_0^2 exactly, with y_0 = d_0 z_0 + c_0
-        nonlocal found
+        nonlocal found, nodes
         s = math.isqrt(rem // w1)
         base = sum(map(mul, row0[2:], z[2:]))
         b1 = row0[1]
-        for t in range((s - c) // d1, -((s + c) // d1) - 1 if free else -1, -1):
+        top, stop = (s - c) // d1, -((s + c) // d1) - 1 if free else -1
+        nodes += top - stop
+        if nodes > ENUM_NODE_CAP:
+            raise _spent(nodes)
+        for t in range(top, stop, -1):
             y = d1 * t + c
             r = rem - w1 * y * y
             if r % w0:
@@ -145,12 +165,17 @@ def vectors_of_norm(lat, value, cap=200000):
         # rem = M |value| - sum_{j>i} w_j y_j^2; w y^2 <= rem holds exactly
         # when |y| <= isqrt(rem // w), y = d z_i + c.
         # Until some fixed coordinate is nonzero, c = 0 and t >= 0.
+        nonlocal nodes
         d, w = minors[i + 1], weights[i]
         s = math.isqrt(rem // w)
+        top, stop = (s - c) // d, -((s + c) // d) - 1 if free else -1
+        nodes += top - stop
+        if nodes > ENUM_NODE_CAP:
+            raise _spent(nodes)
         row = rows[i - 1]
         base = sum(map(mul, row[i + 1:], z[i + 1:]))
         down, b = last_two if i == 2 else rec, row[i]
-        for t in range((s - c) // d, -((s + c) // d) - 1 if free else -1, -1):
+        for t in range(top, stop, -1):
             z[i] = t
             y = d * t + c
             down(i - 1, rem - w * y * y, base + b * t, free or t != 0, l1 + abs(t))
@@ -356,9 +381,17 @@ def _search_tuples(gram):
 
 @dataclass(frozen=True)
 class PrimitiveEmbedding:
+    """Primitive embedding of source into ambient by basis images.
+
+    embedding_from_images also keeps the products images * G it checked
+    the source's gram S with, so that `embedding_complement` reads S's det
+    and signature off the source and takes no second product; equality,
+    hash and repr ignore them.
+    """
     source: Lattice
     images: tuple
     ambient: Lattice
+    _prods: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def label(self):
@@ -381,18 +414,30 @@ def embedding_from_images(source, images):
     diag = snf_diagonal(rows)
     if len(diag) < len(rows) or 0 in diag:
         raise DependentVectors("images are dependent")
-    got = _restricted_gram(nlat, rows)
+    prods = _products(nlat, rows)
+    got = _gram_from(rows, prods)
     want = [list(r) for r in source.gram]
     if got != want:
         raise GramMismatch("images have pairings %s, expected %s" % (got, want))
     index = math.prod(diag)
     if index != 1:
         raise NotPrimitive(index)
-    return PrimitiveEmbedding(source, tuple(tuple(r) for r in rows), nlat)
+    return PrimitiveEmbedding(source, tuple(tuple(r) for r in rows), nlat,
+                              tuple(map(tuple, prods)))
 
 
 def embedding_complement(emb):
-    return orthogonal_complement(emb.ambient, [list(r) for r in emb.images])
+    """(basis_rows, Lattice) of the orthogonal complement of the images.
+
+    S = images * G * images^T is the gram of emb.source, so its det and
+    signature are the source's and the kept products give the kernel: no
+    second product and no elimination of S. With no kept products (a
+    rank-0 source, or an embedding not built by embedding_from_images) it
+    is `orthogonal_complement`'s.
+    """
+    if not emb._prods:
+        return orthogonal_complement(emb.ambient, [list(r) for r in emb.images])
+    return _complement(emb.ambient, emb._prods, emb.source.det, emb.source.signature)
 
 
 # A linear form in the parameters, such as "2b-2a", "-4m" or "0", is stored

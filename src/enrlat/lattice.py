@@ -5,8 +5,10 @@ diagonal. Built from a gram, it gets its determinant and signature from
 one fraction-free symmetric elimination (`intmat.eliminate_symmetric`):
 the pivots' signs give the signature and the last pivot is the
 determinant. An orthogonal complement reads both off instead: from the
-Smith form of rows * G that finds its basis and from the elimination of
-the rows' own small gram (see `orthogonal_complement`). Products against
+Smith form of rows * G that finds its basis and from the rows' own small
+gram S: `orthogonal_complement` eliminates S, while the complement of a
+validated embedding reads S's det and signature off the embedding's
+source (`_complement`). Products against
 a Lattice's gram read the nonzero entries of each gram row, kept on the
 lattice after its first product; a raw gram matrix (`gram_of_rows`) is
 multiplied by `intmat.mat_mul`.
@@ -230,9 +232,10 @@ def orthogonal_complement(lat, rows):
         det C = det(lat) * det(S) / prod(d_i)^2,
         sig C = sig(lat) - sig(S),
 
-    read off S's elimination instead of C's. A degenerate S, or no rows,
-    gives the module of C's gram: a Lattice when the restricted form is
-    nondegenerate, otherwise a DegenerateQuadraticModule.
+    read off S's elimination instead of C's (see `_complement`). A
+    degenerate S, or no rows, gives the module of C's gram: a Lattice when
+    the restricted form is nondegenerate, otherwise a
+    DegenerateQuadraticModule.
     """
     _check_int_matrix(rows)
     n = lat.rank
@@ -242,15 +245,23 @@ def orthogonal_complement(lat, rows):
         basis = identity(n)
         return basis, _module(_restricted_gram(lat, basis))
     prods = _products(lat, rows)
-    basis, factors = _kernel_and_factors(prods)
-    gram = _restricted_gram(lat, basis)
     pos, neg, zero, det_s, _ = eliminate_symmetric(_gram_from(rows, prods))
     if zero:
-        return basis, _module(gram)
+        basis = _kernel_and_factors(prods)[0]
+        return basis, _module(_restricted_gram(lat, basis))
+    return _complement(lat, prods, det_s, (pos, neg))
+
+
+def _complement(lat, prods, det_s, sig_s):
+    """(basis_rows, Lattice) of the complement of nonempty rows whose
+    products prods = rows * G and nondegenerate gram S, of det det_s and
+    signature sig_s, are already known: one Smith form of prods, and no
+    elimination."""
+    basis, factors = _kernel_and_factors(prods)
     index = prod(factors)
     sig = lat.signature
-    return basis, Lattice._known(gram, lat.det * det_s // (index * index),
-                                 (sig[0] - pos, sig[1] - neg))
+    return basis, Lattice._known(_restricted_gram(lat, basis), lat.det * det_s // (index * index),
+                                 (sig[0] - sig_s[0], sig[1] - sig_s[1]))
 
 
 _U = [[0, 1], [1, 0]]

@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enrlat.cli import (
     canonical_json,
@@ -453,6 +454,96 @@ def test_unbounded_inputs_end_in_a_cap_envelope(argv):
     assert "over its cap of 1048576" in env["error"]["message"]
 
 
+def test_roots_on_a_huge_norm_ends_in_a_cap_envelope():
+    # a rank-2 range of 10^19 coordinates is refused before it is walked
+    start = time.monotonic()
+    code, out = run_cli(["--json", "roots", "--gram", "[[2,1],[1,2]]", "--norm", str(10 ** 39)])
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and json.loads(out)["error"]["type"] == "CapExceeded"
+
+
+_BIG = str(10 ** 40)
+_LONG = "7" * 5000  # past the digit limit of int() and json
+
+
+def _scalar_gram(n, d=2):
+    return json.dumps([[d * (i == j) for j in range(n)] for i in range(n)])
+
+
+# argument and file contents: malformed JSON, wrong types, ragged and
+# oversized matrices, huge integers, and some well-formed values
+HOSTILE = [
+    "", "[", "{", "null", "true", "1.5", "1e999", "NaN", '"x"', "{}", '{"gram": 5}', "[]",
+    "[[]]", "[[2]]", "[[2,1],[1,2]]", "[[-2,1],[1,-2]]", "[[2,1],[1]]", "[[2,1,0],[1,2]]",
+    "[1,2]", "[[true,0],[0,2]]", "[[2.0]]", '[["2"]]', "[[[2]]]", "1,0,1", "2,1;1,10", "a,b",
+    ";;", _BIG, "-" + _BIG, _LONG, "[%s]" % _LONG, "[[%s]]" % _BIG, "[[%s]]" % _LONG,
+    "[[2,%s],[%s,2]]" % (_BIG, _BIG), "[[4,0],[0,4]]", "[[3,0],[0,1]]", _scalar_gram(13),
+    _scalar_gram(30, -4), json.dumps([1] + [0] * 11), json.dumps([1] * 13),
+    "0", "-1", "2", "3", "12", "17", "20", "-56", "down", "up", "U", "N", "[1,1]", "[2,0]",
+    '{"source_gram": [], "images": []}', '{"source_gram": [[4,0],[0,4]], "images": 5}',
+    '{"source_gram": [[4]], "images": [[%s]]}' % _BIG,
+    '{"source_gram": [[4,0],[0,4]], "images": [[1,2,0,0,0,0,0,0,0,0,0,0],'
+    '[1,-2,1,2,0,0,0,0,0,0,0,0]]}',
+    '{"K": 5}', '{"H_L": [], "H_N": [], "gamma": [], "K": {"rank": 0, "signature": [0, 0],'
+    ' "fqf": {}}}',
+    '{"invariant_factors": [2], "q": 5}', '{"invariant_factors": [%s], "q": [[[1, %s]]]}'
+    % (_BIG, _BIG), '{"invariant_factors": [9, 3], "q": [[[2, 9], [1, 3]], [[1, 3], [4, 3]]]}',
+    '{"rows": [[1, 0], [0, 3]]}', '{"label_counts": 5}',
+]
+# each subcommand's options that take a value; "@" marks a file, and a
+# bare "@" is the positional file. accept always gets a criterion, so no
+# call runs a whole suite.
+FUZZED = {
+    "standard-lattice": ["--tag"],
+    "epsilon": ["--vector"],
+    "roots": ["--gram", "--gram-file@", "--norm", "--cap"],
+    "verify-embedding": ["@", "--file@"],
+    "theorem-a": ["--rho", "--params", "--label"],
+    "brauer-image": ["--rho", "--params"],
+    "im-phi-bound": ["--gram"],
+    "nikulin-exists": ["--signature", "--gram", "--fqf-file@"],
+    "condition-star": ["--parent-gram", "--lattice@", "--child-gram", "--sublattice@"],
+    "sublattice": ["--gram", "--lattice@", "--prime"],
+    "transfer": ["--direction", "--parent-gram", "--child-gram", "--child-basis",
+                 "--datum-file@"],
+    "verify-datum": ["--gram", "--datum-file@"],
+    "class-group": ["--disc"],
+    "theorem-c": ["--gram"],
+    "accept": ["--criterion", "--fixtures@"],
+}
+_VALUES = st.one_of(st.sampled_from(HOSTILE), st.integers(-10 ** 60, 10 ** 60).map(str),
+                    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+# the options argparse reads as an int draw from their own values, so that
+# the commands behind the parser meet huge ones often
+_INT_OPTIONS = {"--norm", "--cap", "--rho", "--prime", "--disc", "--criterion"}
+_INTS = st.sampled_from(["0", "-1", "1", "2", "3", "12", "17", "20", "-56", _BIG, "-" + _BIG,
+                         _LONG, "x", "1.5"])
+
+
+@settings(max_examples=300, deadline=5000, derandomize=True, database=None)
+@given(st.data())
+def test_hostile_input_ends_in_one_envelope(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(FUZZED)), label="command")
+    argv = ["--json", command]
+    for opt in FUZZED[command]:
+        if opt != "--criterion" and not data.draw(st.booleans(), label=opt + "?"):
+            continue
+        value = data.draw(_INTS if opt in _INT_OPTIONS else _VALUES, label=opt)
+        if opt.endswith("@"):
+            opt = opt[:-1]
+            path = tmp_path_factory.mktemp("fuzz") / "arg.json"
+            path.write_text(value)
+            value = str(path)
+        argv += [opt, value] if opt else [value]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = run_cli(argv)
+    assert code in (0, 1, 2), argv
+    assert out.endswith("\n") and out.count("\n") == 1, argv
+    assert isinstance(json.loads(out), dict)
+    assert "Traceback" not in out + err.getvalue()
+
+
 def test_human_mode_prints_verdict_lines():
     code, out = run_cli(["condition-star", "--parent-gram", "[[4,0],[0,4]]", "--child-gram", "[[36,0],[0,4]]"])
     assert code == 0
@@ -606,6 +697,7 @@ def golden_envelopes(tmp_path):
         "verify_embedding_valid": (
             [[4, 0], [0, 4]], [[1, 2] + [0] * 10, [1, -2, 1, 2] + [0] * 8]),
         "verify_embedding_not_primitive": ([[16]], [[2, 4] + [0] * 10]),
+        "verify_embedding_rank0": ([], []),
     }
     for stem, (gram, images) in embeddings.items():
         path = tmp_path / (stem + ".json")

@@ -3,13 +3,14 @@ import hashlib
 import json
 import math
 import random
+import sys
 import time
 from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enrlat import embeddings
+from enrlat import embeddings, intmat, lattice
 from enrlat.acceptance import naive_vectors
 from enrlat.embeddings import (
     character_upper_bound,
@@ -171,6 +172,30 @@ def test_cap_stops_the_search_early():
     with pytest.raises(CapExceeded, match="more than 1000 vectors"):
         vectors_of_norm(standard_lattice("E8"), -40, cap=1000)
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("gram, value", [
+    ([[2, 1], [1, 2]], 10 ** 39),
+    ([[-4 * (i == j) for j in range(30)] for i in range(30)], -4 * 10 ** 40),
+])
+def test_huge_value_stops_at_the_node_cap(gram, value):
+    # the first range alone is past the cap, so nothing of it is walked
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="over its cap of %d" % embeddings.ENUM_NODE_CAP):
+        vectors_of_norm(Lattice(gram), value)
+    assert time.perf_counter() - start < 1
+
+
+def test_node_cap_counts_every_coordinate_tried(monkeypatch):
+    # 240 roots of E8 under the real cap; the walk to them tries 250
+    # coordinates, so a cap one below that stops it at its last range
+    e8 = standard_lattice("E8")
+    assert len(vectors_of_norm(e8, -2)) == 240
+    monkeypatch.setattr(embeddings, "ENUM_NODE_CAP", 249)
+    with pytest.raises(CapExceeded, match="needs at least 250 nodes, over its cap of 249"):
+        vectors_of_norm(e8, -2)
+    monkeypatch.setattr(embeddings, "ENUM_NODE_CAP", 250)
+    assert len(vectors_of_norm(e8, -2)) == 240
 
 
 def test_rank_one_enumeration():
@@ -549,3 +574,43 @@ def test_exhausted_label_search_raises_not_found(monkeypatch):
     monkeypatch.setattr(embeddings, "ATTEMPT_CAP", 0)
     with pytest.raises(NotFound):
         embedding_for_label(17, (1,), (1, 0, 0, 0, 0))
+
+
+def _label_ops():
+    # every nonzero label of one parameter set per family, and a second
+    # rho = 17 multiplier
+    for rho, params in ((20, (2, 1, 3)), (19, (-2, 9, -5, -3, 9, -1)), (18, (-2, 9, -3)),
+                        (17, (1,)), (17, (2,))):
+        for label in product((0, 1), repeat=len(t_gram(rho, params))):
+            if any(label):
+                yield rho, params, label
+
+
+def test_label_op_work_is_pinned(monkeypatch):
+    # One label op, embedding_for_label then embedding_complement, on warm
+    # tables takes two products against N's gram (the images' gram check
+    # and the complement's gram), two Smith forms (the primitivity check
+    # and the kernel) and no elimination: the complement reads S's det and
+    # signature off the source and the kernel off the kept products. Each
+    # kernel is counted under every name an enrlat module binds it to.
+    for op in _label_ops():
+        embedding_complement(embedding_for_label(*op))
+    counts = dict.fromkeys(("eliminate_symmetric", "_products", "_smith"), 0)
+    modules = [m for name, m in sorted(sys.modules.items()) if name.startswith("enrlat.")]
+    for name, home in (("eliminate_symmetric", lattice), ("_products", lattice),
+                       ("_smith", intmat)):
+        kernel = getattr(home, name)
+
+        def counted(*args, _kernel=kernel, _name=name):
+            counts[_name] += 1
+            return _kernel(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is kernel:
+                monkeypatch.setattr(module, name, counted)
+    ops = 0
+    for op in _label_ops():
+        embedding_complement(embedding_for_label(*op))
+        ops += 1
+    assert ops == 87
+    assert counts == {"eliminate_symmetric": 0, "_products": 2 * ops, "_smith": 2 * ops}

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from enrlat.embeddings import (
     PrimitiveEmbedding,
+    embedding_complement,
     embedding_for_label,
     embedding_from_images,
     suggest_params,
@@ -33,7 +34,7 @@ from enrlat.lattice import (
     standard_lattice,
     sublattice_from_gram_change,
 )
-from enrlat.intmat import det_bareiss, hnf_rows, snf_diagonal
+from enrlat.intmat import det_bareiss, hnf_rows, identity, snf_diagonal
 
 from _oracles import maximal_minor_gcd, snf_diagonal_by_minor_gcds
 
@@ -271,8 +272,8 @@ def test_rational_signature_against_sympy_inertia(g):
 LABEL_LENGTH = {20: 2, 19: 3, 18: 4, 17: 5}
 
 
-def _label_rows():
-    """The images of every nonzero label the tables give for
+def _label_embeddings():
+    """The embedding of every nonzero label the tables give for
     suggest_params(rho, seed), rho 17 to 20 and seeds 0 to 2."""
     out = []
     for rho in (17, 18, 19, 20):
@@ -280,9 +281,12 @@ def _label_rows():
             for params in suggest_params(rho, seed):
                 for label in itertools.product((0, 1), repeat=LABEL_LENGTH[rho]):
                     if any(label):
-                        emb = embedding_for_label(rho, params, label)
-                        out.append([list(r) for r in emb.images])
+                        out.append(embedding_for_label(rho, params, label))
     return out
+
+
+def _label_rows():
+    return [[list(r) for r in emb.images] for emb in _label_embeddings()]
 
 
 def _random_rows_in_n(rng, count):
@@ -398,6 +402,32 @@ def test_complement_invariants_match_its_gram():
                                                                fresh.signature)
         assert module == fresh and hash(module) == hash(fresh)
     assert degenerate == 111 + 4
+
+
+def test_embedding_complement_matches_the_general_complement():
+    # the complement read off an embedding's source and kept products is
+    # the one orthogonal_complement finds by eliminating S afresh, on the
+    # label embeddings of the pinned cases and on a rank-0 source, whose
+    # complement is all of N on the identity basis
+    embs = _label_embeddings() + [embedding_from_images([], [])]
+    assert len(embs) == 504 + 1
+    for emb in embs:
+        rows = [list(r) for r in emb.images]
+        basis, comp = embedding_complement(emb)
+        want_basis, want = orthogonal_complement(emb.ambient, rows)
+        fresh = Lattice(list(comp.gram))
+        assert (basis, comp.gram, comp.det, comp.signature) == (
+            want_basis, want.gram, want.det, want.signature)
+        assert (comp, comp.det, comp.signature) == (fresh, fresh.det, fresh.signature)
+        # the kept products leave equality, hash and repr as they were
+        again = embedding_from_images(emb.source, rows)
+        bare = PrimitiveEmbedding(emb.source, emb.images, emb.ambient)
+        assert again == emb == bare and hash(again) == hash(emb) == hash(bare)
+        assert repr(again) == repr(bare) == (
+            "PrimitiveEmbedding(source=%r, images=%r, ambient=%r)"
+            % (emb.source, emb.images, emb.ambient))
+        assert embedding_complement(bare) == (basis, comp)
+    assert embedding_complement(embs[-1]) == (identity(12), standard_lattice("N"))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
