@@ -7,12 +7,15 @@ Every command prints a deterministic envelope:
 Under --json the output is canonical (sorted keys, no spaces) and
 runtime_ms is pinned to 0 so reruns are byte identical.  Exit status is 0
 when the command ran and its primary verdict (if any) holds, 1 when the
-primary verdict is negative, 2 on any domain error.
+primary verdict is negative, 2 on any domain error, and 141 when the reader
+closed stdout before the output was written.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -555,7 +558,31 @@ def _usage_error(exc, argv):
     return 2
 
 
+# exit status when the reader closed stdout first: 128 + SIGPIPE, the
+# status of a process that the signal ended
+CLOSED_STDOUT = 141
+
+
 def main(argv=None):
+    """Run one command line and return its exit status. When the reader
+    has closed stdout, stdout is pointed at the null device, so neither
+    this call nor the interpreter's flush at exit prints a traceback, and
+    the status is CLOSED_STDOUT."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # a stdout with no file descriptor (an in-process stand-in) needs none
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        return CLOSED_STDOUT
+    return code
+
+
+def _run(argv):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(argv)

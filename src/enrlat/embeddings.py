@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from operator import mul, neg
 
+from ._store import Store
 from .enriques import ambient, epsilon
 from .errors import (
     BadParams,
@@ -306,9 +307,9 @@ def _frame_tuples(gram):
 # gram (as a tuple of rows) -> (finished, the tuples iter_tuples_in_e82 has
 # yielded for it), finished once the search has run to its end. Nested
 # tuples of ints, which the cyclic collector stops tracking, and never a
-# suspended search; the oldest gram goes first.
-_TUPLES = {}
-_TUPLES_KEPT = 256
+# suspended search. A lookup that finds an unfinished entry counts as a hit,
+# though the search may run again past it.
+_TUPLES = Store(256)
 
 
 def iter_tuples_in_e82(gram):
@@ -316,13 +317,14 @@ def iter_tuples_in_e82(gram):
     mutual pairings that span a primitive sublattice, deterministically
     ordered.
 
-    The tuples yielded are kept per gram and replayed on the next call; a
-    caller that reads past them reruns the search, skips what is kept and
-    keeps what follows once it stops reading. The search is deterministic,
-    so every call yields what a fresh search yields, CapExceeded included.
+    The tuples yielded are kept per gram in the bounded store `_TUPLES`
+    (the 256 latest grams) and replayed on the next call; a caller that
+    reads past them reruns the search, skips what is kept and keeps what
+    follows once it stops reading. The search is deterministic, so every
+    call yields what a fresh search yields, CapExceeded included.
     """
     key = tuple(map(tuple, gram))
-    finished, kept = _TUPLES.get(key, (False, ()))
+    finished, kept = _TUPLES.lookup(key) or (False, ())
     yield from kept
     if finished:
         return
@@ -336,9 +338,7 @@ def iter_tuples_in_e82(gram):
     finally:
         # another call may have kept more of the same sequence meanwhile
         if finished or len(grown) > len(_TUPLES.get(key, (False, ()))[1]):
-            if key not in _TUPLES and len(_TUPLES) >= _TUPLES_KEPT:
-                del _TUPLES[next(iter(_TUPLES))]
-            _TUPLES[key] = (finished, tuple(grown))
+            _TUPLES.keep(key, (finished, tuple(grown)))
 
 
 def _search_tuples(gram):
@@ -626,23 +626,20 @@ def _candidates(fam, template, params):
 ATTEMPT_CAP = 200
 
 # (rho, params) -> (source Lattice, ((permutation, permuted params), ...))
-# of the last few parameter sets that passed the check
-_PREPARED = {}
-_PREPARED_KEPT = 16
+# of the last 16 parameter sets that passed the check
+_PREPARED = Store(16)
 
 
 def _prepared(fam, rho, params):
     key = (rho, params)
-    got = _PREPARED.get(key)
+    got = _PREPARED.lookup(key)
     if got is None:
         g = t_gram(rho, params)
         if not fam.accepts(g):
             raise BadParams(fam.message)
         perms = tuple((sigma, fam.params([[g[s][t] for t in sigma] for s in sigma]))
                       for sigma in fam.perms)
-        if len(_PREPARED) >= _PREPARED_KEPT:
-            del _PREPARED[next(iter(_PREPARED))]
-        got = _PREPARED[key] = (Lattice(g), perms)
+        got = _PREPARED.keep(key, (Lattice(g), perms))
     return got
 
 

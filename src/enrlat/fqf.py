@@ -28,11 +28,11 @@ Q, and only the JSON boundary asks for invariant factors
 A lattice keeps its discriminant form, the shared ambient N among them. A
 form keeps what is derived from it once: its two-torsion view, for the
 form of N its negation, and, for a lattice glued into N, its difference
-form with the form of N and the last graph quotient taken in it
-(`nikulin._graph_quotient`). Jordan splittings are kept by form value
-instead (`_jordan_split`): the 256 latest (form, p) splittings, a
-degenerate outcome included, so equal forms built again and again along
-the gluing path split once.
+form with the form of N. Jordan splittings are kept by form value instead,
+in a bounded store (`_jordan_split`): the 256 latest (form, p)
+splittings, a degenerate outcome included, so equal forms built again and
+again along the gluing path split once. Graph quotients are kept by form
+value the same way (`nikulin._graph_quotient`).
 
 `Fraction` stays at the edges: `q_of` returns one and `values` is the
 `Fraction` view of Q / m that the JSON boundary reads. The integer Smith
@@ -66,6 +66,7 @@ from fractions import Fraction
 from itertools import product
 from operator import add, mod, mul
 
+from ._store import Store
 from .errors import (
     BadShape,
     CapExceeded,
@@ -179,7 +180,6 @@ class FiniteQuadraticForm:
         self._order_two = None
         self._negated = None
         self._difference = None
-        self._glued = None
 
     @property
     def values(self):
@@ -485,26 +485,23 @@ def quotient_form(f, tmat, smat):
 
 # Jordan splittings by form value and prime, (orders, den, qmat, p): the
 # block tuple, or the message of the Degenerate the split raised. Tuples
-# only, never a form, so a form is still freed by reference counting; the
-# oldest key goes first.
-_SPLITS = {}
-_SPLITS_KEPT = 256
+# only, never a form, so a form is still freed by reference counting.
+_SPLITS = Store(256)
 
 
 def _jordan_split(f, p):
-    """Jordan splitting of the p-part of f (`_split_blocks`), kept per
-    form value: equal forms, however often rebuilt, split once, and a
-    degenerate one raises the same Degenerate again without a new split."""
+    """Jordan splitting of the p-part of f (`_split_blocks`), kept in the
+    bounded store `_SPLITS` by form value: equal forms, however often
+    rebuilt, split once while their key is kept, and a degenerate one
+    raises the same Degenerate again without a new split."""
     key = (f.orders, f.den, f.qmat, p)
-    kept = _SPLITS.get(key)
+    kept = _SPLITS.lookup(key)
     if kept is None:
         try:
             kept = _split_blocks(f, p)
         except Degenerate as exc:
             kept = str(exc)
-        if len(_SPLITS) >= _SPLITS_KEPT:
-            del _SPLITS[next(iter(_SPLITS))]
-        _SPLITS[key] = kept
+        _SPLITS.keep(key, kept)
     if isinstance(kept, str):
         raise Degenerate(kept)
     return kept

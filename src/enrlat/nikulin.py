@@ -5,6 +5,7 @@ from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import mul
 
+from ._store import Store
 from .enriques import ambient
 from .errors import (
     BadCongruence,
@@ -153,23 +154,33 @@ def _check_datum_shape(datum, fl, fn):
             raise BadShape("%s rows must have %d entries" % (name, form.num_gens))
 
 
+# graph quotients by (orders, den, qmat) of the source form, H_L rows and
+# gamma rows as given: the quotient's (orders, den, qmat). Tuples only,
+# never a form, so a form is still freed by reference counting.
+_GLUED = Store(256)
+
+
 def _graph_quotient(fl, h_l_gens, gamma_rows):
     """The subquotient carried by the graph of the identification inside
     the difference form of fl and the ambient form.
 
-    The last one built is kept on fl, keyed by the H_L rows and the gamma
-    rows as given, so verify and transfer_datum_up read the quotient of
-    the datum that find_embedding_datum built. It is a function of the
-    form value and the rows alone, so a hit returns what building it again
-    would; a call that raises keeps nothing."""
-    key = (tuple(map(tuple, h_l_gens)), tuple(map(tuple, gamma_rows)))
-    if fl._glued is not None and fl._glued[0] == key:
-        return fl._glued[1]
+    It is a function of the form value and the rows alone (Nikulin 1.15.1),
+    so it is kept in the bounded store `_GLUED` by form value and rows:
+    verify and transfer_datum_up read the quotient that
+    find_embedding_datum built, and so does every later lattice with an
+    equal form. A hit rebuilds the form from the kept tuple, equal to what
+    building it again would give; a call that raises keeps nothing."""
+    key = (fl.orders, fl.den, fl.qmat,
+           tuple(map(tuple, h_l_gens)), tuple(map(tuple, gamma_rows)))
+    kept = _GLUED.lookup(key)
+    if kept is not None:
+        orders, den, qmat = kept
+        return FiniteQuadraticForm.over(orders, qmat, den)
     diff = _difference_form(fl)
     graph = [list(h) + list(g) for h, g in zip(h_l_gens, gamma_rows)]
     perp = perp_subgroup(diff, graph)
     quot = quotient_form(diff, perp, subgroup_matrix(diff, graph))
-    fl._glued = (key, quot)
+    _GLUED.keep(key, (quot.orders, quot.den, quot.qmat))
     return quot
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enrlat.cli import (
+    CLOSED_STDOUT,
     canonical_json,
     datum_from_json,
     datum_to_json,
@@ -49,6 +50,47 @@ def test_python_dash_m_matches_main():
                           capture_output=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run_cli(argv)[1].encode()
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [
+    ["--json", "standard-lattice", "--tag", "U"],
+    ["standard-lattice", "--tag", "U"],
+    ["accept", "--criterion", "3"],
+    ["--json", "roots", "--gram", "[[2]]", "--norm", "abc"],
+])
+def test_closed_stdout_ends_without_a_traceback(argv, monkeypatch):
+    out = _ClosedStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == CLOSED_STDOUT == 141
+    assert out.writes == 1
+
+
+def test_closed_pipe_ends_the_process_quietly():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "enrlat", "--json",
+                               "standard-lattice", "--tag", "U"], env=env, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (CLOSED_STDOUT, "")
 
 
 def test_json_output_is_byte_stable():

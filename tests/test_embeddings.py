@@ -334,14 +334,13 @@ def test_embedding_from_images_detects_imprimitive():
         assert info.value.index == abs(c[0][0] * c[1][1] - c[0][1] * c[1][0])
 
 
-def test_rho_17_sweep_leaves_no_tracked_objects(monkeypatch):
+def test_rho_17_sweep_leaves_no_tracked_objects(monkeypatch, stores):
     # the E8(2) vector cache holds thousands of vectors; stored as tuples of
     # ints they leave the cyclic collector's tracked set, so a full
-    # collection does not walk them again. Empty caches make the sweep fill
-    # them whatever ran before: kept tuples would skip the enumeration.
+    # collection does not walk them again. Empty caches and stores make the
+    # sweep fill them whatever ran before: kept tuples would skip the
+    # enumeration.
     monkeypatch.setattr(embeddings, "_E82_CACHE", {})
-    monkeypatch.setattr(embeddings, "_TUPLES", {})
-    monkeypatch.setattr(embeddings, "_PREPARED", {})
     gc.collect()
     before = len(gc.get_objects())
     for m in (1, 2, 3):
@@ -489,8 +488,7 @@ def test_sampler_past_its_ranges_raises_cap_exceeded(rho, accepted):
 
 # ------------------------------------------- kept tuples and parameters
 
-def test_same_gram_twice_yields_the_same_tuples(monkeypatch):
-    monkeypatch.setattr(embeddings, "_TUPLES", {})
+def test_same_gram_twice_yields_the_same_tuples(stores):
     gram = [[-8, 0], [0, -12]]
     first = list(islice(iter_tuples_in_e82(gram), 4))
     assert len(first) == 4
@@ -500,26 +498,23 @@ def test_same_gram_twice_yields_the_same_tuples(monkeypatch):
     assert all(type(x) is int for rows in kept for row in rows for x in row)
 
 
-def test_reading_past_the_kept_tuples_matches_a_fresh_search(monkeypatch):
+def test_reading_past_the_kept_tuples_matches_a_fresh_search(stores):
     gram = [[-4, -2], [-2, -8]]
-    monkeypatch.setattr(embeddings, "_TUPLES", {})
     fresh = list(islice(iter_tuples_in_e82(gram), 7))
-    monkeypatch.setattr(embeddings, "_TUPLES", {})
+    stores["_TUPLES"].clear()
     assert list(islice(iter_tuples_in_e82(gram), 2)) == fresh[:2]
     assert list(islice(iter_tuples_in_e82(gram), 7)) == fresh
     assert list(islice(iter_tuples_in_e82(gram), 3)) == fresh[:3]
 
 
-def test_a_finished_search_is_replayed_whole(monkeypatch):
-    monkeypatch.setattr(embeddings, "_TUPLES", {})
+def test_a_finished_search_is_replayed_whole(stores):
     gram = [[-4, -4], [-4, -4]]  # t1 = t0 spans no primitive rank-2 sublattice
     assert list(iter_tuples_in_e82(gram)) == []
     assert embeddings._TUPLES[((-4, -4), (-4, -4))] == (True, ())
     assert list(iter_tuples_in_e82(gram)) == []
 
 
-def test_spent_tuple_search_raises_on_every_call(monkeypatch):
-    monkeypatch.setattr(embeddings, "_TUPLES", {})
+def test_spent_tuple_search_raises_on_every_call(monkeypatch, stores):
     monkeypatch.setattr(embeddings, "TUPLE_NODE_CAP", 300)
     # the first tuples come within the cap and are kept; the search past
     # them runs out of nodes on every call

@@ -334,9 +334,8 @@ def test_canonical_forms_and_kept_forms_leave_no_cycles():
 
 
 def _recorded_splits(monkeypatch):
-    """Empty the kept splittings and count every split that runs, by form
-    value and prime."""
-    monkeypatch.setattr(fqf, "_SPLITS", {})
+    """Count every split that runs, by form value and prime; the tests that
+    call this empty the kept splittings through the `stores` fixture."""
     runs = Counter()
     split = fqf._split_blocks
 
@@ -348,7 +347,7 @@ def _recorded_splits(monkeypatch):
     return runs
 
 
-def test_degenerate_splits_are_kept_and_raised_again(monkeypatch):
+def test_degenerate_splits_are_kept_and_raised_again(monkeypatch, stores):
     runs = _recorded_splits(monkeypatch)
     form = FiniteQuadraticForm((2,), [[0]])
     messages = []
@@ -363,13 +362,13 @@ def test_degenerate_splits_are_kept_and_raised_again(monkeypatch):
     assert list(runs.values()) == [1]
 
 
-def test_kept_splittings_keep_the_latest_256_keys(monkeypatch):
+def test_kept_splittings_keep_the_latest_256_keys(monkeypatch, stores):
     runs = _recorded_splits(monkeypatch)
     forms = [FiniteQuadraticForm((d,), [[Fraction(1 + d % 2, d)]]) for d in range(2, 302)]
     keys = [(f.orders, f.den, f.qmat, min(prime_factors(f.group_order))) for f in forms]
     for form, key in zip(forms, keys):
         _jordan_split(form, key[-1])
-    assert len(set(keys)) == 300 and fqf._SPLITS_KEPT == 256
+    assert len(set(keys)) == 300 and fqf._SPLITS.bound == 256
     assert list(fqf._SPLITS) == keys[-256:]
     # the oldest key was evicted, so its form splits again and evicts the
     # next oldest; the latest is still kept
@@ -974,8 +973,8 @@ def _random_two_group_form(rng, k, orders):
 def _split_forms(rng):
     """Discriminant forms of seeded sparse even lattices of rank 1 to 9,
     seeded (Z/2)^k forms with k <= 12 and 2-group forms of orders 2, 4, 8,
-    the small forms and quotients of `_small_forms`, and the difference
-    forms and last graph quotients of the datum search on small lattices."""
+    the small forms and quotients of `_small_forms`, and on small lattices
+    the difference form and the graph quotient of the datum found."""
     forms = []
     while len(forms) < 150:
         n = rng.randint(1, 9)
@@ -994,20 +993,20 @@ def _split_forms(rng):
     forms += _small_forms(rng, 60, 400)
     for g in ([[2]], [[-2]], [[4]], [[-4, 2], [2, -4]], [[2, 1], [1, -2]], [[4, 0], [0, 4]],
               [[-2, 0], [0, 2]], [[-2, -1, 0], [-1, -2, -1], [0, -1, -4]]):
-        fl = discriminant_form(Lattice(g))
+        lat = Lattice(g)
+        fl = discriminant_form(lat)
         forms.append(nikulin._difference_form(fl))
         try:
-            nikulin.find_embedding_datum(Lattice(g))
+            datum = nikulin.find_embedding_datum(lat)
         except EnrLatError:
-            pass
-        if fl._glued is not None:
-            forms.append(fl._glued[1])
+            continue
+        forms.append(nikulin._graph_quotient(fl, datum.h_l, datum.gamma))
     return forms
 
 
 # sha256 of every `_split_blocks(f, p)` outcome, the block tuple or the
 # Degenerate message, on `_split_forms` at each prime of the group order
-SPLIT_DIGEST = "f497775c2fd463e4256b2360b7367b27b480c3fe88c7b6dc0187d855741f05a0"
+SPLIT_DIGEST = "966b21f61f754a206cfda5134d335dc2b81bc280b2d622aa525ad53a909a25bd"
 
 
 def test_split_blocks_outcomes_are_pinned():

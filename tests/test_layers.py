@@ -6,15 +6,16 @@ function counts too): `from .x import ...`, `from . import x`,
 `from enrlat.x import ...`, `from enrlat import x` and `import enrlat.x`.
 Each must be in the module's layer below:
 
-    errors                        nothing
-    intmat                        errors
-    lattice                       errors, intmat
-    fqf, enriques, classgroups    errors, intmat, lattice
-    embeddings                    those three and enriques
-    nikulin                       those three, enriques and fqf
+    _store                        nothing
+    errors                        _store
+    intmat                        _store, errors
+    lattice                       _store, errors, intmat
+    fqf, enriques, classgroups    _store, errors, intmat, lattice
+    embeddings                    those four and enriques
+    nikulin                       those four, enriques and fqf
 
-so the integer matrix layer knows nothing of lattices, and a lattice
-nothing of forms or embeddings. The front ends (`__init__`, `__main__`,
+so the bounded store knows nothing of the package, the integer matrix
+layer nothing of lattices, and a lattice nothing of forms or embeddings. The front ends (`__init__`, `__main__`,
 `cli`, `acceptance`) may import anything; a module that is in neither
 list fails until it is given a place.
 
@@ -30,11 +31,12 @@ import enrlat
 
 PACKAGE = Path(enrlat.__file__).parent
 
-_BASE = {"errors", "intmat", "lattice"}
+_BASE = {"_store", "errors", "intmat", "lattice"}
 LAYERS = {
-    "errors": set(),
-    "intmat": {"errors"},
-    "lattice": {"errors", "intmat"},
+    "_store": set(),
+    "errors": {"_store"},
+    "intmat": {"_store", "errors"},
+    "lattice": {"_store", "errors", "intmat"},
     "fqf": _BASE,
     "enriques": _BASE,
     "classgroups": _BASE,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -7,6 +8,7 @@ from itertools import product
 import pytest
 
 from enrlat import fqf, nikulin
+from enrlat.cli import canonical_json, datum_to_json
 from enrlat.errors import (
     BadPrime,
     BadShape,
@@ -425,11 +427,10 @@ def test_transfer_round_trip():
     assert fqf_isomorphic(up.k_fqf, datum.k_fqf) is not None
 
 
-def test_gluing_path_splits_each_form_value_once(monkeypatch):
+def test_gluing_path_splits_each_form_value_once(monkeypatch, stores):
     """Along find, verify and one descent step of a det-16 gram, and find
     and verify on two fresh lattices of one det-12 gram, no (form value, p)
     is split twice, and every splitting served equals a fresh one."""
-    monkeypatch.setattr(fqf, "_SPLITS", {})
     runs, served = Counter(), {}
     split, kept = fqf._split_blocks, fqf._jordan_split
 
@@ -474,11 +475,12 @@ def test_gluing_path_splits_each_form_value_once(monkeypatch):
     ([[4, 4], [4, 8]], 3),
     ([[4, 2], [2, 4]], 5),
 ])
-def test_descent_chain_builds_each_graph_quotient_once(gram, p, monkeypatch):
-    """Along find, verify, down, verify child, up and verify, only find and
-    the child's verify build a graph quotient: verify and up read the one
-    kept on the parent form. Every quotient served equals one built on a
-    fresh lattice of the same gram."""
+def test_descent_chain_builds_each_graph_quotient_once(gram, p, monkeypatch, stores):
+    """From empty stores, along find, verify, down, verify child, up and
+    verify, only find and the child's verify build a graph quotient: verify
+    and up read the one kept by the parent form's value. Every quotient
+    served equals one built afresh, from an empty store, on a fresh lattice
+    of the same gram."""
     built, served = [0], []
     build, graph_quotient = nikulin.quotient_form, nikulin._graph_quotient
 
@@ -512,16 +514,18 @@ def test_descent_chain_builds_each_graph_quotient_once(gram, p, monkeypatch):
     assert counts == [1, 0, 0, 1, 0, 0]
     grams = {id(discriminant_form(lat)): lat.gram for lat in (parent, child)}
     for fl, h_l_gens, gamma_rows, out in served:
+        stores["_GLUED"].clear()
         fresh = discriminant_form(Lattice(grams[id(fl)]))
         assert out == graph_quotient(fresh, h_l_gens, gamma_rows)
 
 
-def test_kept_graph_quotient_decides_no_verdict_and_keeps_no_error(monkeypatch):
+def test_kept_graph_quotient_decides_no_verdict_and_keeps_no_error(monkeypatch, stores):
     lat = Lattice([[4, 2], [2, 4]])
     good = find_embedding_datum(lat)
     fl = discriminant_form(lat)
-    kept = fl._glued
-    assert kept is not None
+    glued = stores["_GLUED"]
+    kept = dict(glued)
+    assert kept and glued.hits == 0
     built = []
     build = nikulin.quotient_form
 
@@ -539,16 +543,132 @@ def test_kept_graph_quotient_decides_no_verdict_and_keeps_no_error(monkeypatch):
     ok, reasons = verify_embedding_datum(lat, wrong)
     assert not ok
     assert reasons == ["complement discriminant form does not match the subquotient"]
-    assert not built
+    assert not built and glued.hits == 1
     # q(h) = 1 and q(g) = 0, so the graph is not isotropic: the error is
-    # raised anew on each call and the earlier entry stays
+    # raised anew on each call, nothing is stored and the earlier entries stay
     h, g = good.h_l[0], (0,) * 9 + (1,)
     assert fl.q_of(h) != discriminant_form(ambient()).q_of(g)
     for _ in range(2):
         with pytest.raises(NotIsotropic):
             nikulin._graph_quotient(fl, [h], [g])
-    assert len(built) == 2
-    assert fl._glued is kept
+    assert len(built) == 2 and glued.hits == 1
+    assert dict(glued) == kept
+
+
+# ----------------------------------------- graph quotients by form value
+
+def _gram_sweep():
+    """Seeded rank-1 and rank-2 even grams, then distinct grams with equal
+    discriminant forms: the five det-16 shapes of the gluing benchmark
+    (three share one form value) and [[4, 2], [2, 4]], [[4, -2], [-2, 4]]."""
+    rng = random.Random(3535)
+    grams = []
+    while len(grams) < 24:
+        n = rng.randint(1, 2)
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = 2 * rng.choice((-3, -2, -1, 1, 2, 3))
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        if n == 1 or g[0][0] * g[1][1] != g[0][1] ** 2:
+            grams.append(g)
+    grams += [[[4 * a, 2 * b], [2 * b, 4 * c]]
+              for a, b, c in ((1, 0, 1), (1, 2, 2), (2, 2, 1), (1, -2, 2), (2, -2, 1))]
+    return grams + [[[4, 2], [2, 4]], [[4, -2], [-2, 4]]]
+
+
+def _gluing_outcomes(grams, before_call):
+    """One line per call of find, verify, transfer down, verify on the
+    child, transfer up and verify on each gram, one step down at the
+    smallest admissible prime: the datum's `datum_to_json` bytes or the
+    verdict, or the error's type and message. before_call runs before
+    every call."""
+    lines = []
+
+    def call(what, f, *args):
+        before_call()
+        try:
+            out = f(*args)
+        except EnrLatError as exc:
+            lines.append("%s %s: %s" % (what, type(exc).__name__, exc))
+            return None
+        shown = canonical_json(datum_to_json(out)) if what in ("find", "down", "up") else out
+        lines.append("%s %s" % (what, shown))
+        return out
+
+    for g in grams:
+        lat = Lattice(g)
+        datum = call("find", find_embedding_datum, lat)
+        if datum is None:
+            continue
+        call("verify", verify_embedding_datum, lat, datum)
+        child, rows = index_p_sublattice(lat, _smallest_admissible_prime(abs(lat.det)))
+        down = call("down", transfer_datum_down, lat, child, datum, rows)
+        if down is None:
+            continue
+        call("verify child", verify_embedding_datum, child, down)
+        up = call("up", transfer_datum_up, lat, child, down, rows)
+        if up is not None:
+            call("verify up", verify_embedding_datum, lat, up)
+    return lines
+
+
+# sha256 of the lines of `_gluing_outcomes` on `_gram_sweep()`
+GLUING_OUTCOMES_DIGEST = "aa33bb6df7d156520324e321ada3aaf94ef4f178f605b2baf44b5bc360378a6a"
+
+
+def test_kept_graph_quotients_change_no_byte(stores):
+    """Cold, with every store emptied before each call, and warm, with the
+    stores kept across calls and grams, the sweep gives the same bytes and
+    verdicts, and both are the pinned ones; the warm pass serves grams of
+    equal form from the quotients of the first."""
+    grams = _gram_sweep()
+
+    def empty():
+        for store in stores.values():
+            store.clear()
+
+    cold = _gluing_outcomes(grams, empty)
+    empty()
+    warm = _gluing_outcomes(grams, lambda: None)
+    assert warm == cold
+    assert len(cold) == 181 and cold.count("verify (True, [])") == 30
+    assert hashlib.sha256("\n".join(cold).encode()).hexdigest() == GLUING_OUTCOMES_DIGEST
+    glued = stores["_GLUED"]
+    for first, *rest in (([[4, 0], [0, 4]], [[4, 4], [4, 8]], [[4, -4], [-4, 8]]),
+                         ([[4, 2], [2, 4]], [[4, -2], [-2, 4]])):
+        empty()
+        datum = find_embedding_datum(Lattice(first))
+        built = glued.misses
+        for g in rest:
+            assert find_embedding_datum(Lattice(g)) == datum
+        assert glued.misses == built
+
+
+# The gluing benchmark's inputs, each rank-2 class in two Gram shapes:
+# descent grams (find, verify, one step down at the smallest admissible
+# prime, verify on the child, up) and datum grams (find, verify).
+WORK_DESCENT = ([[4]], [[-4]], [[4, 0], [0, 4]], [[4, 4], [4, 8]])
+WORK_DATUM = ([[4, 2], [2, 4]], [[4, -2], [-2, 4]], [[4, 2], [2, 8]], [[8, -2], [-2, 4]])
+
+
+def test_graph_quotient_work_is_pinned(stores):
+    """From empty stores, the graph quotients asked for and built along the
+    benchmark's gluing path, its chain's find first, read off the store's
+    counts. With one quotient kept per form object instead, 13 of the 25
+    were built."""
+    find_embedding_datum(Lattice([[4, 0], [0, 4]]))
+    for g in WORK_DESCENT + WORK_DATUM:
+        lat = Lattice(g)
+        datum = find_embedding_datum(lat)
+        assert verify_embedding_datum(lat, datum) == (True, [])
+        if g in WORK_DESCENT:
+            child, rows = index_p_sublattice(lat, _smallest_admissible_prime(abs(lat.det)))
+            down = transfer_datum_down(lat, child, datum, rows)
+            assert verify_embedding_datum(child, down) == (True, [])
+            transfer_datum_up(lat, child, down, rows)
+    glued = stores["_GLUED"]
+    assert (glued.hits + glued.misses, glued.misses) == (25, 9)
 
 
 def test_transfer_round_trip_sweep():
