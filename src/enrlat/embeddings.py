@@ -193,8 +193,6 @@ def vectors_of_norm(lat, value, cap=200000):
     return out
 
 
-_E82_CACHE = {}
-
 # enumeration is skipped for norms past this; the frame path covers them
 _ENUM_NORM_BOUND = 24
 
@@ -204,45 +202,40 @@ _MAX_SQUARES = 8
 _FRAME_TUPLE_LIMIT = 200
 TUPLE_NODE_CAP = 500_000
 
+# norm -> the vectors of E8(2) of that norm, in vectors_of_norm's order, as
+# tuples. A function of the norm alone (E8(2) is fixed). The tuple search
+# asks only for norms of absolute value at most _ENUM_NORM_BOUND, so the
+# bound holds every shell it asks for and none is dropped and rebuilt.
+_E82_CACHE = Store(2 * _ENUM_NORM_BOUND + 1)
+
 
 def _e82_vectors(norm):
     # Tuples, not lists: a tuple of ints leaves the cyclic collector's
-    # tracked set after one pass, so the ~9,100 cached vectors are not
+    # tracked set after one pass, so the ~9,100 kept vectors are not
     # walked again by every full collection. Each list is replaced in
     # place, so the lists and the tuples are never all alive at once.
-    if norm not in _E82_CACHE:
+    got = _E82_CACHE.lookup(norm)
+    if got is None:
         vecs = vectors_of_norm(standard_lattice("E82"), norm)
         for i, v in enumerate(vecs):
             vecs[i] = tuple(v)
-        _E82_CACHE[norm] = tuple(vecs)
-    return _E82_CACHE[norm]
+        got = _E82_CACHE.keep(norm, tuple(vecs))
+    return got
 
 
-_FRAME = []
-
-
-def _orthogonal_frame():
-    """Eight mutually orthogonal minimal vectors of the definite scaled
-    piece, fixed once."""
-    if _FRAME:
-        return _FRAME
-    e82 = standard_lattice("E82")
-    roots = _e82_vectors(-4)
-
-    def dfs(chosen):
-        if len(chosen) == 8:
-            return chosen
-        for cand in roots:
-            if all(e82.bilinear(cand, c) == 0 for c in chosen):
-                got = dfs(chosen + [cand])
-                if got is not None:
-                    return got
-        return None
-
-    frame = dfs([])
-    assert frame is not None
-    _FRAME.extend(tuple(r) for r in frame)
-    return _FRAME
+# Eight mutually orthogonal vectors of norm -4 of E8(2), fixed: the first
+# eight a depth-first search over the norm -4 shell, in vectors_of_norm's
+# order, picks.
+_FRAME = (
+    (1, 0, 0, 0, 0, 0, 0, 0),
+    (0, 1, 0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0, 1, 0),
+    (1, 1, 2, 2, 1, 0, 0, 0),
+    (1, 1, 2, 2, 2, 2, 1, 0),
+    (1, 2, 2, 4, 3, 2, 1, 0),
+    (2, 3, 4, 6, 5, 4, 3, 2),
+)
 
 
 def _square_decomps(n):
@@ -279,7 +272,6 @@ def _frame_tuples(gram):
         if gram[i][i] >= 0 or gram[i][i] % 4:
             return
         needs.append(-gram[i][i] // 4)
-    frame = _orthogonal_frame()
     reprs = [_square_decomps(n)[:6] for n in needs]
     if any(not r for r in reprs):
         return
@@ -295,7 +287,7 @@ def _frame_tuples(gram):
                 row = [0] * 8
                 for j, coeff in enumerate(rep):
                     for c in range(8):
-                        row[c] += coeff * frame[off + j][c]
+                        row[c] += coeff * _FRAME[off + j][c]
                 rows.append(tuple(row))
                 off += len(rep)
             yield tuple(rows)
@@ -305,10 +297,12 @@ def _frame_tuples(gram):
 
 
 # gram (as a tuple of rows) -> (finished, the tuples iter_tuples_in_e82 has
-# yielded for it), finished once the search has run to its end. Nested
-# tuples of ints, which the cyclic collector stops tracking, and never a
-# suspended search. A lookup that finds an unfinished entry counts as a hit,
-# though the search may run again past it.
+# yielded for it), finished once the search has run to its end. The search
+# reads the gram and fixed data only: E8(2), _FRAME, the vectors of
+# _E82_CACHE and this module's limits. Nested tuples of ints, which the
+# cyclic collector stops tracking, and never a suspended search. A lookup
+# that finds an unfinished entry counts as a hit, though the search may
+# run again past it.
 _TUPLES = Store(256)
 
 
@@ -626,7 +620,8 @@ def _candidates(fam, template, params):
 ATTEMPT_CAP = 200
 
 # (rho, params) -> (source Lattice, ((permutation, permuted params), ...))
-# of the last 16 parameter sets that passed the check
+# of the last 16 parameter sets that passed the check. A function of rho and
+# params alone: the family of rho is fixed data.
 _PREPARED = Store(16)
 
 

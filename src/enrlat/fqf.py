@@ -25,14 +25,14 @@ the multiples (d / p^a) e_i of its generators, its value matrix read off
 Q, and only the JSON boundary asks for invariant factors
 (`canonical_form`).
 
-A lattice keeps its discriminant form, the shared ambient N among them. A
-form keeps what is derived from it once: its two-torsion view, for the
-form of N its negation, and, for a lattice glued into N, its difference
-form with the form of N. Jordan splittings are kept by form value instead,
-in a bounded store (`_jordan_split`): the 256 latest (form, p)
-splittings, a degenerate outcome included, so equal forms built again and
-again along the gluing path split once. Graph quotients are kept by form
-value the same way (`nikulin._graph_quotient`).
+A lattice keeps its discriminant form, the shared ambient N among them,
+and a form keeps its two-torsion view: data derived from one object stays
+on it. Jordan splittings are kept by form value instead, in a bounded
+store (`_jordan_split`): the 256 latest (form, p) splittings, a degenerate
+outcome included, so equal forms built again and again along the gluing
+path split once. Graph quotients are kept by form value the same way
+(`nikulin._graph_quotient`); the difference form they are cut from is
+built on each miss.
 
 `Fraction` stays at the edges: `q_of` returns one and `values` is the
 `Fraction` view of Q / m that the JSON boundary reads. The integer Smith
@@ -178,8 +178,6 @@ class FiniteQuadraticForm:
         self.den = den // g
         self.qmat = rows if g == 1 else tuple(tuple(x // g for x in r) for r in rows)
         self._order_two = None
-        self._negated = None
-        self._difference = None
 
     @property
     def values(self):
@@ -484,8 +482,9 @@ def quotient_form(f, tmat, smat):
 
 
 # Jordan splittings by form value and prime, (orders, den, qmat, p): the
-# block tuple, or the message of the Degenerate the split raised. Tuples
-# only, never a form, so a form is still freed by reference counting.
+# block tuple, or the message of the Degenerate the split raised. The split
+# reads those four and nothing else. Tuples only, never a form, so a form
+# is still freed by reference counting.
 _SPLITS = Store(256)
 
 

@@ -299,37 +299,30 @@ def _scaled(g, s):
     return [[s * x for x in row] for row in g]
 
 
-_TAGS = {}
-
-
 def _register(gram, *names):
-    for nm in names:
-        _TAGS[nm] = gram
+    """Every alias in names mapped to the one Lattice of gram."""
+    return dict.fromkeys(names, Lattice(gram))
 
 
-_register(_U, "U", "u", "hyperbolic")
-_register(_U2, "U2", "u2", "U(2)", "u(2)")
-_register(_e8_gram(), "E8", "e8")
-_register(_scaled(_e8_gram(), 2), "E82", "e82", "E8(2)", "e8(2)")
-_register(_block_diag(_U2, _scaled(_e8_gram(), 2)), "M", "m")
-_register(_block_diag(_U, _U2, _scaled(_e8_gram(), 2)), "N", "n")
-_register(
-    _block_diag(_e8_gram(), _e8_gram(), _U, _U, _U),
-    "Lambda", "lambda", "K3",
-)
-
-
-_BUILT = {}
+# every alias of a standard lattice -> its one Lattice, built at import
+_TAGS = {
+    **_register(_U, "U", "u", "hyperbolic"),
+    **_register(_U2, "U2", "u2", "U(2)", "u(2)"),
+    **_register(_e8_gram(), "E8", "e8"),
+    **_register(_scaled(_e8_gram(), 2), "E82", "e82", "E8(2)", "e8(2)"),
+    **_register(_block_diag(_U2, _scaled(_e8_gram(), 2)), "M", "m"),
+    **_register(_block_diag(_U, _U2, _scaled(_e8_gram(), 2)), "N", "n"),
+    **_register(_block_diag(_e8_gram(), _e8_gram(), _U, _U, _U), "Lambda", "lambda", "K3"),
+}
 
 
 def standard_lattice(tag):
     """Fixed lattices by tag: U, U2, E8, E82, M, N, Lambda.
 
-    Each tag's Lattice is built on first use and that one instance is
-    returned after; it is shared by every caller and must not be mutated.
+    Each lattice is built once, at import, and every alias of it names
+    that one instance: it is shared by every caller, with what it keeps
+    (its discriminant form), and must not be mutated.
     """
     if tag not in _TAGS:
         raise UnknownTag("unknown lattice tag %r" % (tag,))
-    if tag not in _BUILT:
-        _BUILT[tag] = Lattice(_TAGS[tag])
-    return _BUILT[tag]
+    return _TAGS[tag]

@@ -98,14 +98,10 @@ DATUM_NODE_CAP = 200_000
 
 
 def _difference_form(fl):
-    """The difference form fl (+) (-q_N) of fl and the ambient form, kept
-    on fl; q_N itself is kept on the shared lattice N, and -q_N on q_N."""
-    if fl._difference is None:
-        fn = discriminant_form(ambient())
-        if fn._negated is None:
-            fn._negated = negate_fqf(fn)
-        fl._difference = direct_sum_fqf(fl, fn._negated)
-    return fl._difference
+    """The difference form fl (+) (-q_N) of fl and the ambient form, built
+    on each call: only a `_GLUED` miss asks for it. q_N itself is kept on
+    the shared lattice N."""
+    return direct_sum_fqf(fl, negate_fqf(discriminant_form(ambient())))
 
 
 @dataclass(frozen=True)
@@ -155,8 +151,9 @@ def _check_datum_shape(datum, fl, fn):
 
 
 # graph quotients by (orders, den, qmat) of the source form, H_L rows and
-# gamma rows as given: the quotient's (orders, den, qmat). Tuples only,
-# never a form, so a form is still freed by reference counting.
+# gamma rows as given: the quotient's (orders, den, qmat). It reads those
+# and q_N, which is fixed. Tuples only, never a form, so a form is still
+# freed by reference counting.
 _GLUED = Store(256)
 
 

@@ -1,12 +1,27 @@
 """Shared fixtures."""
 
+import importlib
+from pathlib import Path
+
 import pytest
 
-from enrlat import _store, embeddings, fqf, nikulin
+import enrlat
+from enrlat import _store
 
-# every bounded store of the package, as (module, attribute)
-STORES = ((fqf, "_SPLITS"), (embeddings, "_TUPLES"), (embeddings, "_PREPARED"),
-          (nikulin, "_GLUED"))
+
+def package_stores():
+    """Every bounded store of the package, as (module, attribute), found
+    by scanning its modules."""
+    found = []
+    for path in sorted(Path(enrlat.__file__).parent.glob("*.py")):
+        if path.stem.startswith("__"):
+            continue
+        mod = importlib.import_module("enrlat." + path.stem)
+        found += [(mod, name) for name, obj in vars(mod).items() if isinstance(obj, _store.Store)]
+    return tuple(found)
+
+
+STORES = package_stores()
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,9 +21,18 @@ from enrlat.cli import (
     inputs_digest,
     main,
 )
+from enrlat.classgroups import cm_report, reduce_form
+from enrlat.embeddings import embedding_from_images
+from enrlat.errors import DependentVectors, ExistenceFails, NotPositiveDefinite, NoUnitVector
 from enrlat.fqf import discriminant_form, fqf_isomorphic
-from enrlat.lattice import Lattice, standard_lattice
-from enrlat.nikulin import find_embedding_datum
+from enrlat.lattice import Lattice, standard_lattice, sublattice_from_gram_change
+from enrlat.nikulin import (
+    find_embedding_datum,
+    index_p_sublattice,
+    transfer_datum_down,
+    transfer_datum_up,
+    verify_embedding_datum,
+)
 
 
 def run_cli(argv):
@@ -219,6 +229,64 @@ def test_error_envelope_names_the_error(tmp_path):
         assert code == 2, argv
         env = json.loads(out)
         assert env["error"]["type"] == kind, argv
+
+
+def test_typed_errors_are_reached_by_name(tmp_path):
+    """NoUnitVector, NotPositiveDefinite, DependentVectors and
+    ExistenceFails, each from the library and in its CLI envelope."""
+    lat = Lattice([[4, 0], [0, 4]])
+    v = [1, 2] + [0] * 10
+    datum = find_embedding_datum(lat)
+    child, rows = index_p_sublattice(lat, 3)
+    down = transfer_datum_down(lat, child, datum, rows)
+    # K of signature (1, 9) has Gauss signature 0, not the -10 of its form
+    calls = [
+        (NoUnitVector, "no vector of unit norm modulo 3", index_p_sublattice, Lattice([[6]]), 3),
+        (NotPositiveDefinite, "the lattice must be positive definite",
+         cm_report, [[2, 0], [0, -2]]),
+        (NotPositiveDefinite, "a positive definite form is required", reduce_form, (1, 3, 1)),
+        (DependentVectors, "images are dependent", embedding_from_images, lat, [v, v]),
+        (DependentVectors, "rows are dependent", sublattice_from_gram_change, lat, [[1, 0], [2, 0]]),
+        (DependentVectors, "subgroup generators must be independent", verify_embedding_datum,
+         lat, replace(datum, h_l=datum.h_l * 2, h_n=datum.h_n * 2, gamma=datum.gamma * 2)),
+        (ExistenceFails, "descended complement invariants are unrealizable",
+         transfer_datum_down, lat, child, replace(datum, k_signature=(1, 9)), rows),
+        (ExistenceFails, "lifted complement invariants are unrealizable",
+         transfer_datum_up, lat, child, replace(down, k_signature=(1, 9)), rows),
+    ]
+    for kind, message, f, *args in calls:
+        with pytest.raises(kind) as info:
+            f(*args)
+        assert str(info.value) == message
+    good = json.loads((GOLDEN / "datum_4_4.json").read_text())
+    files = {
+        "dependent.json": dict(good, H_L=good["H_L"] * 2, H_N=good["H_N"] * 2,
+                               gamma=good["gamma"] * 2),
+        "bad_k.json": dict(good, K=dict(good["K"], signature=[1, 9])),
+        "embedding.json": {"source_gram": [[4, 0], [0, 4]], "images": [v, v]},
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    for argv, kind, message in (
+            (["sublattice", "--prime", "3", "--gram", "[[6]]"],
+             "NoUnitVector", "no vector of unit norm modulo 3"),
+            (["theorem-c", "--gram", "2,0;0,-2"],
+             "NotPositiveDefinite", "the lattice must be positive definite"),
+            (["verify-datum", "--gram", "[[4,0],[0,4]]", "--datum-file",
+              str(tmp_path / "dependent.json")],
+             "DependentVectors", "subgroup generators must be independent"),
+            (["transfer", "--direction", "down", "--parent-gram", "[[4,0],[0,4]]",
+              "--child-gram", "[[36,0],[0,4]]", "--child-basis", "[[3,0],[0,1]]",
+              "--datum-file", str(tmp_path / "bad_k.json")],
+             "ExistenceFails", "descended complement invariants are unrealizable")):
+        code, out = run_cli(["--json"] + argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == {"type": kind, "message": message}
+    # verify-embedding reports a refused embedding as a verdict, not an error
+    code, out = run_cli(["--json", "verify-embedding", str(tmp_path / "embedding.json")])
+    env = json.loads(out)
+    assert code == 1 and env["verdicts"]["valid"] is False
+    assert env["payload"]["reason"] == "DependentVectors: images are dependent"
 
 
 def test_roots_verdict_and_payload():

@@ -334,13 +334,11 @@ def test_embedding_from_images_detects_imprimitive():
         assert info.value.index == abs(c[0][0] * c[1][1] - c[0][1] * c[1][0])
 
 
-def test_rho_17_sweep_leaves_no_tracked_objects(monkeypatch, stores):
-    # the E8(2) vector cache holds thousands of vectors; stored as tuples of
+def test_rho_17_sweep_leaves_no_tracked_objects(stores):
+    # the store of E8(2) vectors holds thousands of them; kept as tuples of
     # ints they leave the cyclic collector's tracked set, so a full
-    # collection does not walk them again. Empty caches and stores make the
-    # sweep fill them whatever ran before: kept tuples would skip the
-    # enumeration.
-    monkeypatch.setattr(embeddings, "_E82_CACHE", {})
+    # collection does not walk them again. Empty stores make the sweep fill
+    # them whatever ran before: kept tuples would skip the enumeration.
     gc.collect()
     before = len(gc.get_objects())
     for m in (1, 2, 3):
@@ -350,7 +348,31 @@ def test_rho_17_sweep_leaves_no_tracked_objects(monkeypatch, stores):
     gc.collect()
     grown = len(gc.get_objects()) - before
     assert grown < 100
-    assert embeddings._E82_CACHE
+    assert stores["_E82_CACHE"]
+
+
+def test_frame_is_eight_orthogonal_vectors_of_norm_minus_four():
+    e82 = standard_lattice("E82")
+    frame = embeddings._FRAME
+    assert len(frame) == 8
+    assert [[e82.bilinear(a, b) for b in frame] for a in frame] == [
+        [-4 * (i == j) for j in range(8)] for i in range(8)]
+    # the first eight a depth-first search over the norm -4 shell picks
+    roots = vectors_of_norm(e82, -4)
+    picked = []
+
+    def dfs():
+        if len(picked) == 8:
+            return True
+        for cand in roots:
+            if all(e82.bilinear(cand, c) == 0 for c in picked):
+                picked.append(cand)
+                if dfs():
+                    return True
+                picked.pop()
+        return False
+
+    assert dfs() and [tuple(v) for v in picked] == list(frame)
 
 
 def test_rank_two_table_all_labels():

@@ -21,6 +21,7 @@ from enrlat.errors import (
     UnknownTag,
     ZeroScale,
 )
+from enrlat.enriques import ambient
 from enrlat.fqf import discriminant_form
 from enrlat.lattice import (
     DegenerateQuadraticModule,
@@ -91,11 +92,13 @@ def test_standard_tag_invariants():
 
 
 def test_standard_lattice_is_built_once_per_tag():
-    for tag, gram in _TAGS.items():
-        lat = standard_lattice(tag)
+    for tag, lat in _TAGS.items():
         assert standard_lattice(tag) is lat
-        fresh = Lattice(gram)
+        fresh = Lattice(lat.gram)
         assert (lat.gram, lat.det, lat.signature) == (fresh.gram, fresh.det, fresh.signature)
+    # every alias names the one instance
+    assert standard_lattice("n") is standard_lattice("N") is ambient()
+    assert len({id(lat) for lat in _TAGS.values()}) == 7
 
 
 def test_constructor_rejects_bad_grams():
