@@ -48,16 +48,18 @@ Conway and Sloane's oddity formula (SPLAG ch. 15): the oddity plus 4 for
 an odd exponent with unit 3 or 5 mod 8 at p = 2, and for an odd exponent
 at odd p a term in the rank, p mod 4 and the Legendre symbol of the unit.
 
-Isomorphism is decided from the same reading (`is_isomorphic`), by one
-complete key per p-part (`_local_key`): at odd p the rank and the
-Legendre symbol of the unit at each scale, at p = 2 the canonical 2-adic
-symbol. A degenerate p-part has no key, and only a pair of them goes to
-the witness search `fqf_isomorphic`, which gates p-parts by the same keys
-(degenerate ones by their q histograms) and then backtracks over
-generator images under ISO_CAP. `nikulin.exists_even_lattice` reads its
-p-adic conditions off `_scales` too. Only that backtrack and the
-histogram of a degenerate form walk a whole group, reading `q_num` over
-`elements()`; nothing outside this module calls `elements()`.
+Isomorphism is decided from the same reading, by one complete key per
+p-part (`_local_key`): at odd p the rank and the Legendre symbol of the
+unit at each scale, at p = 2 the canonical 2-adic symbol. One gate
+(`_matched_keys`) compares den, order, and the elementary divisors and
+key of each p-part. A degenerate p-part has no key; `is_isomorphic` sends
+only a pair of them to the witness search `fqf_isomorphic`, which passes
+the same gate, compares degenerate p-parts by their q histograms and then
+backtracks over generator images under ISO_CAP.
+`nikulin.exists_even_lattice` reads its p-adic conditions off `_scales`
+too. Only that backtrack and the histogram of a degenerate form walk a
+whole group, reading `q_num` over `elements()`; nothing outside this
+module calls `elements()`.
 """
 
 import math
@@ -76,16 +78,14 @@ from .errors import (
     NotSubgroup,
 )
 from .intmat import (
+    _kernel_and_factors,
     _smith,
     hnf_rows,
     identity,
-    inv_mod,
     legendre,
     mat_mul,
     mat_vec,
     prime_factors,
-    right_kernel_int,
-    snf_with_transforms,
     val_p,
 )
 from .lattice import _int, gram_of_rows
@@ -255,10 +255,9 @@ def _dual_basis(lat):
     the integer row y is y v^-1 in those generators, so its coordinates
     are y v_i mod d_i.
     """
-    d, u, v = snf_with_transforms([list(r) for r in lat.gram])
+    d, u, vt = _smith(lat.gram, True, True)
     kept = [i for i in range(lat.rank) if d[i][i] > 1]
-    return (tuple(d[i][i] for i in kept), [u[i] for i in kept],
-            [[row[i] for row in v] for i in kept])
+    return tuple(d[i][i] for i in kept), [u[i] for i in kept], [vt[i] for i in kept]
 
 
 def discriminant_form(lat):
@@ -438,7 +437,7 @@ def perp_subgroup(f, gens):
         [x % m for x in mat_vec(f.qmat, a)] + [m if s == r else 0 for s in range(len(gens))]
         for r, a in enumerate(gens)
     ]
-    return subgroup_matrix(f, [s[:k] for s in right_kernel_int(amat)])
+    return subgroup_matrix(f, [s[:k] for s in _kernel_and_factors(amat)[0]])
 
 
 def _solve_lower(t, s):
@@ -550,12 +549,12 @@ def _split_blocks(f, p):
         if len(pick) == 1:
             (i,) = pick
             blocks.append(("q", top, Fraction(gram[i][i] % (2 * m), m)))
-            tinv = [[inv_mod(t[i][i], top)]]
+            tinv = [[pow(t[i][i], -1, top)]]
         else:
             i, j = pick
             a, b, c = t[i][i], t[i][j], t[j][j]
             blocks.append(("v" if (a // 2) % 2 and (c // 2) % 2 else "u", top))
-            e = inv_mod(a * c - b * b, top)
+            e = pow(a * c - b * b, -1, top)
             tinv = [[c * e, -b * e], [-b * e, a * e]]
         rest = [y for y in range(len(orders)) if y not in pick]
         coef = mat_mul([[t[y][a] for a in pick] for y in rest], tinv)
@@ -685,32 +684,25 @@ def fqf_isomorphic(f1, f2):
     over p of that multiple of the image of its p-component; for equal
     forms that is the identity, returned at once.
 
-    Before any backtrack, each pair of p-parts that differ must have equal
-    `_local_key`s, and two degenerate ones equal q histograms, walked. The
-    backtracks share ISO_CAP, so a later p-part that fails this gate ends
+    Before any backtrack the forms must pass `_matched_keys`, and two
+    degenerate p-parts that differ must have equal q histograms, walked.
+    The backtracks share ISO_CAP, so a later p-part that fails a gate ends
     the test before an earlier backtrack can spend the cap.
     """
     if f1 == f2:
         images = identity(f1.num_gens)
         assert verify_fqf_iso(f1, f2, images)
         return images
-    if f1.den != f2.den or f1.group_order != f2.group_order:
+    keys = _matched_keys(f1, f2)
+    if keys is None:
         return None
     parts = []
-    for p in prime_factors(f1.group_order):
-        (_, o1), (c2, o2) = _p_coords(f1, p), _p_coords(f2, p)
-        # each p-part is (+) Z/p^a over the generators, so these sorted
-        # orders are its elementary divisors
-        if sorted(o1) != sorted(o2):
-            return None
-        parts.append((p, p_part(f1, p), p_part(f2, p), c2))
-    for p, p1, p2, _ in parts:
-        if p1 == p2:
-            continue
-        key = _local_key(p1, p)
-        if key != _local_key(p2, p) or key is None and (
+    for p, key in keys.items():
+        p1, p2 = p_part(f1, p), p_part(f2, p)
+        if key is None and p1 != p2 and (
                 Counter(map(p1.q_num, p1.elements())) != Counter(map(p2.q_num, p2.elements()))):
             return None
+        parts.append((p, p1, p2, _p_coords(f2, p)[0]))
     spent = [0]
     images = [[0] * f2.num_gens for _ in range(f1.num_gens)]
     for p, p1, p2, coords2 in parts:
@@ -727,7 +719,7 @@ def fqf_isomorphic(f1, f2):
         for i, row in zip(gens, rows):
             d = f1.orders[i]
             pa = p ** val_p(d, p)
-            lam = inv_mod(d // pa, pa)
+            lam = pow(d // pa, -1, pa)
             images[i] = [x + lam * y for x, y in zip(images[i], row)]
     images = [list(f2.reduce(img)) for img in images]
     assert verify_fqf_iso(f1, f2, images)
@@ -785,29 +777,39 @@ def _local_key(f, p):
     return sorted((k, rank, legendre(unit, p)) for k, (rank, unit, _) in scales.items())
 
 
+def _matched_keys(f1, f2):
+    """{p: key} with key the `_local_key` of both p-parts of f1 and f2, or
+    None unless den, order, and the elementary divisors and the key of each
+    p-part agree; a key is None when both p-parts are degenerate."""
+    if f1.den != f2.den or f1.group_order != f2.group_order:
+        return None
+    primes = prime_factors(f1.group_order)
+    # each p-part is (+) Z/p^a over the generators, so these sorted orders
+    # are its elementary divisors
+    if any(sorted(_p_coords(f1, p)[1]) != sorted(_p_coords(f2, p)[1]) for p in primes):
+        return None
+    keys = {}
+    for p in primes:
+        keys[p] = _local_key(f1, p)
+        if keys[p] != _local_key(f2, p):
+            return None
+    return keys
+
+
 def is_isomorphic(f1, f2):
     """Whether f1 and f2 are isomorphic, with no witness.
 
-    Equal forms are isomorphic. Otherwise den, order and the elementary
-    divisors of each p-part must agree, and then each p-part is decided
-    by its `_local_key`. A degenerate p-part is not isomorphic to a
-    nondegenerate one; only when both are degenerate does the p-part go
-    to `fqf_isomorphic`.
+    Equal forms are isomorphic. Otherwise they must pass `_matched_keys`,
+    whose keys decide each p-part. A degenerate p-part is not isomorphic
+    to a nondegenerate one; only when both are degenerate does the p-part
+    go to `fqf_isomorphic`.
     """
     if f1 == f2:
         return True
-    if f1.den != f2.den or f1.group_order != f2.group_order:
-        return False
-    primes = prime_factors(f1.group_order)
-    if any(sorted(_p_coords(f1, p)[1]) != sorted(_p_coords(f2, p)[1]) for p in primes):
-        return False
-    for p in primes:
-        key = _local_key(f1, p)
-        if key != _local_key(f2, p):
-            return False
-        if key is None and fqf_isomorphic(p_part(f1, p), p_part(f2, p)) is None:
-            return False
-    return True
+    keys = _matched_keys(f1, f2)
+    return keys is not None and all(
+        key is not None or fqf_isomorphic(p_part(f1, p), p_part(f2, p)) is not None
+        for p, key in keys.items())
 
 
 def verify_fqf_iso(f1, f2, images):

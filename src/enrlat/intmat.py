@@ -10,10 +10,11 @@ a Lattice and the LDL^T of the norm enumeration
 (`embeddings.vectors_of_norm`) all come from it. The Smith forms share one
 core (`_smith`) that carries each transform, or its inverse, only when its
 caller reads it: `snf_diagonal` carries neither, the kernel
-(`_kernel_and_factors`, under `right_kernel_int`) only the column
-transform, and it reads the invariant factors off the same diagonal.
-Nothing here knows about lattices; this layer is pure linear algebra and
-elementary arithmetic.
+(`_kernel_and_factors`) only the column transform, and it reads the
+invariant factors off the same diagonal; the discriminant form
+(`fqf._dual_basis`) carries both. A modular inverse is the standard
+library's pow(x, -1, m) wherever it is needed. Nothing here knows about
+lattices; this layer is pure linear algebra and elementary arithmetic.
 """
 
 from math import isqrt
@@ -27,10 +28,6 @@ def identity(n):
     for i, r in enumerate(rows):
         r[i] = 1
     return rows
-
-
-def copy_mat(m):
-    return [list(r) for r in m]
 
 
 def transpose(m):
@@ -82,7 +79,7 @@ def det_bareiss(m):
     n = len(m)
     if n == 0:
         return 1
-    a = copy_mat(m)
+    a = [list(r) for r in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -168,7 +165,7 @@ def _smith(m, want_u, want_v, inverse=False):
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    a = copy_mat(m)
+    a = [list(r) for r in m]
     u = identity(rows) if want_u else None
     vt = identity(cols) if want_v else None
 
@@ -290,16 +287,6 @@ def _smith(m, want_u, want_v, inverse=False):
     return a, u, vt
 
 
-def snf_with_transforms(m):
-    """Smith form with transforms: returns (d, u, v), u*m*v = d.
-
-    d is diagonal with nonnegative entries and d[i] | d[i+1]; see _smith
-    for the pivot rule.
-    """
-    d, u, vt = _smith(m, True, True)
-    return d, u, transpose(vt)
-
-
 def snf_diagonal(m):
     """The min(rows, cols) invariant factors of m, as on the Smith diagonal.
 
@@ -329,7 +316,7 @@ def snf_diagonal(m):
 
 def _kernel_and_factors(m):
     """(kernel, factors) of m from one Smith form: the saturated basis of
-    {x integer : m*x = 0}, as right_kernel_int gives it, and the nonzero
+    {x integer : m*x = 0}, one row per basis vector, and the nonzero
     invariant factors of m."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -341,11 +328,6 @@ def _kernel_and_factors(m):
     n = min(rows, cols)
     return ([vt[j] for j in range(cols) if j >= n or d[j][j] == 0],
             [d[j][j] for j in range(n) if d[j][j]])
-
-
-def right_kernel_int(m):
-    """Basis (list of columns as lists) of {x integer : m*x = 0}, saturated."""
-    return _kernel_and_factors(m)[0]
 
 
 def hnf_rows(rows, ncols=None):
@@ -464,13 +446,6 @@ def val_p(n, p):
     return v
 
 
-def inv_mod(a, m):
-    g, x, _ = xgcd(a % m, m)
-    if g != 1:
-        raise ValueError("not invertible")
-    return x % m
-
-
 def legendre(a, p):
     """Legendre symbol (a/p) for odd prime p, values in {-1, 0, 1}."""
     a %= p
@@ -478,14 +453,6 @@ def legendre(a, p):
         return 0
     t = pow(a, (p - 1) // 2, p)
     return 1 if t == 1 else -1
-
-
-def crt_pair(r1, m1, r2, m2):
-    g, x, _ = xgcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        raise ValueError("incompatible congruences")
-    lcm = m1 // g * m2
-    return (r1 + (r2 - r1) // g * x % (m2 // g) * m1) % lcm, lcm
 
 
 def sqrt_exact(n):

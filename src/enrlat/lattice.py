@@ -14,8 +14,8 @@ lattice after its first product; a raw gram matrix (`gram_of_rows`) is
 multiplied by `intmat.mat_mul`.
 Degenerate restrictions are first class citizens via
 DegenerateQuadraticModule rather than errors, because orthogonal complements
-inside hyperbolic pieces routinely produce them: a restriction is built as a
-Lattice, and only a singular gram falls back to the module.
+inside hyperbolic pieces routinely produce them: a restriction's gram is
+eliminated once, and a singular one gives the module.
 """
 
 from math import prod
@@ -201,11 +201,12 @@ def _restricted_gram(lat, rows):
 
 
 def _module(g):
-    # a Lattice, or the DegenerateQuadraticModule of a gram with a radical
-    try:
-        return Lattice(g)
-    except Degenerate:
-        return DegenerateQuadraticModule(g, rational_signature(g)[2])
+    # a Lattice, or the DegenerateQuadraticModule of a gram with a radical,
+    # from one elimination: g is a restricted gram of an even Lattice
+    pos, neg, zero, det, _ = eliminate_symmetric(g)
+    if zero:
+        return DegenerateQuadraticModule(g, zero)
+    return Lattice._known(g, det, (pos, neg))
 
 
 def sublattice_from_gram_change(lat, rows):

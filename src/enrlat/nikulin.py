@@ -43,7 +43,6 @@ from .fqf import (
     verify_fqf_iso,
 )
 from .intmat import (
-    crt_pair,
     is_prime,
     legendre,
     mat_mul,
@@ -370,9 +369,9 @@ def _descent_index(parent, child):
 def condition_star(parent, child):
     """Coprimality and length bounds controlling odd-index descent."""
     index = _descent_index(parent, child)
-    fl = discriminant_form(parent)
     fc = discriminant_form(child)
-    gcd_ok = gcd(2 * fl.group_order, index) == 1
+    # |A_L| = |det L|
+    gcd_ok = gcd(2 * abs(parent.det), index) == 1
     bound = ambient().rank - child.rank
     witness = []
     ell_ok = True
@@ -429,12 +428,8 @@ def _two_part_projector(orders):
     two-primary component."""
     expo = lcm(*orders)
     a = val_p(expo, 2)
-    odd = expo >> a if a else expo
-    if odd == 1:
-        return 1
-    if a == 0:
-        return 0
-    return crt_pair(1, 1 << a, 0, odd)[0]
+    odd = expo >> a
+    return 1 if odd == 1 else odd * pow(odd, -1, 1 << a)
 
 
 def _convert_gens(src, dst, gens, pairing):

@@ -424,6 +424,22 @@ def test_transfer_down_then_verify(tmp_path):
     assert json.loads(out)["verdicts"]["valid"]
 
 
+def test_transfer_up_of_a_row_outside_the_parent_dual_is_an_error_envelope(tmp_path):
+    # (0, 4) has order 9 in the child's group Z/4 + Z/36, so it is not in
+    # the dual of the parent [[4, 0], [0, 4]], where the child has index 3
+    lat = Lattice([[4, 0], [0, 4]])
+    child, rows = index_p_sublattice(lat, 3)
+    down = transfer_datum_down(lat, child, find_embedding_datum(lat), rows)
+    path = tmp_path / "child.json"
+    path.write_text(json.dumps(dict(datum_to_json(down), H_L=[[0, 4]])))
+    code, out = run_cli(["--json", "transfer", "--direction", "up",
+                         "--parent-gram", "[[4,0],[0,4]]", "--child-gram", "[[36,0],[0,4]]",
+                         "--child-basis", "[[3,0],[0,1]]", "--datum-file", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "BadCongruence",
+                                        "message": "vector is not in the dual lattice"}
+
+
 def test_verify_embedding_file_flow(tmp_path):
     good = {
         "source_gram": [[4, 0], [0, 4]],

@@ -16,6 +16,7 @@ from enrlat import fqf, nikulin
 from enrlat.cli import main
 from enrlat.errors import (
     BadShape,
+    CapExceeded,
     Degenerate,
     EnrLatError,
     NonWitt,
@@ -495,6 +496,19 @@ def test_degenerate_two_elementary_forms_get_a_verified_map():
     iso = fqf_isomorphic(a, b)
     assert iso == [[0, 1], [1, 0]]
     assert verify_fqf_iso(a, b, iso)
+
+
+def test_witness_search_stops_at_its_cap_where_the_keys_decide(monkeypatch):
+    # <1/4> + <3/4> and <3/4> + <1/4> differ as forms: the search needs a
+    # second candidate to find the swap, and is_isomorphic needs none
+    a = FiniteQuadraticForm((4, 4), [[Fraction(1, 4), 0], [0, Fraction(3, 4)]])
+    b = FiniteQuadraticForm((4, 4), [[Fraction(3, 4), 0], [0, Fraction(1, 4)]])
+    assert a != b and fqf_isomorphic(a, b) == [[0, 1], [1, 0]]
+    monkeypatch.setattr(fqf, "ISO_CAP", 1)
+    with pytest.raises(CapExceeded) as info:
+        fqf_isomorphic(a, b)
+    assert str(info.value) == "isomorphism search spent 2 candidates, over its cap of 1"
+    assert is_isomorphic(a, b)
 
 
 def _blocks(*blocks):

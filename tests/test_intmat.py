@@ -8,19 +8,16 @@ from hypothesis import given, settings, strategies as st
 from enrlat.errors import CapExceeded
 from enrlat.intmat import (
     FACTOR_CAP,
+    _kernel_and_factors,
     _smith,
-    crt_pair,
     det_bareiss,
     hnf_rows,
     identity,
-    inv_mod,
     is_prime,
     legendre,
     mat_mul,
     prime_factors,
-    right_kernel_int,
     snf_diagonal,
-    snf_with_transforms,
     transpose,
     val_p,
     xgcd,
@@ -32,6 +29,16 @@ from _oracles import snf_diagonal_by_minor_gcds
 
 def random_matrix(rng, rows, cols, bound=9):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+
+def smith_with_transforms(m):
+    """(d, u, v) with u*m*v = d, from the Smith core with both transforms."""
+    d, u, vt = _smith(m, True, True)
+    return d, u, transpose(vt)
+
+
+def kernel(m):
+    return _kernel_and_factors(m)[0]
 
 
 def test_xgcd_identity():
@@ -49,7 +56,7 @@ def test_snf_transform_identity():
     rng = random.Random(11)
     for _ in range(60):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        d, u, v = snf_with_transforms(m)
+        d, u, v = smith_with_transforms(m)
         assert mat_mul(mat_mul(u, m), v) == d
         assert abs(det_bareiss(u)) == 1
         assert abs(det_bareiss(v)) == 1
@@ -74,13 +81,13 @@ CHAIN_FIX = [[0, -5, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 2, 0, 0, 0, -4],
 
 def test_snf_is_diagonal_after_the_divisibility_fix():
     m = CHAIN_FIX
-    d, u, v = snf_with_transforms(m)
+    d, u, v = smith_with_transforms(m)
     assert mat_mul(mat_mul(u, m), v) == d
     assert all(d[i][j] == 0 for i in range(5) for j in range(9) if i != j)
     assert [d[i][i] for i in range(5)] == [1, 1, 1, 2, 20]
     assert snf_diagonal(m) == [1, 1, 1, 2, 20]
     assert snf_diagonal_by_minor_gcds(m) == [1, 1, 1, 2, 20]
-    assert len(right_kernel_int(m)) == 4
+    assert len(kernel(m)) == 4
 
 
 def test_snf_against_minor_gcd_oracle():
@@ -120,7 +127,7 @@ def test_right_kernel_is_saturated_kernel():
     rng = random.Random(23)
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 3), rng.randint(2, 5))
-        ker = right_kernel_int(m)
+        ker = kernel(m)
         for row in ker:
             assert all(
                 sum(m[i][j] * row[j] for j in range(len(row))) == 0
@@ -136,23 +143,6 @@ def test_hnf_reproduces_row_space():
         m = random_matrix(rng, 3, 4)
         h = hnf_rows(m)
         assert snf_diagonal(m) == snf_diagonal(h)
-
-
-def test_crt_pair():
-    assert crt_pair(1, 4, 0, 3) == (9, 12)
-    rng = random.Random(37)
-    for _ in range(100):
-        m1, m2 = rng.randint(1, 40), rng.randint(1, 40)
-        from math import gcd
-
-        g = gcd(m1, m2)
-        r1 = rng.randrange(m1)
-        r2 = rng.randrange(m2)
-        if (r1 - r2) % g:
-            continue
-        x, mod = crt_pair(r1, m1, r2, m2)
-        assert x % m1 == r1 and x % m2 == r2
-        assert mod == m1 * m2 // g
 
 
 def test_prime_factors_and_valuation():
@@ -189,12 +179,6 @@ def test_legendre_small_table():
     # quadratic residues mod 7 are {1, 2, 4}
     assert [legendre(a, 7) for a in range(1, 7)] == [1, 1, -1, 1, -1, -1]
     assert legendre(14, 7) == 0
-
-
-def test_inv_mod():
-    for p in (3, 5, 7, 11):
-        for a in range(1, p):
-            assert a * inv_mod(a, p) % p == 1
 
 
 def test_transpose_roundtrip():
@@ -329,8 +313,8 @@ def _symmetric(rng, n):
     return g
 
 
-# sha256 of the outputs of snf_with_transforms, snf_diagonal,
-# right_kernel_int and gram_of_rows on 2,000 seeded matrices
+# sha256 of the outputs of smith_with_transforms, snf_diagonal, kernel
+# and gram_of_rows on 2,000 seeded matrices
 KERNEL_DIGEST = "6d0ab173c32e773406ee789d3351ac63e797cd9dab353e02d3f75aa1b49f9cda"
 
 
@@ -339,7 +323,7 @@ def test_kernel_outputs_are_pinned():
     lines = []
     for m in _kernel_matrices(rng, 2000):
         g = _symmetric(rng, len(m[0]))
-        lines.append(repr((m, snf_with_transforms(m), snf_diagonal(m), right_kernel_int(m),
+        lines.append(repr((m, smith_with_transforms(m), snf_diagonal(m), kernel(m),
                            gram_of_rows(m, g))))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KERNEL_DIGEST
 

@@ -10,6 +10,7 @@ import pytest
 from enrlat import fqf, nikulin
 from enrlat.cli import canonical_json, datum_to_json
 from enrlat.errors import (
+    BadCongruence,
     BadPrime,
     BadShape,
     CapExceeded,
@@ -735,6 +736,35 @@ def test_one_descent_step_verifies_on_every_small_binary_gram():
         assert verify_embedding_datum(child, down) == (True, []), (a, b, c, p)
         outcomes["verified"] += 1
     assert outcomes == {"verified": 196, "NotFound": 40, "Degenerate": 21}
+
+
+def test_two_part_projector_is_one_on_the_two_part_and_zero_on_the_rest():
+    rng = random.Random(61)
+    odd = [tuple(rng.choice((3, 5, 7, 9, 15, 25, 27)) for _ in range(rng.randint(1, 4)))
+           for _ in range(20)]
+    two = [tuple(2 ** rng.randint(1, 6) for _ in range(rng.randint(1, 4))) for _ in range(20)]
+    mixed = [a + b for a, b in zip(odd, two)]
+    for orders in odd + two + mixed + [()]:
+        expo = math.lcm(*orders)
+        a = (expo & -expo).bit_length() - 1
+        mu = nikulin._two_part_projector(orders)
+        assert (mu - 1) % (1 << a) == 0 and mu % (expo >> a) == 0, orders
+        # which pins it down: 1 on the trivial group, else the residue in [0, expo)
+        assert mu == 1 if expo == 1 else 0 <= mu < expo
+
+
+def test_transfer_up_refuses_a_row_outside_the_parent_dual():
+    # the child [[36, 0], [0, 4]] has index 3 in [[4, 0], [0, 4]]; its
+    # group is Z/4 + Z/36, whose element (0, 4) of order 9 lies outside
+    # the parent's dual (the order-3 elements are the parent over the child)
+    parent = Lattice([[4, 0], [0, 4]])
+    child, rows = index_p_sublattice(parent, 3)
+    assert discriminant_form(child).orders == (4, 36)
+    down = transfer_datum_down(parent, child, find_embedding_datum(parent), rows)
+    bad = make_datum([[0, 4]], down.h_n, down.gamma, down.k_rank, down.k_signature, down.k_fqf)
+    with pytest.raises(BadCongruence) as info:
+        transfer_datum_up(parent, child, bad, rows)
+    assert str(info.value) == "vector is not in the dual lattice"
 
 
 def test_transfer_guards():

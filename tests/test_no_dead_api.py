@@ -11,15 +11,22 @@ its own tests is dead code.
 
 Likewise every name that a module other than `__init__.py` imports, at
 module level or inside a function, must be read in that module.
+
+And every backticked identifier with an underscore in `README.md`,
+`docs/*.md` and the modules of `src/enrlat`, dotted or not, must name
+something the package binds, or be one of its string constants, so no
+text points at a name that is gone.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import enrlat
 
 PACKAGE = Path(enrlat.__file__).parent
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 def _parse(path):
@@ -146,3 +153,62 @@ def test_import_guard_catches_each_pattern(tmp_path):
     )
     assert unused_imports(package) == [
         "mod:re", "mod:chain", "mod:gram_of_rows", "mod:json"]
+
+
+# a backticked identifier, dotted or not, such as `fqf._dual_basis`
+_TICKED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`")
+
+
+def bound_names(package):
+    """Every module name of the package, and every name it binds (def,
+    class, argument, assignment, attribute store) or holds as a string
+    constant."""
+    names = {p.stem for p in package.glob("*.py")}
+    for path in package.glob("*.py"):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                names.add(node.id if isinstance(node, ast.Name) else node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def stale_references(package, texts):
+    """(count, stale): how many backticked identifiers with an underscore
+    the texts hold, and "file: name" for each one whose whole text and
+    last dotted part are both unknown to `bound_names`."""
+    names = bound_names(package)
+    refs = [(path.name, m.group(1)) for path in texts
+            for m in _TICKED.finditer(path.read_text()) if "_" in m.group(1)]
+    return len(refs), ["%s: %s" % (name, ref) for name, ref in refs
+                       if ref not in names and ref.rsplit(".", 1)[-1] not in names]
+
+
+def test_every_backticked_name_is_bound():
+    texts = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md")),
+             *sorted(PACKAGE.glob("*.py"))]
+    count, stale = stale_references(PACKAGE, texts)
+    assert count > 100 and stale == []
+
+
+def test_reference_guard_catches_each_pattern(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "_util.py").write_text("")
+    (package / "mod.py").write_text(
+        '"""Uses `_util`, `mod.kept_fn` and `gone_fn`."""\n\n'
+        "LIMIT_CAP = 1\n\n"
+        "def kept_fn(arg_name):\n    return {'json_key': arg_name}\n\n"
+        "class Box:\n    def __init__(self):\n        self.kept_attr = 0\n"
+    )
+    readme = tmp_path / "README.md"
+    readme.write_text(
+        "`LIMIT_CAP`, `arg_name`, `json_key`, `Box.kept_attr`, `pkg._util`, `plain`,\n"
+        "`two words_here`, `old.gone_fn`, `gone_attr`\n"
+    )
+    assert stale_references(package, [readme, package / "mod.py"]) == (
+        10, ["README.md: old.gone_fn", "README.md: gone_attr", "mod.py: gone_fn"])
