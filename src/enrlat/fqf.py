@@ -25,14 +25,24 @@ the multiples (d / p^a) e_i of its generators, its value matrix read off
 Q, and only the JSON boundary asks for invariant factors
 (`canonical_form`).
 
+A form is checked where it is built, by `FiniteQuadraticForm` or
+`FiniteQuadraticForm.over`: orders, shape, symmetry and each value
+against its generator's order, then reduced to the normal (Q, m) above.
+Every caller and every derived form goes through them but two, whose
+matrix, read off a checked form, is already normal and valid, and which
+`FiniteQuadraticForm._known` takes unchecked: the negation of a form
+(`negate_fqf`) and a graph quotient rebuilt from the tuple its store kept
+(`nikulin._graph_quotient`).
+
 A lattice keeps its discriminant form, the shared ambient N among them,
-and a form keeps its two-torsion view: data derived from one object stays
-on it. Jordan splittings are kept by form value instead, in a bounded
-store (`_jordan_split`): the 256 latest (form, p) splittings, a degenerate
-outcome included, so equal forms built again and again along the gluing
-path split once. Graph quotients are kept by form value the same way
-(`nikulin._graph_quotient`); the difference form they are cut from is
-built on each miss.
+and a form keeps its two-torsion view, its Gauss signature and its
+`_scales` per prime: data derived from one object stays on it, and a call
+that raises keeps nothing. Jordan splittings are kept by form value
+instead, in a bounded store (`_jordan_split`): the 256 latest (form, p)
+splittings, a degenerate outcome included, so equal forms built again and
+again along the gluing path split once. Graph quotients are kept by form
+value the same way (`nikulin._graph_quotient`); the difference form they
+are cut from is built on each miss.
 
 `Fraction` stays at the edges: `q_of` returns one and `values` is the
 `Fraction` view of Q / m that the JSON boundary reads. The integer Smith
@@ -148,6 +158,15 @@ class FiniteQuadraticForm:
         form._set(orders, qmat, den)
         return form
 
+    @classmethod
+    def _known(cls, orders, qmat, den):
+        """The form of a value matrix read off a checked form and already
+        normalised as `_set` leaves it (qmat a tuple of int tuples, den
+        least): no check and no reduction."""
+        form = cls.__new__(cls)
+        form._keep(orders, qmat, den)
+        return form
+
     def _set(self, orders, qmat, den):
         orders = tuple(map(int, orders))
         if any(d < 2 for d in orders):
@@ -174,10 +193,16 @@ class FiniteQuadraticForm:
                 x = next(x for j, x in enumerate(r) if j != i and (d * x) % den)
                 raise BadShape("pairing %s invalid for order %d" % (Fraction(x, den), d))
             g = math.gcd(g, rg)
+        self._keep(orders, rows if g == 1 else tuple(tuple(x // g for x in r) for r in rows),
+                   den // g)
+
+    def _keep(self, orders, qmat, den):
         self.orders = orders
-        self.den = den // g
-        self.qmat = rows if g == 1 else tuple(tuple(x // g for x in r) for r in rows)
-        self._order_two = None
+        self.den = den
+        self.qmat = qmat
+        self._order_two = None  # kept by _two_torsion
+        self._sig = None  # kept by milgram_signature
+        self._scale = {}  # p -> what _scales read, kept by _scales
 
     @property
     def values(self):
@@ -286,7 +311,12 @@ def direct_sum_fqf(f1, f2):
 
 
 def negate_fqf(f):
-    return FiniteQuadraticForm.over(f.orders, [[-x for x in r] for r in f.qmat], f.den)
+    """-f on the same generators: -Q mod 2m on the diagonal and mod m off
+    it, normalised as f is, so it needs no check."""
+    m = f.den
+    return FiniteQuadraticForm._known(
+        f.orders, tuple(tuple(-x % (2 * m if i == j else m) for j, x in enumerate(r))
+                        for i, r in enumerate(f.qmat)), m)
 
 
 def canonical_form(f):
@@ -338,7 +368,13 @@ def _scales(f, p):
     has no 'q' block (an even scale). At odd p the unit is the product
     mod p of the t of the blocks ('q', p^k, 2t / p^k), and the oddity is
     None. A degenerate p-part raises Degenerate.
+
+    The reading is kept on the form per p, so callers read it and never
+    change it; a p-part that raises keeps nothing.
     """
+    out = f._scale.get(p)
+    if out is not None:
+        return out
     out = {}
     for kind, scale, *q in _jordan_split(f, p):
         k = val_p(scale, p)
@@ -350,6 +386,7 @@ def _scales(f, p):
             out[k] = (rank + 1, unit * u % 8, (oddity or 0) + u)
         else:
             out[k] = (rank + 1, unit * (q[0].numerator // 2) % p, None)
+    f._scale[p] = out
     return out
 
 
@@ -357,7 +394,7 @@ def _scales(f, p):
 SIGNATURE_CAP = 1 << 22
 
 
-def milgram_signature(f):
+def milgram_signature(f, primes=None):
     """Signature mod 8 of the form: sig with Gauss sum
     sum_x exp(pi i q(x)) = sqrt(|A|) exp(pi i sig / 4) (Milgram).
 
@@ -379,11 +416,16 @@ def milgram_signature(f):
     p = 7, which the benchmark's gluing workload counts as its one
     expected failure; lifting it changes that workload's correctness
     rule, so it goes in the change that updates the benchmark.
+
+    A caller that has factored |A| passes its `prime_factors` as primes.
+    The signature is kept on the form; a call that raises keeps nothing.
     """
+    if f._sig is not None:
+        return f._sig
     if f.group_order > SIGNATURE_CAP:
         raise CapExceeded("group order %d exceeds cap %d" % (f.group_order, SIGNATURE_CAP))
     sig = 0
-    for p in prime_factors(f.group_order):
+    for p in prime_factors(f.group_order) if primes is None else primes:
         try:
             scales = _scales(f, p)
         except Degenerate as exc:
@@ -393,7 +435,8 @@ def milgram_signature(f):
                 sig += (oddity or 0) + 4 * (k % 2 == 1 and unit in (3, 5))
             elif k % 2:
                 sig += rank * (p % 4 - 1) + 2 - 2 * legendre(unit, p)
-    return sig % 8
+    f._sig = sig % 8
+    return f._sig
 
 
 def subgroup_matrix(f, gens):

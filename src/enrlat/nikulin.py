@@ -23,6 +23,7 @@ from .errors import (
     StarViolated,
 )
 from .fqf import (
+    SIGNATURE_CAP,
     FiniteQuadraticForm,
     _dual_basis,
     _scales,
@@ -63,9 +64,11 @@ def exists_even_lattice(signature, form):
     if tpos < 0 or tneg < 0:
         return False
     order = form.group_order
-    if (tpos - tneg) % 8 != milgram_signature(form):
+    # |A| is factored once for both, and only under the signature cap;
+    # over it milgram_signature raises its CapExceeded
+    primes = prime_factors(order) if order <= SIGNATURE_CAP else None
+    if (tpos - tneg) % 8 != milgram_signature(form, primes):
         return False
-    primes = prime_factors(order)
     # the length of the group is its largest p-rank, whatever the presentation
     ranks = {p: sum(1 for d in form.orders if d % p == 0) for p in primes}
     if tpos + tneg < max(ranks.values(), default=0):
@@ -164,14 +167,15 @@ def _graph_quotient(fl, h_l_gens, gamma_rows):
     so it is kept in the bounded store `_GLUED` by form value and rows:
     verify and transfer_datum_up read the quotient that
     find_embedding_datum built, and so does every later lattice with an
-    equal form. A hit rebuilds the form from the kept tuple, equal to what
-    building it again would give; a call that raises keeps nothing."""
+    equal form. A hit rebuilds the form from the kept tuple, the value of a
+    form built and checked on the miss, so it is rebuilt unchecked
+    (`FiniteQuadraticForm._known`); a call that raises keeps nothing."""
     key = (fl.orders, fl.den, fl.qmat,
            tuple(map(tuple, h_l_gens)), tuple(map(tuple, gamma_rows)))
     kept = _GLUED.lookup(key)
     if kept is not None:
         orders, den, qmat = kept
-        return FiniteQuadraticForm.over(orders, qmat, den)
+        return FiniteQuadraticForm._known(orders, qmat, den)
     diff = _difference_form(fl)
     graph = [list(h) + list(g) for h, g in zip(h_l_gens, gamma_rows)]
     perp = perp_subgroup(diff, graph)
@@ -220,12 +224,16 @@ def verify_embedding_datum(lat, datum):
         raise DependentVectors("subgroup generators must be independent")
     # a subgroup matrix depends on the generators, so the spans are
     # compared by order and membership; equal spans make gamma injective,
-    # as its len(hl) rows then span a group of order 2^len(hl)
-    img_mat = hn_mat if gamma == hn else subgroup_matrix(fn, gamma)
-    if (subgroup_order(fn, img_mat) != order_n
-            or any(_solve_lower(hn_mat, r) is None for r in img_mat)):
-        reasons.append("identification images generate a different subgroup")
-        return False, reasons
+    # as its len(hl) rows then span a group of order 2^len(hl). When gamma
+    # is H_N's own rows (as every found datum has it) the test cannot
+    # fail: the image matrix is H_N's, of order order_n by definition, and
+    # each row of a lower-triangular matrix solves to a unit vector
+    if gamma != hn:
+        img_mat = subgroup_matrix(fn, gamma)
+        if (subgroup_order(fn, img_mat) != order_n
+                or any(_solve_lower(hn_mat, r) is None for r in img_mat)):
+            reasons.append("identification images generate a different subgroup")
+            return False, reasons
     for i in range(len(hl)):
         if fl.q_num(hl[i]) * fn.den != fn.q_num(gamma[i]) * fl.den:
             reasons.append("identification does not preserve the quadratic value")
@@ -293,7 +301,9 @@ def find_embedding_datum(lat):
         kf = canonical_form(negate_fqf(quot))
         if not exists_even_lattice(want_sig, kf):
             return None
-        return make_datum(hl, gamma, gamma, want_rank, want_sig, kf)
+        # int rows and invariants built here: nothing for make_datum to check
+        gamma = tuple(map(tuple, gamma))
+        return EmbeddingDatum(tuple(map(tuple, hl)), gamma, gamma, want_rank, want_sig, kf)
 
     def extend(k, hl, gamma, span_l, span_n):
         nodes[0] += 1

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from enrlat import fqf, nikulin
 from enrlat.cli import main
@@ -49,6 +50,7 @@ from enrlat.intmat import _smith, prime_factors
 from enrlat.nikulin import exists_even_lattice
 from enrlat.lattice import Lattice, gram_of_rows, standard_lattice
 
+from test_nikulin import _gluing_outcomes, _gram_sweep
 from _oracles import (
     brute_b,
     brute_gauss_signature,
@@ -1027,3 +1029,115 @@ def test_split_blocks_outcomes_are_pinned():
     lines = [_split_outcome(f, p) for f in _split_forms(random.Random(28))
              for p in prime_factors(f.group_order)]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SPLIT_DIGEST
+
+
+# -- trusted constructions and kept readings ---------------------------------
+
+@st.composite
+def _valid_forms(draw):
+    """A form on up to four generators of orders 2 to 12: q(e_i) = s / d_i
+    with s even at odd d_i (any s at even d_i, so odd 2-adic diagonals
+    occur) and b(e_i, e_j) = r / gcd(d_i, d_j); degenerate ones included."""
+    orders = draw(st.lists(st.sampled_from((2, 3, 4, 5, 6, 8, 9, 12)), max_size=4))
+    vals = [[Fraction(0)] * len(orders) for _ in orders]
+    for i, d in enumerate(orders):
+        s = draw(st.integers(0, 2 * d - 1))
+        vals[i][i] = Fraction(s - s % 2 * (d % 2), d)
+        for j, e in enumerate(orders[:i]):
+            g = math.gcd(d, e)
+            vals[i][j] = vals[j][i] = Fraction(draw(st.integers(0, g - 1)), g)
+    return FiniteQuadraticForm(orders, vals)
+
+
+def _value(f):
+    return f.orders, f.den, f.qmat
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(f=_valid_forms())
+def test_negation_is_the_checked_negation(f):
+    # negate_fqf skips the checks of `over`; it must give what they give
+    neg = negate_fqf(f)
+    checked = FiniteQuadraticForm.over(f.orders, [[-x for x in r] for r in f.qmat], f.den)
+    assert _value(neg) == _value(checked)
+    assert negate_fqf(neg) == f
+
+
+def test_kept_graph_quotients_equal_a_cold_rebuild(stores):
+    """Every graph quotient the gluing sweep keeps, read back from the
+    store unchecked, has the value of one built from an empty store and of
+    a checked construction of its value."""
+    _gluing_outcomes(_gram_sweep(), lambda: None)
+    kept = list(stores["_GLUED"])
+    assert len(kept) > 30 and sum(1 for key in kept if key[3]) > 15
+    glued = stores["_GLUED"]
+    for orders, den, qmat, h_l, gamma in kept:
+        fl = FiniteQuadraticForm.over(orders, qmat, den)
+        glued.clear()
+        cold = nikulin._graph_quotient(fl, h_l, gamma)
+        hits = glued.hits
+        warm = nikulin._graph_quotient(fl, h_l, gamma)
+        assert glued.hits == hits + 1 and warm is not cold
+        assert _value(warm) == _value(cold) == _value(
+            FiniteQuadraticForm.over(cold.orders, cold.qmat, cold.den))
+
+
+def _readings(f):
+    """The signature of f and its `_scales` at each prime of its order, or
+    the type and message of what each call raised."""
+    out = []
+    for p in [None, *prime_factors(f.group_order)]:
+        try:
+            out.append(milgram_signature(f) if p is None else _scales(f, p))
+        except EnrLatError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def test_kept_readings_equal_those_of_a_fresh_form(monkeypatch, stores):
+    """Each form built along the gluing sweep, once the sweep has warmed
+    it and once more from what it keeps, reads the signature and scales of
+    a fresh form of the same value split from empty stores, and keeps
+    exactly what it read."""
+    built = []
+    keep = FiniteQuadraticForm._keep
+
+    def recorded(self, *args):
+        keep(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(FiniteQuadraticForm, "_keep", recorded)
+    _gluing_outcomes(_gram_sweep(), lambda: None)
+    monkeypatch.setattr(FiniteQuadraticForm, "_keep", keep)
+    warmed = sum(f._sig is not None for f in built)
+    assert warmed > 80 and sum(bool(f._scale) for f in built) > warmed
+    for f in built:
+        first, second = _readings(f), _readings(f)
+        for store in stores.values():
+            store.clear()
+        assert first == second == _readings(FiniteQuadraticForm.over(f.orders, f.qmat, f.den))
+        sig, *scales = second
+        assert f._sig == (sig if isinstance(sig, int) else None)
+        assert f._scale == {p: s for p, s in zip(prime_factors(f.group_order), scales)
+                            if isinstance(s, dict)}
+
+
+def test_a_raising_reading_keeps_nothing():
+    big = FiniteQuadraticForm((1 << 23,), [[Fraction(1, 1 << 23)]])
+    degenerate = FiniteQuadraticForm((2,), [[0]])  # q vanishes on the radical
+    vanishing = FiniteQuadraticForm((2,), [[1]])  # q does not: the Gauss sum is 0
+    three = FiniteQuadraticForm((3,), [[Fraction(2, 3)]])
+    for form, error, calls in (
+            (big, CapExceeded, [milgram_signature, lambda f: exists_even_lattice((1, 0), f)]),
+            (degenerate, NonWitt, [milgram_signature, lambda f: exists_even_lattice((1, 0), f)]),
+            (vanishing, NonWitt, [milgram_signature]),
+            (direct_sum_fqf(vanishing, three), NonWitt, [milgram_signature]),
+            (degenerate, Degenerate, [lambda f: _scales(f, 2)]),
+            (vanishing, Degenerate, [lambda f: _scales(f, 2)])):
+        raised = []
+        for call in calls * 2:
+            with pytest.raises(error) as exc:
+                call(form)
+            raised.append((type(exc.value), str(exc.value)))
+        assert len(set(raised)) == 1
+        assert form._sig is None and form._scale == {}

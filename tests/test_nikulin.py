@@ -653,11 +653,10 @@ WORK_DESCENT = ([[4]], [[-4]], [[4, 0], [0, 4]], [[4, 4], [4, 8]])
 WORK_DATUM = ([[4, 2], [2, 4]], [[4, -2], [-2, 4]], [[4, 2], [2, 8]], [[8, -2], [-2, 4]])
 
 
-def test_graph_quotient_work_is_pinned(stores):
-    """From empty stores, the graph quotients asked for and built along the
-    benchmark's gluing path, its chain's find first, read off the store's
-    counts. With one quotient kept per form object instead, 13 of the 25
-    were built."""
+def _work_path():
+    """The benchmark's gluing path: its chain's find, then find and verify
+    on each gram, and on the descent grams one step down, verify on the
+    child and up."""
     find_embedding_datum(Lattice([[4, 0], [0, 4]]))
     for g in WORK_DESCENT + WORK_DATUM:
         lat = Lattice(g)
@@ -668,8 +667,45 @@ def test_graph_quotient_work_is_pinned(stores):
             down = transfer_datum_down(lat, child, datum, rows)
             assert verify_embedding_datum(child, down) == (True, [])
             transfer_datum_up(lat, child, down, rows)
+
+
+def test_graph_quotient_work_is_pinned(stores):
+    """From empty stores, the graph quotients asked for and built along
+    `_work_path`, read off the store's counts. With one quotient kept per
+    form object instead, 13 of the 25 were built."""
+    _work_path()
     glued = stores["_GLUED"]
     assert (glued.hits + glued.misses, glued.misses) == (25, 9)
+
+
+def test_form_work_is_pinned(stores, monkeypatch):
+    """From empty stores, along `_work_path`: the forms built through the
+    checking `_set`, the Gauss signatures and the `_scales` readings
+    computed (a call that finds its result kept on the form computes
+    nothing), and the `_solve_lower` calls of verify. When each form
+    checked its value again, kept neither reading and verify solved every
+    row of H_N in its own span, these were 128, 29, 90 and 120.
+
+    q_N is kept on the shared lattice N, so it is built before the count
+    whatever ran before."""
+    discriminant_form(ambient())
+    counts = dict.fromkeys(("_set", "signature", "_scales", "_solve_lower"), 0)
+
+    def counted(name, call, cold=lambda *args: True):
+        def run(*args):
+            counts[name] += cold(*args)
+            return call(*args)
+        return run
+
+    monkeypatch.setattr(FiniteQuadraticForm, "_set", counted("_set", FiniteQuadraticForm._set))
+    signature = counted("signature", milgram_signature, lambda f, *_: f._sig is None)
+    scales = counted("_scales", fqf._scales, lambda f, p: p not in f._scale)
+    for mod in (fqf, nikulin):
+        monkeypatch.setattr(mod, "milgram_signature", signature)
+        monkeypatch.setattr(mod, "_scales", scales)
+    monkeypatch.setattr(nikulin, "_solve_lower", counted("_solve_lower", fqf._solve_lower))
+    _work_path()
+    assert counts == {"_set": 74, "signature": 17, "_scales": 41, "_solve_lower": 0}
 
 
 def test_transfer_round_trip_sweep():
