@@ -26,7 +26,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product
-from operator import mul, neg
+from operator import mul
 
 from ._store import Store
 from .enriques import ambient, epsilon
@@ -59,7 +59,7 @@ from .intmat import eliminate_symmetric, snf_diagonal
 
 # the most coordinates one norm enumeration tries: 110 times the most any
 # enumeration of the tables, the tests or the benchmark tries (37,834, E8(2)
-# at norm -24), and about a second of walking a rank-2 range
+# at norm -24, pinned by a test), and one to two seconds of walking a rank-2 range
 ENUM_NODE_CAP = 1 << 22
 
 
@@ -82,21 +82,28 @@ def vectors_of_norm(lat, value, cap=200000):
     the sign is that of g_00, and the signed gram is definite when all k
     of its pivots are positive; otherwise NotDefinite.
 
-    The descent fixes z_{k-1} = x_0 first and walks each range from the top
-    down. It walks only half the tree: while every coordinate fixed so far
-    is 0 the centre is 0 and the range symmetric, so it keeps t >= 0, and
-    finds the vectors whose first nonzero coordinate is positive. The last
-    two levels run in one loop: for each x_{k-2}, x_{k-1} is solved in place
-    by an exact-square test. CapExceeded is raised inside that loop as soon
-    as the vectors found, with their negatives, number more than `cap`, and
-    before a level's loop when the coordinates tried, its whole range
-    counted at once, number more than ENUM_NODE_CAP: a huge value on a
-    small lattice stops at once instead of walking a range of 10^19.
+    The descent is one flat loop, no recursion: it fixes z_{k-1} = x_0
+    first and walks each range from the top down, and a level above the
+    last two keeps its next coordinate and the rest of its state in small
+    per-level lists while the walk is below it. It walks only half the
+    tree: while every coordinate fixed so far is 0 the centre is 0 and the
+    range symmetric, so it keeps t >= 0, and finds the vectors whose first
+    nonzero coordinate is positive. The last two levels run in one loop: for
+    each x_{k-2}, x_{k-1} is solved in place by an exact-square test. The
+    coordinates live in lattice order in x, with a twin nx = -x written
+    alongside, so a vector and its negative are both one copy at the leaf.
+    CapExceeded is raised inside that loop as soon as the vectors found,
+    with their negatives, number more than `cap`, and before a level's loop
+    when the coordinates tried, its whole range counted at once, number
+    more than ENUM_NODE_CAP: a huge value on a small lattice stops at once
+    instead of walking a range of 10^19.
 
     The order is pinned: by L1 norm, then coordinates in descending order.
     The walk lists the half in descending order, and every vector of it
-    exceeds every negated one, so each L1 bucket is the half's vectors of
-    that norm followed by their negatives in reverse; nothing is sorted.
+    exceeds every negated one, so each L1 norm's vectors are the half's
+    followed by their negatives in reverse. The leaf appends a vector and
+    its negative to its norm's bucket in turn, so a bucket is emitted as
+    its even entries, then its odd entries backwards; nothing is sorted.
     The `roots` goldens pin this order, and so does the E8(2) vector cache,
     whose order the tuple search follows. A value that is not an int, or a
     cap that is not a nonnegative int, is malformed: BadShape.
@@ -126,71 +133,82 @@ def vectors_of_norm(lat, value, cap=200000):
         if cap < 2:
             raise CapExceeded("more than %d vectors" % cap)
         return [[s // minors[1]], [-s // minors[1]]]
-    buckets = defaultdict(list)  # L1 norm -> the half's vectors of that norm
+    # L1 norm -> the half's vectors of that norm, each followed by its negative
+    buckets = defaultdict(list)
     found = nodes = 0
-    z = [0] * k
-    d0, w0, d1, w1 = minors[1], weights[0], minors[2], weights[1]
-    row0 = rows[0]
-
-    def last_two(i, rem, c, free, l1):
-        # i = 1, z[2:] is fixed, c = c_1; for each z_1 the remainder must
-        # be w_0 y_0^2 exactly, with y_0 = d_0 z_0 + c_0
-        nonlocal found, nodes
-        s = math.isqrt(rem // w1)
-        base = sum(map(mul, row0[2:], z[2:]))
-        b1 = row0[1]
-        top, stop = (s - c) // d1, -((s + c) // d1) - 1 if free else -1
-        nodes += top - stop
-        if nodes > ENUM_NODE_CAP:
-            raise _spent(nodes)
-        for t in range(top, stop, -1):
-            y = d1 * t + c
-            r = rem - w1 * y * y
-            if r % w0:
-                continue
-            r //= w0
-            s0 = math.isqrt(r)
-            if s0 * s0 != r:
-                continue
-            c0 = base + b1 * t
-            for y0 in (s0, -s0) if s0 and (free or t) else (s0,):
-                if (y0 - c0) % d0 == 0:
-                    z[0], z[1] = (y0 - c0) // d0, t
-                    buckets[l1 + abs(t) + abs(z[0])].append(z[::-1])
-                    found += 1
-                    if 2 * found > cap:
-                        raise CapExceeded("more than %d vectors" % cap)
-
-    def rec(i, rem, c, free, l1):
-        # z[i+1:] is fixed, of L1 norm l1, c = c_i,
+    x, nx = [0] * k, [0] * k  # z_i = x[k-1-i] = x[~i] and nx = -x
+    # level i: d = D_{i+1}, w = w_i, and B_{i-1}: the centre below is
+    # c_{i-1} = base + b z_i, base = rev . x with rev = B_{i-1}[k-1:i:-1]
+    levels = [None] + [(minors[i + 1], weights[i], rows[i - 1][:i:-1], rows[i - 1][i])
+                       for i in range(1, k)]
+    # a level above the last two, while the walk is below it: its next t,
+    # and the rest of its state (range stop, remainder, centre, free flag,
+    # L1 norm so far, base and constants)
+    tops, saved = [0] * k, [None] * k
+    d0, w0 = minors[1], weights[0]
+    i, c, free, l1 = k - 1, 0, False, 0
+    while True:
+        # enter level i: z[i+1:] is fixed, of L1 norm l1, c = c_i,
         # rem = M |value| - sum_{j>i} w_j y_j^2; w y^2 <= rem holds exactly
         # when |y| <= isqrt(rem // w), y = d z_i + c.
-        # Until some fixed coordinate is nonzero, c = 0 and t >= 0.
-        nonlocal nodes
-        d, w = minors[i + 1], weights[i]
+        # Until some fixed coordinate is nonzero (free), c = 0 and t >= 0.
+        d, w, rev, b = levels[i]
         s = math.isqrt(rem // w)
-        top, stop = (s - c) // d, -((s + c) // d) - 1 if free else -1
-        nodes += top - stop
+        t, stop = (s - c) // d, -((s + c) // d) - 1 if free else -1
+        nodes += t - stop
         if nodes > ENUM_NODE_CAP:
             raise _spent(nodes)
-        row = rows[i - 1]
-        base = sum(map(mul, row[i + 1:], z[i + 1:]))
-        down, b = last_two if i == 2 else rec, row[i]
-        for t in range(top, stop, -1):
-            z[i] = t
-            y = d * t + c
-            down(i - 1, rem - w * y * y, base + b * t, free or t != 0, l1 + abs(t))
-
-    (last_two if k == 2 else rec)(k - 1, rem, 0, False, 0)
-    out = []
-    for n in sorted(buckets):
-        half = buckets[n]
-        out += half
-        out += [list(map(neg, v)) for v in reversed(half)]
-    # rec refers to itself, so this frame's cells, buckets among them, live
-    # on until a cyclic collection; emptying buckets frees its lists now
-    buckets.clear()
-    return out
+        base = sum(map(mul, rev, x))
+        if i > 1:
+            saved[i] = (stop, rem, c, free, l1, base, d, w, b)
+        else:
+            # the last two levels: for each z_1 = t the remainder must be
+            # w_0 y_0^2 exactly, with y_0 = d_0 z_0 + c_0
+            for t in range(t, stop, -1):
+                y = d * t + c
+                r = rem - w * y * y
+                if r % w0:
+                    continue
+                r //= w0
+                s0 = math.isqrt(r)
+                if s0 * s0 != r:
+                    continue
+                c0 = base + b * t
+                for y0 in (s0, -s0) if s0 and (free or t) else (s0,):
+                    if (y0 - c0) % d0 == 0:
+                        t0 = (y0 - c0) // d0
+                        x[-2] = t
+                        x[-1] = t0
+                        nx[-2] = -t
+                        nx[-1] = -t0
+                        bucket = buckets[l1 + abs(t) + abs(t0)]
+                        bucket.append(x[:])
+                        bucket.append(nx[:])
+                        found += 1
+                        if 2 * found > cap:
+                            raise CapExceeded("more than %d vectors" % cap)
+            t = stop
+        # up past the levels whose range is walked, then down by the next t
+        while t == stop:
+            i += 1
+            if i == k:
+                out = []
+                for n in sorted(buckets):
+                    bucket = buckets[n]
+                    out += bucket[::2]
+                    out += bucket[::-2]
+                return out
+            stop, rem, c, free, l1, base, d, w, b = saved[i]
+            t = tops[i]
+        tops[i] = t - 1
+        x[~i] = t
+        nx[~i] = -t
+        y = d * t + c
+        rem -= w * y * y
+        c = base + b * t
+        free = free or t != 0
+        l1 += abs(t)
+        i -= 1
 
 
 # enumeration is skipped for norms past this; the frame path covers them

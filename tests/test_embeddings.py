@@ -44,10 +44,10 @@ def _pinned_key(v):
     return sum(map(abs, v)), [-x for x in v]
 
 
-def _rebased(lat, rng):
-    """(U, U G U^T) for U a product of six elementary +-1 row operations."""
+def _rebased(lat, rng, steps=6):
+    """(U, U G U^T) for U a product of `steps` elementary +-1 row operations."""
     u = [[int(i == j) for j in range(8)] for i in range(8)]
-    for _ in range(6):
+    for _ in range(steps):
         i, j = rng.sample(range(8), 2)
         s = rng.choice((-1, 1))
         u[i] = [a + s * b for a, b in zip(u[i], u[j])]
@@ -196,6 +196,108 @@ def test_node_cap_counts_every_coordinate_tried(monkeypatch):
         vectors_of_norm(e8, -2)
     monkeypatch.setattr(embeddings, "ENUM_NODE_CAP", 250)
     assert len(vectors_of_norm(e8, -2)) == 240
+
+
+# E8(2) at these norms tries exactly these many coordinates; the comment
+# on ENUM_NODE_CAP takes its largest figure from the last one
+E82_NODE_TOTALS = [(-4, 250), (-8, 1540), (-12, 4648), (-16, 10987), (-20, 21067),
+                   (-24, 37834)]
+
+
+@pytest.mark.parametrize("value, total", E82_NODE_TOTALS)
+def test_e82_node_totals_are_pinned(monkeypatch, value, total):
+    e82 = standard_lattice("E82")
+    monkeypatch.setattr(embeddings, "ENUM_NODE_CAP", total)
+    assert len(vectors_of_norm(e82, value)) == 240 * sigma3(-value // 4)
+    monkeypatch.setattr(embeddings, "ENUM_NODE_CAP", total - 1)
+    with pytest.raises(CapExceeded, match="needs at least %d nodes, over its cap of %d$"
+                       % (total, total - 1)):
+        vectors_of_norm(e82, value)
+
+
+def _cartan_gram(n, edges):
+    g = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        g[a][b] = g[b][a] = 1
+    return g
+
+
+def _root_lattice_grams():
+    """The negated root lattices A_2..A_8, D_4..D_8, E_6 and E_7."""
+    e8 = standard_lattice("E8").gram
+    out = [_cartan_gram(n, [(i, i + 1) for i in range(n - 1)]) for n in range(2, 9)]
+    out += [_cartan_gram(n, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)])
+            for n in range(4, 9)]
+    return out + [[row[:n] for row in e8[:n]] for n in (6, 7)]
+
+
+def _random_definite(rng):
+    """-2 R R^T for a lower-triangular R of rank 2..8: diagonal 1 or 2,
+    entries below it -1, 0 or 1."""
+    r = rng.randint(2, 8)
+    rows = [[0] * r for _ in range(r)]
+    for i in range(r):
+        rows[i][i] = rng.choice((1, 1, 2))
+        for j in range(i):
+            rows[i][j] = rng.choice((-1, 0, 0, 1))
+    return [[-2 * sum(p * q for p, q in zip(a, b)) for b in rows] for a in rows]
+
+
+def _enumeration_cases():
+    """(lattice, value) pairs shaped like the benchmark's enumerations."""
+    e8, e82 = standard_lattice("E8"), standard_lattice("E82")
+    cases = [(e8, v) for v in (-2, -4, -6)] + [(e82, v) for v in (-2, -4, -8, -12)]
+    cases += [(Lattice(g), -2) for g in _root_lattice_grams()]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        for lat, value in ((e8, -2), (e82, -4)):
+            cases += [(_rebased(lat, rng, 4)[1], value) for _ in range(15)]
+        for _ in range(2):
+            g = _random_definite(rng)
+            for sign in (1, -1):
+                lat = Lattice([[sign * x for x in row] for row in g])
+                cases += [(lat, v) for v in (2, -2, 4, -4)]
+    return cases
+
+
+def _outcome(lat, value, **cap):
+    try:
+        return vectors_of_norm(lat, value, **cap)
+    except CapExceeded as err:
+        return str(err)
+
+
+# sha256 of the canonical JSON of every outcome below: the vectors, in
+# order, or the message of CapExceeded
+ENUMERATION_DIGEST = "387dc7925636952e330ab6a8e68db59545d63ca2ec279cabc9070d71d9312b44"
+
+
+def test_enumeration_outcomes_are_pinned(monkeypatch):
+    cases = _enumeration_cases()
+    assert len(cases) == 7 + 14 + 3 * (30 + 16)
+    got = [_outcome(lat, value) for lat, value in cases]
+    # E8, E8(2), A2, D4, E7, a rebased E8 and E8(2), a random gram
+    capped = [cases[i] for i in (0, 4, 7, 14, 20, 21, 36, 52)]
+    for cap in (0, 1, 2, 3, 50, 239, 240):
+        got += [_outcome(lat, value, cap=cap) for lat, value in capped]
+    for nodes in (0, 1, 7, 60, 249, 250, 1000):
+        monkeypatch.setattr(embeddings, "ENUM_NODE_CAP", nodes)
+        got += [_outcome(lat, value) for lat, value in capped]
+    blob = json.dumps(got, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == ENUMERATION_DIGEST
+
+
+def test_enumeration_leaves_no_garbage_cycle():
+    # the walk keeps its state in lists, not in closures that refer to
+    # themselves, so reference counting frees all of it
+    e8 = standard_lattice("E8")
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(vectors_of_norm(e8, -6)) == 6720
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_rank_one_enumeration():
