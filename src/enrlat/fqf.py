@@ -28,11 +28,12 @@ Q, and only the JSON boundary asks for invariant factors
 A form is checked where it is built, by `FiniteQuadraticForm` or
 `FiniteQuadraticForm.over`: orders, shape, symmetry and each value
 against its generator's order, then reduced to the normal (Q, m) above.
-Every caller and every derived form goes through them but two, whose
-matrix, read off a checked form, is already normal and valid, and which
+Every caller and every derived form goes through them but four, whose
+matrix is read off checked forms, so is valid, and which
 `FiniteQuadraticForm._known` takes unchecked: the negation of a form
-(`negate_fqf`) and a graph quotient rebuilt from the tuple its store kept
-(`nikulin._graph_quotient`).
+(`negate_fqf`), a p-part (`p_part`, reduced as `_set` reduces), a direct
+sum (`direct_sum_fqf`), and a graph quotient and its complement's form
+rebuilt from the tuples their store kept (`nikulin._graph_quotient`).
 
 A lattice keeps its discriminant form, the shared ambient N among them,
 and a form keeps its two-torsion view, its Gauss signature and its
@@ -41,8 +42,9 @@ that raises keeps nothing. Jordan splittings are kept by form value
 instead, in a bounded store (`_jordan_split`): the 256 latest (form, p)
 splittings, a degenerate outcome included, so equal forms built again and
 again along the gluing path split once. Graph quotients are kept by form
-value the same way (`nikulin._graph_quotient`); the difference form they
-are cut from is built on each miss.
+value the same way, each with the complement's form derived from it once
+(`nikulin._graph_quotient`); the difference form they are cut from is
+built on each miss.
 
 `Fraction` stays at the edges: `q_of` returns one and `values` is the
 `Fraction` view of Q / m that the JSON boundary reads. The integer Smith
@@ -125,9 +127,11 @@ def _two_torsion(f):
     g its lowest bit: Q gains Q_g + 2 beta(x', g), beta XORs g's row.
     """
     if f._order_two is None:
-        gens = [[d // 2 if j == i else 0 for j in range(f.num_gens)]
-                for i, d in enumerate(f.orders) if d % 2 == 0][::-1]
-        qs, rows = _order_two_bits(gram_of_rows(gens, f.qmat), f.den)
+        kept = [(i, d // 2) for i, d in enumerate(f.orders) if d % 2 == 0][::-1]
+        gens = [[c if j == i else 0 for j in range(f.num_gens)] for i, c in kept]
+        # gens[a] is c_a e_i, so its gram is Q scaled as in `p_part`
+        qs, rows = _order_two_bits([[f.qmat[i][j] * ci * cj for j, cj in kept]
+                                    for i, ci in kept], f.den)
         elements = [(0, 0, 0)]
         for mask in range(1, 1 << len(gens)):
             g = (mask & -mask).bit_length() - 1
@@ -159,12 +163,12 @@ class FiniteQuadraticForm:
         return form
 
     @classmethod
-    def _known(cls, orders, qmat, den):
+    def _known(cls, orders, qmat, den, g=1):
         """The form of a value matrix read off a checked form and already
-        normalised as `_set` leaves it (qmat a tuple of int tuples, den
-        least): no check and no reduction."""
+        reduced as `_set` reduces it (qmat a tuple of int tuples), with g
+        the common factor of its entries and den: no check."""
         form = cls.__new__(cls)
-        form._keep(orders, qmat, den)
+        form._keep(orders, qmat, den, g)
         return form
 
     def _set(self, orders, qmat, den):
@@ -193,13 +197,14 @@ class FiniteQuadraticForm:
                 x = next(x for j, x in enumerate(r) if j != i and (d * x) % den)
                 raise BadShape("pairing %s invalid for order %d" % (Fraction(x, den), d))
             g = math.gcd(g, rg)
-        self._keep(orders, rows if g == 1 else tuple(tuple(x // g for x in r) for r in rows),
-                   den // g)
+        self._keep(orders, rows, den, g)
 
-    def _keep(self, orders, qmat, den):
+    def _keep(self, orders, qmat, den, g):
+        """Keep the value matrix over den with the common factor g divided
+        out of both, so den is least."""
         self.orders = orders
-        self.den = den
-        self.qmat = qmat
+        self.den = den // g
+        self.qmat = qmat if g == 1 else tuple(tuple(x // g for x in r) for r in qmat)
         self._order_two = None  # kept by _two_torsion
         self._sig = None  # kept by milgram_signature
         self._scale = {}  # p -> what _scales read, kept by _scales
@@ -302,12 +307,14 @@ def discriminant_form(lat):
 
 
 def direct_sum_fqf(f1, f2):
+    """f1 (+) f2 over m = lcm of the dens, built unchecked: its blocks
+    s_i Q_i have coprime s_i = m / den_i, so it is normal as f1 and f2 are."""
     m = math.lcm(f1.den, f2.den)
     s1, s2 = m // f1.den, m // f2.den
     k1, k2 = f1.num_gens, f2.num_gens
-    mat = [[x * s1 for x in r] + [0] * k2 for r in f1.qmat]
-    mat += [[0] * k1 + [x * s2 for x in r] for r in f2.qmat]
-    return FiniteQuadraticForm.over(f1.orders + f2.orders, mat, m)
+    mat = tuple(tuple(x * s1 for x in r) + (0,) * k2 for r in f1.qmat)
+    mat += tuple((0,) * k1 + tuple(x * s2 for x in r) for r in f2.qmat)
+    return FiniteQuadraticForm._known(f1.orders + f2.orders, mat, m)
 
 
 def negate_fqf(f):
@@ -351,11 +358,15 @@ def p_part(f, p):
 
     Generator (d / p^a) e_i is c_i e_i, so the value matrix is Q restricted
     to the generators whose order p divides, entry (i, j) scaled by c_i c_j:
-    what `gram_of_rows` gives on those rows, without the product.
+    what `gram_of_rows` gives on those rows, without the product. Read off
+    the checked f, it is only reduced as `_set` reduces it and built unchecked.
     """
     kept = [(i, d // p ** val_p(d, p)) for i, d in enumerate(f.orders) if d % p == 0]
-    mat = [[f.qmat[i][j] * ci * cj for j, cj in kept] for i, ci in kept]
-    return FiniteQuadraticForm.over([f.orders[i] // c for i, c in kept], mat, f.den)
+    m = f.den
+    mat = tuple(tuple(f.qmat[i][j] * ci * cj % (2 * m if i == j else m) for j, cj in kept)
+                for i, ci in kept)
+    return FiniteQuadraticForm._known(tuple(f.orders[i] // c for i, c in kept), mat, m,
+                                      math.gcd(m, *(x for r in mat for x in r)))
 
 
 def _scales(f, p):

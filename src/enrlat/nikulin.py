@@ -153,35 +153,37 @@ def _check_datum_shape(datum, fl, fn):
 
 
 # graph quotients by (orders, den, qmat) of the source form, H_L rows and
-# gamma rows as given: the quotient's (orders, den, qmat). It reads those
-# and q_N, which is fixed. Tuples only, never a form, so a form is still
-# freed by reference counting.
+# gamma rows as given: (orders, qmat, den) of the quotient and of the
+# complement's form. It reads those and q_N, which is fixed. Tuples only,
+# never a form, so a form is still freed by reference counting.
 _GLUED = Store(256)
 
 
 def _graph_quotient(fl, h_l_gens, gamma_rows):
     """The subquotient carried by the graph of the identification inside
-    the difference form of fl and the ambient form.
+    the difference form of fl and the ambient form, and the form of the
+    complement K it asks for: minus the quotient on invariant-factor
+    generators, `canonical_form(negate_fqf(quot))` (Nikulin 1.15.1).
 
-    It is a function of the form value and the rows alone (Nikulin 1.15.1),
-    so it is kept in the bounded store `_GLUED` by form value and rows:
-    verify and transfer_datum_up read the quotient that
-    find_embedding_datum built, and so does every later lattice with an
-    equal form. A hit rebuilds the form from the kept tuple, the value of a
-    form built and checked on the miss, so it is rebuilt unchecked
-    (`FiniteQuadraticForm._known`); a call that raises keeps nothing."""
+    Both are functions of the form value and the rows alone, so they are
+    kept in the bounded store `_GLUED` by form value and rows: verify and
+    transfer_datum_up read the pair that find_embedding_datum built, and
+    so does every later lattice with an equal form. A hit rebuilds both
+    forms from the kept tuples, values of forms built and checked on the
+    miss, so they are rebuilt unchecked (`FiniteQuadraticForm._known`); a
+    call that raises keeps nothing."""
     key = (fl.orders, fl.den, fl.qmat,
            tuple(map(tuple, h_l_gens)), tuple(map(tuple, gamma_rows)))
     kept = _GLUED.lookup(key)
     if kept is not None:
-        orders, den, qmat = kept
-        return FiniteQuadraticForm._known(orders, qmat, den)
+        return tuple(FiniteQuadraticForm._known(*v) for v in kept)
     diff = _difference_form(fl)
     graph = [list(h) + list(g) for h, g in zip(h_l_gens, gamma_rows)]
     perp = perp_subgroup(diff, graph)
     quot = quotient_form(diff, perp, subgroup_matrix(diff, graph))
-    _GLUED.keep(key, (quot.orders, quot.den, quot.qmat))
-    return quot
+    forms = (quot, canonical_form(negate_fqf(quot)))
+    _GLUED.keep(key, tuple((f.orders, f.qmat, f.den) for f in forms))
+    return forms
 
 
 def verify_embedding_datum(lat, datum):
@@ -242,16 +244,16 @@ def verify_embedding_datum(lat, datum):
             if fl.b_num(hl[i], hl[j]) * fn.den != fn.b_num(gamma[i], gamma[j]) * fl.den:
                 reasons.append("identification does not preserve the pairing")
                 return False, reasons
-    quot = _graph_quotient(fl, hl, gamma)
+    quot, kf = _graph_quotient(fl, hl, gamma)
     expected = (fl.group_order * fn.group_order) // (order_l * order_l)
     assert quot.group_order == expected
-    target = negate_fqf(datum.k_fqf)
     if datum.delta is not None:
-        if not verify_fqf_iso(target, quot, [list(r) for r in datum.delta]):
+        # delta names the quotient's own generators, so it maps -K to quot
+        if not verify_fqf_iso(negate_fqf(datum.k_fqf), quot, [list(r) for r in datum.delta]):
             reasons.append("the provided complement identification fails")
             return False, reasons
     else:
-        if not is_isomorphic(target, quot):
+        if not is_isomorphic(datum.k_fqf, kf):
             reasons.append(
                 "complement discriminant form does not match the subquotient"
             )
@@ -295,10 +297,9 @@ def find_embedding_datum(lat):
     def attempt(hl, gamma):
         hl = [coords(gens_l, a) for a in hl]
         gamma = [coords(gens_n, b) for b in gamma]
-        quot = _graph_quotient(fl, hl, gamma)
+        quot, kf = _graph_quotient(fl, hl, gamma)
         if quot.num_gens > want_rank:
             return None
-        kf = canonical_form(negate_fqf(quot))
         if not exists_even_lattice(want_sig, kf):
             return None
         # int rows and invariants built here: nothing for make_datum to check
@@ -517,8 +518,7 @@ def transfer_datum_up(parent, child, datum, child_basis):
     fc = discriminant_form(child)
     _check_datum_shape(datum, fc, discriminant_form(ambient()))
     new_hl = _convert_gens(child, parent, datum.h_l, mat_mul(child_basis, parent.gram))
-    quot = _graph_quotient(fl, new_hl, [list(r) for r in datum.gamma])
-    new_kf = canonical_form(negate_fqf(quot))
+    _, new_kf = _graph_quotient(fl, new_hl, [list(r) for r in datum.gamma])
     if not exists_even_lattice(datum.k_signature, new_kf):
         raise ExistenceFails("lifted complement invariants are unrealizable")
     return make_datum(

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from enrlat import fqf, nikulin
 from enrlat.cli import main
@@ -28,6 +28,7 @@ from enrlat.fqf import (
     FiniteQuadraticForm,
     _jordan_split,
     _local_key,
+    _p_coords,
     _scales,
     _subquotient,
     _two_torsion,
@@ -1016,7 +1017,7 @@ def _split_forms(rng):
             datum = nikulin.find_embedding_datum(lat)
         except EnrLatError:
             continue
-        forms.append(nikulin._graph_quotient(fl, datum.h_l, datum.gamma))
+        forms.append(nikulin._graph_quotient(fl, datum.h_l, datum.gamma)[0])
     return forms
 
 
@@ -1063,10 +1064,50 @@ def test_negation_is_the_checked_negation(f):
     assert negate_fqf(neg) == f
 
 
+# 3e on Z/6 with q(e) = 1/6 has q = 9/6: the scaled matrix shares 3 with den
+_SIXTH = FiniteQuadraticForm([6], [[Fraction(1, 6)]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(f=_valid_forms())
+@example(f=trivial_form())
+@example(f=_SIXTH)
+def test_p_part_is_the_checked_p_part(f):
+    # p_part skips the checks of `over` on the gram of its generators; at
+    # 7, which divides no order drawn, the p-part is trivial
+    for p in (2, 3, 5, 7):
+        coords, orders = _p_coords(f, p)
+        checked = FiniteQuadraticForm.over(orders, gram_of_rows(coords, f.qmat), f.den)
+        assert _value(p_part(f, p)) == _value(checked)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(f1=_valid_forms(), f2=_valid_forms())
+@example(f1=trivial_form(), f2=_SIXTH)
+@example(f1=_SIXTH, f2=trivial_form())
+@example(f1=trivial_form(), f2=trivial_form())
+def test_direct_sum_is_the_checked_direct_sum(f1, f2):
+    # direct_sum_fqf skips the checks of the constructor on the block
+    # diagonal of the two value matrices
+    k1, k2 = f1.num_gens, f2.num_gens
+    checked = FiniteQuadraticForm(f1.orders + f2.orders,
+                                  [list(r) + [0] * k2 for r in f1.values]
+                                  + [[0] * k1 + list(r) for r in f2.values])
+    assert _value(direct_sum_fqf(f1, f2)) == _value(checked)
+
+
+def test_unchecked_builds_meet_their_edge_cases():
+    part = p_part(_SIXTH, 2)
+    assert (part.orders, part.den, part.qmat) == ((2,), 2, ((3,),))
+    assert p_part(_SIXTH, 7) == trivial_form() == p_part(trivial_form(), 2)
+    assert direct_sum_fqf(trivial_form(), _SIXTH) == _SIXTH == direct_sum_fqf(_SIXTH, trivial_form())
+
+
 def test_kept_graph_quotients_equal_a_cold_rebuild(stores):
-    """Every graph quotient the gluing sweep keeps, read back from the
-    store unchecked, has the value of one built from an empty store and of
-    a checked construction of its value."""
+    """Every graph quotient the gluing sweep keeps, and the complement's
+    form kept with it, read back from the store unchecked, have the values
+    of those built from an empty store and of checked constructions of
+    their values; the kept K is the cold canonical_form(negate_fqf(quot))."""
     _gluing_outcomes(_gram_sweep(), lambda: None)
     kept = list(stores["_GLUED"])
     assert len(kept) > 30 and sum(1 for key in kept if key[3]) > 15
@@ -1074,12 +1115,15 @@ def test_kept_graph_quotients_equal_a_cold_rebuild(stores):
     for orders, den, qmat, h_l, gamma in kept:
         fl = FiniteQuadraticForm.over(orders, qmat, den)
         glued.clear()
-        cold = nikulin._graph_quotient(fl, h_l, gamma)
+        cold, cold_k = nikulin._graph_quotient(fl, h_l, gamma)
         hits = glued.hits
-        warm = nikulin._graph_quotient(fl, h_l, gamma)
-        assert glued.hits == hits + 1 and warm is not cold
+        warm, warm_k = nikulin._graph_quotient(fl, h_l, gamma)
+        assert glued.hits == hits + 1 and warm is not cold and warm_k is not cold_k
         assert _value(warm) == _value(cold) == _value(
             FiniteQuadraticForm.over(cold.orders, cold.qmat, cold.den))
+        k = canonical_form(negate_fqf(cold))
+        assert _value(warm_k) == _value(cold_k) == _value(k) == _value(
+            FiniteQuadraticForm.over(k.orders, k.qmat, k.den))
 
 
 def _readings(f):

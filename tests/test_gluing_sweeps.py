@@ -308,15 +308,17 @@ def test_any_fitting_images_give_an_isomorphic_complement():
         fl = discriminant_form(lat)
         gamma = _second_images(fl, fn, datum.h_l, rng)
         moved += gamma != list(datum.gamma)
-        first = nikulin._graph_quotient(fl, datum.h_l, datum.gamma)
-        second = nikulin._graph_quotient(fl, datum.h_l, gamma)
+        first, first_k = nikulin._graph_quotient(fl, datum.h_l, datum.gamma)
+        second, second_k = nikulin._graph_quotient(fl, datum.h_l, gamma)
         # the first is kept from the search: both equal quotients built anew
         fresh = discriminant_form(Lattice(lat.gram))
-        assert first == nikulin._graph_quotient(fresh, datum.h_l, datum.gamma)
-        assert second == nikulin._graph_quotient(fresh, datum.h_l, gamma)
+        assert (first, first_k) == nikulin._graph_quotient(fresh, datum.h_l, datum.gamma)
+        assert (second, second_k) == nikulin._graph_quotient(fresh, datum.h_l, gamma)
+        assert first_k == datum.k_fqf == canonical_form(negate_fqf(first))
+        assert second_k == canonical_form(negate_fqf(second))
         assert first.num_gens == second.num_gens
-        assert (exists_even_lattice(datum.k_signature, canonical_form(negate_fqf(first)))
-                == exists_even_lattice(datum.k_signature, canonical_form(negate_fqf(second))))
+        assert (exists_even_lattice(datum.k_signature, first_k)
+                == exists_even_lattice(datum.k_signature, second_k))
         sigma = _witt_isometry(fn, datum.gamma, gamma)
         diff, k = nikulin._difference_form(fl), fl.num_gens
         graph1, graph2 = ([list(h) + list(g) for h, g in zip(datum.h_l, images)]

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 
@@ -265,7 +266,7 @@ def test_verify_rejects_wrong_signature():
 
 
 def test_verify_compares_the_complement_form_not_its_presentation():
-    # the found K form negates to the kept subquotient itself, so the
+    # the found K form is the one kept with the subquotient, so the
     # isomorphism test takes its equal-forms path. A K form on the same
     # group with a wrong q value must still fail: q(e_9) moved by 2/3 moves
     # q on the 3-part Z/3 from 2/3 to 4/3, a non-square multiple. The same
@@ -274,8 +275,8 @@ def test_verify_compares_the_complement_form_not_its_presentation():
     good = find_embedding_datum(lat)
     kf = good.k_fqf
     assert kf.orders == (2,) * 9 + (6,)
-    quot = nikulin._graph_quotient(discriminant_form(lat), good.h_l, good.gamma)
-    assert negate_fqf(kf) == quot
+    quot, kept = nikulin._graph_quotient(discriminant_form(lat), good.h_l, good.gamma)
+    assert negate_fqf(kf) == quot and kept == kf
 
     def with_form(form):
         return make_datum(good.h_l, good.h_n, good.gamma, good.k_rank, good.k_signature, form)
@@ -287,15 +288,43 @@ def test_verify_compares_the_complement_form_not_its_presentation():
     ok, reasons = verify_embedding_datum(lat, with_form(wrong))
     assert not ok
     assert reasons == ["complement discriminant form does not match the subquotient"]
-    # e_i + e_(i+1) for i < 8, then e_8 and e_9 + e_0
-    rows = [[int(j in (i, i + 1)) for j in range(10)] for i in range(8)]
-    rows += [[0] * 8 + [1, 0], [1] + [0] * 8 + [1]]
-    other = FiniteQuadraticForm(kf.orders, [
-        [brute_q(kf.values, x) if i == j else brute_b(kf.values, x, y) for j, y in enumerate(rows)]
-        for i, x in enumerate(rows)])
+    other = _on_other_basis(kf)
     assert other != kf and fqf_isomorphic(other, kf) is not None
     ok, reasons = verify_embedding_datum(lat, with_form(other))
     assert ok, reasons
+
+
+def _on_other_basis(kf):
+    """The K form (Z/2)^9 (+) Z/6 of [[4, 2], [2, 4]] on the generators
+    e_i + e_(i+1) for i < 8, then e_8 and e_9 + e_0."""
+    rows = [[int(j in (i, i + 1)) for j in range(10)] for i in range(8)]
+    rows += [[0] * 8 + [1, 0], [1] + [0] * 8 + [1]]
+    return FiniteQuadraticForm(kf.orders, [
+        [brute_q(kf.values, x) if i == j else brute_b(kf.values, x, y) for j, y in enumerate(rows)]
+        for i, x in enumerate(rows)])
+
+
+def test_verify_checks_a_given_complement_identification():
+    # a found datum carries no delta; one given with the datum is checked
+    # as a map from -K onto the graph quotient, on a K that is not the
+    # kept one, and one changed image row fails it
+    lat = Lattice([[4, 2], [2, 4]])
+    good = find_embedding_datum(lat)
+    assert good.delta is None
+    other = _on_other_basis(good.k_fqf)
+    quot, kf = nikulin._graph_quotient(discriminant_form(lat), good.h_l, good.gamma)
+    assert other != kf
+    delta = fqf_isomorphic(negate_fqf(other), quot)
+
+    def with_delta(rows):
+        return make_datum(good.h_l, good.h_n, good.gamma, good.k_rank, good.k_signature,
+                          other, delta=rows)
+
+    assert verify_embedding_datum(lat, with_delta(delta)) == (True, [])
+    changed = [list(r) for r in delta]
+    changed[0] = list(quot.reduce(map(add, changed[0], changed[1])))
+    assert verify_embedding_datum(lat, with_delta(changed)) == (
+        False, ["the provided complement identification fails"])
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -517,7 +546,8 @@ def test_descent_chain_builds_each_graph_quotient_once(gram, p, monkeypatch, sto
     for fl, h_l_gens, gamma_rows, out in served:
         stores["_GLUED"].clear()
         fresh = discriminant_form(Lattice(grams[id(fl)]))
-        assert out == graph_quotient(fresh, h_l_gens, gamma_rows)
+        quot, kf = graph_quotient(fresh, h_l_gens, gamma_rows)
+        assert out == (quot, kf) and kf == canonical_form(negate_fqf(quot))
 
 
 def test_kept_graph_quotient_decides_no_verdict_and_keeps_no_error(monkeypatch, stores):
@@ -682,14 +712,19 @@ def test_form_work_is_pinned(stores, monkeypatch):
     """From empty stores, along `_work_path`: the forms built through the
     checking `_set`, the Gauss signatures and the `_scales` readings
     computed (a call that finds its result kept on the form computes
-    nothing), and the `_solve_lower` calls of verify. When each form
-    checked its value again, kept neither reading and verify solved every
-    row of H_N in its own span, these were 128, 29, 90 and 120.
+    nothing), the `_solve_lower` calls of verify, and the negations and
+    invariant-factor forms taken, so that a value derived again shows. When
+    each form checked its value again, kept neither reading and verify
+    solved every row of H_N in its own span, the first four were 128, 29,
+    90 and 120; when p-parts and direct sums were checked and every reader
+    of a graph quotient derived K from it again, they were 74, 17, 41 and
+    0, with 38 negations and 17 invariant-factor forms.
 
     q_N is kept on the shared lattice N, so it is built before the count
     whatever ran before."""
     discriminant_form(ambient())
-    counts = dict.fromkeys(("_set", "signature", "_scales", "_solve_lower"), 0)
+    counts = dict.fromkeys(("_set", "signature", "_scales", "_solve_lower",
+                            "negate_fqf", "canonical_form"), 0)
 
     def counted(name, call, cold=lambda *args: True):
         def run(*args):
@@ -704,8 +739,15 @@ def test_form_work_is_pinned(stores, monkeypatch):
         monkeypatch.setattr(mod, "milgram_signature", signature)
         monkeypatch.setattr(mod, "_scales", scales)
     monkeypatch.setattr(nikulin, "_solve_lower", counted("_solve_lower", fqf._solve_lower))
+    for name in ("negate_fqf", "canonical_form"):
+        call = counted(name, getattr(fqf, name))
+        for mod in (fqf, nikulin):
+            monkeypatch.setattr(mod, name, call)
     _work_path()
-    assert counts == {"_set": 74, "signature": 17, "_scales": 41, "_solve_lower": 0}
+    # a graph quotient miss (9) negates q_N and the quotient and takes K's
+    # invariant-factor form; each step down (4) negates and takes one more
+    assert counts == {"_set": 30, "signature": 17, "_scales": 33, "_solve_lower": 0,
+                      "negate_fqf": 22, "canonical_form": 13}
 
 
 def test_transfer_round_trip_sweep():
