@@ -14,7 +14,8 @@ A template is (tuple gram, image rows[, sign rule]). The tuple gram asks
 E8(2) with those pairings, drawn by exact norm enumeration. An image row
 "e f h k [ti]" gives the coefficients of the first four ambient basis
 vectors and, when present, ti as the last eight coordinates. Every entry is
-a linear form in the parameters, such as "2b-2a", parsed once at import. A
+a linear form in the parameters, such as "2b-2a", parsed once at import, and
+a constant one is folded there: a candidate evaluates only the others. A
 sign rule (p, r) covers p < 0: the template is built for the gram with
 basis vector r negated, where p is positive, and image r is negated back;
 -v has the parity of v, so the label is kept. Construction always ends in
@@ -354,7 +355,7 @@ def iter_tuples_in_e82(gram):
 
 
 def _search_tuples(gram):
-    e82 = standard_lattice("E82")
+    e82 = standard_lattice("E82").gram
     t = len(gram)
     nodes = [0]
 
@@ -370,8 +371,9 @@ def _search_tuples(gram):
         return
 
     # every prefix of a basis of a primitive sublattice spans a primitive
-    # sublattice, so the search descends only into primitive prefixes
-    def dfs(chosen):
+    # sublattice, so the search descends only into primitive prefixes. Each
+    # chosen y comes with G y, so a shell vector pairs with y by one dot product
+    def dfs(chosen, gys):
         pos = len(chosen)
         if pos == t:
             rows = tuple(tuple(r) for r in chosen)
@@ -383,12 +385,11 @@ def _search_tuples(gram):
             if nodes[0] > TUPLE_NODE_CAP:
                 raise CapExceeded("tuple search spent %d nodes, over its cap of %d"
                                   % (nodes[0], TUPLE_NODE_CAP))
-            if all(
-                e82.bilinear(cand, chosen[i]) == gram[pos][i] for i in range(pos)
-            ) and keep(chosen + [cand]):
-                yield from dfs(chosen + [cand])
+            if (all(sum(map(mul, cand, gy)) == w for gy, w in zip(gys, gram[pos]))
+                    and keep(chosen + [cand])):
+                yield from dfs(chosen + [cand], gys + [[sum(map(mul, r, cand)) for r in e82]])
 
-    yield from dfs([])
+    yield from dfs([], [])
 
 
 @dataclass(frozen=True)
@@ -426,8 +427,8 @@ def embedding_from_images(source, images):
     diag = snf_diagonal(rows)
     if len(diag) < len(rows) or 0 in diag:
         raise DependentVectors("images are dependent")
-    prods = _products(nlat, rows)
-    got = _gram_from(rows, prods)
+    prods, pairs = _products(nlat, rows)
+    got = _gram_from(prods, pairs)
     want = [list(r) for r in source.gram]
     if got != want:
         raise GramMismatch("images have pairings %s, expected %s" % (got, want))
@@ -470,6 +471,22 @@ def _value(form, params):
     return form[0] + sum(map(mul, form[1:], params))
 
 
+def _folded(forms):
+    # a row of forms as (the tuple of its constants, 0 where a form has a
+    # parameter term; the (index, form) pairs of those that have one)
+    return (tuple(0 if any(f[1:]) else f[0] for f in forms),
+            [(i, f) for i, f in enumerate(forms) if any(f[1:])])
+
+
+def _unfolded(row, forms, params):
+    # a _folded row at these parameters: a constant row is its kept tuple
+    if forms:
+        row = list(row)
+        for i, f in forms:
+            row[i] = _value(f, params)
+    return row
+
+
 class _Family:
     """The table family of one rank invariant, parsed once from its spec:
     parameter names, source gram, check (block size, signature wanted of
@@ -502,10 +519,10 @@ class _Family:
         for row in rows:
             head = row.split()
             slot = int(head[4][1:]) if len(head) > 4 else None
-            images.append(([_form(x, self.names) for x in head[:4]], slot))
+            images.append((*_folded([_form(x, self.names) for x in head[:4]]), slot))
         if sign is not None:
             sign = (self.names.index(sign[0]), sign[1])
-        return self._matrix(tgram), images, sign
+        return list(map(_folded, self._matrix(tgram))), images, sign
 
     def gram(self, params):
         return [[_value(f, params) for f in row] for row in self.gram_forms]
@@ -622,12 +639,12 @@ def _candidates(fam, template, params):
         g = fam.gram(params)
         params = fam.params([[-x if (i == r) != (j == r) else x for j, x in enumerate(row)]
                              for i, row in enumerate(g)])
-    heads = [([_value(f, params) for f in coeffs], slot) for coeffs, slot in rows]
+    heads = [(_unfolded(head, forms, params), slot) for head, forms, slot in rows]
     tuples = [()]
     if tgram:
-        tuples = iter_tuples_in_e82([[_value(f, params) for f in row] for row in tgram])
+        tuples = iter_tuples_in_e82([_unfolded(*row, params) for row in tgram])
     for tup in tuples:
-        images = [head + (list(tup[slot]) if slot is not None else [0] * 8)
+        images = [[*head, *(tup[slot] if slot is not None else (0,) * 8)]
                   for head, slot in heads]
         if flip:
             images[r] = [-x for x in images[r]]

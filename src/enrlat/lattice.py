@@ -11,7 +11,8 @@ validated embedding reads S's det and signature off the embedding's
 source (`_complement`). Products against
 a Lattice's gram read the nonzero entries of each gram row, kept on the
 lattice after its first product; a raw gram matrix (`gram_of_rows`) is
-multiplied by `intmat.mat_mul`.
+multiplied by `intmat.mat_mul`. Either product is then paired with the
+rows' nonzero entries alone; `_products` collects them in its own pass.
 Degenerate restrictions are first class citizens via
 DegenerateQuadraticModule rather than errors, because orthogonal complements
 inside hyperbolic pieces routinely produce them: a restriction's gram is
@@ -156,33 +157,43 @@ def rescale(lat, s):
 
 
 def _products(lat, rows):
-    """rows * lat.gram, read off the gram's nonzero entries.
-
-    Per gram row, the (column, entry) pairs of its nonzero entries are
-    kept on the lattice, built on its first product: each nonzero x_i of a
-    row adds x_i * g to the columns gram row i touches.
+    """(rows * lat.gram, pairs), pairs[k] the (column, entry) pairs of the
+    nonzero entries of rows[k], found in the same pass. The gram's own such
+    pairs are kept on the lattice per gram row, built on its first product:
+    each nonzero x_i of a row adds x_i * g to the columns gram row i touches.
     """
     nonzero = lat._nonzero
     if nonzero is None:
         nonzero = lat._nonzero = tuple(
             tuple((j, g) for j, g in enumerate(row) if g) for row in lat.gram)
-    n = lat.rank
-    out = []
+    out, pairs = [], []
     for r in rows:
-        acc = [0] * n
-        for x, entries in zip(r, nonzero):
+        acc = [0] * lat.rank
+        nz = []
+        for i, x in enumerate(r):
             if x:
-                for j, g in entries:
+                nz.append((i, x))
+                for j, g in nonzero[i]:
                     acc[j] += x * g
         out.append(acc)
-    return out
+        pairs.append(nz)
+    return out, pairs
 
 
-def _gram_from(rows, prods):
-    # rows * gram * rows^T from prods = rows * gram: only the lower
-    # triangle is computed, and the upper one is read off it
-    low = [[sum(map(mul, x, y)) for y in rows[:i + 1]] for i, x in enumerate(prods)]
-    return [row + [low[j][i] for j in range(i + 1, len(low))] for i, row in enumerate(low)]
+def _gram_from(prods, pairs):
+    # rows * gram * rows^T from prods = rows * gram and the rows' nonzero
+    # (column, entry) pairs: only the lower triangle is computed, and the
+    # upper one is read off it
+    low = []
+    for i, p in enumerate(prods):
+        row = []
+        for nz in pairs[:i + 1]:
+            s = 0
+            for j, x in nz:
+                s += p[j] * x
+            row.append(s)
+        low.append(row)
+    return [row + [r[i] for r in low[i + 1:]] for i, row in enumerate(low)]
 
 
 def gram_of_rows(rows, gram):
@@ -191,13 +202,13 @@ def gram_of_rows(rows, gram):
     rows * gram is taken by intmat.mat_mul; the product against a
     Lattice's gram is _restricted_gram's.
     """
-    return _gram_from(rows, mat_mul(rows, gram))
+    return _gram_from(mat_mul(rows, gram), [[(j, x) for j, x in enumerate(r) if x] for r in rows])
 
 
 def _restricted_gram(lat, rows):
     """Gram matrix rows * G * rows^T of the form of lat on integer rows,
-    its products taken by _products."""
-    return _gram_from(rows, _products(lat, rows))
+    its products and pairs taken by _products."""
+    return _gram_from(*_products(lat, rows))
 
 
 def _module(g):
@@ -245,8 +256,8 @@ def orthogonal_complement(lat, rows):
     if not rows:
         basis = identity(n)
         return basis, _module(_restricted_gram(lat, basis))
-    prods = _products(lat, rows)
-    pos, neg, zero, det_s, _ = eliminate_symmetric(_gram_from(rows, prods))
+    prods, pairs = _products(lat, rows)
+    pos, neg, zero, det_s, _ = eliminate_symmetric(_gram_from(prods, pairs))
     if zero:
         basis = _kernel_and_factors(prods)[0]
         return basis, _module(_restricted_gram(lat, basis))

@@ -162,8 +162,9 @@ _GLUED = Store(256)
 def _graph_quotient(fl, h_l_gens, gamma_rows):
     """The subquotient carried by the graph of the identification inside
     the difference form of fl and the ambient form, and the form of the
-    complement K it asks for: minus the quotient on invariant-factor
-    generators, `canonical_form(negate_fqf(quot))` (Nikulin 1.15.1).
+    complement K it asks for, `negate_fqf(quot)` (Nikulin 1.15.1). Both
+    are on invariant-factor generators: `quotient_form` names the
+    quotient's generators by a Smith form, so each order divides the next.
 
     Both are functions of the form value and the rows alone, so they are
     kept in the bounded store `_GLUED` by form value and rows: verify and
@@ -181,7 +182,7 @@ def _graph_quotient(fl, h_l_gens, gamma_rows):
     graph = [list(h) + list(g) for h, g in zip(h_l_gens, gamma_rows)]
     perp = perp_subgroup(diff, graph)
     quot = quotient_form(diff, perp, subgroup_matrix(diff, graph))
-    forms = (quot, canonical_form(negate_fqf(quot)))
+    forms = (quot, negate_fqf(quot))
     _GLUED.keep(key, tuple((f.orders, f.qmat, f.den) for f in forms))
     return forms
 

@@ -638,6 +638,57 @@ def test_a_finished_search_is_replayed_whole(stores):
     assert list(iter_tuples_in_e82(gram)) == []
 
 
+def _label_tuple_grams(monkeypatch):
+    """The tuple grams the label search asks for, in order: every nonzero
+    rho = 17 label at m = 1, 2 and 3, and two rho = 18 labels whose frame
+    tuples give no primitive embedding, so their search walks shells."""
+    grams = []
+    search = embeddings.iter_tuples_in_e82
+
+    def recorded(gram):
+        rows = [list(r) for r in gram]
+        if rows not in grams:
+            grams.append(rows)
+        return search(gram)
+
+    monkeypatch.setattr(embeddings, "iter_tuples_in_e82", recorded)
+    for m in (1, 2, 3):
+        for label in product((0, 1), repeat=5):
+            if any(label):
+                embedding_for_label(17, (m,), label)
+    embedding_for_label(18, (-2, 7, -2), (0, 0, 0, 1))
+    embedding_for_label(18, (-3, 7, -4), (0, 0, 0, 1))
+    monkeypatch.setattr(embeddings, "iter_tuples_in_e82", search)
+    return grams
+
+
+# nodes the tuple search spends on each gram of _label_tuple_grams up to
+# its ATTEMPT_CAP-th tuple, the most one label permutation reads, and the
+# sha256 of those tuples
+TUPLE_NODE_TOTALS = [1585, 561, 751, 374, 849, 790, 1496, 3159, 879, 973, 566, 746, 1909,
+                     2442, 3471, 1232, 981, 741, 920, 2826, 3057, 3244, 6243]
+TUPLE_DIGEST = "c4ed84ea8f04fa058ac846ffe1ea5d54d3077e2a0f904ea5ed43edb4923deacc"
+
+
+def test_tuple_search_work_is_pinned(monkeypatch, stores):
+    grams = _label_tuple_grams(monkeypatch)
+    assert len(grams) == 3 * 7 + 2
+    got = []
+    for gram, total in zip(grams, TUPLE_NODE_TOTALS, strict=True):
+        stores["_TUPLES"].clear()
+        monkeypatch.setattr(embeddings, "TUPLE_NODE_CAP", total)
+        tuples = list(islice(iter_tuples_in_e82(gram), embeddings.ATTEMPT_CAP))
+        assert len(tuples) == embeddings.ATTEMPT_CAP
+        got.append(tuples)
+        stores["_TUPLES"].clear()
+        monkeypatch.setattr(embeddings, "TUPLE_NODE_CAP", total - 1)
+        with pytest.raises(CapExceeded, match="^tuple search spent %d nodes, over its cap of %d$"
+                           % (total, total - 1)):
+            list(islice(iter_tuples_in_e82(gram), embeddings.ATTEMPT_CAP))
+    blob = json.dumps(got, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == TUPLE_DIGEST
+
+
 def test_spent_tuple_search_raises_on_every_call(monkeypatch, stores):
     monkeypatch.setattr(embeddings, "TUPLE_NODE_CAP", 300)
     # the first tuples come within the cap and are kept; the search past
@@ -711,7 +762,9 @@ def test_label_op_work_is_pinned(monkeypatch):
     # and the complement's gram), two Smith forms (the primitivity check
     # and the kernel) and no elimination: the complement reads S's det and
     # signature off the source and the kernel off the kept products. Each
-    # kernel is counted under every name an enrlat module binds it to.
+    # product also hands back its rows' nonzero entries, which its gram
+    # pairs with, so no pass of its own finds them. Each kernel is counted
+    # under every name an enrlat module binds it to.
     for op in _label_ops():
         embedding_complement(embedding_for_label(*op))
     counts = dict.fromkeys(("eliminate_symmetric", "_products", "_smith"), 0)

@@ -1126,6 +1126,26 @@ def test_kept_graph_quotients_equal_a_cold_rebuild(stores):
             FiniteQuadraticForm.over(k.orders, k.qmat, k.den))
 
 
+def test_graph_quotients_have_orders_that_divide_one_another(monkeypatch, stores):
+    """Every graph quotient of the gluing sweep, built or read back, has
+    orders that divide one another, since quotient_form names its
+    generators by a Smith form: K = negate_fqf(quot) is then its own
+    canonical_form, so _graph_quotient keeps K with no canonical_form."""
+    seen = []
+    graph_quotient = nikulin._graph_quotient
+
+    def recorded(*args):
+        seen.append(graph_quotient(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(nikulin, "_graph_quotient", recorded)
+    _gluing_outcomes(_gram_sweep(), lambda: None)
+    assert len(seen) > 30 and any(len(set(quot.orders)) > 1 for quot, _ in seen)
+    for quot, k in seen:
+        assert all(b % a == 0 for a, b in zip(quot.orders, quot.orders[1:]))
+        assert _value(k) == _value(negate_fqf(quot)) == _value(canonical_form(k))
+
+
 def _readings(f):
     """The signature of f and its `_scales` at each prime of its order, or
     the type and message of what each call raised."""

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from enrlat.embeddings import (
     PrimitiveEmbedding,
@@ -27,6 +27,7 @@ from enrlat.lattice import (
     DegenerateQuadraticModule,
     Lattice,
     _TAGS,
+    _restricted_gram,
     direct_sum,
     gram_of_rows,
     orthogonal_complement,
@@ -455,3 +456,88 @@ def test_complement_of_unimodular_rows_against_its_gram(seed, k, scale):
     assert (module.det, module.signature) == (fresh.det, fresh.signature)
     assert module == fresh and hash(module) == hash(fresh)
     assert all(n_amb.bilinear(b, r) == 0 for b in basis for r in rows)
+
+
+# ------------------------------- the sparse pairing against a dense one
+
+def _dense_gram(rows, g):
+    """rows * g * rows^T entry by entry over the full width: no entry is
+    skipped for being zero."""
+    n = len(g)
+    return [[sum(x[s] * g[s][t] * y[t] for s in range(n) for t in range(n)) for y in rows]
+            for x in rows]
+
+
+@st.composite
+def _rows_of_every_density(draw, width):
+    """0..6 rows of the given width, each a zero row, a row with one
+    nonzero entry, a row with some, or a row with none zero."""
+    entry = st.integers(-9, 9).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("zero", "one", "some", "dense")))
+        if kind == "dense":
+            rows.append([draw(entry) for _ in range(width)])
+        elif kind == "some":
+            rows.append([draw(st.sampled_from((0, 0, draw(entry)))) for _ in range(width)])
+        else:
+            row = [0] * width
+            if kind == "one":
+                row[draw(st.integers(0, width - 1))] = draw(entry)
+            rows.append(row)
+    return rows
+
+
+_N_DENSE = [[(-1) ** j * (j % 5 + 1) for j in range(12)]]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("N", "E82")).flatmap(
+    lambda tag: st.tuples(st.just(tag), _rows_of_every_density(len(standard_lattice(tag).gram)))))
+@example(("N", []))
+@example(("N", [[0] * 12]))
+@example(("N", [[0] * 5 + [2] + [0] * 6]))
+@example(("N", _N_DENSE))
+@example(("N", _N_DENSE + [[0] * 12] + _N_DENSE))
+@example(("N", [[1] + [0] * 11, [0, 0, 1] + [0] * 9]))
+@example(("E82", [[j - 9 for j in range(8)], [0] * 8]))
+def test_sparse_pairing_matches_a_dense_gram(case):
+    """_restricted_gram pairs each product with the rows' nonzero entries
+    alone; a dense rows * G * rows^T gives the same gram. On N a gram S
+    that is singular (a zero row, repeated rows, isotropic rows) sends
+    orthogonal_complement down its degenerate branch, whose module gram
+    is the dense gram of the basis it returns."""
+    tag, rows = case
+    lat = standard_lattice(tag)
+    g = [list(r) for r in lat.gram]
+    assert _restricted_gram(lat, rows) == _dense_gram(rows, g)
+    if tag != "N":
+        return
+    basis, module = orthogonal_complement(lat, rows)
+    assert [list(r) for r in module.gram] == _dense_gram(basis, g)
+    assert all(_dense_gram([b, r], g)[0][1] == 0 for b in basis for r in rows)
+    assert getattr(module, "radical_rank", 0) == rational_signature(module.gram)[2]
+
+
+@st.composite
+def _even_gram_and_rows(draw):
+    n = draw(st.integers(1, 7))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(st.integers(-4, 4))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.sampled_from((0, draw(st.integers(-5, 5)))))
+    return g, draw(_rows_of_every_density(n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_even_gram_and_rows())
+@example(([[2]], []))
+@example(([[0, 1], [1, 0]], [[0, 0]]))
+@example(([[2, -1], [-1, 2]], [[0, 3]]))
+@example(([[2, -1], [-1, 2]], [[4, -3], [0, 0], [4, -3]]))
+def test_gram_of_rows_matches_a_dense_gram(case):
+    # a raw gram: the product by mat_mul, paired with the rows' nonzero
+    # entries found by one comprehension
+    g, rows = case
+    assert gram_of_rows(rows, g) == _dense_gram(rows, g)

@@ -718,7 +718,8 @@ def test_form_work_is_pinned(stores, monkeypatch):
     solved every row of H_N in its own span, the first four were 128, 29,
     90 and 120; when p-parts and direct sums were checked and every reader
     of a graph quotient derived K from it again, they were 74, 17, 41 and
-    0, with 38 negations and 17 invariant-factor forms.
+    0, with 38 negations and 17 invariant-factor forms; when each graph
+    quotient miss also took K's invariant-factor form, that was 13.
 
     q_N is kept on the shared lattice N, so it is built before the count
     whatever ran before."""
@@ -744,10 +745,11 @@ def test_form_work_is_pinned(stores, monkeypatch):
         for mod in (fqf, nikulin):
             monkeypatch.setattr(mod, name, call)
     _work_path()
-    # a graph quotient miss (9) negates q_N and the quotient and takes K's
-    # invariant-factor form; each step down (4) negates and takes one more
+    # a graph quotient miss (9) negates q_N and the quotient, whose orders
+    # already divide one another; each step down (4) negates and takes an
+    # invariant-factor form
     assert counts == {"_set": 30, "signature": 17, "_scales": 33, "_solve_lower": 0,
-                      "negate_fqf": 22, "canonical_form": 13}
+                      "negate_fqf": 22, "canonical_form": 4}
 
 
 def test_transfer_round_trip_sweep():
