@@ -315,8 +315,9 @@ def _frame_tuples(gram):
                 return
 
 
-# gram (as a tuple of rows) -> (finished, the tuples iter_tuples_in_e82 has
-# yielded for it), finished once the search has run to its end. The search
+# gram (as a tuple of rows) -> (finished, the first tuples iter_tuples_in_e82
+# has yielded for it, at most ATTEMPT_CAP + 1: what one label permutation
+# reads), finished once those are all the search yields. The search
 # reads the gram and fixed data only: E8(2), _FRAME, the vectors of
 # _E82_CACHE and this module's limits. Nested tuples of ints, which the
 # cyclic collector stops tracking, and never a suspended search. A lookup
@@ -330,24 +331,25 @@ def iter_tuples_in_e82(gram):
     mutual pairings that span a primitive sublattice, deterministically
     ordered.
 
-    The tuples yielded are kept per gram in the bounded store `_TUPLES`
-    (the 256 latest grams) and replayed on the next call; a caller that
-    reads past them reruns the search, skips what is kept and keeps what
-    follows once it stops reading. The search is deterministic, so every
-    call yields what a fresh search yields, CapExceeded included.
+    The first ATTEMPT_CAP + 1 tuples yielded are kept per gram in the store
+    `_TUPLES` (the 256 latest grams) and replayed on the next call; a caller
+    that reads past them reruns the search, skips what is kept and keeps up
+    to that bound once it stops reading. The search is deterministic, so
+    every call yields what a fresh search yields, CapExceeded included.
     """
     key = tuple(map(tuple, gram))
     finished, kept = _TUPLES.lookup(key) or (False, ())
     yield from kept
     if finished:
         return
-    grown = list(kept)
+    grown, n = list(kept), 0  # n counts the tuples of the search
     try:
-        for n, rows in enumerate(_search_tuples(key)):
-            if n == len(grown):
-                grown.append(rows)
+        for n, rows in enumerate(_search_tuples(key), 1):
+            if n > len(kept):
+                if n <= ATTEMPT_CAP + 1:
+                    grown.append(rows)
                 yield rows
-        finished = True
+        finished = n <= ATTEMPT_CAP + 1
     finally:
         # another call may have kept more of the same sequence meanwhile
         if finished or len(grown) > len(_TUPLES.get(key, (False, ()))[1]):

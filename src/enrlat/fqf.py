@@ -36,15 +36,12 @@ sum (`direct_sum_fqf`), and a graph quotient and its complement's form
 rebuilt from the tuples their store kept (`nikulin._graph_quotient`).
 
 A lattice keeps its discriminant form, the shared ambient N among them,
-and a form keeps its two-torsion view, its Gauss signature and its
-`_scales` per prime: data derived from one object stays on it, and a call
-that raises keeps nothing. Jordan splittings are kept by form value
-instead, in a bounded store (`_jordan_split`): the 256 latest (form, p)
-splittings, a degenerate outcome included, so equal forms built again and
-again along the gluing path split once. Graph quotients are kept by form
-value the same way, each with the complement's form derived from it once
-(`nikulin._graph_quotient`); the difference form they are cut from is
-built on each miss.
+and a form keeps its two-torsion view: data derived from one object stays
+on it. Jordan data is kept by form value (`_local`), a degenerate outcome
+included, so equal forms built again and again along the gluing path
+split once. Graph quotients are kept by form value too, each with the
+complement's form derived from it once (`nikulin._graph_quotient`); the
+difference form they are cut from is built on each miss.
 
 `Fraction` stays at the edges: `q_of` returns one and `values` is the
 `Fraction` view of Q / m that the JSON boundary reads. The integer Smith
@@ -52,7 +49,7 @@ form of a gram names the generators of its discriminant form and gives
 the coordinates of a dual vector from its integer pairings with the
 lattice basis (`_dual_basis`). No float enters any decision.
 
-Every use of the Jordan blocks reads them through `_scales`, once per
+Every use of the Jordan blocks reads them through `_local`, once per
 scale p^k: the rank, the product of the block units (mod 8 at p = 2, mod
 p at odd p) and, at p = 2, the oddity of the scale. The Gauss signature
 (`milgram_signature`) is the sum of one closed-form phase per scale, as in
@@ -68,7 +65,7 @@ key of each p-part. A degenerate p-part has no key; `is_isomorphic` sends
 only a pair of them to the witness search `fqf_isomorphic`, which passes
 the same gate, compares degenerate p-parts by their q histograms and then
 backtracks over generator images under ISO_CAP.
-`nikulin.exists_even_lattice` reads its p-adic conditions off `_scales`
+`nikulin.exists_even_lattice` reads its p-adic conditions off `_local`
 too. Only that backtrack and the histogram of a degenerate form walk a
 whole group, reading `q_num` over `elements()`; nothing outside this
 module calls `elements()`.
@@ -206,8 +203,6 @@ class FiniteQuadraticForm:
         self.den = den // g
         self.qmat = qmat if g == 1 else tuple(tuple(x // g for x in r) for r in qmat)
         self._order_two = None  # kept by _two_torsion
-        self._sig = None  # kept by milgram_signature
-        self._scale = {}  # p -> what _scales read, kept by _scales
 
     @property
     def values(self):
@@ -369,35 +364,54 @@ def p_part(f, p):
                                       math.gcd(m, *(x for r in mat for x in r)))
 
 
-def _scales(f, p):
-    """The Jordan blocks of the p-part of f (`_jordan_split`) read once per
-    scale: {k: (rank, unit, oddity)} for each scale p^k with a block.
+# (orders, den, qmat) -> the `_local` reading of that form value, never a form
+_LOCAL = Store(256)
 
-    At p = 2 the unit is the product mod 8 of the block units: the
-    numerator u of each block ('q', 2^k, u / 2^k), 7 per 'u' and 3 per
-    'v'; the oddity is the sum of the q numerators, None when the scale
-    has no 'q' block (an even scale). At odd p the unit is the product
-    mod p of the t of the blocks ('q', p^k, 2t / p^k), and the oddity is
-    None. A degenerate p-part raises Degenerate.
 
-    The reading is kept on the form per p, so callers read it and never
-    change it; a p-part that raises keeps nothing.
+def _local(f):
+    """{p: reading} for each p of `prime_factors(|A|)`, kept by form value
+    in `_LOCAL`: equal forms split once while their key is kept.
+
+    A reading is the Jordan blocks of the p-part (`_split_blocks`) read
+    once per scale, {k: (rank, unit, oddity)} for each scale p^k with a
+    block, or the message of the Degenerate the split raised. At p = 2 the
+    unit is the product mod 8 of the block units (the numerator u of each
+    ('q', 2^k, u / 2^k), 7 per 'u' and 3 per 'v') and the oddity the sum
+    of the q numerators, None at an even scale (no 'q' block). At odd p
+    the unit is the product mod p of the t of the blocks ('q', p^k,
+    2t / p^k) and the oddity None. Callers never change a reading.
     """
-    out = f._scale.get(p)
-    if out is not None:
-        return out
-    out = {}
-    for kind, scale, *q in _jordan_split(f, p):
-        k = val_p(scale, p)
-        rank, unit, oddity = out.get(k, (0, 1, None))
-        if kind != "q":
-            out[k] = (rank + 2, unit * (7 if kind == "u" else 3) % 8, oddity)
-        elif p == 2:
-            u = q[0].numerator
-            out[k] = (rank + 1, unit * u % 8, (oddity or 0) + u)
-        else:
-            out[k] = (rank + 1, unit * (q[0].numerator // 2) % p, None)
-    f._scale[p] = out
+    key = (f.orders, f.den, f.qmat)
+    local = _LOCAL.lookup(key)
+    if local is None:
+        local = {}
+        for p in prime_factors(f.group_order):
+            try:
+                blocks = _split_blocks(f, p)
+            except Degenerate as exc:
+                local[p] = str(exc)
+                continue
+            out = local[p] = {}
+            for kind, scale, *q in blocks:
+                k = val_p(scale, p)
+                rank, unit, oddity = out.get(k, (0, 1, None))
+                if kind != "q":
+                    out[k] = (rank + 2, unit * (7 if kind == "u" else 3) % 8, oddity)
+                elif p == 2:
+                    u = q[0].numerator
+                    out[k] = (rank + 1, unit * u % 8, (oddity or 0) + u)
+                else:
+                    out[k] = (rank + 1, unit * (q[0].numerator // 2) % p, None)
+        _LOCAL.keep(key, local)
+    return local
+
+
+def _scales(f, p):
+    """The `_local` reading of the p-part of f, {} when p does not divide
+    |A|; a degenerate p-part raises its Degenerate again."""
+    out = _local(f).get(p, {})
+    if isinstance(out, str):
+        raise Degenerate(out)
     return out
 
 
@@ -405,12 +419,12 @@ def _scales(f, p):
 SIGNATURE_CAP = 1 << 22
 
 
-def milgram_signature(f, primes=None):
+def milgram_signature(f):
     """Signature mod 8 of the form: sig with Gauss sum
     sum_x exp(pi i q(x)) = sqrt(|A|) exp(pi i sig / 4) (Milgram).
 
     The sum is multiplicative over orthogonal sums, so sig adds one phase
-    per scale p^k of every p-part (`_scales`), exact and in integers. At
+    per scale p^k of every p-part (`_local`), exact and in integers. At
     p = 2 a block ('q', 2^k, u / 2^k) sums to sqrt(2^k) exp(pi i u / 4),
     negated when k is odd and u = 3 or 5 mod 8, U to 2^k and V to
     (-1)^k 2^k; since V has unit 3 and U unit 7, the scale's phase is its
@@ -420,34 +434,27 @@ def milgram_signature(f, primes=None):
     k adds rank (p mod 4 - 1) + 2 - 2 (unit/p), and one of even k nothing.
     A degenerate form has no such phase (its Gauss sum is 0 or
     sqrt(|A| |radical|) in absolute value): its Jordan splitting fails,
-    and that raises NonWitt.
+    and that raises NonWitt from the Degenerate it kept.
 
     Nothing here walks the group. The group-order cap stays for now
     because it is the known cliff of the [[4, 0], [0, 4]] descent at
     p = 7, which the benchmark's gluing workload counts as its one
     expected failure; lifting it changes that workload's correctness
     rule, so it goes in the change that updates the benchmark.
-
-    A caller that has factored |A| passes its `prime_factors` as primes.
-    The signature is kept on the form; a call that raises keeps nothing.
     """
-    if f._sig is not None:
-        return f._sig
     if f.group_order > SIGNATURE_CAP:
         raise CapExceeded("group order %d exceeds cap %d" % (f.group_order, SIGNATURE_CAP))
     sig = 0
-    for p in prime_factors(f.group_order) if primes is None else primes:
-        try:
-            scales = _scales(f, p)
-        except Degenerate as exc:
-            raise NonWitt("degenerate form: the Gauss sum has no admissible phase") from exc
+    for p, scales in _local(f).items():
+        if isinstance(scales, str):
+            cause = Degenerate(scales)
+            raise NonWitt("degenerate form: the Gauss sum has no admissible phase") from cause
         for k, (rank, unit, oddity) in scales.items():
             if p == 2:
                 sig += (oddity or 0) + 4 * (k % 2 == 1 and unit in (3, 5))
             elif k % 2:
                 sig += rank * (p % 4 - 1) + 2 - 2 * legendre(unit, p)
-    f._sig = sig % 8
-    return f._sig
+    return sig % 8
 
 
 def subgroup_matrix(f, gens):
@@ -532,31 +539,6 @@ def quotient_form(f, tmat, smat):
         if any(sum(map(mul, t, qs)) % f.den for t in tgens):
             raise NotIsotropic("denominator pairs nontrivially with numerator")
     return _form_on(f, coords, orders)
-
-
-# Jordan splittings by form value and prime, (orders, den, qmat, p): the
-# block tuple, or the message of the Degenerate the split raised. The split
-# reads those four and nothing else. Tuples only, never a form, so a form
-# is still freed by reference counting.
-_SPLITS = Store(256)
-
-
-def _jordan_split(f, p):
-    """Jordan splitting of the p-part of f (`_split_blocks`), kept in the
-    bounded store `_SPLITS` by form value: equal forms, however often
-    rebuilt, split once while their key is kept, and a degenerate one
-    raises the same Degenerate again without a new split."""
-    key = (f.orders, f.den, f.qmat, p)
-    kept = _SPLITS.lookup(key)
-    if kept is None:
-        try:
-            kept = _split_blocks(f, p)
-        except Degenerate as exc:
-            kept = str(exc)
-        _SPLITS.keep(key, kept)
-    if isinstance(kept, str):
-        raise Degenerate(kept)
-    return kept
 
 
 def _split_blocks(f, p):

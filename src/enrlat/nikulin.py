@@ -23,10 +23,9 @@ from .errors import (
     StarViolated,
 )
 from .fqf import (
-    SIGNATURE_CAP,
     FiniteQuadraticForm,
     _dual_basis,
-    _scales,
+    _local,
     _solve_lower,
     _two_torsion,
     canonical_form,
@@ -63,23 +62,20 @@ def exists_even_lattice(signature, form):
     tpos, tneg = (_int(x, "signature") for x in signature)
     if tpos < 0 or tneg < 0:
         return False
-    order = form.group_order
-    # |A| is factored once for both, and only under the signature cap;
-    # over it milgram_signature raises its CapExceeded
-    primes = prime_factors(order) if order <= SIGNATURE_CAP else None
-    if (tpos - tneg) % 8 != milgram_signature(form, primes):
+    if (tpos - tneg) % 8 != milgram_signature(form):
         return False
+    local = _local(form)  # past the signature no p-part is degenerate
     # the length of the group is its largest p-rank, whatever the presentation
-    ranks = {p: sum(1 for d in form.orders if d % p == 0) for p in primes}
+    ranks = {p: sum(1 for d in form.orders if d % p == 0) for p in local}
     if tpos + tneg < max(ranks.values(), default=0):
         return False
     if tpos + tneg == 0:
         return form.is_trivial
-    for p, e in primes.items():
+    order = form.group_order
+    for p, scales in local.items():
         if tpos + tneg > ranks[p]:
             continue
-        rest = order // p**e
-        scales = _scales(form, p)
+        rest = order // p ** val_p(order, p)
         unit = prod(u for _, u, _ in scales.values())
         if p == 2:
             # 2q is additive on A[2], and only a q block at scale 2 makes

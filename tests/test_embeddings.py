@@ -704,6 +704,26 @@ def test_spent_tuple_search_raises_on_every_call(monkeypatch, stores):
             list(iter_tuples_in_e82([[-4, -4], [-4, -4]]))
 
 
+def test_the_store_keeps_what_one_label_permutation_reads(monkeypatch, stores):
+    """A read past ATTEMPT_CAP + 1 tuples, stopped by the node cap or run to
+    the end, keeps only those first tuples, unfinished; the next read
+    yields the same sequence and ends the same way."""
+    monkeypatch.setattr(embeddings, "TUPLE_NODE_CAP", 20_000)
+    reads = []
+    for _ in range(2):
+        got = []
+        with pytest.raises(CapExceeded, match="spent 20001 nodes"):
+            got.extend(iter_tuples_in_e82([[-8, 0], [0, -4]]))
+        reads.append(got)
+    assert len(reads[0]) == 6972 and reads[1] == reads[0]
+    finished, kept = embeddings._TUPLES[((-8, 0), (0, -4))]
+    assert not finished and kept == tuple(reads[0][:embeddings.ATTEMPT_CAP + 1])
+    monkeypatch.setattr(embeddings, "ATTEMPT_CAP", 2)
+    whole = list(iter_tuples_in_e82([[-4]]))
+    assert len(whole) > 3 and embeddings._TUPLES[((-4,),)] == (False, tuple(whole[:3]))
+    assert list(iter_tuples_in_e82([[-4]])) == whole
+
+
 def test_label_checks_hold_with_parameters_kept():
     embedding_for_label(20, (1, 0, 1), (1, 0))
     assert (20, (1, 0, 1)) in embeddings._PREPARED

@@ -26,10 +26,11 @@ from enrlat.errors import (
 )
 from enrlat.fqf import (
     FiniteQuadraticForm,
-    _jordan_split,
+    _local,
     _local_key,
     _p_coords,
     _scales,
+    _split_blocks,
     _subquotient,
     _two_torsion,
     canonical_form,
@@ -323,12 +324,13 @@ def test_canonical_forms_and_kept_forms_leave_no_cycles():
             refs += [weakref.ref(form), weakref.ref(canonical_form(form))]
         lat = Lattice([[4, 0], [0, -12]])
         refs += [weakref.ref(lat), weakref.ref(canonical_form(discriminant_form(lat)))]
-        # the kept Jordan splittings hold tuples, never the forms split;
-        # both forms on (Z/2) + (Z/4) are degenerate, so failures are kept too
+        # the kept readings hold ints, tuples and strings, never the forms
+        # read; both forms on (Z/2) + (Z/4) are degenerate, so failures are
+        # kept too
         for form in forms + [discriminant_form(lat)]:
             for p in prime_factors(form.group_order):
                 with contextlib.suppress(Degenerate):
-                    _jordan_split(form, p)
+                    _scales(form, p)
             with contextlib.suppress(NonWitt):
                 milgram_signature(form)
         del forms, form, lat
@@ -339,7 +341,7 @@ def test_canonical_forms_and_kept_forms_leave_no_cycles():
 
 def _recorded_splits(monkeypatch):
     """Count every split that runs, by form value and prime; the tests that
-    call this empty the kept splittings through the `stores` fixture."""
+    call this empty the kept readings through the `stores` fixture."""
     runs = Counter()
     split = fqf._split_blocks
 
@@ -352,34 +354,69 @@ def _recorded_splits(monkeypatch):
 
 
 def test_degenerate_splits_are_kept_and_raised_again(monkeypatch, stores):
+    """A degenerate p-part is kept as its message and raised again, as a
+    Degenerate by `_scales` and as the cause of milgram_signature's
+    NonWitt, with no second split; the other p-parts keep their scales."""
     runs = _recorded_splits(monkeypatch)
-    form = FiniteQuadraticForm((2,), [[0]])
-    messages = []
-    for _ in range(2):
-        with pytest.raises(Degenerate) as exc:
-            _jordan_split(form, 2)
-        messages.append(str(exc.value))
-    with pytest.raises(NonWitt) as exc:
-        milgram_signature(FiniteQuadraticForm((2,), [[0]]))
-    assert isinstance(exc.value.__cause__, Degenerate)
-    assert messages == [str(exc.value.__cause__)] * 2 and messages[0]
-    assert list(runs.values()) == [1]
+    degenerate = FiniteQuadraticForm((2,), [[0]])  # q vanishes on the radical
+    vanishing = FiniteQuadraticForm((2,), [[1]])  # q does not: the Gauss sum is 0
+    three = FiniteQuadraticForm((3,), [[Fraction(2, 3)]])
+    mixed = direct_sum_fqf(vanishing, three)
+    for form in (degenerate, vanishing, mixed):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(Degenerate) as exc:
+                _scales(form, 2)
+            messages.append(str(exc.value))
+            with pytest.raises(NonWitt) as exc:
+                milgram_signature(FiniteQuadraticForm.over(form.orders, form.qmat, form.den))
+            assert isinstance(exc.value.__cause__, Degenerate)
+            messages.append(str(exc.value.__cause__))
+        kept = stores["_LOCAL"][(form.orders, form.den, form.qmat)]
+        assert messages == [kept[2]] * 4 and messages[0]
+    assert _scales(mixed, 3) == {1: (1, 1, None)} and list(runs.values()) == [1] * 4
+    with pytest.raises(NonWitt):
+        exists_even_lattice((1, 0), degenerate)
+    assert list(runs.values()) == [1] * 4
 
 
 def test_kept_splittings_keep_the_latest_256_keys(monkeypatch, stores):
     runs = _recorded_splits(monkeypatch)
     forms = [FiniteQuadraticForm((d,), [[Fraction(1 + d % 2, d)]]) for d in range(2, 302)]
-    keys = [(f.orders, f.den, f.qmat, min(prime_factors(f.group_order))) for f in forms]
-    for form, key in zip(forms, keys):
-        _jordan_split(form, key[-1])
-    assert len(set(keys)) == 300 and fqf._SPLITS.bound == 256
-    assert list(fqf._SPLITS) == keys[-256:]
+    keys = [(f.orders, f.den, f.qmat) for f in forms]
+    for form in forms:
+        _local(form)
+    assert len(set(keys)) == 300 and fqf._LOCAL.bound == 256
+    assert list(fqf._LOCAL) == keys[-256:]
+    # every p-part of a form split once
+    assert set(runs) == {key + (p,) for key, f in zip(keys, forms)
+                         for p in prime_factors(f.group_order)}
+    assert set(runs.values()) == {1}
     # the oldest key was evicted, so its form splits again and evicts the
-    # next oldest; the latest is still kept
-    _jordan_split(forms[0], 2)
-    _jordan_split(forms[-1], keys[-1][-1])
-    assert runs[keys[0]] == 2 and runs[keys[-1]] == 1
-    assert list(fqf._SPLITS) == keys[-255:] + keys[:1]
+    # next oldest; the latest (of order 301 = 7 * 43) is still kept
+    _scales(forms[0], 2)
+    _scales(forms[-1], 7)
+    assert runs[keys[0] + (2,)] == 2 and runs[keys[-1] + (7,)] == runs[keys[-1] + (43,)] == 1
+    assert list(fqf._LOCAL) == keys[-255:] + keys[:1]
+
+
+def test_fresh_forms_of_one_value_read_their_local_data_once(monkeypatch, stores):
+    """Three fresh forms of one value, each through the signature, the
+    existence test and the isomorphism keys, miss `_LOCAL` once and split
+    each p-part once. [[8, 2], [2, 4]] is the same lattice on swapped basis
+    vectors, so its form has another value; it is read before the count."""
+    other = discriminant_form(Lattice([[8, 2], [2, 4]]))
+    _local(other)
+    runs = _recorded_splits(monkeypatch)
+    local = stores["_LOCAL"]
+    misses = local.misses
+    for _ in range(3):
+        form = discriminant_form(Lattice([[4, 2], [2, 8]]))
+        assert form != other and is_isomorphic(form, other)
+        assert milgram_signature(form) == 2 and exists_even_lattice((2, 0), form)
+    key = (form.orders, form.den, form.qmat)
+    assert local.misses - misses == 1 and key in local
+    assert runs == {key + (p,): 1 for p in (2, 7)}
 
 
 def test_odd_jordan_blocks_multiply_to_group_order():
@@ -389,7 +426,7 @@ def test_odd_jordan_blocks_multiply_to_group_order():
         for p in prime_factors(form.group_order):
             if p == 2:
                 continue
-            blocks = _jordan_split(form, p)
+            blocks = _split_blocks(form, p)
             total = 1
             for _, scale, _ in blocks:
                 total *= scale
@@ -400,7 +437,7 @@ def test_two_adic_jordan_covers_group():
     rng = random.Random(89)
     for _ in range(10):
         form = discriminant_form(random_even_lattice(rng))
-        blocks = _jordan_split(form, 2)
+        blocks = _split_blocks(form, 2)
         total = 1
         for blk in blocks:
             if blk[0] == "q":
@@ -539,7 +576,7 @@ def test_two_adic_rewrites_are_isomorphisms():
     # sides get one key, and the witness search finds a map
     def check(left, right):
         a, b = _blocks(*left), _blocks(*right)
-        assert _jordan_split(a, 2) == left and _jordan_split(b, 2) == right
+        assert _split_blocks(a, 2) == left and _split_blocks(b, 2) == right
         assert a != b and _witnessed(a, b) and is_isomorphic(a, b)
         assert _local_key(a, 2) == _local_key(b, 2)
 
@@ -848,7 +885,7 @@ def test_jordan_blocks_sum_to_the_form():
     for form in _small_forms(rng, 60, 4096) + pairs:
         total = trivial_form()
         for p in prime_factors(form.group_order):
-            for blk in _jordan_split(form, p):
+            for blk in _split_blocks(form, p):
                 kinds[blk[0]] += 1
                 total = direct_sum_fqf(total, _block_form(blk))
         iso = fqf_isomorphic(total, form)
@@ -867,7 +904,7 @@ def test_exists_even_lattice_against_whole_group_walk():
         for p in prime_factors(form.group_order):
             checked[p == 2] += 1
             walked = walk_jordan(form.orders, form.values, p)
-            got = _jordan_split(form, p)
+            got = _split_blocks(form, p)
             assert [b[1] for b in walked] == [b[1] for b in got]
         for rank in range(form.num_gens, form.num_gens + 3):
             for tpos in range(rank + 1):
@@ -908,9 +945,9 @@ def test_milgram_on_every_block_type_against_brute_sum():
     for kind, form in forms + [(None, form) for form in sums]:
         (p,) = prime_factors(form.group_order)
         if kind is None:
-            assert len(_scales(form, p)) == 1 and len(_jordan_split(form, p)) == 2
+            assert len(_scales(form, p)) == 1 and len(_split_blocks(form, p)) == 2
         else:
-            assert [b[0] for b in _jordan_split(form, p)] == [kind]
+            assert [b[0] for b in _split_blocks(form, p)] == [kind]
         assert milgram_signature(form) == brute_gauss_signature(form.orders, form.values), form
 
 
@@ -1159,10 +1196,9 @@ def _readings(f):
 
 
 def test_kept_readings_equal_those_of_a_fresh_form(monkeypatch, stores):
-    """Each form built along the gluing sweep, once the sweep has warmed
-    it and once more from what it keeps, reads the signature and scales of
-    a fresh form of the same value split from empty stores, and keeps
-    exactly what it read."""
+    """Each form built along the gluing sweep, read from what the sweep
+    left in `_LOCAL` and once more, reads the signature and scales of a
+    fresh form of the same value split from empty stores."""
     built = []
     keep = FiniteQuadraticForm._keep
 
@@ -1173,35 +1209,21 @@ def test_kept_readings_equal_those_of_a_fresh_form(monkeypatch, stores):
     monkeypatch.setattr(FiniteQuadraticForm, "_keep", recorded)
     _gluing_outcomes(_gram_sweep(), lambda: None)
     monkeypatch.setattr(FiniteQuadraticForm, "_keep", keep)
-    warmed = sum(f._sig is not None for f in built)
-    assert warmed > 80 and sum(bool(f._scale) for f in built) > warmed
-    for f in built:
-        first, second = _readings(f), _readings(f)
+    warmed = sum((f.orders, f.den, f.qmat) in stores["_LOCAL"] for f in built)
+    assert warmed > 80
+    read = [(_readings(f), _readings(f)) for f in built]
+    for f, (first, second) in zip(built, read):
         for store in stores.values():
             store.clear()
         assert first == second == _readings(FiniteQuadraticForm.over(f.orders, f.qmat, f.den))
-        sig, *scales = second
-        assert f._sig == (sig if isinstance(sig, int) else None)
-        assert f._scale == {p: s for p, s in zip(prime_factors(f.group_order), scales)
-                            if isinstance(s, dict)}
 
 
-def test_a_raising_reading_keeps_nothing():
+def test_a_capped_reading_keeps_nothing(stores):
     big = FiniteQuadraticForm((1 << 23,), [[Fraction(1, 1 << 23)]])
-    degenerate = FiniteQuadraticForm((2,), [[0]])  # q vanishes on the radical
-    vanishing = FiniteQuadraticForm((2,), [[1]])  # q does not: the Gauss sum is 0
-    three = FiniteQuadraticForm((3,), [[Fraction(2, 3)]])
-    for form, error, calls in (
-            (big, CapExceeded, [milgram_signature, lambda f: exists_even_lattice((1, 0), f)]),
-            (degenerate, NonWitt, [milgram_signature, lambda f: exists_even_lattice((1, 0), f)]),
-            (vanishing, NonWitt, [milgram_signature]),
-            (direct_sum_fqf(vanishing, three), NonWitt, [milgram_signature]),
-            (degenerate, Degenerate, [lambda f: _scales(f, 2)]),
-            (vanishing, Degenerate, [lambda f: _scales(f, 2)])):
-        raised = []
-        for call in calls * 2:
-            with pytest.raises(error) as exc:
-                call(form)
-            raised.append((type(exc.value), str(exc.value)))
-        assert len(set(raised)) == 1
-        assert form._sig is None and form._scale == {}
+    raised = []
+    for call in [milgram_signature, lambda f: exists_even_lattice((1, 0), f)] * 2:
+        with pytest.raises(CapExceeded) as exc:
+            call(big)
+        raised.append(str(exc.value))
+    assert len(set(raised)) == 1
+    assert not stores["_LOCAL"] and stores["_LOCAL"].misses == 0

@@ -25,7 +25,7 @@ from enrlat.errors import (
 )
 from enrlat.fqf import (
     FiniteQuadraticForm,
-    _jordan_split,
+    _scales,
     canonical_form,
     direct_sum_fqf,
     discriminant_form,
@@ -344,7 +344,7 @@ def test_verify_rejects_a_degenerate_complement_form(p):
         bad = direct_sum_fqf(p_part(kf, 2), FiniteQuadraticForm((3,), [[0]]))
     assert bad.group_order == kf.group_order
     with pytest.raises(Degenerate):
-        _jordan_split(negate_fqf(bad), p)
+        _scales(negate_fqf(bad), p)
     other = make_datum(good.h_l, good.h_n, good.gamma, good.k_rank, good.k_signature, bad)
     assert verify_embedding_datum(lat, other) == (
         False, ["complement discriminant form does not match the subquotient"])
@@ -460,26 +460,16 @@ def test_transfer_round_trip():
 def test_gluing_path_splits_each_form_value_once(monkeypatch, stores):
     """Along find, verify and one descent step of a det-16 gram, and find
     and verify on two fresh lattices of one det-12 gram, no (form value, p)
-    is split twice, and every splitting served equals a fresh one."""
-    runs, served = Counter(), {}
-    split, kept = fqf._split_blocks, fqf._jordan_split
+    is split twice, each form value misses `_LOCAL` once, and every
+    reading kept equals a fresh one."""
+    runs = Counter()
+    split = fqf._split_blocks
 
     def run(f, p):
         runs[(f.orders, f.den, f.qmat, p)] += 1
         return split(f, p)
 
-    def serve(f, p):
-        try:
-            out = kept(f, p)
-        except Degenerate as exc:
-            out = str(exc)
-        served.setdefault((f.orders, f.den, f.qmat, p), set()).add(out)
-        if isinstance(out, str):
-            raise Degenerate(out)
-        return out
-
     monkeypatch.setattr(fqf, "_split_blocks", run)
-    monkeypatch.setattr(fqf, "_jordan_split", serve)
     parent = Lattice([[4, 4], [4, 8]])
     datum = find_embedding_datum(parent)
     assert verify_embedding_datum(parent, datum) == (True, [])
@@ -490,14 +480,12 @@ def test_gluing_path_splits_each_form_value_once(monkeypatch, stores):
     for _ in range(2):
         lat = Lattice([[4, 2], [2, 4]])
         assert verify_embedding_datum(lat, find_embedding_datum(lat)) == (True, [])
-    assert runs and max(runs.values()) == 1 and set(served) == set(runs)
-    for (orders, den, qmat, p), (out,) in served.items():
-        fqf._SPLITS.clear()
-        try:
-            fresh = kept(FiniteQuadraticForm.over(orders, qmat, den), p)
-        except Degenerate as exc:
-            fresh = str(exc)
-        assert out == fresh
+    local = stores["_LOCAL"]
+    assert runs and max(runs.values()) == 1 and local.hits
+    assert local.misses == len(local) and {key[:3] for key in runs} <= set(local)
+    for (orders, den, qmat), kept in list(local.items()):
+        local.clear()
+        assert fqf._local(FiniteQuadraticForm.over(orders, qmat, den)) == kept
 
 
 @pytest.mark.parametrize("gram, p", [
@@ -710,46 +698,47 @@ def test_graph_quotient_work_is_pinned(stores):
 
 def test_form_work_is_pinned(stores, monkeypatch):
     """From empty stores, along `_work_path`: the forms built through the
-    checking `_set`, the Gauss signatures and the `_scales` readings
-    computed (a call that finds its result kept on the form computes
-    nothing), the `_solve_lower` calls of verify, and the negations and
-    invariant-factor forms taken, so that a value derived again shows. When
-    each form checked its value again, kept neither reading and verify
-    solved every row of H_N in its own span, the first four were 128, 29,
-    90 and 120; when p-parts and direct sums were checked and every reader
-    of a graph quotient derived K from it again, they were 74, 17, 41 and
-    0, with 38 negations and 17 invariant-factor forms; when each graph
-    quotient miss also took K's invariant-factor form, that was 13.
+    checking `_set`, the `_LOCAL` hits and misses and the `_split_blocks`
+    runs they cost, the `_solve_lower` calls of verify, and the negations
+    and invariant-factor forms taken, so that a value derived again shows.
+    When each form checked its value again, kept neither reading and verify
+    solved every row of H_N in its own span, `_set`, the Gauss signatures
+    and the `_scales` readings computed, and `_solve_lower` were 128, 29, 90
+    and 120; when p-parts and direct sums were checked and every reader of
+    a graph quotient derived K from it again, they were 74, 17, 41 and 0,
+    with 38 negations and 17 invariant-factor forms; when each graph
+    quotient miss also took K's invariant-factor form, that was 13. When a
+    form kept its signature and each `_scales` reading on itself, beside a
+    store of splittings by (form value, p), 17 signatures and 33 readings
+    were computed.
 
     q_N is kept on the shared lattice N, so it is built before the count
     whatever ran before."""
     discriminant_form(ambient())
-    counts = dict.fromkeys(("_set", "signature", "_scales", "_solve_lower",
-                            "negate_fqf", "canonical_form"), 0)
+    counts = dict.fromkeys(("_set", "_split_blocks", "_solve_lower", "negate_fqf",
+                            "canonical_form"), 0)
 
-    def counted(name, call, cold=lambda *args: True):
+    def counted(name, call):
         def run(*args):
-            counts[name] += cold(*args)
+            counts[name] += 1
             return call(*args)
         return run
 
     monkeypatch.setattr(FiniteQuadraticForm, "_set", counted("_set", FiniteQuadraticForm._set))
-    signature = counted("signature", milgram_signature, lambda f, *_: f._sig is None)
-    scales = counted("_scales", fqf._scales, lambda f, p: p not in f._scale)
-    for mod in (fqf, nikulin):
-        monkeypatch.setattr(mod, "milgram_signature", signature)
-        monkeypatch.setattr(mod, "_scales", scales)
+    monkeypatch.setattr(fqf, "_split_blocks", counted("_split_blocks", fqf._split_blocks))
     monkeypatch.setattr(nikulin, "_solve_lower", counted("_solve_lower", fqf._solve_lower))
     for name in ("negate_fqf", "canonical_form"):
         call = counted(name, getattr(fqf, name))
         for mod in (fqf, nikulin):
             monkeypatch.setattr(mod, name, call)
     _work_path()
+    local = stores["_LOCAL"]
     # a graph quotient miss (9) negates q_N and the quotient, whose orders
     # already divide one another; each step down (4) negates and takes an
     # invariant-factor form
-    assert counts == {"_set": 30, "signature": 17, "_scales": 33, "_solve_lower": 0,
+    assert counts == {"_set": 30, "_split_blocks": 21, "_solve_lower": 0,
                       "negate_fqf": 22, "canonical_form": 4}
+    assert (local.hits, local.misses) == (62, 12)
 
 
 def test_transfer_round_trip_sweep():

@@ -128,8 +128,8 @@ def f(k):
 
 # -- keys: two different inputs with equal keys give the same value --------
 
-def _split(gram):
-    return fqf._jordan_split(discriminant_form(Lattice(gram)), 2)
+def _local(gram):
+    return fqf._local(discriminant_form(Lattice(gram)))
 
 
 # [[4, 0], [0, 4]] and [[4, 4], [4, 8]] have equal discriminant forms; a
@@ -137,7 +137,7 @@ def _split(gram):
 # one key; [[-8, 2], [2, -4]] and [[-4, 2], [2, -8]] ask for the same two
 # E8(2) shells in opposite orders
 _EQUAL_KEYS = {
-    "_SPLITS": (lambda: _split([[4, 0], [0, 4]]), lambda: _split([[4, 4], [4, 8]])),
+    "_LOCAL": (lambda: _local([[4, 0], [0, 4]]), lambda: _local([[4, 4], [4, 8]])),
     "_GLUED": (lambda: find_embedding_datum(Lattice([[4, 0], [0, 4]])),
                lambda: find_embedding_datum(Lattice([[4, 4], [4, 8]]))),
     "_TUPLES": (lambda: list(islice(iter_tuples_in_e82([[-8, 0], [0, -12]]), 5)),
