@@ -24,7 +24,6 @@ from .embeddings import (
     realized_characters,
     suggest_params,
     t_gram,
-    vectors_of_norm,
 )
 from .enriques import (
     InvolutionSplit,
@@ -40,6 +39,7 @@ from .fqf import (
     canonical_form,
     discriminant_form,
     direct_sum_fqf,
+    exists_even_lattice,
     fqf_isomorphic,
     is_isomorphic,
     milgram_signature,
@@ -56,12 +56,12 @@ from .lattice import (
     orthogonal_complement,
     rescale,
     standard_lattice,
+    vectors_of_norm,
 )
 from .nikulin import (
     EmbeddingDatum,
     StarReport,
     condition_star,
-    exists_even_lattice,
     find_embedding_datum,
     index_p_sublattice,
     make_datum,

@@ -11,7 +11,8 @@ through a permutation.
 
 A template is (tuple gram, image rows[, sign rule]). The tuple gram asks
 `iter_tuples_in_e82` for vectors t0, t1, ... of the definite scaled piece
-E8(2) with those pairings, drawn by exact norm enumeration. An image row
+E8(2) with those pairings, drawn from the shells the lattice layer's norm
+enumeration (`lattice.vectors_of_norm`) lists, kept per norm. An image row
 "e f h k [ti]" gives the coefficients of the first four ambient basis
 vectors and, when present, ti as the last eight coordinates. Every entry is
 a linear form in the parameters, such as "2b-2a", parsed once at import, and
@@ -24,7 +25,6 @@ full validation, so a table can only produce correct embeddings.
 import math
 import random
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product
 from operator import mul
@@ -37,7 +37,6 @@ from .errors import (
     CapExceeded,
     DependentVectors,
     GramMismatch,
-    NotDefinite,
     NotFound,
     NotPrimitive,
     RankTooLarge,
@@ -47,169 +46,15 @@ from .lattice import (
     _check_gram,
     _check_int_matrix,
     _int,
-    _is_int,
     _complement,
     _gram_from,
     _products,
     orthogonal_complement,
     rational_signature,
     standard_lattice,
+    vectors_of_norm,
 )
-from .intmat import eliminate_symmetric, snf_diagonal
-
-
-# the most coordinates one norm enumeration tries: 110 times the most any
-# enumeration of the tables, the tests or the benchmark tries (37,834, E8(2)
-# at norm -24, pinned by a test), and one to two seconds of walking a rank-2 range
-ENUM_NODE_CAP = 1 << 22
-
-
-def _spent(nodes):
-    return CapExceeded("norm enumeration needs at least %d nodes, over its cap of %d"
-                       % (nodes, ENUM_NODE_CAP))
-
-
-def vectors_of_norm(lat, value, cap=200000):
-    """All lattice vectors of the given self-pairing, definite lattices only.
-
-    Integer Fincke-Pohst enumeration over a fraction-free LDL^T: the gram,
-    negated if negative definite and in reversed coordinate order
-    (z_i = x_{k-1-i}), goes through intmat.eliminate_symmetric, whose
-    pivots are the leading minors D_1, ..., D_k (D_0 = 1) and whose rows
-    are the B_i: q = sum_i (D_{i+1} z_i + c_i)^2 / (D_i D_{i+1}) with
-    c_i = sum_{j>i} B_i[j] z_j. Scaled by M = lcm(D_i D_{i+1}), every term
-    has an integer weight, so each coordinate's range is an exact integer
-    square root. Definiteness is read off the same elimination (Sylvester):
-    the sign is that of g_00, and the signed gram is definite when all k
-    of its pivots are positive; otherwise NotDefinite.
-
-    The descent is one flat loop, no recursion: it fixes z_{k-1} = x_0
-    first and walks each range from the top down, and a level above the
-    last two keeps its next coordinate and the rest of its state in small
-    per-level lists while the walk is below it. It walks only half the
-    tree: while every coordinate fixed so far is 0 the centre is 0 and the
-    range symmetric, so it keeps t >= 0, and finds the vectors whose first
-    nonzero coordinate is positive. The last two levels run in one loop: for
-    each x_{k-2}, x_{k-1} is solved in place by an exact-square test. The
-    coordinates live in lattice order in x, with a twin nx = -x written
-    alongside, so a vector and its negative are both one copy at the leaf.
-    CapExceeded is raised inside that loop as soon as the vectors found,
-    with their negatives, number more than `cap`, and before a level's loop
-    when the coordinates tried, its whole range counted at once, number
-    more than ENUM_NODE_CAP: a huge value on a small lattice stops at once
-    instead of walking a range of 10^19.
-
-    The order is pinned: by L1 norm, then coordinates in descending order.
-    The walk lists the half in descending order, and every vector of it
-    exceeds every negated one, so each L1 norm's vectors are the half's
-    followed by their negatives in reverse. The leaf appends a vector and
-    its negative to its norm's bucket in turn, so a bucket is emitted as
-    its even entries, then its odd entries backwards; nothing is sorted.
-    The `roots` goldens pin this order, and so does the E8(2) vector cache,
-    whose order the tuple search follows. A value that is not an int, or a
-    cap that is not a nonnegative int, is malformed: BadShape.
-    """
-    _int(value, "value")
-    if not _is_int(cap) or cap < 0:
-        raise BadShape("cap: %r is not a nonnegative integer" % (cap,))
-    k = lat.rank
-    if k == 0:
-        return []
-    sign = 1 if lat.gram[0][0] > 0 else -1
-    pos, _, _, _, rows = eliminate_symmetric(
-        [[sign * x for x in reversed(row)] for row in reversed(lat.gram)])
-    if pos < k:
-        raise NotDefinite("enumeration requires a definite lattice")
-    minors = [1] + [row[i] for i, row in enumerate(rows)]
-    if value == 0 or (value < 0) == (sign > 0):
-        return []  # zero, or the sign the lattice never takes
-    big_m = math.lcm(*(minors[i] * minors[i + 1] for i in range(k)))
-    weights = [big_m // (minors[i] * minors[i + 1]) for i in range(k)]
-    rem = big_m * sign * value
-    if k == 1:
-        # M = D_1 and w_0 = 1, so rem = (D_1 x_0)^2: one pair at most
-        s = math.isqrt(rem)
-        if s * s != rem or s % minors[1]:
-            return []
-        if cap < 2:
-            raise CapExceeded("more than %d vectors" % cap)
-        return [[s // minors[1]], [-s // minors[1]]]
-    # L1 norm -> the half's vectors of that norm, each followed by its negative
-    buckets = defaultdict(list)
-    found = nodes = 0
-    x, nx = [0] * k, [0] * k  # z_i = x[k-1-i] = x[~i] and nx = -x
-    # level i: d = D_{i+1}, w = w_i, and B_{i-1}: the centre below is
-    # c_{i-1} = base + b z_i, base = rev . x with rev = B_{i-1}[k-1:i:-1]
-    levels = [None] + [(minors[i + 1], weights[i], rows[i - 1][:i:-1], rows[i - 1][i])
-                       for i in range(1, k)]
-    # a level above the last two, while the walk is below it: its next t,
-    # and the rest of its state (range stop, remainder, centre, free flag,
-    # L1 norm so far, base and constants)
-    tops, saved = [0] * k, [None] * k
-    d0, w0 = minors[1], weights[0]
-    i, c, free, l1 = k - 1, 0, False, 0
-    while True:
-        # enter level i: z[i+1:] is fixed, of L1 norm l1, c = c_i,
-        # rem = M |value| - sum_{j>i} w_j y_j^2; w y^2 <= rem holds exactly
-        # when |y| <= isqrt(rem // w), y = d z_i + c.
-        # Until some fixed coordinate is nonzero (free), c = 0 and t >= 0.
-        d, w, rev, b = levels[i]
-        s = math.isqrt(rem // w)
-        t, stop = (s - c) // d, -((s + c) // d) - 1 if free else -1
-        nodes += t - stop
-        if nodes > ENUM_NODE_CAP:
-            raise _spent(nodes)
-        base = sum(map(mul, rev, x))
-        if i > 1:
-            saved[i] = (stop, rem, c, free, l1, base, d, w, b)
-        else:
-            # the last two levels: for each z_1 = t the remainder must be
-            # w_0 y_0^2 exactly, with y_0 = d_0 z_0 + c_0
-            for t in range(t, stop, -1):
-                y = d * t + c
-                r = rem - w * y * y
-                if r % w0:
-                    continue
-                r //= w0
-                s0 = math.isqrt(r)
-                if s0 * s0 != r:
-                    continue
-                c0 = base + b * t
-                for y0 in (s0, -s0) if s0 and (free or t) else (s0,):
-                    if (y0 - c0) % d0 == 0:
-                        t0 = (y0 - c0) // d0
-                        x[-2] = t
-                        x[-1] = t0
-                        nx[-2] = -t
-                        nx[-1] = -t0
-                        bucket = buckets[l1 + abs(t) + abs(t0)]
-                        bucket.append(x[:])
-                        bucket.append(nx[:])
-                        found += 1
-                        if 2 * found > cap:
-                            raise CapExceeded("more than %d vectors" % cap)
-            t = stop
-        # up past the levels whose range is walked, then down by the next t
-        while t == stop:
-            i += 1
-            if i == k:
-                out = []
-                for n in sorted(buckets):
-                    bucket = buckets[n]
-                    out += bucket[::2]
-                    out += bucket[::-2]
-                return out
-            stop, rem, c, free, l1, base, d, w, b = saved[i]
-            t = tops[i]
-        tops[i] = t - 1
-        x[~i] = t
-        nx[~i] = -t
-        y = d * t + c
-        rem -= w * y * y
-        c = base + b * t
-        free = free or t != 0
-        l1 += abs(t)
-        i -= 1
+from .intmat import snf_diagonal
 
 
 # enumeration is skipped for norms past this; the frame path covers them

@@ -26,10 +26,10 @@ Q, and only the JSON boundary asks for invariant factors
 (`canonical_form`).
 
 A form is checked where it is built, by `FiniteQuadraticForm` or
-`FiniteQuadraticForm.over`: orders, shape, symmetry and each value
-against its generator's order, then reduced to the normal (Q, m) above.
-Every caller and every derived form goes through them but four, whose
-matrix is read off checked forms, so is valid, and which
+`FiniteQuadraticForm.over`: int orders, entries and den >= 1, shape,
+symmetry and each value against its generator's order, then reduced to the
+normal (Q, m) above. Every caller and every derived form goes through them
+but four, whose matrix is read off checked forms, so is valid, and which
 `FiniteQuadraticForm._known` takes unchecked: the negation of a form
 (`negate_fqf`), a p-part (`p_part`, reduced as `_set` reduces), a direct
 sum (`direct_sum_fqf`), and a graph quotient and its complement's form
@@ -64,17 +64,18 @@ unit at each scale, at p = 2 the canonical 2-adic symbol. One gate
 key of each p-part. A degenerate p-part has no key; `is_isomorphic` sends
 only a pair of them to the witness search `fqf_isomorphic`, which passes
 the same gate, compares degenerate p-parts by their q histograms and then
-backtracks over generator images under ISO_CAP.
-`nikulin.exists_even_lattice` reads its p-adic conditions off `_local`
-too. Only that backtrack and the histogram of a degenerate form walk a
-whole group, reading `q_num` over `elements()`; nothing outside this
-module calls `elements()`.
+backtracks over generator images under ISO_CAP. Nikulin's existence test
+(`exists_even_lattice`) reads its p-adic conditions off `_local` too.
+Only that backtrack and the histogram of a degenerate form walk a whole
+group, reading `q_num` over `elements()`; nothing outside this module
+calls `elements()`.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import prod
 from operator import add, mod, mul
 
 from ._store import Store
@@ -97,7 +98,7 @@ from .intmat import (
     prime_factors,
     val_p,
 )
-from .lattice import _int, gram_of_rows
+from .lattice import _check_int_matrix, _int, gram_of_rows
 
 
 def _form_on(f, rows, orders):
@@ -147,7 +148,6 @@ class FiniteQuadraticForm:
     """
 
     def __init__(self, orders, values):
-        orders = tuple(_int(d, "generator order") for d in orders)
         vals = [[Fraction(x) for x in row] for row in values]
         den = math.lcm(1, *(x.denominator for row in vals for x in row))
         self._set(orders, [[x.numerator * (den // x.denominator) for x in r] for r in vals], den)
@@ -169,12 +169,15 @@ class FiniteQuadraticForm:
         return form
 
     def _set(self, orders, qmat, den):
-        orders = tuple(map(int, orders))
+        orders = tuple(_int(d, "generator order") for d in orders)
         if any(d < 2 for d in orders):
             raise BadShape("generator orders must be at least 2")
+        if _int(den, "denominator") < 1:
+            raise BadShape("denominator: %r is not positive" % (den,))
         k = len(orders)
         if len(qmat) != k or any(len(r) != k for r in qmat):
             raise BadShape("value matrix must be %d x %d" % (k, k))
+        _check_int_matrix(qmat)
         twom = 2 * den
         mat = [[x % den for x in r] for r in qmat]
         for i, r in enumerate(mat):
@@ -457,6 +460,43 @@ def milgram_signature(f):
     return sig % 8
 
 
+def exists_even_lattice(signature, form):
+    """Whether an even lattice with this signature and discriminant form
+    exists."""
+    if len(signature) != 2:
+        raise BadShape("the signature must have two entries")
+    tpos, tneg = (_int(x, "signature") for x in signature)
+    if tpos < 0 or tneg < 0:
+        return False
+    if (tpos - tneg) % 8 != milgram_signature(form):
+        return False
+    local = _local(form)  # past the signature no p-part is degenerate
+    # the length of the group is its largest p-rank, whatever the presentation
+    ranks = {p: sum(1 for d in form.orders if d % p == 0) for p in local}
+    if tpos + tneg < max(ranks.values(), default=0):
+        return False
+    if tpos + tneg == 0:
+        return form.is_trivial
+    order = form.group_order
+    for p, scales in local.items():
+        if tpos + tneg > ranks[p]:
+            continue
+        rest = order // p ** val_p(order, p)
+        unit = prod(u for _, u, _ in scales.values())
+        if p == 2:
+            # 2q is additive on A[2], and only a q block at scale 2 makes
+            # it odd there: such a scale splits off a one-generator block
+            if scales.get(1, (0, 1, None))[2] is not None:
+                continue
+            if unit * rest % 8 not in (1, 7):
+                return False
+        else:
+            # a block 2t / p^k puts 2t into the determinant: 2^length in all
+            if legendre((-1) ** tneg * rest * 2 ** ranks[p] * unit, p) != 1:
+                return False
+    return True
+
+
 def subgroup_matrix(f, gens):
     """Lower-triangular matrix whose row span mod relations is the
     subgroup generated by gens (coordinate rows). It depends on the
@@ -468,7 +508,7 @@ def subgroup_matrix(f, gens):
         rel = [0] * k
         rel[i] = f.orders[i]
         rows.append(rel)
-    return hnf_rows(rows, k)
+    return hnf_rows(rows)
 
 
 def subgroup_order(f, mat):

@@ -1,15 +1,15 @@
 """Exact matrix and number-theory helpers.
 
 Matrices are lists of row lists of int. Elimination is fraction free
-(Bareiss) or unimodular (Smith and Hermite forms), so nothing here meets a
-Fraction: ranks are read off the Smith diagonal. Matrix products are
+(Bareiss) or unimodular (Smith and Hermite forms), so nothing here meets
+a Fraction: ranks are read off the Smith diagonal. Matrix products are
 `mat_mul`'s, a raw gram's in `lattice.gram_of_rows` too; only a Lattice
 multiplies by its own gram's kept nonzero entries. Every symmetric
-elimination is `eliminate_symmetric`'s: the determinant and signature of
-a Lattice and the LDL^T of the norm enumeration
-(`embeddings.vectors_of_norm`) all come from it. The Smith forms share one
-core (`_smith`) that carries each transform, or its inverse, only when its
-caller reads it: `snf_diagonal` carries neither, the kernel
+elimination is `eliminate_symmetric`'s, and `lattice` alone calls it: the
+determinant and signature of a Lattice and the LDL^T of the norm
+enumeration (`lattice.vectors_of_norm`) all come from it. The Smith forms
+share one core (`_smith`) that carries each transform, or its inverse,
+only when its caller reads it: `snf_diagonal` carries neither, the kernel
 (`_kernel_and_factors`) only the column transform, and it reads the
 invariant factors off the same diagonal; the discriminant form
 (`fqf._dual_basis`) carries both. A modular inverse is the standard
@@ -330,7 +330,7 @@ def _kernel_and_factors(m):
             [d[j][j] for j in range(n) if d[j][j]])
 
 
-def hnf_rows(rows, ncols=None):
+def hnf_rows(rows):
     """Hermite basis of the integer row span, lower-triangular style.
 
     Pivot of each basis row is its last nonzero coordinate; pivots are
@@ -339,8 +339,7 @@ def hnf_rows(rows, ncols=None):
     reduced in ascending order, so a later reduction can undo an earlier
     one: the result depends on the rows, not only on their span.
     """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+    ncols = len(rows[0]) if rows else 0
     work = [list(r) for r in rows if any(r)]
     basis = {}
     while work:

@@ -1,8 +1,8 @@
-"""Existence of even lattices with prescribed invariants, gluing data for
-primitive embeddings of the rank-12 ambient lattice, and odd-index descent."""
+"""Gluing data for primitive embeddings of the rank-12 ambient lattice, and
+odd-index descent; the existence test they ask is `fqf.exists_even_lattice`."""
 
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul
 
 from ._store import Store
@@ -25,14 +25,13 @@ from .errors import (
 from .fqf import (
     FiniteQuadraticForm,
     _dual_basis,
-    _local,
     _solve_lower,
     _two_torsion,
     canonical_form,
     direct_sum_fqf,
     discriminant_form,
+    exists_even_lattice,
     is_isomorphic,
-    milgram_signature,
     negate_fqf,
     p_part,
     perp_subgroup,
@@ -42,53 +41,8 @@ from .fqf import (
     trivial_form,
     verify_fqf_iso,
 )
-from .intmat import (
-    is_prime,
-    legendre,
-    mat_mul,
-    prime_factors,
-    sqrt_exact,
-    transpose,
-    val_p,
-)
+from .intmat import is_prime, mat_mul, prime_factors, sqrt_exact, transpose, val_p
 from .lattice import Lattice, _check_int_matrix, _int, gram_of_rows
-
-
-def exists_even_lattice(signature, form):
-    """Whether an even lattice with this signature and discriminant form
-    exists."""
-    if len(signature) != 2:
-        raise BadShape("the signature must have two entries")
-    tpos, tneg = (_int(x, "signature") for x in signature)
-    if tpos < 0 or tneg < 0:
-        return False
-    if (tpos - tneg) % 8 != milgram_signature(form):
-        return False
-    local = _local(form)  # past the signature no p-part is degenerate
-    # the length of the group is its largest p-rank, whatever the presentation
-    ranks = {p: sum(1 for d in form.orders if d % p == 0) for p in local}
-    if tpos + tneg < max(ranks.values(), default=0):
-        return False
-    if tpos + tneg == 0:
-        return form.is_trivial
-    order = form.group_order
-    for p, scales in local.items():
-        if tpos + tneg > ranks[p]:
-            continue
-        rest = order // p ** val_p(order, p)
-        unit = prod(u for _, u, _ in scales.values())
-        if p == 2:
-            # 2q is additive on A[2], and only a q block at scale 2 makes
-            # it odd there: such a scale splits off a one-generator block
-            if scales.get(1, (0, 1, None))[2] is not None:
-                continue
-            if unit * rest % 8 not in (1, 7):
-                return False
-        else:
-            # a block 2t / p^k puts 2t into the determinant: 2^length in all
-            if legendre((-1) ** tneg * rest * 2 ** ranks[p] * unit, p) != 1:
-                return False
-    return True
 
 
 # search nodes `find_embedding_datum` visits before it gives up

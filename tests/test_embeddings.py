@@ -181,7 +181,7 @@ def test_cap_stops_the_search_early():
 def test_huge_value_stops_at_the_node_cap(gram, value):
     # the first range alone is past the cap, so nothing of it is walked
     start = time.perf_counter()
-    with pytest.raises(CapExceeded, match="over its cap of %d" % embeddings.ENUM_NODE_CAP):
+    with pytest.raises(CapExceeded, match="over its cap of %d" % lattice.ENUM_NODE_CAP):
         vectors_of_norm(Lattice(gram), value)
     assert time.perf_counter() - start < 1
 
@@ -191,10 +191,10 @@ def test_node_cap_counts_every_coordinate_tried(monkeypatch):
     # coordinates, so a cap one below that stops it at its last range
     e8 = standard_lattice("E8")
     assert len(vectors_of_norm(e8, -2)) == 240
-    monkeypatch.setattr(embeddings, "ENUM_NODE_CAP", 249)
+    monkeypatch.setattr(lattice, "ENUM_NODE_CAP", 249)
     with pytest.raises(CapExceeded, match="needs at least 250 nodes, over its cap of 249"):
         vectors_of_norm(e8, -2)
-    monkeypatch.setattr(embeddings, "ENUM_NODE_CAP", 250)
+    monkeypatch.setattr(lattice, "ENUM_NODE_CAP", 250)
     assert len(vectors_of_norm(e8, -2)) == 240
 
 
@@ -207,9 +207,9 @@ E82_NODE_TOTALS = [(-4, 250), (-8, 1540), (-12, 4648), (-16, 10987), (-20, 21067
 @pytest.mark.parametrize("value, total", E82_NODE_TOTALS)
 def test_e82_node_totals_are_pinned(monkeypatch, value, total):
     e82 = standard_lattice("E82")
-    monkeypatch.setattr(embeddings, "ENUM_NODE_CAP", total)
+    monkeypatch.setattr(lattice, "ENUM_NODE_CAP", total)
     assert len(vectors_of_norm(e82, value)) == 240 * sigma3(-value // 4)
-    monkeypatch.setattr(embeddings, "ENUM_NODE_CAP", total - 1)
+    monkeypatch.setattr(lattice, "ENUM_NODE_CAP", total - 1)
     with pytest.raises(CapExceeded, match="needs at least %d nodes, over its cap of %d$"
                        % (total, total - 1)):
         vectors_of_norm(e82, value)
@@ -281,7 +281,7 @@ def test_enumeration_outcomes_are_pinned(monkeypatch):
     for cap in (0, 1, 2, 3, 50, 239, 240):
         got += [_outcome(lat, value, cap=cap) for lat, value in capped]
     for nodes in (0, 1, 7, 60, 249, 250, 1000):
-        monkeypatch.setattr(embeddings, "ENUM_NODE_CAP", nodes)
+        monkeypatch.setattr(lattice, "ENUM_NODE_CAP", nodes)
         got += [_outcome(lat, value) for lat, value in capped]
     blob = json.dumps(got, separators=(",", ":")).encode()
     assert hashlib.sha256(blob).hexdigest() == ENUMERATION_DIGEST

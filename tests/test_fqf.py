@@ -855,6 +855,21 @@ def test_constructor_rejects_orders_that_are_not_ints(orders):
     assert str(exc.value) == "generator order: %r is not an integer" % (orders[-1],)
 
 
+@pytest.mark.parametrize("orders, qmat, den, message", [
+    # den 0 ended in ZeroDivisionError, den -2 kept q = -3/-2 outside [0, 2),
+    # 2.5 and "4" became orders 2 and 4, and a float entry a TypeError
+    ((2,), [[1]], 0, "denominator: 0 is not positive"),
+    ((2,), [[1]], -2, "denominator: -2 is not positive"),
+    ((2.5,), [[1]], 2, "generator order: 2.5 is not an integer"),
+    (("4",), [[1]], 2, "generator order: '4' is not an integer"),
+    ((2,), [[1.0]], 2, "entries must be integers"),
+])
+def test_over_rejects_what_is_not_a_value_matrix(orders, qmat, den, message):
+    with pytest.raises(BadShape) as exc:
+        FiniteQuadraticForm.over(orders, qmat, den)
+    assert type(exc.value) is BadShape and str(exc.value) == message
+
+
 def test_constructor_reduces_before_it_checks():
     # b is read mod 1 and q mod 2, so these entries are valid
     form = FiniteQuadraticForm((2, 2), [[Fraction(5, 2), _HALF], [-_HALF, 2]])

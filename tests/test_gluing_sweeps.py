@@ -245,19 +245,25 @@ def _second_images(fl, fn, h_l, rng):
 
 
 def _coords_in(f, gens, relations, y):
-    """Integers c with y = sum c_j gens_j in f, modulo the relations."""
+    """Integers c with y = sum c_j gens_j in f, modulo the relations.
+
+    Each row carries its combination of gens in its first k columns, so
+    the Hermite pivots of the rows with a nonzero element part fall among
+    the last n columns; a row whose element part is 0 is skipped."""
     n, k = f.num_gens, len(gens)
-    rows = [list(g) + [int(i == j) for j in range(k)] for i, g in enumerate(gens)]
-    rows += [list(r) + [0] * k for r in relations]
-    rows += [[d if j == i else 0 for j in range(n)] + [0] * k for i, d in enumerate(f.orders)]
-    rest = list(y) + [0] * k
-    for row in reversed(hnf_rows(rows, n)):
-        p = max(j for j in range(n) if row[j])
+    rows = [[int(i == j) for j in range(k)] + list(g) for i, g in enumerate(gens)]
+    rows += [[0] * k + list(r) for r in relations]
+    rows += [[0] * k + [d if j == i else 0 for j in range(n)] for i, d in enumerate(f.orders)]
+    rest = [0] * k + list(y)
+    for row in reversed(hnf_rows(rows)):
+        if not any(row[k:]):
+            continue
+        p = max(j for j in range(k, k + n) if row[j])
         q, rem = divmod(rest[p], row[p])
         assert rem == 0
         rest = [x - q * r for x, r in zip(rest, row)]
-    assert not any(rest[:n])
-    return [-x for x in rest[n:]]
+    assert not any(rest[k:])
+    return [-x for x in rest[:k]]
 
 
 def _witt_isometry(fn, gamma, gamma2):

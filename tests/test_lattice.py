@@ -394,7 +394,7 @@ def test_complement_invariants_match_its_gram():
     for tag, rows in _complement_cases():
         lat = standard_lattice(tag)
         basis, module = orthogonal_complement(lat, rows)
-        span = hnf_rows(rows, lat.rank)
+        span = hnf_rows(rows)
         singular = rational_signature(gram_of_rows(span, lat.gram))[2] > 0
         assert isinstance(module, DegenerateQuadraticModule) == singular
         if singular:

@@ -22,6 +22,12 @@ list fails until it is given a place.
 A second guard keeps one group-enumeration kernel: `.elements()`, the
 walk over every element of a finite quadratic form, is called only inside
 `fqf`, in any module of `src/enrlat`, front ends included.
+
+A third keeps one reader per internal layout, in every module, front ends
+included: the LDL^T rows of `intmat.eliminate_symmetric` are read in
+`intmat` and `lattice` alone, and the per-scale Jordan readings of
+`fqf._local` (and `fqf._scales`, its view at one prime) in `fqf` alone.
+No other module may name them, as a name, an attribute or an import.
 """
 
 import ast
@@ -149,4 +155,56 @@ def test_walk_guard_catches_each_call(tmp_path):
     assert group_walks(package) == [
         "cli calls .elements() at line 2",
         "nikulin calls .elements() at line 3",
+    ]
+
+
+# internal name -> the only modules that may name it
+LAYOUT_READERS = {
+    "eliminate_symmetric": {"intmat", "lattice"},
+    "_local": {"fqf"},
+    "_scales": {"fqf"},
+}
+
+
+def layout_readers(package, readers=LAYOUT_READERS):
+    """'module names name at line n' for each name, attribute or imported
+    name of readers in a module that readers does not list for it."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.split(".")[-1]
+            else:
+                continue
+            if name in readers and path.stem not in readers[name]:
+                out.append("%s names %s at line %d" % (path.stem, name, node.lineno))
+    return sorted(out)
+
+
+def test_one_reader_per_internal_layout():
+    assert layout_readers(PACKAGE) == []
+
+
+def test_layout_guard_catches_each_reference(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    files = {
+        "intmat.py": "def eliminate_symmetric(g):\n    return g\n",
+        "lattice.py": "from .intmat import eliminate_symmetric\n",
+        "fqf.py": "def _local(f):\n    return _scales(f)\n",
+        "embeddings.py": "from .intmat import snf, eliminate_symmetric as elim\n",
+        "nikulin.py": "from . import fqf\n\ndef read(f):\n    return fqf._local(f)\n",
+        "cli.py": "_scales = 1\nlocal = _local_key = 2\n",
+    }
+    for fname, text in files.items():
+        (package / fname).write_text(text)
+    assert layout_readers(package) == [
+        "cli names _scales at line 1",
+        "embeddings names eliminate_symmetric at line 1",
+        "nikulin names _local at line 4",
     ]
