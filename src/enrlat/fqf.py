@@ -26,10 +26,11 @@ Q, and only the JSON boundary asks for invariant factors
 (`canonical_form`).
 
 A form is checked where it is built, by `FiniteQuadraticForm` or
-`FiniteQuadraticForm.over`: int orders, entries and den >= 1, shape,
-symmetry and each value against its generator's order, then reduced to the
-normal (Q, m) above. Every caller and every derived form goes through them
-but four, whose matrix is read off checked forms, so is valid, and which
+`FiniteQuadraticForm.over`: int orders, entries (int or `Fraction` values
+for the constructor) and den >= 1, shape, symmetry and each value against
+its generator's order, then reduced to the normal (Q, m) above. Every
+caller and every derived form goes through them but four, whose matrix is
+read off checked forms, so is valid, and which
 `FiniteQuadraticForm._known` takes unchecked: the negation of a form
 (`negate_fqf`), a p-part (`p_part`, reduced as `_set` reduces), a direct
 sum (`direct_sum_fqf`), and a graph quotient and its complement's form
@@ -98,7 +99,7 @@ from .intmat import (
     prime_factors,
     val_p,
 )
-from .lattice import _check_int_matrix, _int, gram_of_rows
+from .lattice import _check_int_matrix, _int, _is_int, gram_of_rows
 
 
 def _form_on(f, rows, orders):
@@ -143,11 +144,14 @@ class FiniteQuadraticForm:
     """Quadratic form q: A -> Q/2Z on A = (+) Z/orders[i], with
     q(x) = x^T qmat x / den mod 2.
 
-    The constructor takes the value matrix as rationals (q on the diagonal,
-    b off it); `over` takes it as integers over a denominator.
+    The constructor takes the value matrix as ints and Fractions (q on the
+    diagonal, b off it); `over` takes it as integers over a denominator.
     """
 
     def __init__(self, orders, values):
+        for x in (x for row in values for x in row):
+            if not (_is_int(x) or isinstance(x, Fraction)):
+                raise BadShape("values: %r is not an integer or a Fraction" % (x,))
         vals = [[Fraction(x) for x in row] for row in values]
         den = math.lcm(1, *(x.denominator for row in vals for x in row))
         self._set(orders, [[x.numerator * (den // x.denominator) for x in r] for r in vals], den)

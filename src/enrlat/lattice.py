@@ -9,8 +9,9 @@ off the Smith form of rows * G, which finds its basis, and the rows' own
 small gram S: `orthogonal_complement` eliminates S, while the complement
 of a validated embedding reads S's det and signature off the
 embedding's source (`_complement`). Norm enumeration (`vectors_of_norm`)
-is an integer Fincke-Pohst walk over the LDL^T those rows give, and
-`ENUM_NODE_CAP` bounds the coordinates it tries.
+is an integer Fincke-Pohst walk over the LDL^T those rows give, as nested
+loops generated once per rank, and `ENUM_NODE_CAP` bounds the coordinates
+it tries.
 
 Products against a Lattice's gram read the nonzero entries of each gram
 row, kept on the lattice after its first product; a raw gram matrix
@@ -26,7 +27,9 @@ module.
 import math
 from collections import defaultdict
 from operator import mul
+from types import FunctionType
 
+from ._store import Store
 from .errors import (
     BadShape,
     CapExceeded,
@@ -285,13 +288,95 @@ def _complement(lat, prods, det_s, sig_s):
 
 # the most coordinates one norm enumeration tries: 110 times the most any
 # enumeration of the tables, the tests or the benchmark tries (37,834, E8(2)
-# at norm -24, pinned by a test), and one to two seconds of walking a rank-2 range
+# at norm -24, pinned by a test), and about 1.3 s of walking a rank-2 range
 ENUM_NODE_CAP = 1 << 22
 
 
-def _spent(nodes):
-    return CapExceeded("norm enumeration needs at least %d nodes, over its cap of %d"
-                       % (nodes, ENUM_NODE_CAP))
+# rank -> the code of each segment of that rank's walk, generated once;
+# a segment nests at most _SEGMENT loops, as CPython refuses more than 20
+# statically nested blocks
+_WALKS = Store(64)
+_SEGMENT = 16
+
+# level i: its range, charged to the node cap before it is walked, and the
+# remainder below each z_i; g_i is the part of c_{i-1} that z_i leaves fixed
+_LEVEL = """\
+s = isqrt(r{i} // w{i})
+hi = (s - c{i}) // d{i}
+lo = -((s + c{i}) // d{i}) - 1 if f{i} else -1
+n += hi - lo
+if n > nodecap:
+    raise CapExceeded("norm enumeration needs at least %d nodes, over its cap of %d"
+                      % (n, nodecap))
+g{i} = {g}
+for z{i} in range(hi, lo, -1):
+    y = d{i} * z{i} + c{i}
+    r{j} = r{i} - w{i} * y * y
+"""
+# the next level's centre, free flag and L1 norm so far
+_DOWN = """\
+    c{j} = g{i} + b{i}_{i} * z{i}
+    f{j} = f{i} or z{i}
+    l{j} = l{i} + abs(z{i})
+"""
+# level 1 solves z_0 by an exact square, w_0 y_0^2 = r_0 with y_0 = d_0 z_0 + c_0,
+# and writes the vector and its negative to their L1 norm's bucket
+_LEAF = """\
+    if r0 % w0:
+        continue
+    r0 //= w0
+    s = isqrt(r0)
+    if s * s != r0:
+        continue
+    c0 = g1 + b1_1 * z1
+    for y in (s, -s) if s and (f1 or z1) else (s,):
+        z0, e = divmod(y - c0, d0)
+        if not e:
+            bucket = buckets[l1 + abs(z1) + abs(z0)]
+            bucket.append([{z}])
+            bucket.append([{nz}])
+            m += 2
+            if m > cap:
+                raise CapExceeded("more than %d vectors" % cap)
+"""
+# a segment ending above level 1 hands the coordinates fixed so far to the next
+_NEXT = "    n, m = segs[{s}](ldl, ({z},), r{j}, c{j}, f{j}, l{j}, n, m, buckets, cap, nodecap, segs)\n"
+
+
+def _walk_sources(k):
+    """The source of each segment of the walk of rank k >= 2, outermost
+    first. A segment takes the flat list ldl of per-level constants, the
+    coordinates fixed above it and the state of its top level, and returns
+    the nodes and vectors counted so far."""
+    out, at = [], 0
+    for top in range(k - 1, 0, -_SEGMENT):
+        low = max(top - _SEGMENT + 1, 1)
+        names = [x for i in range(top, low - 1, -1)
+                 for x in ["d%d" % i, "w%d" % i] + ["b%d_%d" % (i, j) for j in range(i, k)]]
+        names += ["d0", "w0"] * (low == 1)
+        fixed = ["z%d" % j for j in range(k - 1, top, -1)]
+        text = ("def walk(ldl, zs, r{0}, c{0}, f{0}, l{0}, n, m, buckets, cap, nodecap, segs):\n"
+                "    isqrt = math.isqrt\n".format(top))
+        text += "    %s, = ldl[%d:%d]\n" % (", ".join(names), at, at + len(names))
+        text += "    %s, = zs\n" % ", ".join(fixed) if fixed else ""
+        at += len(names)
+        for depth, i in enumerate(range(top, low - 1, -1), 1):
+            z = ["z%d" % j for j in range(k - 1, i - 1, -1)] + ["z0"] * (i == 1)
+            level = _LEVEL + (_LEAF if i == 1 else _DOWN + _NEXT * (i == low))
+            text += "".join("    " * depth + line for line in level.format(
+                i=i, j=i - 1, s=len(out) + 1, z=", ".join(z), nz=", ".join("-" + x for x in z),
+                g=" + ".join("b%d_%d * z%d" % (i, j, j) for j in range(i + 1, k)) or 0
+            ).splitlines(True))
+        out.append(text + "    return n, m\n")
+    return out
+
+
+def _compiled(source):
+    # the code of the function source defines, which is dropped, so nothing
+    # is left referring back to the namespace it was made in
+    space = {}
+    exec(source, space)
+    return space.pop("walk").__code__
 
 
 def vectors_of_norm(lat, value, cap=200000):
@@ -308,21 +393,23 @@ def vectors_of_norm(lat, value, cap=200000):
     the sign is that of g_00, and the signed gram is definite when all k
     of its pivots are positive; otherwise NotDefinite.
 
-    The descent is one flat loop, no recursion: it fixes z_{k-1} = x_0
-    first and walks each range from the top down, and a level above the
-    last two keeps its next coordinate and the rest of its state in small
-    per-level lists while the walk is below it. It walks only half the
-    tree: while every coordinate fixed so far is 0 the centre is 0 and the
-    range symmetric, so it keeps t >= 0, and finds the vectors whose first
-    nonzero coordinate is positive. The last two levels run in one loop: for
-    each x_{k-2}, x_{k-1} is solved in place by an exact-square test. The
-    coordinates live in lattice order in x, with a twin nx = -x written
-    alongside, so a vector and its negative are both one copy at the leaf.
-    CapExceeded is raised inside that loop as soon as the vectors found,
-    with their negatives, number more than `cap`, and before a level's loop
-    when the coordinates tried, its whole range counted at once, number
-    more than ENUM_NODE_CAP: a huge value on a small lattice stops at once
-    instead of walking a range of 10^19.
+    The walk is nested for loops, one per level z_{k-1}, ..., z_1, from
+    source that depends only on the rank (`_walk_sources`), compiled once
+    per rank and kept in `_WALKS`. The coordinates, remainders and centres
+    are locals, and the LDL^T entries arguments; each centre is a sum of
+    products of the two. Ranks above _SEGMENT + 1 chain segments of at most
+    _SEGMENT levels: a segment's innermost loop calls the next with the
+    coordinates fixed so far. The walk fixes z_{k-1} = x_0 first and walks
+    each range from the top down. It walks only half the tree: while every
+    coordinate fixed so far is 0 the centre is 0 and the range symmetric,
+    so it keeps t >= 0, and finds the vectors whose first nonzero
+    coordinate is positive. For each z_1 it solves z_0 by an exact-square
+    test and writes the vector and its negative, as two list displays.
+    CapExceeded is raised there as soon as the vectors found, with their
+    negatives, number more than `cap`, and before a level's loop when the
+    coordinates tried, its whole range counted at once, number more than
+    ENUM_NODE_CAP: a huge value on a small lattice stops at once instead
+    of walking a range of 10^19.
 
     The order is pinned: by L1 norm, then coordinates in descending order.
     The walk lists the half in descending order, and every vector of it
@@ -331,9 +418,12 @@ def vectors_of_norm(lat, value, cap=200000):
     its negative to its norm's bucket in turn, so a bucket is emitted as
     its even entries, then its odd entries backwards; nothing is sorted.
     The `roots` goldens pin this order, and so does the E8(2) vector cache,
-    whose order the tuple search follows. A value that is not an int, or a
-    cap that is not a nonnegative int, is malformed: BadShape.
+    whose order the tuple search follows. A lat that is not a Lattice, a
+    value that is not an int, or a cap that is not a nonnegative int, is
+    malformed: BadShape.
     """
+    if not isinstance(lat, Lattice):
+        raise BadShape("lat: %r is not a Lattice" % (lat,))
     _int(value, "value")
     if not _is_int(cap) or cap < 0:
         raise BadShape("cap: %r is not a nonnegative integer" % (cap,))
@@ -359,83 +449,22 @@ def vectors_of_norm(lat, value, cap=200000):
         if cap < 2:
             raise CapExceeded("more than %d vectors" % cap)
         return [[s // minors[1]], [-s // minors[1]]]
+    # level i's D_{i+1}, w_i and B_{i-1}[i:], from level k-1 down, then D_1, w_0
+    ldl = []
+    for i in range(k - 1, 0, -1):
+        ldl += minors[i + 1], weights[i], *rows[i - 1][i:]
+    ldl += minors[1], weights[0]
+    codes = _WALKS.lookup(k) or _WALKS.keep(k, tuple(map(_compiled, _walk_sources(k))))
+    segs = tuple(FunctionType(code, globals()) for code in codes)
     # L1 norm -> the half's vectors of that norm, each followed by its negative
     buckets = defaultdict(list)
-    found = nodes = 0
-    x, nx = [0] * k, [0] * k  # z_i = x[k-1-i] = x[~i] and nx = -x
-    # level i: d = D_{i+1}, w = w_i, and B_{i-1}: the centre below is
-    # c_{i-1} = base + b z_i, base = rev . x with rev = B_{i-1}[k-1:i:-1]
-    levels = [None] + [(minors[i + 1], weights[i], rows[i - 1][:i:-1], rows[i - 1][i])
-                       for i in range(1, k)]
-    # a level above the last two, while the walk is below it: its next t,
-    # and the rest of its state (range stop, remainder, centre, free flag,
-    # L1 norm so far, base and constants)
-    tops, saved = [0] * k, [None] * k
-    d0, w0 = minors[1], weights[0]
-    i, c, free, l1 = k - 1, 0, False, 0
-    while True:
-        # enter level i: z[i+1:] is fixed, of L1 norm l1, c = c_i,
-        # rem = M |value| - sum_{j>i} w_j y_j^2; w y^2 <= rem holds exactly
-        # when |y| <= isqrt(rem // w), y = d z_i + c.
-        # Until some fixed coordinate is nonzero (free), c = 0 and t >= 0.
-        d, w, rev, b = levels[i]
-        s = math.isqrt(rem // w)
-        t, stop = (s - c) // d, -((s + c) // d) - 1 if free else -1
-        nodes += t - stop
-        if nodes > ENUM_NODE_CAP:
-            raise _spent(nodes)
-        base = sum(map(mul, rev, x))
-        if i > 1:
-            saved[i] = (stop, rem, c, free, l1, base, d, w, b)
-        else:
-            # the last two levels: for each z_1 = t the remainder must be
-            # w_0 y_0^2 exactly, with y_0 = d_0 z_0 + c_0
-            for t in range(t, stop, -1):
-                y = d * t + c
-                r = rem - w * y * y
-                if r % w0:
-                    continue
-                r //= w0
-                s0 = math.isqrt(r)
-                if s0 * s0 != r:
-                    continue
-                c0 = base + b * t
-                for y0 in (s0, -s0) if s0 and (free or t) else (s0,):
-                    if (y0 - c0) % d0 == 0:
-                        t0 = (y0 - c0) // d0
-                        x[-2] = t
-                        x[-1] = t0
-                        nx[-2] = -t
-                        nx[-1] = -t0
-                        bucket = buckets[l1 + abs(t) + abs(t0)]
-                        bucket.append(x[:])
-                        bucket.append(nx[:])
-                        found += 1
-                        if 2 * found > cap:
-                            raise CapExceeded("more than %d vectors" % cap)
-            t = stop
-        # up past the levels whose range is walked, then down by the next t
-        while t == stop:
-            i += 1
-            if i == k:
-                out = []
-                for n in sorted(buckets):
-                    bucket = buckets[n]
-                    out += bucket[::2]
-                    out += bucket[::-2]
-                return out
-            stop, rem, c, free, l1, base, d, w, b = saved[i]
-            t = tops[i]
-        tops[i] = t - 1
-        x[~i] = t
-        nx[~i] = -t
-        y = d * t + c
-        rem -= w * y * y
-        c = base + b * t
-        free = free or t != 0
-        l1 += abs(t)
-        i -= 1
-
+    segs[0](ldl, (), rem, 0, False, 0, 0, 0, buckets, cap, ENUM_NODE_CAP, segs)
+    out = []
+    for n in sorted(buckets):
+        bucket = buckets[n]
+        out += bucket[::2]
+        out += bucket[::-2]
+    return out
 
 
 _U = [[0, 1], [1, 0]]

@@ -388,6 +388,54 @@ def test_positive_norm_request_is_empty_in_negative_definite():
     assert vectors_of_norm(lat, 2) == []
 
 
+@pytest.mark.parametrize("lat", [[[-2]], None, ((-2, 1), (1, -2)), 2])
+def test_enumeration_refuses_what_is_not_a_lattice(lat):
+    with pytest.raises(BadShape, match=r"lat: .* is not a Lattice"):
+        vectors_of_norm(lat, -2)
+
+
+def _root_basis(kind, n):
+    """Simple roots of A_n in Z^(n+1) (e_i - e_(i+1)) or of D_n in Z^n
+    (those of A_(n-1), then e_(n-1) + e_n), as rows."""
+    width = n + 1 if kind == "A" else n
+    rows = [[(j == i) - (j == i + 1) for j in range(width)] for i in range(n)]
+    if kind == "D":
+        rows[-1] = [int(j >= n - 2) for j in range(width)]
+    return rows
+
+
+@pytest.mark.parametrize("kind, count", [("A", lambda n: n * (n + 1)),
+                                         ("D", lambda n: 2 * n * (n - 1))], ids=("A", "D"))
+def test_root_lattices_across_the_segment_boundary(kind, count):
+    # ranks 2 to 24, so walks of one segment and of two; x B in the
+    # ambient Z^m must be the roots +-e_i -+ e_j (and +-(e_i + e_j) in D_n)
+    for n in range(2, 25):
+        basis = _root_basis(kind, n)
+        gram = [[-sum(map(math.prod, zip(a, b))) for b in basis] for a in basis]
+        got = vectors_of_norm(Lattice(gram), -2)
+        assert len(got) == count(n)
+        assert got == sorted(got, key=_pinned_key)
+        width = len(basis[0])
+        ambient_roots = {tuple(s * (c == i) + t * (c == j) for c in range(width))
+                         for i in range(width) for j in range(i + 1, width)
+                         for s in (1, -1) for t in (1, -1) if kind == "D" or s != t}
+        assert {tuple(sum(x[r] * basis[r][c] for r in range(n)) for c in range(width))
+                for x in got} == ambient_roots
+        if n <= 7:
+            assert {tuple(v) for v in got} == naive_vectors(gram, -2)
+
+
+def test_walk_is_built_for_every_rank_up_to_forty(stores):
+    # ranks 18 and up chain segments, 34 and up three of them
+    for n in range(1, 41):
+        lat = Lattice([[-2 * (i == j) for j in range(n)] for i in range(n)])
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert vectors_of_norm(lat, -2) == units + [[-x for x in u] for u in reversed(units)]
+        got = vectors_of_norm(lat, -4)
+        assert len(got) == 2 * n * (n - 1) and got == sorted(got, key=_pinned_key)
+    assert sorted(stores["_WALKS"]) == list(range(2, 41))
+
+
 def test_find_tuple_frozen_single_vector():
     assert next(iter_tuples_in_e82([[-4]])) == ((1, 0, 0, 0, 0, 0, 0, 0),)
 

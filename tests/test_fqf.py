@@ -855,6 +855,17 @@ def test_constructor_rejects_orders_that_are_not_ints(orders):
     assert str(exc.value) == "generator order: %r is not an integer" % (orders[-1],)
 
 
+@pytest.mark.parametrize("value", [0.5, "1/2", True, 0.1, None, 1.0])
+def test_constructor_takes_only_int_and_fraction_values(value):
+    # 0.5, "1/2" and True used to build a form, and 0.1 failed naming its
+    # binary expansion
+    for values in ([[value]], [[0, value], [value, 0]]):
+        with pytest.raises(BadShape) as exc:
+            FiniteQuadraticForm((2,) * len(values), values)
+        assert type(exc.value) is BadShape
+        assert str(exc.value) == "values: %r is not an integer or a Fraction" % (value,)
+
+
 @pytest.mark.parametrize("orders, qmat, den, message", [
     # den 0 ended in ZeroDivisionError, den -2 kept q = -3/-2 outside [0, 2),
     # 2.5 and "4" became orders 2 and 4, and a float entry a TypeError

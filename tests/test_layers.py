@@ -28,6 +28,10 @@ included: the LDL^T rows of `intmat.eliminate_symmetric` are read in
 `intmat` and `lattice` alone, and the per-scale Jordan readings of
 `fqf._local` (and `fqf._scales`, its view at one prime) in `fqf` alone.
 No other module may name them, as a name, an attribute or an import.
+
+A fourth keeps generated code in one place: only `lattice`, which builds
+its enumeration walk per rank from source, calls `exec` or `compile`
+(as a bare name or as an attribute of `builtins`), in every module.
 """
 
 import ast
@@ -207,4 +211,53 @@ def test_layout_guard_catches_each_reference(tmp_path):
         "cli names _scales at line 1",
         "embeddings names eliminate_symmetric at line 1",
         "nikulin names _local at line 4",
+    ]
+
+
+# builtin that makes code from text -> the only modules that may call it
+CODE_BUILDERS = {"exec": {"lattice"}, "compile": {"lattice"}}
+
+
+def code_builders(package, builders=CODE_BUILDERS):
+    """'module calls name at line n' for each call of a builtin of builders,
+    as a name or as an attribute of builtins, in a module that builders
+    does not list for it; another module's function of that name, such as
+    re.compile, is no such call."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                  and func.value.id == "builtins"):
+                name = func.attr
+            else:
+                continue
+            if name in builders and path.stem not in builders[name]:
+                out.append("%s calls %s at line %d" % (path.stem, name, node.lineno))
+    return sorted(out)
+
+
+def test_only_lattice_builds_code():
+    assert code_builders(PACKAGE) == []
+
+
+def test_code_guard_catches_each_call(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    files = {
+        "lattice.py": "def walk(src):\n    exec(compile(src, 'w', 'exec'), {})\n",
+        "fqf.py": "import builtins\n\ndef late(src):\n    return builtins.exec(src)\n",
+        "embeddings.py": "import re\n_TERM = re.compile('x')\ncode = compile('1', 'f', 'eval')\n",
+        "cli.py": "def run(src):\n    def inner():\n        exec(src)\n    return inner\n",
+        "nikulin.py": "exec = print\nx = self.exec\n",
+    }
+    for fname, text in files.items():
+        (package / fname).write_text(text)
+    assert code_builders(package) == [
+        "cli calls exec at line 3",
+        "embeddings calls compile at line 3",
+        "fqf calls exec at line 4",
     ]

@@ -4,7 +4,9 @@ Walks the syntax tree of every module of `src/enrlat` and fails on an
 import of `cmath`, any use of `sqrt` (`math.sqrt` or an imported `sqrt`),
 any use of the name `float` and any complex literal. The one allowance is
 the wall-clock fields of `acceptance.CriterionResult` (`elapsed`, `limit`),
-which time criteria and decide nothing about a lattice or a form.
+which time criteria and decide nothing about a lattice or a form. The
+enumeration walk that `lattice` generates per rank is walked too, as the
+source it compiles for ranks 1 to 24.
 
 It also fails on an import of `fractions` outside `fqf.py`, which holds
 the rational q values, and `cli.py`, which reads them from JSON: below
@@ -15,6 +17,7 @@ import ast
 from pathlib import Path
 
 import enrlat
+from enrlat.lattice import _walk_sources
 
 PACKAGE = Path(enrlat.__file__).parent
 ALLOWED_FLOAT_FIELDS = {("acceptance.py", "elapsed"), ("acceptance.py", "limit")}
@@ -57,6 +60,15 @@ def test_package_has_no_float_decisions():
     assert any(p.name == "fqf.py" for p in paths)
     found = [hit for path in paths for hit in float_uses(path)]
     assert found == []
+
+
+def test_generated_walk_has_no_float_decisions(tmp_path):
+    found = []
+    for k in range(1, 25):
+        path = tmp_path / ("walk_%d.py" % k)
+        path.write_text("".join(_walk_sources(k)))
+        found += float_uses(path)
+    assert "isqrt" in path.read_text() and found == []
 
 
 def test_guard_catches_each_pattern(tmp_path):

@@ -135,7 +135,7 @@ def _local(gram):
 # [[4, 0], [0, 4]] and [[4, 4], [4, 8]] have equal discriminant forms; a
 # gram as lists and as tuples, and parameters as a list and as a tuple, are
 # one key; [[-8, 2], [2, -4]] and [[-4, 2], [2, -8]] ask for the same two
-# E8(2) shells in opposite orders
+# E8(2) shells in opposite orders; two lattices of one rank share one walk
 _EQUAL_KEYS = {
     "_LOCAL": (lambda: _local([[4, 0], [0, 4]]), lambda: _local([[4, 4], [4, 8]])),
     "_GLUED": (lambda: find_embedding_datum(Lattice([[4, 0], [0, 4]])),
@@ -146,6 +146,8 @@ _EQUAL_KEYS = {
                   lambda: embedding_for_label(20, (1, 0, 1), (1, 0))),
     "_E82_CACHE": (lambda: next(iter_tuples_in_e82([[-8, 2], [2, -4]])),
                    lambda: next(iter_tuples_in_e82([[-4, 2], [2, -8]]))),
+    "_WALKS": (lambda: vectors_of_norm(Lattice([[-2, 1], [1, -2]]), -2),
+               lambda: vectors_of_norm(Lattice([[4, 2], [2, 4]]), 8)),
 }
 
 
