@@ -99,7 +99,7 @@ from .intmat import (
     prime_factors,
     val_p,
 )
-from .lattice import _check_int_matrix, _int, _is_int, gram_of_rows
+from .lattice import Lattice, _check_int_matrix, _int, _is_int, gram_of_rows
 
 
 def _form_on(f, rows, orders):
@@ -296,6 +296,8 @@ def discriminant_form(lat):
     """Dual quotient of an even lattice with its induced form, on the
     generators `_dual_basis` names; built once and kept on lat, so every
     caller shares one form and what is kept on it."""
+    if not isinstance(lat, Lattice):
+        raise BadShape("lat: %r is not a Lattice" % (lat,))
     if lat._discriminant is None:
         orders, rows, _ = _dual_basis(lat)
         # generator a is u_a / d_a, so its pairings are W / (d_a d_b), which
@@ -884,6 +886,9 @@ def is_isomorphic(f1, f2):
     to a nondegenerate one; only when both are degenerate does the p-part
     go to `fqf_isomorphic`.
     """
+    for what, f in (("f1", f1), ("f2", f2)):
+        if not isinstance(f, FiniteQuadraticForm):
+            raise BadShape("%s: %r is not a FiniteQuadraticForm" % (what, f))
     if f1 == f2:
         return True
     keys = _matched_keys(f1, f2)

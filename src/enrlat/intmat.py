@@ -5,9 +5,9 @@ Matrices are lists of row lists of int. Elimination is fraction free
 a Fraction: ranks are read off the Smith diagonal. Matrix products are
 `mat_mul`'s, a raw gram's in `lattice.gram_of_rows` too; only a Lattice
 multiplies by its own gram's kept nonzero entries. Every symmetric
-elimination is `eliminate_symmetric`'s, and `lattice` alone calls it: the
-determinant and signature of a Lattice and the LDL^T of the norm
-enumeration (`lattice.vectors_of_norm`) all come from it. The Smith forms
+elimination is `eliminate_symmetric`'s, and `lattice` alone calls it: a
+Lattice's determinant, its signature and the LDL^T it keeps for the norm
+enumeration (`lattice.vectors_of_norm`) come from one call. The Smith forms
 share one core (`_smith`) that carries each transform, or its inverse,
 only when its caller reads it: `snf_diagonal` carries neither, the kernel
 (`_kernel_and_factors`) only the column transform, and it reads the

@@ -3,15 +3,15 @@
 A Lattice wraps a nondegenerate symmetric integer Gram matrix with even
 diagonal. Every symmetric elimination here is one fraction-free
 `intmat.eliminate_symmetric`, and no other module reads its rows. Built
-from a gram, a Lattice takes its signature from the pivots' signs and
-its determinant from the last pivot. An orthogonal complement reads both
-off the Smith form of rows * G, which finds its basis, and the rows' own
+from a gram, a Lattice takes its signature from the pivots' signs, its
+determinant from the last pivot and, when definite, keeps the LDL^T the
+norm enumeration (`vectors_of_norm`) walks, all from one elimination
+(`_eliminated`). An orthogonal complement reads det and signature off
+the Smith form of rows * G, which finds its basis, and the rows' own
 small gram S: `orthogonal_complement` eliminates S, while the complement
 of a validated embedding reads S's det and signature off the
-embedding's source (`_complement`). Norm enumeration (`vectors_of_norm`)
-is an integer Fincke-Pohst walk over the LDL^T those rows give, as nested
-loops generated once per rank, and `ENUM_NODE_CAP` bounds the coordinates
-it tries.
+embedding's source (`_complement`). The walk is nested loops generated
+once per rank, and `ENUM_NODE_CAP` bounds the coordinates it tries.
 
 Products against a Lattice's gram read the nonzero entries of each gram
 row, kept on the lattice after its first product; a raw gram matrix
@@ -26,7 +26,7 @@ module.
 
 import math
 from collections import defaultdict
-from operator import mul
+from operator import mul, neg as negate
 from types import FunctionType
 
 from ._store import Store
@@ -92,6 +92,21 @@ def rational_signature(gram):
     return eliminate_symmetric(gram)[:3]
 
 
+def _eliminated(gram):
+    """(pos, neg, zero, det, ldl) of a symmetric integer gram, from one
+    eliminate_symmetric of the matrix `vectors_of_norm` walks: the gram in
+    reversed coordinate order, negated when g_00 < 0, which flips only the
+    signs read back. ldl is None unless that matrix is positive definite:
+    its pivots, the minors D_1, ..., D_k, then its rows B_{i-1}[i:], i = k-1..1."""
+    k = len(gram)
+    sign = -1 if k and gram[0][0] < 0 else 1
+    pos, neg, zero, det, rows = eliminate_symmetric(
+        map(negate, reversed(r)) if sign < 0 else reversed(r) for r in reversed(gram))
+    ldl = None if pos < k else tuple([row[i] for i, row in enumerate(rows)] + [
+        x for i in range(k - 1, 0, -1) for x in rows[i - 1][i:]])
+    return (pos, neg, zero, det, ldl) if sign > 0 else (neg, pos, zero, det * (-1) ** k, ldl)
+
+
 class DegenerateQuadraticModule:
     """Restriction of an even form whose Gram matrix has a radical."""
 
@@ -118,26 +133,27 @@ class Lattice:
         n = len(gram)
         if any(gram[i][i] % 2 for i in range(n)):
             raise NotEvenGram("diagonal must be even")
-        pos, neg, zero, det, _ = eliminate_symmetric(gram)
+        pos, neg, zero, det, ldl = _eliminated(gram)
         if zero:
             raise Degenerate("gram is singular")
-        self._keep(gram, det, (pos, neg))
+        self._keep(gram, det, (pos, neg), ldl)
 
     @classmethod
-    def _known(cls, gram, det, signature):
+    def _known(cls, gram, det, signature, ldl=None):
         """The Lattice of an even symmetric gram whose det (nonzero) and
         signature are already known: no check and no elimination."""
         lat = cls.__new__(cls)
-        lat._keep(gram, det, signature)
+        lat._keep(gram, det, signature, ldl)
         return lat
 
-    def _keep(self, gram, det, signature):
+    def _keep(self, gram, det, signature, ldl):
         self.gram = tuple(map(tuple, gram))
         self.rank = len(self.gram)
         self.det = det
         self.signature = signature
         self._discriminant = None  # kept by fqf.discriminant_form
         self._nonzero = None  # kept by _products
+        self._ldl = ldl  # a definite lattice's LDL^T, see _eliminated
 
     def bilinear(self, x, y):
         # x . (G y), one pass over the rows of G
@@ -224,10 +240,10 @@ def _restricted_gram(lat, rows):
 def _module(g):
     # a Lattice, or the DegenerateQuadraticModule of a gram with a radical,
     # from one elimination: g is a restricted gram of an even Lattice
-    pos, neg, zero, det, _ = eliminate_symmetric(g)
+    pos, neg, zero, det, ldl = _eliminated(g)
     if zero:
         return DegenerateQuadraticModule(g, zero)
-    return Lattice._known(g, det, (pos, neg))
+    return Lattice._known(g, det, (pos, neg), ldl)
 
 
 def sublattice_from_gram_change(lat, rows):
@@ -288,7 +304,7 @@ def _complement(lat, prods, det_s, sig_s):
 
 # the most coordinates one norm enumeration tries: 110 times the most any
 # enumeration of the tables, the tests or the benchmark tries (37,834, E8(2)
-# at norm -24, pinned by a test), and about 1.3 s of walking a rank-2 range
+# at norm -24, pinned by a test), and 1.3 to 2 s of walking a rank-2 range
 ENUM_NODE_CAP = 1 << 22
 
 
@@ -299,7 +315,7 @@ _WALKS = Store(64)
 _SEGMENT = 16
 
 # level i: its range, charged to the node cap before it is walked, and the
-# remainder below each z_i; g_i is the part of c_{i-1} that z_i leaves fixed
+# remainder below each z_i
 _LEVEL = """\
 s = isqrt(r{i} // w{i})
 hi = (s - c{i}) // d{i}
@@ -308,19 +324,18 @@ n += hi - lo
 if n > nodecap:
     raise CapExceeded("norm enumeration needs at least %d nodes, over its cap of %d"
                       % (n, nodecap))
-g{i} = {g}
 for z{i} in range(hi, lo, -1):
     y = d{i} * z{i} + c{i}
     r{j} = r{i} - w{i} * y * y
 """
-# the next level's centre, free flag and L1 norm so far
+# the partial sums of the centres below, the next level's free flag and L1 norm
 _DOWN = """\
-    c{j} = g{i} + b{i}_{i} * z{i}
+{sums}\
     f{j} = f{i} or z{i}
-    l{j} = l{i} + abs(z{i})
+    l{j} = l{i} + (z{i} if z{i} > 0 else -z{i})
 """
-# level 1 solves z_0 by an exact square, w_0 y_0^2 = r_0 with y_0 = d_0 z_0 + c_0,
-# and writes the vector and its negative to their L1 norm's bucket
+# level 1 solves z_0 by an exact square, w_0 y_0^2 = r_0 with y_0 = d_0 z_0 + c_0: a root
+# with an integer z_0, s then -s, writes the vector and its negative to their L1 bucket
 _LEAF = """\
     if r0 % w0:
         continue
@@ -328,11 +343,20 @@ _LEAF = """\
     s = isqrt(r0)
     if s * s != r0:
         continue
-    c0 = g1 + b1_1 * z1
-    for y in (s, -s) if s and (f1 or z1) else (s,):
-        z0, e = divmod(y - c0, d0)
+{sums}\
+    l0 = l1 + (z1 if z1 > 0 else -z1)
+    z0, e = divmod(s - c0, d0)
+    if not e:
+        bucket = buckets[l0 + (z0 if z0 > 0 else -z0)]
+        bucket.append([{z}])
+        bucket.append([{nz}])
+        m += 2
+        if m > cap:
+            raise CapExceeded("more than %d vectors" % cap)
+    if s and (f1 or z1):
+        z0, e = divmod(-s - c0, d0)
         if not e:
-            bucket = buckets[l1 + abs(z1) + abs(z0)]
+            bucket = buckets[l0 + (z0 if z0 > 0 else -z0)]
             bucket.append([{z}])
             bucket.append([{nz}])
             m += 2
@@ -340,33 +364,43 @@ _LEAF = """\
                 raise CapExceeded("more than %d vectors" % cap)
 """
 # a segment ending above level 1 hands the coordinates fixed so far to the next
-_NEXT = "    n, m = segs[{s}](ldl, ({z},), r{j}, c{j}, f{j}, l{j}, n, m, buckets, cap, nodecap, segs)\n"
+_NEXT = ("    n, m = segs[{s}](ldl, ws, ({z},), r{j}, c{j}, f{j}, l{j}, n, m, buckets, cap,"
+         " nodecap, segs)\n")
 
 
 def _walk_sources(k):
     """The source of each segment of the walk of rank k >= 2, outermost
-    first. A segment takes the flat list ldl of per-level constants, the
-    coordinates fixed above it and the state of its top level, and returns
-    the nodes and vectors counted so far."""
-    out, at = [], 0
+    first. A segment takes the slot of `_eliminated`, the weights, the
+    coordinates fixed above it and its top level's state, and returns the
+    nodes and vectors counted so far. Level i adds B_L[i] z_i to the sum
+    q{L}_{i} of each centre c_L, L < i, that the segment walks (Schnorr and
+    Euchner); a later segment rebuilds its sums from the coordinates."""
+    out = []
+
+    def partial(row, i):  # c_row's sum once z_i is fixed, complete at i = row + 1
+        return "    %s = %sb%d_%d * z%d\n" % ("q%d_%d" % (row, i) if row < i - 1 else "c%d" % row,
+                                          "q%d_%d + " % (row, i + 1) * (i < k - 1), row + 1, i, i)
+
     for top in range(k - 1, 0, -_SEGMENT):
         low = max(top - _SEGMENT + 1, 1)
-        names = [x for i in range(top, low - 1, -1)
-                 for x in ["d%d" % i, "w%d" % i] + ["b%d_%d" % (i, j) for j in range(i, k)]]
-        names += ["d0", "w0"] * (low == 1)
-        fixed = ["z%d" % j for j in range(k - 1, top, -1)]
-        text = ("def walk(ldl, zs, r{0}, c{0}, f{0}, l{0}, n, m, buckets, cap, nodecap, segs):\n"
-                "    isqrt = math.isqrt\n".format(top))
-        text += "    %s, = ldl[%d:%d]\n" % (", ".join(names), at, at + len(names))
-        text += "    %s, = zs\n" % ", ".join(fixed) if fixed else ""
-        at += len(names)
+        last = low - 1  # the lowest centre the segment sums
+        bs = ["b%d_%d" % (i, j) for i in range(top, low - 1, -1) for j in range(i, k)]
+        at = k + (k - 1 - top) * (k - top) // 2
+        text = ("def walk(ldl, ws, zs, r{0}, c{0}, f{0}, l{0}, n, m, buckets, cap, nodecap, segs)"
+                ":\n    isqrt = math.isqrt\n    {1}, = ldl[{3}:{4}]\n    {2}, = ws[{3}:{4}]\n"
+                "    {5}, = ldl[{6}:{7}]\n").format(
+            top, *(", ".join(x + str(i) for i in range(last, top + 1)) for x in "dw"), last,
+            top + 1, ", ".join(bs), at, at + len(bs))
+        if top < k - 1:  # the coordinates fixed above and the partial sums they give
+            text += "    %s, = zs\n" % ", ".join("z%d" % j for j in range(k - 1, top, -1))
+            text += "".join(partial(row, j) for j in range(k - 1, top, -1)
+                            for row in range(last, top))
         for depth, i in enumerate(range(top, low - 1, -1), 1):
             z = ["z%d" % j for j in range(k - 1, i - 1, -1)] + ["z0"] * (i == 1)
             level = _LEVEL + (_LEAF if i == 1 else _DOWN + _NEXT * (i == low))
             text += "".join("    " * depth + line for line in level.format(
                 i=i, j=i - 1, s=len(out) + 1, z=", ".join(z), nz=", ".join("-" + x for x in z),
-                g=" + ".join("b%d_%d * z%d" % (i, j, j) for j in range(i + 1, k)) or 0
-            ).splitlines(True))
+                sums="".join(partial(row, i) for row in range(last, i))).splitlines(True))
         out.append(text + "    return n, m\n")
     return out
 
@@ -382,34 +416,31 @@ def _compiled(source):
 def vectors_of_norm(lat, value, cap=200000):
     """All lattice vectors of the given self-pairing, definite lattices only.
 
-    Integer Fincke-Pohst enumeration over a fraction-free LDL^T: the gram,
-    negated if negative definite and in reversed coordinate order
-    (z_i = x_{k-1-i}), goes through intmat.eliminate_symmetric, whose
-    pivots are the leading minors D_1, ..., D_k (D_0 = 1) and whose rows
-    are the B_i: q = sum_i (D_{i+1} z_i + c_i)^2 / (D_i D_{i+1}) with
+    Integer Fincke-Pohst enumeration over the fraction-free LDL^T that
+    `_eliminated` gives and a Lattice keeps (a Lattice._known one from its
+    first call): pivots D_1, ..., D_k (D_0 = 1) and rows B_i of the gram
+    in reversed coordinates (z_i = x_{k-1-i}), negated when g_00 < 0, so
+    q = sum_i (D_{i+1} z_i + c_i)^2 / (D_i D_{i+1}) with
     c_i = sum_{j>i} B_i[j] z_j. Scaled by M = lcm(D_i D_{i+1}), every term
     has an integer weight, so each coordinate's range is an exact integer
-    square root. Definiteness is read off the same elimination (Sylvester):
-    the sign is that of g_00, and the signed gram is definite when all k
-    of its pivots are positive; otherwise NotDefinite.
+    square root. Unless all k pivots are positive (Sylvester), the call
+    raises NotDefinite and keeps nothing.
 
     The walk is nested for loops, one per level z_{k-1}, ..., z_1, from
-    source that depends only on the rank (`_walk_sources`), compiled once
-    per rank and kept in `_WALKS`. The coordinates, remainders and centres
-    are locals, and the LDL^T entries arguments; each centre is a sum of
-    products of the two. Ranks above _SEGMENT + 1 chain segments of at most
-    _SEGMENT levels: a segment's innermost loop calls the next with the
-    coordinates fixed so far. The walk fixes z_{k-1} = x_0 first and walks
-    each range from the top down. It walks only half the tree: while every
-    coordinate fixed so far is 0 the centre is 0 and the range symmetric,
-    so it keeps t >= 0, and finds the vectors whose first nonzero
-    coordinate is positive. For each z_1 it solves z_0 by an exact-square
-    test and writes the vector and its negative, as two list displays.
-    CapExceeded is raised there as soon as the vectors found, with their
-    negatives, number more than `cap`, and before a level's loop when the
-    coordinates tried, its whole range counted at once, number more than
-    ENUM_NODE_CAP: a huge value on a small lattice stops at once instead
-    of walking a range of 10^19.
+    source that depends only on the rank (`_walk_sources`, in segments of
+    at most _SEGMENT levels), compiled once per rank and kept in `_WALKS`.
+    Coordinates, remainders and centres are locals, and each level adds
+    its term to the partial sums of the centres below it. The walk fixes
+    z_{k-1} = x_0 first and walks each range from the top down. It walks
+    only half the tree: while every coordinate fixed so far is 0 the
+    centre is 0 and the range symmetric, so it keeps t >= 0, and finds the
+    vectors whose first nonzero coordinate is positive. For each z_1 it
+    solves z_0 by an exact-square test and writes the vector and its
+    negative, as two list displays. CapExceeded is raised there as soon as
+    the vectors found, with their negatives, number more than `cap`, and
+    before a level's loop when the coordinates tried, its whole range
+    counted at once, number more than ENUM_NODE_CAP: a huge value on a
+    small lattice stops at once instead of walking a range of 10^19.
 
     The order is pinned: by L1 norm, then coordinates in descending order.
     The walk lists the half in descending order, and every vector of it
@@ -430,35 +461,29 @@ def vectors_of_norm(lat, value, cap=200000):
     k = lat.rank
     if k == 0:
         return []
-    sign = 1 if lat.gram[0][0] > 0 else -1
-    pos, _, _, _, rows = eliminate_symmetric(
-        [[sign * x for x in reversed(row)] for row in reversed(lat.gram)])
-    if pos < k:
+    ldl = lat._ldl = lat._ldl or _eliminated(lat.gram)[4]
+    if ldl is None:
         raise NotDefinite("enumeration requires a definite lattice")
-    minors = [1] + [row[i] for i, row in enumerate(rows)]
+    sign = 1 if lat.gram[0][0] > 0 else -1
     if value == 0 or (value < 0) == (sign > 0):
         return []  # zero, or the sign the lattice never takes
-    big_m = math.lcm(*(minors[i] * minors[i + 1] for i in range(k)))
-    weights = [big_m // (minors[i] * minors[i + 1]) for i in range(k)]
+    pairs = [ldl[0], *map(mul, ldl[:k - 1], ldl[1:k])]  # D_i D_{i+1}, D_0 = 1
+    big_m = math.lcm(*pairs)
+    ws = [big_m // p for p in pairs]
     rem = big_m * sign * value
     if k == 1:
         # M = D_1 and w_0 = 1, so rem = (D_1 x_0)^2: one pair at most
         s = math.isqrt(rem)
-        if s * s != rem or s % minors[1]:
+        if s * s != rem or s % big_m:
             return []
         if cap < 2:
             raise CapExceeded("more than %d vectors" % cap)
-        return [[s // minors[1]], [-s // minors[1]]]
-    # level i's D_{i+1}, w_i and B_{i-1}[i:], from level k-1 down, then D_1, w_0
-    ldl = []
-    for i in range(k - 1, 0, -1):
-        ldl += minors[i + 1], weights[i], *rows[i - 1][i:]
-    ldl += minors[1], weights[0]
+        return [[s // big_m], [-s // big_m]]
     codes = _WALKS.lookup(k) or _WALKS.keep(k, tuple(map(_compiled, _walk_sources(k))))
     segs = tuple(FunctionType(code, globals()) for code in codes)
     # L1 norm -> the half's vectors of that norm, each followed by its negative
     buckets = defaultdict(list)
-    segs[0](ldl, (), rem, 0, False, 0, 0, 0, buckets, cap, ENUM_NODE_CAP, segs)
+    segs[0](ldl, ws, (), rem, 0, False, 0, 0, 0, buckets, cap, ENUM_NODE_CAP, segs)
     out = []
     for n in sorted(buckets):
         bucket = buckets[n]

@@ -274,6 +274,21 @@ def test_discriminant_form_is_kept_on_the_lattice():
     assert discriminant_form(standard_lattice("N")) is discriminant_form(standard_lattice("N"))
 
 
+@pytest.mark.parametrize("lat", [[[2]], None, ((2, 1), (1, 2))])
+def test_discriminant_form_refuses_what_is_not_a_lattice(lat):
+    with pytest.raises(BadShape, match=r"lat: .* is not a Lattice"):
+        discriminant_form(lat)
+
+
+@pytest.mark.parametrize("f1, f2, name", [(None, None, "f1"), ("form", None, "f2"),
+                                          ([[2]], "form", "f1"), ("form", (2,), "f2")])
+def test_is_isomorphic_refuses_what_is_not_a_form(f1, f2, name):
+    # equal non-forms are refused too, not taken as isomorphic
+    f = trivial_form()
+    with pytest.raises(BadShape, match=name + r": .* is not a FiniteQuadraticForm"):
+        is_isomorphic(f if f1 == "form" else f1, f if f2 == "form" else f2)
+
+
 def _smith_path(f):
     """The form on the invariant-factor generators the Smith form of the
     diagonal of f's orders names: canonical_form's general branch."""

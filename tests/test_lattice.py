@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from enrlat import lattice
 from enrlat.embeddings import (
     PrimitiveEmbedding,
     embedding_complement,
@@ -17,6 +18,7 @@ from enrlat.errors import (
     BadShape,
     Degenerate,
     EnrLatError,
+    NotDefinite,
     NotEvenGram,
     UnknownTag,
     ZeroScale,
@@ -35,6 +37,7 @@ from enrlat.lattice import (
     rescale,
     standard_lattice,
     sublattice_from_gram_change,
+    vectors_of_norm,
 )
 from enrlat.intmat import det_bareiss, hnf_rows, identity, snf_diagonal
 
@@ -541,3 +544,76 @@ def test_gram_of_rows_matches_a_dense_gram(case):
     # entries found by one comprehension
     g, rows = case
     assert gram_of_rows(rows, g) == _dense_gram(rows, g)
+
+
+def test_enumeration_elimination_work_is_pinned(monkeypatch):
+    # A Lattice keeps its walk's LDL^T from the one elimination that gave
+    # its det and signature, and so does a definite restriction (_module).
+    # A Lattice._known one eliminates on its first call and keeps the
+    # result; an indefinite one keeps nothing, so every call eliminates
+    # and is refused alike.
+    e8 = [list(r) for r in E8_GRAM]
+    built = Lattice(e8)
+    known = Lattice._known(e8, built.det, built.signature)
+    restricted = sublattice_from_gram_change(built, [[1] + [0] * 7, [0, 0, 1] + [0] * 5])
+    indefinite = Lattice([[2, 3], [3, 2]])
+    calls = []
+    kernel = lattice.eliminate_symmetric
+
+    def counted(m):
+        calls.append(1)
+        return kernel(m)
+
+    monkeypatch.setattr(lattice, "eliminate_symmetric", counted)
+
+    def run(lat, value):
+        calls.clear()
+        try:
+            return len(vectors_of_norm(lat, value)), len(calls)
+        except NotDefinite as err:
+            return str(err), len(calls)
+
+    refused = ("enumeration requires a definite lattice", 1)
+    assert [run(built, -2), run(built, -4), run(restricted, -2)] == [(240, 0), (2160, 0), (6, 0)]
+    assert [run(known, -2), run(known, -4)] == [(240, 1), (2160, 0)]
+    assert [run(indefinite, 2), run(indefinite, 2)] == [refused, refused]
+    assert run(Lattice([]), -2) == (0, 0)
+
+
+def _cartan(kind, n):
+    """Negated Cartan matrix of A_n, D_n (n >= 4) or E_n (n = 6, 7, 8)."""
+    if kind == "E":
+        return [list(r[:n]) for r in E8_GRAM[:n]]
+    edges = [(i, i + 1) for i in range(n - 2)] + [(n - 2 if kind == "A" else n - 3, n - 1)]
+    g = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = 1
+    return g
+
+
+def _random_definite(rng):
+    """-2 R R^T for a seeded lower-triangular R of rank 2..8, diagonal 1 or
+    2 and entries -1, 0, 1 below it."""
+    r = rng.randint(2, 8)
+    rows = [[rng.choice((-1, 0, 0, 1)) if j < i else rng.choice((1, 1, 2)) * (i == j)
+             for j in range(r)] for i in range(r)]
+    return [[-2 * sum(map(math.prod, zip(x, y))) for y in rows] for x in rows]
+
+
+def test_kept_elimination_equals_a_fresh_one():
+    # the walk over the LDL^T a Lattice keeps lists what a Lattice._known
+    # one, which eliminates on its call, lists; -G walks the same matrix
+    rng = random.Random(48)
+    cases = [(_random_definite(rng), v) for _ in range(12) for v in (-2, -4)]
+    cases += [(_cartan(kind, n), -2) for kind, n in
+              [("A", n) for n in range(2, 25)] + [("D", n) for n in range(4, 25)]
+              + [("E", n) for n in (6, 7, 8)]]
+    cases += [(_cartan("E", 8), -4), (_cartan("D", 6), -4)]
+    found = 0
+    for g, v in cases:
+        lat = Lattice(g)
+        got = vectors_of_norm(lat, v)
+        assert vectors_of_norm(Lattice._known(g, lat.det, lat.signature), v) == got
+        assert vectors_of_norm(Lattice([[-x for x in r] for r in g]), -v) == got
+        found += bool(got)
+    assert found == 49 + 21  # every root lattice case and 21 of the 24 seeded ones

@@ -25,7 +25,8 @@ walk over every element of a finite quadratic form, is called only inside
 
 A third keeps one reader per internal layout, in every module, front ends
 included: the LDL^T rows of `intmat.eliminate_symmetric` are read in
-`intmat` and `lattice` alone, and the per-scale Jordan readings of
+`intmat` and `lattice` alone, the LDL^T a definite Lattice keeps
+(`_ldl`) in `lattice` alone, and the per-scale Jordan readings of
 `fqf._local` (and `fqf._scales`, its view at one prime) in `fqf` alone.
 No other module may name them, as a name, an attribute or an import.
 
@@ -165,6 +166,7 @@ def test_walk_guard_catches_each_call(tmp_path):
 # internal name -> the only modules that may name it
 LAYOUT_READERS = {
     "eliminate_symmetric": {"intmat", "lattice"},
+    "_ldl": {"lattice"},
     "_local": {"fqf"},
     "_scales": {"fqf"},
 }
@@ -201,7 +203,8 @@ def test_layout_guard_catches_each_reference(tmp_path):
         "intmat.py": "def eliminate_symmetric(g):\n    return g\n",
         "lattice.py": "from .intmat import eliminate_symmetric\n",
         "fqf.py": "def _local(f):\n    return _scales(f)\n",
-        "embeddings.py": "from .intmat import snf, eliminate_symmetric as elim\n",
+        "embeddings.py": "from .intmat import snf, eliminate_symmetric as elim\n"
+                         "slot = lat._ldl\n",
         "nikulin.py": "from . import fqf\n\ndef read(f):\n    return fqf._local(f)\n",
         "cli.py": "_scales = 1\nlocal = _local_key = 2\n",
     }
@@ -209,6 +212,7 @@ def test_layout_guard_catches_each_reference(tmp_path):
         (package / fname).write_text(text)
     assert layout_readers(package) == [
         "cli names _scales at line 1",
+        "embeddings names _ldl at line 2",
         "embeddings names eliminate_symmetric at line 1",
         "nikulin names _local at line 4",
     ]
